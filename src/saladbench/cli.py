@@ -9,17 +9,14 @@ can be reproduced exactly. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 
-import numpy as np
-
-from . import corpus, gradient, lexical, metrics, mitigate, pbsmt, providers, toyclf
+from . import corpus, lexical, metrics, mitigate, pbsmt, providers, toyclf
 from .errors import (ConfigError, DataError, ProviderError, SaladBenchError)
-
-log = logging.getLogger("saladbench")
 
 SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
 
@@ -50,15 +47,17 @@ def _load(args) -> corpus.Dataset:
     return corpus.load_dataset(args.data, args.format, _label_set(args), args.task)
 
 
-def _provider(args, ds=None):
-    if args.model:
-        return providers.EmbeddedProvider(toyclf.load_params(args.model))
-    if args.replay:
-        parts = args.replay.split(",", 1)
-        return providers.ReplayProvider(parts[0], parts[1] if len(parts) > 1 else None)
-    if args.url:
-        return providers.HttpProvider(args.url, supports_saliency=True)
-    raise ConfigError("one of --model / --replay / --url is required")
+def _open_provider(args, required: bool = True):
+    """The provider that --model, --replay or --url names; None when no flag
+    is given and none is required."""
+    for kind, location in (("embedded", args.model), ("replay", args.replay),
+                           ("http", args.url)):
+        if location:
+            return providers.open_provider(
+                providers.ProviderDescriptor(kind, location, supports_saliency=True))
+    if required:
+        raise ConfigError("one of --model / --replay / --url is required")
+    return None
 
 
 def _write_resolved_config(args, out_dir):
@@ -68,121 +67,83 @@ def _write_resolved_config(args, out_dir):
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
 
 
-def _transform_once(ds, kind, seed, args, provider, generators):
-    """Transform every example of ds with one kind; returns (examples, meta)."""
-    spec_kwargs = dict(kind=kind, seed=seed, r=args.r)
-    examples, meta = [], {}
-    vocab = None
-    scores = None
-    if kind in lexical.GRADIENT_KINDS:
-        if provider is None or not provider.supports_saliency:
-            raise ConfigError(f"{kind} requires a saliency-capable provider")
-        if kind == "copyone" and hasattr(provider, "saliency_side"):
-            old = provider.saliency_side
-            provider.saliency_side = "a"
-            scores = provider.saliency_batch(ds.examples)
-            provider.saliency_side = old
-        else:
-            scores = provider.saliency_batch(ds.examples)
-        vocab = sorted({t.surface for ex in ds.examples
-                        for t in corpus.tokenize(ex.input.text_a)} |
-                       {t.surface for ex in ds.examples if ex.input.text_b
-                        for t in corpus.tokenize(ex.input.text_b)})
-    for i, ex in enumerate(ds.examples):
-        spec = lexical.TransformSpec(**spec_kwargs)
-        if kind in lexical.LEXICAL_KINDS:
-            tx = lexical.apply_lexical(ex, spec)
-        elif kind in lexical.GRADIENT_KINDS:
-            tx = gradient.apply_gradient(ex, spec, scores[i], vocab=vocab)
-        else:
-            tx = pbsmt.generate_invalid(ex, generators, ds.task_kind, spec)
-        examples.append(tx.example)
-        meta[ex.id] = (tx.source_id, tx.transform.tag())
-    return examples, meta
+def _vocab(ds) -> list[str]:
+    """Every token surface of the dataset, sorted: the replace transform's
+    draw pool."""
+    return sorted({t.surface for ex in ds.examples
+                   for text in (ex.input.text_a, ex.input.text_b) if text
+                   for t in corpus.tokenize(text)})
+
+
+def _save_transformed(transformed, ds, path):
+    out_ds = corpus.Dataset(tuple(tx.example for tx in transformed), ds.labels,
+                            ds.task_kind)
+    meta = {tx.example.id: (tx.source_id, tx.transform.tag()) for tx in transformed}
+    corpus.save_dataset(out_ds, path, "tsv", transform_meta=meta)
+    print(f"wrote {path} ({len(transformed)} rows)")
 
 
 def cmd_transform(args) -> int:
     ds = _load(args)
     _write_resolved_config(args, args.out)
-    kinds = [k.strip() for k in args.transforms.split(",")]
-    if "all" in kinds:
-        kinds = list(lexical.ALL_KINDS)
-    provider = None
-    if any(k in lexical.GRADIENT_KINDS for k in kinds) and \
-            (args.model or args.replay or args.url):
-        provider = _provider(args)
-    generators = {}
-    if "pbsmt" in kinds and args.pbsmt_dir:
-        for name in sorted(os.listdir(args.pbsmt_dir)):
-            sub = os.path.join(args.pbsmt_dir, name)
-            if os.path.isdir(sub):
-                gen = pbsmt.load_generator(sub)
-                generators[gen.label] = gen
-    skipped = []
-    for kind in kinds:
-        if kind in lexical.PAIR_ONLY_KINDS and ds.task_kind != "pair":
-            skipped.append((kind, "pair-only transform"))
-            continue
-        if kind in lexical.GRADIENT_KINDS and provider is None:
-            skipped.append((kind, "no saliency provider"))
-            continue
-        if kind == "pbsmt" and not generators:
-            skipped.append((kind, "no trained generators (--pbsmt-dir)"))
-            continue
-        seeds = SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)
-        for seed in seeds:
-            examples, meta = _transform_once(ds, kind, seed, args, provider, generators)
-            out_ds = corpus.Dataset(tuple(examples), ds.labels, ds.task_kind)
-            suffix = f"_{seed}" if kind == "shuffle" else ""
-            path = os.path.join(args.out, f"{kind}{suffix}.tsv")
-            corpus.save_dataset(out_ds, path, "tsv", transform_meta=meta)
-            print(f"wrote {path} ({len(examples)} rows)")
+    provider = _open_provider(args, required=False)
+    generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
+    kinds, skipped = mitigate.resolve_kinds(
+        args.transforms, ds.task_kind,
+        provider is not None and provider.supports_saliency, bool(generators))
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
+    saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
+    vocab = _vocab(ds) if "replace" in kinds else None
+    for kind in kinds:
+        for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
+            transformed = mitigate.transform_examples(
+                ds.examples, kind, ds.task_kind, seed, args.r, saliency,
+                generators, vocab)
+            suffix = f"_{seed}" if kind == "shuffle" else ""
+            _save_transformed(transformed, ds,
+                              os.path.join(args.out, f"{kind}{suffix}.tsv"))
     return 0
 
 
 def cmd_evaluate(args) -> int:
     ds = _load(args)
     _write_resolved_config(args, args.out)
-    provider = _provider(args)
+    provider = _open_provider(args)
     labels = ds.labels
     preds_orig = provider.predict_batch(ds.examples)
-    kinds = [k.strip() for k in args.transforms.split(",")]
-    if "all" in kinds:
-        kinds = list(lexical.ALL_KINDS)
-    generators = {}
-    if "pbsmt" in kinds and args.pbsmt_dir:
-        for name in sorted(os.listdir(args.pbsmt_dir)):
-            sub = os.path.join(args.pbsmt_dir, name)
-            if os.path.isdir(sub):
-                gen = pbsmt.load_generator(sub)
-                generators[gen.label] = gen
+    orig_by_id = {p.id: p for p in preds_orig}
+    generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
+    kinds, skipped = mitigate.resolve_kinds(
+        args.transforms, ds.task_kind, provider.supports_saliency, bool(generators))
+    for kind, why in skipped:
+        print(f"{kind}: -- ({why})")
+    saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
+    vocab = _vocab(ds) if "replace" in kinds else None
     rows = []
     for kind in kinds:
-        if kind in lexical.PAIR_ONLY_KINDS and ds.task_kind != "pair":
-            print(f"{kind}: -- (not defined for single-input tasks)")
-            continue
-        if kind in lexical.GRADIENT_KINDS and not provider.supports_saliency:
-            print(f"skipped {kind}: provider lacks saliency", file=sys.stderr)
-            continue
-        if kind == "pbsmt" and not generators:
-            print("skipped pbsmt: no trained generators", file=sys.stderr)
-            continue
-        seeds = SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)
-        per_seed = []
-        confs = []
-        n = 0
-        for seed in seeds:
-            examples, _ = _transform_once(ds, kind, seed, args, provider, generators)
-            preds = provider.predict_batch(examples)
+        per_seed, confs = [], []
+        for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
+            transformed = mitigate.transform_examples(
+                ds.examples, kind, ds.task_kind, seed, args.r, saliency,
+                generators, vocab)
+            if not transformed:
+                break
+            preds = provider.predict_batch([tx.example for tx in transformed])
             if kind in lexical.PAIR_ONLY_KINDS:
                 agr = metrics.default_agreement(preds, labels.default_label)
             else:
-                agr = metrics.agreement(preds_orig, preds)
+                # each row is compared with the prediction for its own source
+                agr = metrics.agreement(
+                    [orig_by_id[tx.source_id] for tx in transformed],
+                    [dataclasses.replace(p, id=tx.source_id)
+                     for p, tx in zip(preds, transformed)])
             per_seed.append(agr)
             confs.append(metrics.mean_confidence(preds))
             n = len(preds)
+        if not per_seed:
+            print(f"{kind}: -- (every row skipped)")
+            continue
         rows.append(metrics.MetricsRow(
             kind, sum(per_seed) / len(per_seed), sum(confs) / len(confs), n,
             per_seed=tuple(per_seed) if kind == "shuffle" else ()))
@@ -238,15 +199,17 @@ def cmd_calibrate(args) -> int:
 def cmd_mitigate(args) -> int:
     ds = _load(args)
     _write_resolved_config(args, args.out)
-    kinds = tuple(k.strip() for k in args.transforms.split(","))
-    if "all" in kinds:
-        kinds = lexical.ALL_KINDS
+    kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
+    if not kinds:
+        raise ConfigError("no applicable transforms for this task")
     cfg = mitigate.MitigationConfig(
         strategy=args.strategy.replace("-", "_"), lambda_ent=args.lambda_ent,
         augment_fraction=args.augment_fraction, transforms=kinds,
         accuracy_tolerance=args.tolerance, seed=args.seed)
     train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
                                    args.seed, args.dim)
+    finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
+                                      args.finetune_lr, args.seed, args.dim)
 
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
     baseline = toyclf.train(train_ds, toyclf.LossConfig(), train_cfg)
@@ -260,43 +223,38 @@ def cmd_mitigate(args) -> int:
             for label in range(ds.labels.n_classes):
                 generators[label] = pbsmt.train_generator(train_ds, label)
         except SaladBenchError as e:
-            print(f"pbsmt generators unavailable: {e}", file=sys.stderr)
+            skipped.append(("pbsmt", f"generators unavailable: {e}"))
             generators = {}
+            cfg = dataclasses.replace(
+                cfg, transforms=tuple(k for k in cfg.transforms if k != "pbsmt"))
+    for kind, why in skipped:
+        print(f"skipped {kind}: {why}", file=sys.stderr)
 
-    usable = tuple(k for k in mitigate.applicable_kinds(cfg.transforms, ds.task_kind)
-                   if k != "pbsmt" or generators)
-    cfg = mitigate.MitigationConfig(**{**vars(cfg), "transforms": usable})
-
+    saliency = mitigate.score_saliency(provider, val_ds.examples, cfg.transforms,
+                                       ds.task_kind)
     invalid_val = {
-        kind: mitigate.make_invalid_examples(
-            val_ds.examples, [kind], ds.task_kind, provider,
-            generators, vocab, cfg.r, cfg.seed)
-        for kind in usable}
+        kind: [tx.example for tx in mitigate.transform_examples(
+            val_ds.examples, kind, ds.task_kind, cfg.seed, cfg.r, saliency,
+            generators, vocab)]
+        for kind in cfg.transforms}
 
     if cfg.strategy == "invalid_class":
         augmented, flags = mitigate.augment(train_ds, cfg, provider, generators,
                                             vocab)
         balanced = mitigate.balance_clean(augmented, flags)
-        finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
-                                          args.finetune_lr, args.seed, args.dim)
         params = mitigate.train_invalid_class(balanced, finetune_cfg,
                                               warm=baseline)
         report = mitigate.evaluate_mitigation(
             "invalid_class", params, val_ds, invalid_val,
             baseline_accuracy=100 * baseline_acc,
             n_task_classes=ds.labels.n_classes)
-        toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
     else:
         if cfg.strategy == "entropic_threshold":
-            aug_cfg = mitigate.MitigationConfig(**{**vars(cfg), "strategy": "entropic_threshold"})
-            augmented, flags = mitigate.augment(train_ds, aug_cfg, provider,
+            augmented, flags = mitigate.augment(train_ds, cfg, provider,
                                                 generators, vocab)
             invalid_train = corpus.Dataset(
                 tuple(ex for ex, f in zip(augmented.examples, flags) if f),
                 ds.labels, ds.task_kind)
-            finetune_cfg = toyclf.TrainConfig(
-                args.finetune_epochs, args.batch_size, args.finetune_lr,
-                args.seed, args.dim)
             params = mitigate.train_entropic(baseline, train_ds, invalid_train,
                                              cfg.lambda_ent, finetune_cfg)
         else:
@@ -317,7 +275,7 @@ def cmd_mitigate(args) -> int:
             lambda_ent=cfg.lambda_ent if cfg.strategy == "entropic_threshold" else None,
             baseline_accuracy=100 * baseline_acc,
             n_task_classes=ds.labels.n_classes)
-        toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
+    toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
 
     payload = {k: v for k, v in vars(report).items()}
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
@@ -348,21 +306,10 @@ def cmd_pbsmt(args) -> int:
             pbsmt.save_generator(gen, out)
             print(f"trained generator for label {label} -> {out}")
     else:
-        generators = {}
-        for name in sorted(os.listdir(args.models)):
-            sub = os.path.join(args.models, name)
-            if os.path.isdir(sub):
-                gen = pbsmt.load_generator(sub)
-                generators[gen.label] = gen
-        examples, meta = [], {}
-        for ex in ds.examples:
-            tx = pbsmt.generate_invalid(ex, generators, ds.task_kind)
-            examples.append(tx.example)
-            meta[ex.id] = (tx.source_id, tx.transform.tag())
-        out_ds = corpus.Dataset(tuple(examples), ds.labels, ds.task_kind)
-        path = os.path.join(args.out, "pbsmt.tsv")
-        corpus.save_dataset(out_ds, path, "tsv", transform_meta=meta)
-        print(f"wrote {path} ({len(examples)} rows)")
+        transformed = mitigate.transform_examples(
+            ds.examples, "pbsmt", ds.task_kind, args.seed,
+            generators=pbsmt.load_generators(args.models))
+        _save_transformed(transformed, ds, os.path.join(args.out, "pbsmt.tsv"))
     return 0
 
 
@@ -461,19 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--render", default="md", choices=["md", "csv"])
     p.set_defaults(func=cmd_report)
+    parser.subcommands = sub
     return parser
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    """Overrides parsed values with --config JSON entries, except where the
-    flag was given explicitly on the command line (explicit flags win)."""
+def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
+    """Installs the --config JSON entries as defaults of the selected
+    subcommand and parses argv again, so explicit flags win."""
     with open(args.config, encoding="utf-8") as f:
         cfg = json.load(f)
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv and hasattr(args, attr):
-            setattr(args, attr, value)
+    defaults = {key.replace("-", "_"): value for key, value in cfg.items()}
+    parser.subcommands.choices[args.command].set_defaults(
+        **{attr: value for attr, value in defaults.items() if hasattr(args, attr)})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -483,7 +430,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config_file(args, argv)
+            args = _apply_config_file(parser, args, argv)
         return args.func(args)
     except (ConfigError, argparse.ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,16 +8,17 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSet
-from .errors import ArgumentError, ConfigError
+from .errors import ArgumentError, ConfigError, DegenerateInputError
 from .gradient import apply_gradient
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
-                      TransformSpec, apply_lexical)
+                      TransformedExample, TransformSpec, apply_lexical)
 from .pbsmt import GeneratorModel, generate_invalid
 from .providers import Prediction
 from . import toyclf
@@ -69,9 +70,80 @@ class MitigationReport:
                 raise ArgumentError("percentages must lie in [0, 100]")
 
 
+def resolve_kinds(kinds: str | Sequence[str], task_kind: str,
+                  saliency: bool = True, generators: bool = True
+                  ) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """Expands "all" in a kind list or comma-separated string; returns the
+    kinds that can run and a (kind, reason) pair for each one that cannot."""
+    if isinstance(kinds, str):
+        kinds = [k.strip() for k in kinds.split(",")]
+    if "all" in kinds:
+        kinds = ALL_KINDS
+    unknown = sorted(set(kinds) - set(ALL_KINDS))
+    if unknown:
+        raise ConfigError(f"unknown transforms {unknown}")
+    usable, skipped = [], []
+    for kind in kinds:
+        if kind in PAIR_ONLY_KINDS and task_kind != "pair":
+            skipped.append((kind, "pair-only transform"))
+        elif kind in GRADIENT_KINDS and not saliency:
+            skipped.append((kind, "no saliency provider"))
+        elif kind == "pbsmt" and not generators:
+            skipped.append((kind, "no trained generators"))
+        else:
+            usable.append(kind)
+    return tuple(usable), skipped
+
+
 def applicable_kinds(transforms: Sequence[str], task_kind: str) -> tuple[str, ...]:
-    return tuple(k for k in transforms
-                 if task_kind == "pair" or k not in PAIR_ONLY_KINDS)
+    return resolve_kinds(transforms, task_kind)[0]
+
+
+def scored_side(kind: str, task_kind: str) -> str:
+    """The side a gradient kind scores: copyone reads text_a; drop, repeat and
+    replace edit text_b on pair tasks and text_a otherwise."""
+    return "b" if task_kind == "pair" and kind != "copyone" else "a"
+
+
+def score_saliency(provider, examples: Sequence[Example], kinds: Sequence[str],
+                   task_kind: str) -> dict[str, list]:
+    """Saliency of every example, once per side that the gradient kinds among
+    `kinds` need; maps side -> scores aligned with `examples`."""
+    sides = sorted({scored_side(k, task_kind) for k in kinds if k in GRADIENT_KINDS})
+    if sides and provider is None:
+        raise ConfigError("gradient transforms need a saliency provider")
+    return {side: provider.saliency_batch(examples, side) for side in sides}
+
+
+def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
+                       seed: int = 0, r: float = 0.5,
+                       saliency: Optional[dict[str, list]] = None,
+                       generators: Optional[dict[int, GeneratorModel]] = None,
+                       vocab: Optional[Sequence[str]] = None
+                       ) -> list[TransformedExample]:
+    """Applies one kind to every example; gradient kinds read `saliency`
+    (score_saliency over the same examples). Rows are named `{id}__{kind}`
+    (`{id}__shuffle:{seed}`); rows too small for the kind are skipped and
+    logged with a count per reason."""
+    scores = saliency[scored_side(kind, task_kind)] if kind in GRADIENT_KINDS else None
+    suffix = f"{kind}:{seed}" if kind == "shuffle" else kind
+    out, skipped = [], Counter()
+    for i, ex in enumerate(examples):
+        spec = TransformSpec(kind=kind, seed=seed, r=r)
+        try:
+            if kind in LEXICAL_KINDS:
+                tx = apply_lexical(ex, spec)
+            elif kind in GRADIENT_KINDS:
+                tx = apply_gradient(ex, spec, scores[i], vocab=vocab)
+            else:
+                tx = generate_invalid(ex, generators or {}, task_kind, spec)
+        except DegenerateInputError as e:
+            skipped[str(e)] += 1
+            continue
+        out.append(replace(tx, example=replace(tx.example, id=f"{ex.id}__{suffix}")))
+    for reason, n in sorted(skipped.items()):
+        log.warning("%s: skipped %d of %d rows: %s", suffix, n, len(examples), reason)
+    return out
 
 
 def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
@@ -80,58 +152,24 @@ def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
                           vocab: Optional[Sequence[str]] = None,
                           r: float = 0.5, seed: int = 0,
                           invalid_label: Optional[int] = None) -> list[Example]:
-    """One invalid example per (source example, transform kind).
+    """One invalid example per (source example, transform kind), labeled
+    `invalid_label`, ordered by source and then by kind.
 
     Gradient kinds need a saliency provider, pbsmt needs trained generators;
     unavailable kinds are skipped with a warning.
     """
-    kinds = applicable_kinds(kinds, task_kind)
-    usable = []
-    for kind in kinds:
-        if kind in GRADIENT_KINDS and saliency_provider is None:
-            log.warning("skipping %s: no saliency provider", kind)
-            continue
-        if kind == "pbsmt" and not pbsmt_models:
-            log.warning("skipping pbsmt: no trained generators")
-            continue
-        usable.append(kind)
+    usable, skipped = resolve_kinds(kinds, task_kind, saliency_provider is not None,
+                                    bool(pbsmt_models))
+    for kind, reason in skipped:
+        log.warning("skipping %s: %s", kind, reason)
     if not usable:
         raise ConfigError("no applicable transforms for this configuration")
-
-    sal_cache = {}
-    sal_a_cache = {}
-    if saliency_provider is not None and any(k in GRADIENT_KINDS for k in usable):
-        target_kinds = [k for k in usable if k in ("drop", "repeat", "replace")]
-        if target_kinds:
-            for ex, s in zip(examples, saliency_provider.saliency_batch(examples)):
-                sal_cache[ex.id] = s
-        if "copyone" in usable:
-            side = getattr(saliency_provider, "saliency_side", "a")
-            if side != "a" and hasattr(saliency_provider, "saliency_side"):
-                saliency_provider.saliency_side = "a"
-                try:
-                    sal_a_cache = {ex.id: s for ex, s in
-                                   zip(examples, saliency_provider.saliency_batch(examples))}
-                finally:
-                    saliency_provider.saliency_side = side
-            else:
-                # provider already scores text_a (or is side-agnostic replay)
-                sal_a_cache = {ex.id: s for ex, s in
-                               zip(examples, saliency_provider.saliency_batch(examples))}
-
-    out: list[Example] = []
-    for ex in examples:
-        for kind in usable:
-            spec = TransformSpec(kind=kind, seed=seed, r=r)
-            if kind in LEXICAL_KINDS:
-                tx = apply_lexical(ex, spec)
-            elif kind in GRADIENT_KINDS:
-                scores = sal_a_cache[ex.id] if kind == "copyone" else sal_cache[ex.id]
-                tx = apply_gradient(ex, spec, scores, vocab=vocab)
-            else:
-                tx = generate_invalid(ex, pbsmt_models, task_kind, spec)
-            out.append(Example(f"{ex.id}__{kind}", tx.example.input, invalid_label))
-    return out
+    saliency = score_saliency(saliency_provider, examples, usable, task_kind)
+    by_kind = [{tx.source_id: tx.example for tx in transform_examples(
+                   examples, kind, task_kind, seed, r, saliency, pbsmt_models, vocab)}
+               for kind in usable]
+    return [Example(rows[ex.id].id, rows[ex.id].input, invalid_label)
+            for ex in examples for rows in by_kind if ex.id in rows]
 
 
 def augment(ds: Dataset, cfg: MitigationConfig, saliency_provider=None,
@@ -338,11 +376,11 @@ def train_on_invalid_experiment(ds_train: Dataset, ds_val: Dataset, kind: str,
                                 vocab=None, r: float = 0.5, seed: int = 0) -> float:
     """Transform the whole training set (labels kept), train from scratch,
     and report accuracy on the untransformed validation set."""
-    invalid = make_invalid_examples(ds_train.examples, [kind], ds_train.task_kind,
-                                    saliency_provider, pbsmt_models, vocab, r, seed)
-    transformed = tuple(
-        Example(src.id, inv.input, src.gold_label)
-        for src, inv in zip(ds_train.examples, invalid))
-    ds = Dataset(transformed, ds_train.labels, ds_train.task_kind)
+    saliency = score_saliency(saliency_provider, ds_train.examples, [kind],
+                              ds_train.task_kind)
+    transformed = transform_examples(ds_train.examples, kind, ds_train.task_kind,
+                                     seed, r, saliency, pbsmt_models, vocab)
+    ds = Dataset(tuple(tx.example for tx in transformed), ds_train.labels,
+                 ds_train.task_kind)
     params = toyclf.train(ds, toyclf.LossConfig("cross_entropy"), train_cfg)
     return toyclf.accuracy(params, ds_val)

@@ -46,9 +46,6 @@ class PhraseTable:
     # (src phrase, tgt phrase) -> (log p(t|s), log p(s|t)); phrases are tuples
     entries: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[float, float]]
 
-    def options(self, src_phrase: tuple[str, ...]):
-        return [(tgt, logs) for (s, tgt), logs in self.entries.items() if s == src_phrase]
-
 
 @dataclass
 class LanguageModel:
@@ -437,3 +434,14 @@ def load_generator(dirpath) -> GeneratorModel:
                              meta["w_len"], meta["beam_size"], meta["distortion_limit"])
     return GeneratorModel(meta["label"], LexicalTable(dict(lex)), PhraseTable(entries),
                           lm, weights)
+
+
+def load_generators(dirpath) -> dict[int, GeneratorModel]:
+    """Every generator saved in a subdirectory of dirpath, keyed by label."""
+    generators = {}
+    for name in sorted(os.listdir(dirpath)):
+        sub = os.path.join(dirpath, name)
+        if os.path.isdir(sub):
+            gen = load_generator(sub)
+            generators[gen.label] = gen
+    return generators

@@ -1,8 +1,9 @@
 """Prediction providers: embedded toy model, replay files, remote HTTP.
 
 All providers share one contract: `predict_batch` returns one Prediction per
-input in request order, and `saliency_batch` (when supported) returns scores
-aligned with the word tokenization of the targeted side.
+input in request order, and `saliency_batch(inputs, side)` (when supported)
+returns scores aligned with the word tokenization of `side` ("a" scores
+text_a, "b" scores text_b).
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ class EmbeddedProvider:
 
     supports_saliency = True
 
-    def __init__(self, params: toyclf.ToyModelParams, saliency_side: Optional[str] = None):
+    def __init__(self, params: toyclf.ToyModelParams):
         self.params = params
-        # gradient transforms target text_b on pair tasks, text_a otherwise
-        self.saliency_side = saliency_side or ("b" if params.task_kind == "pair" else "a")
 
     def describe(self) -> ProviderDescriptor:
         return ProviderDescriptor("embedded", supports_saliency=True)
@@ -72,17 +71,21 @@ class EmbeddedProvider:
         return [Prediction.from_probs(ex.id, toyclf.forward(self.params, ex))
                 for ex in inputs]
 
-    def saliency_batch(self, inputs: Sequence[Example],
+    def saliency_batch(self, inputs: Sequence[Example], side: str = "a",
                        loss_labels: Optional[Sequence[Optional[int]]] = None
                        ) -> list[SaliencyScores]:
         if loss_labels is None:
             loss_labels = [None] * len(inputs)
-        return [toyclf.saliency(self.params, ex, self.saliency_side, y)
+        return [toyclf.saliency(self.params, ex, side, y)
                 for ex, y in zip(inputs, loss_labels)]
 
 
 class ReplayProvider:
-    """Replays predictions (and optionally saliency) from JSONL fixtures."""
+    """Replays predictions (and optionally saliency) from JSONL fixtures.
+
+    A saliency row names the side it scores in a `side` field; a row without
+    one scores side "a".
+    """
 
     def __init__(self, predictions_path, saliency_path=None):
         self._preds: dict[str, list[float]] = {}
@@ -91,13 +94,13 @@ class ReplayProvider:
                 if line.strip():
                     obj = json.loads(line)
                     self._preds[str(obj["id"])] = obj["probs"]
-        self._saliency: dict[str, dict] = {}
+        self._saliency: dict[tuple[str, str], dict] = {}
         if saliency_path is not None:
             with open(saliency_path, encoding="utf-8") as f:
                 for line in f:
                     if line.strip():
                         obj = json.loads(line)
-                        self._saliency[str(obj["id"])] = obj
+                        self._saliency[str(obj["id"]), obj.get("side", "a")] = obj
         self.supports_saliency = saliency_path is not None
         self._location = str(predictions_path)
 
@@ -112,14 +115,15 @@ class ReplayProvider:
             out.append(Prediction.from_probs(ex.id, self._preds[ex.id]))
         return out
 
-    def saliency_batch(self, inputs, loss_labels=None) -> list[SaliencyScores]:
+    def saliency_batch(self, inputs, side="a", loss_labels=None) -> list[SaliencyScores]:
         if not self.supports_saliency:
             raise CapabilityError("replay provider has no saliency file")
         out = []
         for ex in inputs:
-            if ex.id not in self._saliency:
-                raise MissingPredictionError(f"no replay saliency for id {ex.id!r}")
-            obj = self._saliency[ex.id]
+            obj = self._saliency.get((ex.id, side))
+            if obj is None:
+                raise MissingPredictionError(
+                    f"no replay saliency for id {ex.id!r}, side {side!r}")
             out.append(SaliencyScores(tuple(float(s) for s in obj["scores"]),
                                       int(obj["loss_label"])))
         return out
@@ -140,13 +144,15 @@ class HttpProvider:
         return ProviderDescriptor("http", self.base_url, self.supports_saliency)
 
     def _post(self, inputs: Sequence[Example], want_saliency: bool,
-              loss_labels: Optional[Sequence[Optional[int]]]) -> dict:
+              loss_labels: Optional[Sequence[Optional[int]]],
+              side: Optional[str] = None) -> dict:
         body = {
             "inputs": [
                 {"id": ex.id, "text_a": ex.input.text_a, "text_b": ex.input.text_b}
                 for ex in inputs
             ],
             "want_saliency": want_saliency,
+            "side": side,
             "loss_labels": list(loss_labels) if loss_labels is not None else None,
         }
         try:
@@ -170,10 +176,10 @@ class HttpProvider:
         return [Prediction.from_probs(ex.id, probs)
                 for ex, probs in zip(inputs, payload["probs"])]
 
-    def saliency_batch(self, inputs, loss_labels=None) -> list[SaliencyScores]:
+    def saliency_batch(self, inputs, side="a", loss_labels=None) -> list[SaliencyScores]:
         if not self.supports_saliency:
             raise CapabilityError("http provider not configured for saliency")
-        payload = self._post(inputs, True, loss_labels)
+        payload = self._post(inputs, True, loss_labels, side)
         sal = payload.get("saliency")
         if sal is None or len(sal) != len(inputs):
             raise ContractError("response saliency missing or misaligned")
@@ -189,11 +195,7 @@ def open_provider(desc: ProviderDescriptor, params=None):
             params = toyclf.load_params(desc.location)
         return EmbeddedProvider(params)
     if desc.kind == "replay":
-        pred_path = desc.location
-        sal_path = None
-        if "," in desc.location:
-            pred_path, sal_path = desc.location.split(",", 1)
-        return ReplayProvider(pred_path, sal_path)
+        return ReplayProvider(*desc.location.split(",", 1))
     if desc.kind == "http":
         return HttpProvider(desc.location, desc.supports_saliency)
     raise ArgumentError(f"unknown provider kind {desc.kind!r}")

@@ -245,3 +245,103 @@ def test_config_file_supplies_defaults_but_explicit_flags_win(tmp_path):
               "--transforms", "sort", "--out", str(out2)])
     assert rc == 0
     assert [p.name for p in out2.glob("*.tsv")] == ["sort.tsv"]
+
+
+def test_config_file_does_not_override_equals_form_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = run(["--config", str(cfg), "transform", *SENT_ARGS,
+              "--transforms", "sort", "--seed=3", "--out", str(out)])
+    assert rc == 0
+    resolved = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    assert resolved["seed"] == 3
+
+
+# --- transformed-row ids and skipped rows ---
+
+def _sentiment_ids():
+    lines = Path(SENT).read_text(encoding="utf-8").splitlines()[1:]
+    return [line.split("\t", 1)[0] for line in lines]
+
+
+def test_transformed_rows_get_their_own_ids(tmp_path):
+    out = tmp_path / "tx"
+    assert run(["transform", *SENT_ARGS, "--transforms", "sort,shuffle",
+                "--out", str(out)]) == 0
+    ids = _sentiment_ids()
+    for name, suffix in (("sort.tsv", "sort"), ("shuffle_2.tsv", "shuffle:2")):
+        rows = [line.split("\t") for line in
+                (out / name).read_text(encoding="utf-8").splitlines()[1:]]
+        assert [r[0] for r in rows] == [f"{i}__{suffix}" for i in ids]
+        assert [r[4] for r in rows] == ids      # source_id keeps the source
+
+
+def test_replay_evaluate_needs_predictions_for_transformed_rows(tmp_path):
+    ids = _sentiment_ids()
+    rows = [{"id": i, "probs": [0.9, 0.1]} for i in ids]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
+                     encoding="utf-8")
+    argv = ["evaluate", *SENT_ARGS, "--transforms", "sort,reverse,shuffle"]
+    # source predictions alone cannot stand in for the transformed rows
+    assert run([*argv, "--replay", str(preds),
+                "--out", str(tmp_path / "a")]) == 3
+
+    # sort flips the first 50 rows; shuffle seed s flips the first 10 * s
+    for k, i in enumerate(ids):
+        rows.append({"id": f"{i}__sort",
+                     "probs": [0.2, 0.8] if k < 50 else [0.7, 0.3]})
+        rows.append({"id": f"{i}__reverse", "probs": [0.6, 0.4]})
+        for s in range(5):
+            rows.append({"id": f"{i}__shuffle:{s}",
+                         "probs": [0.1, 0.9] if k < 10 * s else [0.8, 0.2]})
+    preds.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "b"
+    assert run([*argv, "--replay", str(preds), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    by_kind = {r["transform"]: r for r in report["rows"]}
+    assert by_kind["sort"]["agreement"] == 75.0
+    assert by_kind["reverse"]["agreement"] == 100.0
+    assert by_kind["shuffle"]["per_seed"] == [100.0, 95.0, 90.0, 85.0, 80.0]
+    assert by_kind["shuffle"]["agreement"] == 90.0
+
+
+def test_one_degenerate_row_is_skipped_not_fatal(tmp_path, trained_model,
+                                                 caplog):
+    data = tmp_path / "sent.tsv"
+    data.write_text(Path(SENT).read_text(encoding="utf-8")
+                    + "oneword\tsplendid\t\tpositive\n", encoding="utf-8")
+    args = ["--data", str(data), "--task", "single",
+            "--labels", "negative,positive"]
+    out = tmp_path / "tx"
+    assert run(["transform", *args, "--transforms", "sort,shuffle",
+                "--out", str(out)]) == 0
+    assert len((out / "sort.tsv").read_text(encoding="utf-8").splitlines()) == 202
+    for s in range(5):
+        lines = (out / f"shuffle_{s}.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 201
+        assert not any(line.startswith("oneword") for line in lines)
+    assert "shuffle:0: skipped 1 of 201 rows" in caplog.text
+
+    ev = tmp_path / "eval"
+    assert run(["evaluate", *args, "--model", trained_model,
+                "--transforms", "sort,shuffle", "--out", str(ev)]) == 0
+    report = json.loads((ev / "report.json").read_text(encoding="utf-8"))
+    n = {r["transform"]: r["n"] for r in report["rows"]}
+    assert n == {"sort": 201, "shuffle": 200}
+
+
+def test_evaluate_leaves_out_a_kind_whose_rows_are_all_skipped(
+        tmp_path, trained_model, capsys):
+    data = tmp_path / "tiny.tsv"
+    data.write_text("id\ttext_a\ttext_b\tlabel\n"
+                    "a\tgood\t\tpositive\nb\tbad\t\tnegative\n", encoding="utf-8")
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--data", str(data), "--task", "single",
+                "--labels", "negative,positive", "--model", trained_model,
+                "--transforms", "sort,shuffle", "--out", str(out)]) == 0
+    assert "shuffle: -- (every row skipped)" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [r["transform"] for r in report["rows"]] == ["sort"]

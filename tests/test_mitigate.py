@@ -89,6 +89,63 @@ def test_make_invalid_examples_unlabeled_by_default(sent_split):
     assert all(ex.gold_label is None for ex in out)
 
 
+class _SideRecorder:
+    """Saliency provider that records the side of every call."""
+
+    supports_saliency = True
+
+    def __init__(self, params):
+        self.inner = EmbeddedProvider(params)
+        self.sides = []
+
+    def saliency_batch(self, inputs, side="a", loss_labels=None):
+        self.sides.append(side)
+        return self.inner.saliency_batch(inputs, side, loss_labels)
+
+
+def test_gradient_kinds_score_their_own_side(pair_split, pair_base,
+                                             sent_split, sent_base):
+    # pair tasks: drop/repeat/replace edit text_b and score it; copyone reads
+    # text_a. Single tasks: every kind scores text_a.
+    cases = [("pair", pair_split, pair_base,
+              {"drop": "b", "repeat": "b", "replace": "b", "copyone": "a"}),
+             ("single", sent_split, sent_base,
+              {"drop": "a", "repeat": "a", "replace": "a"})]
+    for task_kind, (_, val_ds), params, sides in cases:
+        examples = val_ds.examples[:4]
+        for kind, side in sides.items():
+            provider = _SideRecorder(params)
+            saliency = mitigate.score_saliency(provider, examples, [kind],
+                                               task_kind)
+            assert provider.sides == [side], (task_kind, kind)
+            out = mitigate.transform_examples(examples, kind, task_kind,
+                                              saliency=saliency,
+                                              vocab=list(params.vocab[1:]))
+            assert [tx.source_id for tx in out] == [ex.id for ex in examples]
+            if task_kind == "pair":
+                assert all(tx.example.input.text_a == ex.input.text_a
+                           for tx, ex in zip(out, examples))
+
+
+def test_make_invalid_examples_scores_each_side_once(pair_split, pair_base):
+    _, val_ds = pair_split
+    provider = _SideRecorder(pair_base)
+    out = make_invalid_examples(val_ds.examples[:5],
+                                ("drop", "repeat", "replace", "copyone"), "pair",
+                                provider, vocab=list(pair_base.vocab[1:]))
+    assert len(out) == 20
+    assert sorted(provider.sides) == ["a", "b"]
+
+
+def test_make_invalid_examples_skips_degenerate_rows():
+    examples = [Example("x", TextInput("one"), 0),
+                Example("y", TextInput("two words here"), 1)]
+    out = make_invalid_examples(examples, ("sort", "shuffle"), "single",
+                                invalid_label=2)
+    assert [ex.id for ex in out] == ["x__sort", "y__sort", "y__shuffle:0"]
+    assert all(ex.gold_label == 2 for ex in out)
+
+
 # --- augment ---
 
 def test_augment_counts_and_flags(pair_split, pair_base, pair_gens):

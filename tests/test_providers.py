@@ -67,17 +67,11 @@ def test_embedded_provider_is_deterministic(sent_base, sent_split):
     assert [p.probs for p in a] == [p.probs for p in b]
 
 
-def test_embedded_provider_saliency_side_defaults(sent_base, pair_base):
-    assert EmbeddedProvider(sent_base).saliency_side == "a"
-    assert EmbeddedProvider(pair_base).saliency_side == "b"
-    assert EmbeddedProvider(pair_base, saliency_side="a").saliency_side == "a"
-
-
 def test_embedded_provider_saliency_alignment(pair_base, pair_split):
     _, val_ds = pair_split
     provider = EmbeddedProvider(pair_base)
     ex = val_ds.examples[0]
-    scores = provider.saliency_batch([ex])[0]
+    scores = provider.saliency_batch([ex], side="b")[0]
     from saladbench.corpus import tokenize
     assert len(scores) == len(tokenize(ex.input.text_b))
 
@@ -130,13 +124,30 @@ def test_replay_provider_saliency_requires_file(tmp_path):
         provider.saliency_batch([Example("b", TextInput("x"), None)])
 
 
+def test_replay_provider_saliency_matches_side(tmp_path):
+    preds = _write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "probs": [1.0, 0.0]}])
+    sal = _write_jsonl(tmp_path / "s.jsonl", [
+        {"id": "a", "scores": [0.5, -0.5], "loss_label": 1},   # no side: "a"
+        {"id": "a", "side": "b", "scores": [0.25], "loss_label": 1},
+        {"id": "c", "side": "b", "scores": [1.0], "loss_label": 0},
+    ])
+    provider = ReplayProvider(preds, sal)
+    ex = Example("a", TextInput("x y", "z"), None)
+    assert provider.saliency_batch([ex], side="a")[0].scores == (0.5, -0.5)
+    assert provider.saliency_batch([ex], side="b")[0].scores == (0.25,)
+    with pytest.raises(MissingPredictionError):
+        provider.saliency_batch([Example("c", TextInput("x", "y"), None)], side="a")
+
+
 # --- HTTP provider ---
 
 class _Handler(BaseHTTPRequestHandler):
     mode = "ok"
+    last_body = None
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        _Handler.last_body = body
         n = len(body["inputs"])
         if self.path != "/v1/predict" or _Handler.mode == "http500":
             self.send_response(500)
@@ -200,6 +211,14 @@ def test_http_provider_saliency(http_server):
     scores = provider.saliency_batch(_examples(2), loss_labels=[1, 0])
     assert len(scores[0]) == 3 and scores[0].loss_label == 1
     assert scores[1].scores == (0.2, 0.2, 0.2)
+
+
+def test_http_provider_sends_the_saliency_side(http_server):
+    provider = HttpProvider(http_server, supports_saliency=True)
+    provider.saliency_batch(_examples(1), side="b")
+    assert _Handler.last_body["side"] == "b" and _Handler.last_body["want_saliency"]
+    provider.saliency_batch(_examples(1))
+    assert _Handler.last_body["side"] == "a"
 
 
 def test_http_provider_saliency_capability_gate(http_server):
