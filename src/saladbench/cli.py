@@ -85,12 +85,12 @@ def _save_transformed(transformed, ds, path):
 
 def cmd_transform(args) -> int:
     ds = _load(args)
-    _write_resolved_config(args, args.out)
     provider = _open_provider(args, required=False)
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind,
         provider is not None and provider.supports_saliency, bool(generators))
+    _write_resolved_config(args, args.out)
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
@@ -108,14 +108,14 @@ def cmd_transform(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = _load(args)
-    _write_resolved_config(args, args.out)
     provider = _open_provider(args)
     labels = ds.labels
-    preds_orig = provider.predict_batch(ds.examples)
-    orig_by_id = {p.id: p for p in preds_orig}
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind, provider.supports_saliency, bool(generators))
+    _write_resolved_config(args, args.out)
+    preds_orig = provider.predict_batch(ds.examples)
+    orig_by_id = {p.id: p for p in preds_orig}
     for kind, why in skipped:
         print(f"{kind}: -- ({why})")
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
@@ -166,11 +166,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_train(args) -> int:
     ds = _load(args)
-    _write_resolved_config(args, args.out)
     loss_cfg = toyclf.LossConfig(args.loss, lambda_ls=args.lambda_ls,
                                  gamma=args.gamma)
     train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
                                    args.seed, args.dim)
+    _write_resolved_config(args, args.out)
     params = toyclf.train(ds, loss_cfg, train_cfg)
     path = os.path.join(args.out, "params.bin")
     toyclf.save_params(params, path, meta={"loss": args.loss, "seed": args.seed,
@@ -182,8 +182,8 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     ds = _load(args)
-    _write_resolved_config(args, args.out)
     params = toyclf.load_params(args.model)
+    _write_resolved_config(args, args.out)
     provider = providers.EmbeddedProvider(params)
     gold = [ex.gold_label for ex in ds.examples]
     pre = metrics.ece(provider.predict_batch(ds.examples), gold)
@@ -198,7 +198,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_mitigate(args) -> int:
     ds = _load(args)
-    _write_resolved_config(args, args.out)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
     if not kinds:
         raise ConfigError("no applicable transforms for this task")
@@ -210,6 +209,7 @@ def cmd_mitigate(args) -> int:
                                    args.seed, args.dim)
     finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
                                       args.finetune_lr, args.seed, args.dim)
+    _write_resolved_config(args, args.out)
 
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
     baseline = toyclf.train(train_ds, toyclf.LossConfig(), train_cfg)
@@ -292,13 +292,13 @@ def cmd_mitigate(args) -> int:
 
 def cmd_pbsmt(args) -> int:
     ds = _load(args)
-    _write_resolved_config(args, args.out)
     if args.pbsmt_command == "train":
         labels = ([int(args.label)] if args.label is not None
                   else list(range(ds.labels.n_classes)))
         weights = pbsmt.DecoderWeights(
             w_tm=args.w_tm, w_lm=args.w_lm, w_dist=args.w_dist, w_len=args.w_len,
             beam_size=args.beam, distortion_limit=args.distortion_limit)
+        _write_resolved_config(args, args.out)
         for label in labels:
             gen = pbsmt.train_generator(ds, label, iterations=args.iterations,
                                         weights=weights, min_pairs=args.min_pairs)
@@ -306,9 +306,10 @@ def cmd_pbsmt(args) -> int:
             pbsmt.save_generator(gen, out)
             print(f"trained generator for label {label} -> {out}")
     else:
+        generators = pbsmt.load_generators(args.models)
+        _write_resolved_config(args, args.out)
         transformed = mitigate.transform_examples(
-            ds.examples, "pbsmt", ds.task_kind, args.seed,
-            generators=pbsmt.load_generators(args.models))
+            ds.examples, "pbsmt", ds.task_kind, args.seed, generators=generators)
         _save_transformed(transformed, ds, os.path.join(args.out, "pbsmt.tsv"))
     return 0
 

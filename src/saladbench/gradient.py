@@ -20,7 +20,7 @@ from .lexical import TransformSpec, TransformedExample
 @dataclass(frozen=True)
 class SaliencyScores:
     scores: tuple[float, ...]
-    loss_label: int
+    loss_label: Optional[int]         # the label the loss was taken at; None if not known
 
     def __post_init__(self):
         if any(not math.isfinite(s) for s in self.scores):

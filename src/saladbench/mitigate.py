@@ -35,7 +35,6 @@ CONTENT_CHANGING_KINDS = ("copysort", "drop", "repeat", "replace", "copyone", "p
 class MitigationConfig:
     strategy: str = "invalid_class"   # threshold | entropic_threshold | invalid_class
     lambda_ent: float = 0.1
-    theta: Optional[float] = None
     augment_fraction: float = 0.5
     transforms: tuple[str, ...] = ALL_KINDS
     accuracy_tolerance: float = 0.03
@@ -93,10 +92,6 @@ def resolve_kinds(kinds: str | Sequence[str], task_kind: str,
         else:
             usable.append(kind)
     return tuple(usable), skipped
-
-
-def applicable_kinds(transforms: Sequence[str], task_kind: str) -> tuple[str, ...]:
-    return resolve_kinds(transforms, task_kind)[0]
 
 
 def scored_side(kind: str, task_kind: str) -> str:
@@ -277,8 +272,7 @@ def train_invalid_class(augmented: Dataset, train_cfg: toyclf.TrainConfig,
         # widen the head by one output column, keeping learned weights
         w = np.concatenate([warm.w, np.zeros((warm.w.shape[0], 1))], axis=1)
         b = np.concatenate([warm.b, [0.0]])
-        warm = toyclf.ToyModelParams(warm.vocab, warm.emb.copy(), w, b,
-                                     warm.temperature, warm.task_kind)
+        warm = replace(warm, w=w, b=b)
     return toyclf.train(augmented, toyclf.LossConfig("cross_entropy"), train_cfg,
                         warm=warm, n_classes=augmented.labels.n_classes)
 
@@ -315,24 +309,23 @@ def evaluate_mitigation(strategy: str, params: toyclf.ToyModelParams,
     n_task = n_task_classes or (params.n_classes - 1 if strategy == "invalid_class"
                                 else params.n_classes)
 
-    def is_flagged(probs: np.ndarray) -> bool:
+    def flagged(probs: np.ndarray) -> np.ndarray:
         if strategy == "invalid_class":
-            return int(np.argmax(probs)) == n_task
-        return float(np.max(probs)) < theta
+            return probs.argmax(axis=1) == n_task
+        return probs.max(axis=1) < theta
 
-    correct = 0
-    for ex in clean_val.examples:
-        probs = toyclf.forward(params, ex)
-        if not is_flagged(probs) and int(np.argmax(probs[:n_task])) == ex.gold_label:
-            correct += 1
+    probs = toyclf.probabilities(params, clean_val.examples)
+    gold = np.array([ex.gold_label for ex in clean_val.examples])
+    correct = int(np.count_nonzero(~flagged(probs)
+                                   & (probs[:, :n_task].argmax(axis=1) == gold)))
     clean_acc = 100.0 * correct / len(clean_val)
 
     per_transform = {}
     total_flagged, total_n = 0, 0
     for kind, examples in invalid_by_transform.items():
-        flagged = sum(1 for ex in examples if is_flagged(toyclf.forward(params, ex)))
-        per_transform[kind] = 100.0 * flagged / len(examples)
-        total_flagged += flagged
+        flagged_n = int(np.count_nonzero(flagged(toyclf.probabilities(params, examples))))
+        per_transform[kind] = 100.0 * flagged_n / len(examples)
+        total_flagged += flagged_n
         total_n += len(examples)
     overall = 100.0 * total_flagged / total_n if total_n else 0.0
 
@@ -362,11 +355,9 @@ def transfer_matrix(ds_train: Dataset, invalid_train_by_kind: dict[str, list[Exa
                             ds_train.task_kind)
         params = train_invalid_class(augmented, train_cfg, warm=warm)
         for j, eval_kind in enumerate(kinds):
-            examples = invalid_val_by_kind[eval_kind]
-            flagged = sum(
-                1 for ex in examples
-                if int(np.argmax(toyclf.forward(params, ex))) == n_task)
-            matrix[i, j] = 100.0 * flagged / len(examples)
+            probs = toyclf.probabilities(params, invalid_val_by_kind[eval_kind])
+            flagged = np.count_nonzero(probs.argmax(axis=1) == n_task)
+            matrix[i, j] = 100.0 * flagged / len(probs)
     return kinds, matrix
 
 

@@ -68,16 +68,13 @@ class EmbeddedProvider:
         return ProviderDescriptor("embedded", supports_saliency=True)
 
     def predict_batch(self, inputs: Sequence[Example]) -> list[Prediction]:
-        return [Prediction.from_probs(ex.id, toyclf.forward(self.params, ex))
-                for ex in inputs]
+        probs = toyclf.probabilities(self.params, inputs)
+        return [Prediction.from_probs(ex.id, p) for ex, p in zip(inputs, probs)]
 
     def saliency_batch(self, inputs: Sequence[Example], side: str = "a",
                        loss_labels: Optional[Sequence[Optional[int]]] = None
                        ) -> list[SaliencyScores]:
-        if loss_labels is None:
-            loss_labels = [None] * len(inputs)
-        return [toyclf.saliency(self.params, ex, side, y)
-                for ex, y in zip(inputs, loss_labels)]
+        return toyclf.saliency_batch(self.params, inputs, side, loss_labels)
 
 
 class ReplayProvider:
@@ -183,9 +180,9 @@ class HttpProvider:
         sal = payload.get("saliency")
         if sal is None or len(sal) != len(inputs):
             raise ContractError("response saliency missing or misaligned")
-        labels = loss_labels or [0] * len(inputs)
+        labels = loss_labels or [None] * len(inputs)
         return [SaliencyScores(tuple(float(s) for s in scores),
-                               int(y) if y is not None else 0)
+                               int(y) if y is not None else None)
                 for scores, y in zip(sal, labels)]
 
 

@@ -10,7 +10,8 @@ seeded mini-batch gradient descent for determinism.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,17 +46,6 @@ class ToyModelParams:
     @property
     def dim(self) -> int:
         return self.emb.shape[1]
-
-    def token_id(self, surface: str) -> int:
-        return self._index().get(surface, 0)
-
-    def _index(self) -> dict:
-        # lazy vocab index, cached on the instance
-        idx = self.__dict__.get("_vocab_index")
-        if idx is None:
-            idx = {s: i for i, s in enumerate(self.vocab)}
-            object.__setattr__(self, "_vocab_index", idx)
-        return idx
 
 
 @dataclass(frozen=True)
@@ -93,14 +83,9 @@ class TrainConfig:
 
 
 def build_vocab(ds: Dataset) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for ex in ds.examples:
-        for t in tokenize(ex.input.text_a):
-            seen.setdefault(t.surface)
-        if ex.input.text_b is not None:
-            for t in tokenize(ex.input.text_b):
-                seen.setdefault(t.surface)
-    return (UNK,) + tuple(sorted(seen))
+    return (UNK,) + tuple(sorted({t.surface for ex in ds.examples
+                                  for text in (ex.input.text_a, ex.input.text_b)
+                                  if text is not None for t in tokenize(text)}))
 
 
 def init_params(vocab: Sequence[str], dim: int, n_classes: int,
@@ -113,71 +98,111 @@ def init_params(vocab: Sequence[str], dim: int, n_classes: int,
     return ToyModelParams(tuple(vocab), emb, w, b, 1.0, task_kind)
 
 
-def _side_ids(params: ToyModelParams, text: str) -> np.ndarray:
-    ids = np.array([params.token_id(t.surface) for t in tokenize(text)], dtype=int)
-    if ids.size == 0:
-        raise DegenerateInputError("empty token sequence")
-    return ids
+@dataclass(frozen=True)
+class Encoding:
+    """Examples as token ids: per model side (text_a, then text_b on pair
+    models) one flat array, example by example."""
+    ids: tuple[np.ndarray, ...]       # per side: vocab row of each token
+    lengths: tuple[np.ndarray, ...]   # per side: tokens per example
+
+    def __len__(self) -> int:
+        return len(self.lengths[0])
+
+    @property
+    def owner(self) -> tuple[np.ndarray, ...]:   # per side: each token's example
+        return tuple(np.repeat(np.arange(len(n)), n) for n in self.lengths)
+
+    def take(self, rows: np.ndarray) -> "Encoding":
+        """The encoding of the examples at `rows`, in that order."""
+        ids = []
+        for side, lengths in zip(self.ids, self.lengths):
+            n = lengths[rows]
+            shift = (np.cumsum(lengths) - lengths)[rows] - (np.cumsum(n) - n)
+            ids.append(side[np.arange(n.sum()) + np.repeat(shift, n)])
+        return Encoding(tuple(ids), tuple(lengths[rows] for lengths in self.lengths))
 
 
-def _encode(params: ToyModelParams, ex: Example) -> list[np.ndarray]:
-    sides = [_side_ids(params, ex.input.text_a)]
-    if params.task_kind == "pair":
-        if ex.input.text_b is None:
-            raise DegenerateInputError(f"example {ex.id} lacks text_b for a pair model")
-        sides.append(_side_ids(params, ex.input.text_b))
-    return sides
+def encode(params: ToyModelParams, examples: Sequence[Example]) -> Encoding:
+    """The one place text becomes model input; unknown words map to row 0.
+    An empty side, or a pair example without text_b, is degenerate."""
+    index = {s: i for i, s in enumerate(params.vocab)}
+    sides: list[list[list[int]]] = [[], []] if params.task_kind == "pair" else [[]]
+    for ex in examples:
+        for side, text in zip(sides, (ex.input.text_a, ex.input.text_b)):
+            if text is None:
+                raise DegenerateInputError(f"example {ex.id} lacks text_b for a pair model")
+            side.append([index.get(t.surface, 0) for t in tokenize(text)])
+            if not side[-1]:
+                raise DegenerateInputError("empty token sequence")
+    return Encoding(tuple(np.fromiter(chain.from_iterable(s), dtype=int) for s in sides),
+                    tuple(np.array([len(ids) for ids in s], dtype=int) for s in sides))
 
 
-def _pooled(params: ToyModelParams, sides: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([params.emb[ids].mean(axis=0) for ids in sides])
+def _gold(examples: Sequence[Example]) -> np.ndarray:
+    for ex in examples:
+        if ex.gold_label is None:
+            raise ArgumentError(f"example {ex.id} lacks a gold label")
+    return np.array([ex.gold_label for ex in examples], dtype=int)
+
+
+def _logits(params: ToyModelParams, enc: Encoding) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled sides (B x k*d) and logits (B x N). Token rows are added in
+    order and the head is a stack of vector products, so every row equals,
+    bit for bit, what its example gives alone."""
+    parts = []
+    for ids, owner, lengths in zip(enc.ids, enc.owner, enc.lengths):
+        sums = np.zeros((len(enc), params.dim))
+        np.add.at(sums, owner, params.emb[ids])
+        parts.append(sums / lengths[:, None])
+    pooled = np.concatenate(parts, axis=1)
+    return pooled, (pooled[:, None, :] @ params.w)[:, 0, :] + params.b
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def probabilities(params: ToyModelParams, examples: Sequence[Example]) -> np.ndarray:
+    """Class probabilities, one row per example: softmax((pooled @ W + b) / T)."""
+    return _softmax(_logits(params, encode(params, examples))[1] / params.temperature)
 
 
 def forward(params: ToyModelParams, ex: Example) -> np.ndarray:
-    """Class probabilities: softmax((pooled @ W + b) / T)."""
-    pooled = _pooled(params, _encode(params, ex))
-    logits = pooled @ params.w + params.b
-    return _softmax(logits / params.temperature)
+    """Class probabilities of one example."""
+    return probabilities(params, [ex])[0]
 
 
-def _supervised_loss_and_dz(probs: np.ndarray, y: int, cfg: LossConfig,
-                            temperature: float) -> tuple[float, np.ndarray]:
-    """Per-example loss value and gradient w.r.t. the raw logits."""
-    n = probs.shape[0]
-    onehot = np.zeros(n)
-    onehot[y] = 1.0
+def _supervised_loss_and_dz(probs: np.ndarray, y: np.ndarray, cfg: LossConfig,
+                            temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example loss values and gradients w.r.t. the raw logits."""
+    b, n = probs.shape
+    onehot = np.eye(n)[y]
     probs = np.clip(probs, 1e-300, 1.0)
-    p_y = probs[y]
+    p_y = probs[np.arange(b), y][:, None]
     if cfg.kind in ("cross_entropy", "entropic"):
         loss = -np.log(p_y)
         dz = (probs - onehot) / temperature
     elif cfg.kind == "label_smoothing":
         q = (1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / n
-        loss = -(q * np.log(probs)).sum()
+        loss = -(q * np.log(probs)).sum(axis=1)
         dz = (probs - q) / temperature
     elif cfg.kind == "focal":
         g = cfg.gamma
         loss = -((1.0 - p_y) ** g) * np.log(p_y)
         dl_dpy = g * (1.0 - p_y) ** (g - 1.0) * np.log(p_y) - (1.0 - p_y) ** g / p_y \
             if g > 0 else -1.0 / p_y
-        dpy_dz = p_y * (onehot - probs) / temperature
-        dz = dl_dpy * dpy_dz
+        dz = dl_dpy * (p_y * (onehot - probs) / temperature)
     else:
         raise ArgumentError(f"unknown loss kind {cfg.kind!r}")
-    return float(loss), dz
+    return loss.reshape(b), dz
 
 
-def _entropy_and_dz(probs: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+def _entropy_and_dz(probs: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
     logp = np.log(np.clip(probs, 1e-300, 1.0))
-    h = float(-(probs * logp).sum())
-    dh_dz = probs * ((probs * logp).sum() - logp) / temperature
-    return h, dh_dz
+    plogp = probs * logp
+    dh_dz = probs * (plogp.sum(axis=1, keepdims=True) - logp) / temperature
+    return -plogp.sum(axis=1), dh_dz
 
 
 @dataclass
@@ -191,41 +216,48 @@ def loss(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
          invalid_batch: Sequence[Example] = ()) -> float:
     """Mean batch loss. For the entropic kind the objective is
     L_D - lambda * H(invalid) (entropy maximized; flip via entropy_sign)."""
-    total = 0.0
-    for ex in batch:
-        if ex.gold_label is None:
-            raise ArgumentError(f"example {ex.id} lacks a gold label")
-        probs = forward(params, ex)
-        val, _ = _supervised_loss_and_dz(probs, ex.gold_label, cfg, params.temperature)
-        total += val
-    result = total / len(batch) if batch else 0.0
+    values, _ = _supervised_loss_and_dz(probabilities(params, batch), _gold(batch), cfg,
+                                        params.temperature)
+    result = float(np.cumsum(values)[-1]) / len(batch) if batch else 0.0
     if cfg.kind == "entropic" and invalid_batch:
-        h = np.mean([_entropy_and_dz(forward(params, ex), params.temperature)[0]
-                     for ex in invalid_batch])
+        h, _ = _entropy_and_dz(probabilities(params, invalid_batch), params.temperature)
         sign = -1.0 if cfg.entropy_sign == "max" else 1.0
-        result += sign * cfg.lambda_ent * float(h)
+        result += sign * cfg.lambda_ent * float(np.mean(h))
     return result
 
 
-def _accumulate(params: ToyModelParams, ex: Example, dz: np.ndarray,
-                grads: ParamGrads, scale: float) -> list[np.ndarray]:
-    """Backprop dz through head and pooling; returns per-side token grads."""
-    sides = _encode(params, ex)
-    pooled = _pooled(params, sides)
-    grads.w += scale * np.outer(pooled, dz)
-    grads.b += scale * dz
-    d_pooled = params.w @ dz
-    token_grads = []
-    offset = 0
+def _token_grads(params: ToyModelParams, enc: Encoding, dz: np.ndarray,
+                 s: int) -> np.ndarray:
+    """The gradient at each side-s token's embedding given logit gradients dz."""
     d = params.dim
-    for ids in sides:
-        seg = d_pooled[offset:offset + d]
-        per_token = np.repeat(seg[None, :], len(ids), axis=0) / len(ids)
-        for tid, g in zip(ids, per_token):
-            grads.emb[tid] += scale * g
-        token_grads.append(scale * per_token)
-        offset += d
-    return token_grads
+    owner = enc.owner[s]
+    g = (params.w[None] @ dz[:, :, None])[:, s * d:(s + 1) * d, 0][owner]
+    g /= enc.lengths[s][owner, None]
+    return g
+
+
+def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
+          cfg: LossConfig) -> tuple[ParamGrads, list[np.ndarray]]:
+    """Gradients of the mean loss over the first len(gold) examples of `enc`
+    plus the entropy term over the rest, and the scaled per-side token grads."""
+    n = len(gold)
+    pooled, logits = _logits(params, enc)
+    probs = _softmax(logits / params.temperature)
+    _, dz = _supervised_loss_and_dz(probs[:n], gold, cfg, params.temperature)
+    scale = np.full(len(enc), 1.0 / n if n else 0.0)
+    if len(enc) > n:
+        sign = -1.0 if cfg.entropy_sign == "max" else 1.0
+        scale[n:] = sign * cfg.lambda_ent / (len(enc) - n)
+        dz = np.concatenate([dz, _entropy_and_dz(probs[n:], params.temperature)[1]])
+    token_grads = [scale[owner, None] * _token_grads(params, enc, dz, s)
+                   for s, owner in enumerate(enc.owner)]
+    # token rows go in example by example, then side by side, as one example
+    # at a time would add them: a word may sit on both sides of a batch
+    order = np.argsort(np.concatenate(enc.owner), kind="stable")
+    emb = np.zeros_like(params.emb)
+    np.add.at(emb, np.concatenate(enc.ids)[order], np.concatenate(token_grads)[order])
+    w = (scale[:, None, None] * (pooled[:, :, None] * dz[:, None, :])).sum(axis=0)
+    return ParamGrads(emb, w, (scale[:, None] * dz).sum(axis=0)), token_grads
 
 
 def grad(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
@@ -235,47 +267,36 @@ def grad(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
     Returns parameter gradients plus, per clean example, per-side arrays of
     input-embedding gradients (one row per token).
     """
-    grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
-                       np.zeros_like(params.b))
-    token_grads: list[list[np.ndarray]] = []
-    scale = 1.0 / len(batch) if batch else 0.0
-    for ex in batch:
-        if ex.gold_label is None:
-            raise ArgumentError(f"example {ex.id} lacks a gold label")
-        probs = forward(params, ex)
-        _, dz = _supervised_loss_and_dz(probs, ex.gold_label, cfg, params.temperature)
-        token_grads.append(_accumulate(params, ex, dz, grads, scale))
-    if cfg.kind == "entropic" and invalid_batch:
-        sign = -1.0 if cfg.entropy_sign == "max" else 1.0
-        iscale = sign * cfg.lambda_ent / len(invalid_batch)
-        for ex in invalid_batch:
-            probs = forward(params, ex)
-            _, dh_dz = _entropy_and_dz(probs, params.temperature)
-            _accumulate(params, ex, dh_dz, grads, iscale)
-    return grads, token_grads
+    enc = encode(params, list(batch) + list(invalid_batch if cfg.kind == "entropic" else ()))
+    grads, token_grads = _grad(params, enc, _gold(batch), cfg)
+    per_side = [np.split(g, np.cumsum(lengths)[:len(batch)])[:len(batch)]
+                for g, lengths in zip(token_grads, enc.lengths)]
+    return grads, [list(sides) for sides in zip(*per_side)]
+
+
+def saliency_batch(params: ToyModelParams, examples: Sequence[Example], side: str = "a",
+                   loss_labels: Optional[Sequence[Optional[int]]] = None
+                   ) -> list[SaliencyScores]:
+    """Token scores t_i . dL/dt_i for the cross-entropy loss on one side. A
+    loss label left None is the gold label, else the model's prediction."""
+    enc = encode(params, examples)
+    probs = _softmax(_logits(params, enc)[1] / params.temperature)
+    labels = [y if y is not None else ex.gold_label if ex.gold_label is not None
+              else int(np.argmax(p))
+              for ex, y, p in zip(examples, loss_labels or [None] * len(examples), probs)]
+    _, dz = _supervised_loss_and_dz(probs, np.array(labels, dtype=int),
+                                    LossConfig("cross_entropy"), params.temperature)
+    s = 0 if side == "a" or params.task_kind == "single" else 1
+    g = _token_grads(params, enc, dz, s)
+    scores = (params.emb[enc.ids[s]][:, None, :] @ g[:, :, None])[:, 0, 0]
+    return [SaliencyScores(tuple(part.tolist()), y) for part, y in
+            zip(np.split(scores, np.cumsum(enc.lengths[s])[:-1]), labels)]
 
 
 def saliency(params: ToyModelParams, ex: Example, side: str = "a",
              loss_label: Optional[int] = None) -> SaliencyScores:
-    """Token scores t_i . dL/dt_i for the cross-entropy loss on one side.
-
-    loss_label defaults to the gold label, falling back to the model's
-    prediction when the example is unlabeled.
-    """
-    probs = forward(params, ex)
-    if loss_label is None:
-        loss_label = ex.gold_label if ex.gold_label is not None else int(np.argmax(probs))
-    _, dz = _supervised_loss_and_dz(probs, loss_label,
-                                    LossConfig("cross_entropy"), params.temperature)
-    grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
-                       np.zeros_like(params.b))
-    token_grads = _accumulate(params, ex, dz, grads, 1.0)
-    side_idx = 0 if side == "a" or params.task_kind == "single" else 1
-    text = ex.input.text_a if side_idx == 0 else ex.input.text_b
-    ids = _side_ids(params, text)
-    per_token = token_grads[side_idx]
-    scores = tuple(float(params.emb[tid] @ g) for tid, g in zip(ids, per_token))
-    return SaliencyScores(scores, loss_label)
+    """Saliency scores of one example; see saliency_batch."""
+    return saliency_batch(params, [ex], side, [loss_label])[0]
 
 
 def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
@@ -285,76 +306,64 @@ def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
     """Seeded mini-batch gradient descent; deterministic per seed.
 
     For the entropic loss, each step pairs a clean mini-batch with a
-    mini-batch cycled from invalid_ds.
+    mini-batch cycled from invalid_ds. Both sets are encoded once.
     """
     if len(ds) == 0:
         raise ArgumentError("cannot train on an empty dataset")
-    if warm is not None:
-        params = ToyModelParams(warm.vocab, warm.emb.copy(), warm.w.copy(),
-                                warm.b.copy(), warm.temperature, warm.task_kind)
-    else:
-        vocab = build_vocab(ds)
-        params = init_params(vocab, train_cfg.dim,
-                             n_classes or ds.labels.n_classes,
-                             ds.task_kind, train_cfg.seed)
+    params = warm if warm is not None else init_params(
+        build_vocab(ds), train_cfg.dim, n_classes or ds.labels.n_classes, ds.task_kind,
+        train_cfg.seed)
     emb, w, b = params.emb.copy(), params.w.copy(), params.b.copy()
     rng = np.random.default_rng(train_cfg.seed)
-    invalid = list(invalid_ds.examples) if invalid_ds is not None else []
-    inv_cursor = 0
-    step = 0
+    invalid = invalid_ds.examples if loss_cfg.kind == "entropic" and invalid_ds else ()
+    gold = _gold(ds.examples)
+    enc = encode(params, ds.examples + invalid)
+    inv_cursor = step = 0
     for _ in range(train_cfg.epochs):
         order = rng.permutation(len(ds))
         for start in range(0, len(ds), train_cfg.batch_size):
-            batch = [ds.examples[i] for i in order[start:start + train_cfg.batch_size]]
-            inv_batch: list[Example] = []
-            if loss_cfg.kind == "entropic" and invalid:
-                for _ in range(min(len(batch), len(invalid))):
-                    inv_batch.append(invalid[inv_cursor % len(invalid)])
-                    inv_cursor += 1
-            cur = ToyModelParams(params.vocab, emb, w, b,
-                                 params.temperature, params.task_kind)
-            grads, _ = grad(cur, batch, loss_cfg, inv_batch)
-            if not (np.isfinite(grads.w).all() and np.isfinite(grads.b).all()
-                    and np.isfinite(grads.emb).all()):
+            rows = order[start:start + train_cfg.batch_size]
+            inv = inv_cursor + np.arange(min(len(rows), len(invalid)))
+            inv_cursor += len(inv)
+            batch = enc.take(np.concatenate([rows, len(ds) + inv % max(len(invalid), 1)]))
+            grads, _ = _grad(replace(params, emb=emb, w=w, b=b), batch, gold[rows], loss_cfg)
+            if not all(np.isfinite(g).all() for g in (grads.w, grads.b, grads.emb)):
                 raise TrainingError(f"non-finite gradient at step {step}")
             lr = train_cfg.learning_rate
-            emb = emb - lr * grads.emb
-            w = w - lr * grads.w
-            b = b - lr * grads.b
+            emb, w, b = emb - lr * grads.emb, w - lr * grads.w, b - lr * grads.b
             step += 1
-    return ToyModelParams(params.vocab, emb, w, b, params.temperature, params.task_kind)
+    return replace(params, emb=emb, w=w, b=b)
 
 
 def accuracy(params: ToyModelParams, ds: Dataset) -> float:
-    correct = 0
-    for ex in ds.examples:
-        if ex.gold_label is None:
-            raise ArgumentError(f"example {ex.id} lacks a gold label")
-        if int(np.argmax(forward(params, ex))) == ex.gold_label:
-            correct += 1
-    return correct / len(ds)
+    predicted = probabilities(params, ds.examples).argmax(axis=1)
+    return int(np.count_nonzero(predicted == _gold(ds.examples))) / len(ds)
+
+
+def _nll(logits: np.ndarray, gold: np.ndarray, temperature: float) -> float:
+    # summed in order: np.sum adds pairwise, which rounds differently
+    p = _softmax(logits / temperature)[np.arange(len(gold)), gold]
+    return -float(np.cumsum(np.log(np.maximum(p, 1e-300)))[-1]) / len(gold)
 
 
 def nll(params: ToyModelParams, ds: Dataset, temperature: Optional[float] = None) -> float:
     t = temperature if temperature is not None else params.temperature
-    scaled = replace(params, temperature=t)
-    total = 0.0
-    for ex in ds.examples:
-        probs = forward(scaled, ex)
-        total -= float(np.log(max(probs[ex.gold_label], 1e-300)))
-    return total / len(ds)
+    return _nll(_logits(params, encode(params, ds.examples))[1], _gold(ds.examples), t)
 
 
 def fit_temperature(params: ToyModelParams, calibration: Dataset,
                     lo: float = 0.25, hi: float = 5.0, step: float = 0.01) -> float:
     """Grid-search T minimizing calibration NLL. Argmax is T-invariant, so
-    accuracy never changes; only confidence does."""
+    accuracy never changes; only confidence does. The logits are computed
+    once; each grid point rescales them."""
     if len(calibration) == 0:
         raise ArgumentError("empty calibration set")
+    logits = _logits(params, encode(params, calibration.examples))[1]
+    gold = _gold(calibration.examples)
     grid = np.arange(round(lo / step), round(hi / step) + 1) * step
     best_t, best_nll = None, np.inf
     for t in grid:
-        val = nll(params, calibration, temperature=float(t))
+        val = _nll(logits, gold, float(t))
         if val < best_nll - 1e-12:
             best_t, best_nll = float(t), val
     return round(best_t, 10)

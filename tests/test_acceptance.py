@@ -239,8 +239,8 @@ def _mitigation_for(base, split, gens):
     vocab = list(base.vocab[1:])
     baseline_acc = 100.0 * toyclf.accuracy(base, val_ds)
 
-    content_kinds = mitigate.applicable_kinds(
-        mitigate.CONTENT_CHANGING_KINDS, task_kind)
+    content_kinds = mitigate.resolve_kinds(
+        mitigate.CONTENT_CHANGING_KINDS, task_kind)[0]
     invalid_val = {
         kind: mitigate.make_invalid_examples(val_ds.examples, [kind],
                                              task_kind, provider, gens, vocab)
@@ -261,8 +261,8 @@ def _mitigation_for(base, split, gens):
     assert report.clean_accuracy >= baseline_acc - 3.0, (task_kind, report)
 
     # entropic fine-tuning drops confidence on invalid inputs by >= 15 points
-    all_kinds = mitigate.applicable_kinds(
-        mitigate.MitigationConfig().transforms, task_kind)
+    all_kinds = mitigate.resolve_kinds(
+        mitigate.MitigationConfig().transforms, task_kind)[0]
     ent_cfg = mitigate.MitigationConfig(strategy="entropic_threshold",
                                         transforms=all_kinds,
                                         augment_fraction=1.0, lambda_ent=2.0)

@@ -228,6 +228,19 @@ def test_exit_code_1_on_unknown_transform(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", *SENT_ARGS, "--transforms", "sort,entropy-storm"],
+    ["evaluate", *SENT_ARGS, "--transforms", "sort"],          # no provider
+    ["mitigate", *SENT_ARGS, "--transforms", "sort,entropy-storm"],
+    ["mitigate", *SENT_ARGS, "--transforms", "copysort"],      # pair-only
+    ["train", *SENT_ARGS, "--epochs", "-1"],
+], ids=["transform", "evaluate", "mitigate-unknown", "mitigate-none", "train"])
+def test_failed_checks_leave_no_output_directory(tmp_path, argv):
+    out = tmp_path / "fo"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults_but_explicit_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"transforms": "reverse", "seed": 7}),

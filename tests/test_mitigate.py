@@ -9,9 +9,9 @@ from saladbench.corpus import Dataset, Example, LabelSet, TextInput
 from saladbench.errors import ArgumentError, ConfigError
 from saladbench.lexical import ALL_KINDS, PAIR_ONLY_KINDS
 from saladbench.mitigate import (CONTENT_CHANGING_KINDS, MitigationConfig,
-                                 MitigationReport, applicable_kinds, augment,
-                                 balance_clean, evaluate_mitigation,
-                                 make_invalid_examples, threshold_grid,
+                                 MitigationReport, augment, balance_clean,
+                                 evaluate_mitigation, make_invalid_examples,
+                                 resolve_kinds, threshold_grid,
                                  threshold_search, train_invalid_class)
 from saladbench.providers import EmbeddedProvider, Prediction
 
@@ -41,8 +41,8 @@ def test_mitigation_report_validation():
 
 
 def test_applicable_kinds_drops_pair_only_on_single_tasks():
-    assert applicable_kinds(ALL_KINDS, "pair") == ALL_KINDS
-    single = applicable_kinds(ALL_KINDS, "single")
+    assert resolve_kinds(ALL_KINDS, "pair")[0] == ALL_KINDS
+    single = resolve_kinds(ALL_KINDS, "single")[0]
     assert set(ALL_KINDS) - set(single) == set(PAIR_ONLY_KINDS)
 
 

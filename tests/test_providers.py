@@ -213,6 +213,13 @@ def test_http_provider_saliency(http_server):
     assert scores[1].scores == (0.2, 0.2, 0.2)
 
 
+def test_http_provider_saliency_reports_only_labels_it_sent(http_server):
+    provider = HttpProvider(http_server, supports_saliency=True)
+    assert [s.loss_label for s in provider.saliency_batch(_examples(2))] == [None, None]
+    scores = provider.saliency_batch(_examples(2), loss_labels=[None, 1])
+    assert [s.loss_label for s in scores] == [None, 1]
+
+
 def test_http_provider_sends_the_saliency_side(http_server):
     provider = HttpProvider(http_server, supports_saliency=True)
     provider.saliency_batch(_examples(1), side="b")

@@ -1,0 +1,305 @@
+"""The batched toy-classifier path against a per-example reference.
+
+The reference below is the per-example implementation the batched code
+replaced (forward, gradient accumulation and saliency, one example at a
+time). On both bundled corpora, with the trained baseline fixtures, the batched
+probabilities, gradients and saliency scores must equal it bit for bit:
+pinned outputs and the benchmark's reference checks depend on exact floats.
+"""
+
+import numpy as np
+import pytest
+
+from saladbench import toyclf
+from saladbench.corpus import Dataset, Example, TextInput, tokenize
+from saladbench.errors import ArgumentError, DegenerateInputError
+from saladbench.gradient import SaliencyScores
+from saladbench.toyclf import LossConfig, ParamGrads, TrainConfig
+
+
+# --- per-example reference -------------------------------------------------
+
+def _ref_side_ids(params, text):
+    index = {s: i for i, s in enumerate(params.vocab)}
+    ids = np.array([index.get(t.surface, 0) for t in tokenize(text)], dtype=int)
+    if ids.size == 0:
+        raise DegenerateInputError("empty token sequence")
+    return ids
+
+
+def _ref_encode(params, ex):
+    sides = [_ref_side_ids(params, ex.input.text_a)]
+    if params.task_kind == "pair":
+        if ex.input.text_b is None:
+            raise DegenerateInputError(f"example {ex.id} lacks text_b for a pair model")
+        sides.append(_ref_side_ids(params, ex.input.text_b))
+    return sides
+
+
+def _ref_pooled(params, sides):
+    return np.concatenate([params.emb[ids].mean(axis=0) for ids in sides])
+
+
+def _ref_softmax(z):
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def ref_forward(params, ex):
+    pooled = _ref_pooled(params, _ref_encode(params, ex))
+    logits = pooled @ params.w + params.b
+    return _ref_softmax(logits / params.temperature)
+
+
+def _ref_supervised_dz(probs, y, cfg, temperature):
+    n = probs.shape[0]
+    onehot = np.zeros(n)
+    onehot[y] = 1.0
+    probs = np.clip(probs, 1e-300, 1.0)
+    p_y = probs[y]
+    if cfg.kind in ("cross_entropy", "entropic"):
+        return (probs - onehot) / temperature
+    if cfg.kind == "label_smoothing":
+        q = (1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / n
+        return (probs - q) / temperature
+    g = cfg.gamma
+    dl_dpy = g * (1.0 - p_y) ** (g - 1.0) * np.log(p_y) - (1.0 - p_y) ** g / p_y \
+        if g > 0 else -1.0 / p_y
+    return dl_dpy * (p_y * (onehot - probs) / temperature)
+
+
+def _ref_entropy_dz(probs, temperature):
+    logp = np.log(np.clip(probs, 1e-300, 1.0))
+    return probs * ((probs * logp).sum() - logp) / temperature
+
+
+def ref_nll(params, ds):
+    total = 0.0
+    for ex in ds.examples:
+        probs = ref_forward(params, ex)
+        total -= float(np.log(max(probs[ex.gold_label], 1e-300)))
+    return total / len(ds)
+
+
+def ref_accumulate(params, ex, dz, grads, scale):
+    sides = _ref_encode(params, ex)
+    pooled = _ref_pooled(params, sides)
+    grads.w += scale * np.outer(pooled, dz)
+    grads.b += scale * dz
+    d_pooled = params.w @ dz
+    token_grads = []
+    offset = 0
+    d = params.dim
+    for ids in sides:
+        seg = d_pooled[offset:offset + d]
+        per_token = np.repeat(seg[None, :], len(ids), axis=0) / len(ids)
+        for tid, g in zip(ids, per_token):
+            grads.emb[tid] += scale * g
+        token_grads.append(scale * per_token)
+        offset += d
+    return token_grads
+
+
+def ref_grad(params, batch, cfg, invalid_batch=()):
+    grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
+                       np.zeros_like(params.b))
+    token_grads = []
+    scale = 1.0 / len(batch) if batch else 0.0
+    for ex in batch:
+        dz = _ref_supervised_dz(ref_forward(params, ex), ex.gold_label, cfg,
+                                params.temperature)
+        token_grads.append(ref_accumulate(params, ex, dz, grads, scale))
+    if cfg.kind == "entropic" and invalid_batch:
+        sign = -1.0 if cfg.entropy_sign == "max" else 1.0
+        iscale = sign * cfg.lambda_ent / len(invalid_batch)
+        for ex in invalid_batch:
+            dh_dz = _ref_entropy_dz(ref_forward(params, ex), params.temperature)
+            ref_accumulate(params, ex, dh_dz, grads, iscale)
+    return grads, token_grads
+
+
+def ref_saliency(params, ex, side="a", loss_label=None):
+    probs = ref_forward(params, ex)
+    if loss_label is None:
+        loss_label = ex.gold_label if ex.gold_label is not None else int(np.argmax(probs))
+    dz = _ref_supervised_dz(probs, loss_label, LossConfig("cross_entropy"),
+                            params.temperature)
+    grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
+                       np.zeros_like(params.b))
+    token_grads = ref_accumulate(params, ex, dz, grads, 1.0)
+    side_idx = 0 if side == "a" or params.task_kind == "single" else 1
+    text = ex.input.text_a if side_idx == 0 else ex.input.text_b
+    ids = _ref_side_ids(params, text)
+    scores = tuple(float(params.emb[tid] @ g)
+                   for tid, g in zip(ids, token_grads[side_idx]))
+    return SaliencyScores(scores, loss_label)
+
+
+def ref_train(ds, loss_cfg, train_cfg, warm, invalid_ds=None):
+    """The per-step training loop over ref_grad, from a warm start."""
+    emb, w, b = warm.emb.copy(), warm.w.copy(), warm.b.copy()
+    rng = np.random.default_rng(train_cfg.seed)
+    invalid = list(invalid_ds.examples) if invalid_ds is not None else []
+    inv_cursor = 0
+    for _ in range(train_cfg.epochs):
+        order = rng.permutation(len(ds))
+        for start in range(0, len(ds), train_cfg.batch_size):
+            batch = [ds.examples[i] for i in order[start:start + train_cfg.batch_size]]
+            inv_batch = []
+            if loss_cfg.kind == "entropic" and invalid:
+                for _ in range(min(len(batch), len(invalid))):
+                    inv_batch.append(invalid[inv_cursor % len(invalid)])
+                    inv_cursor += 1
+            cur = toyclf.ToyModelParams(warm.vocab, emb, w, b, warm.temperature,
+                                        warm.task_kind)
+            grads, _ = ref_grad(cur, batch, loss_cfg, inv_batch)
+            lr = train_cfg.learning_rate
+            emb, w, b = emb - lr * grads.emb, w - lr * grads.w, b - lr * grads.b
+    return emb, w, b
+
+
+# --- fixtures ---------------------------------------------------------------
+
+TASKS = ("single", "pair")
+
+
+@pytest.fixture(params=TASKS)
+def model_and_split(request):
+    prefix = "sent" if request.param == "single" else "pair"
+    params = request.getfixturevalue(f"{prefix}_base")
+    train_ds, val_ds = request.getfixturevalue(f"{prefix}_split")
+    return params, train_ds, val_ds
+
+
+def _unlabeled(examples):
+    return [Example(f"{ex.id}__inv", ex.input, None) for ex in examples]
+
+
+def _shared_word_pairs():
+    """Pair rows where one word sits on side b of one example and side a of
+    the next (and on both sides of the last), so the order in which the
+    embedding gradient adds token rows decides the result."""
+    return [Example("s0", TextInput("good movie", "not good at all"), 0),
+            Example("s1", TextInput("good good plot", "fine"), 1),
+            Example("s2", TextInput("good story", "good acting good"), 1)]
+
+
+# --- bitwise equality ---------------------------------------------------------
+
+def test_probabilities_equal_reference(model_and_split):
+    params, train_ds, val_ds = model_and_split
+    for p in (params, toyclf.with_temperature(params, 0.37)):
+        examples = train_ds.examples + val_ds.examples
+        batched = toyclf.probabilities(p, examples)
+        reference = np.stack([ref_forward(p, ex) for ex in examples])
+        assert np.array_equal(batched, reference)
+        assert np.array_equal(toyclf.forward(p, examples[0]), reference[0])
+        assert toyclf.nll(p, val_ds) == ref_nll(p, val_ds)
+
+
+@pytest.mark.parametrize("kind", ["cross_entropy", "label_smoothing", "focal",
+                                  "entropic"])
+def test_grad_equals_reference(model_and_split, kind):
+    params, train_ds, val_ds = model_and_split
+    batch = list(train_ds.examples[:24])
+    if params.task_kind == "pair":
+        batch += _shared_word_pairs()
+    invalid = _unlabeled(val_ds.examples[:20]) if kind == "entropic" else ()
+    cfg = LossConfig(kind, lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
+    grads, token_grads = toyclf.grad(params, batch, cfg, invalid)
+    ref, ref_tokens = ref_grad(params, batch, cfg, invalid)
+    for name in ("emb", "w", "b"):
+        assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+    assert len(token_grads) == len(ref_tokens)
+    for sides, ref_sides in zip(token_grads, ref_tokens):
+        assert len(sides) == len(ref_sides)
+        assert all(np.array_equal(g, r) for g, r in zip(sides, ref_sides))
+
+
+def test_saliency_equals_reference_on_both_sides(model_and_split):
+    params, train_ds, val_ds = model_and_split
+    examples = list(val_ds.examples) + _unlabeled(train_ds.examples[:30])
+    if params.task_kind == "pair":
+        examples += _shared_word_pairs()
+    labels = [None, 1, 0] * (len(examples) // 3) + [None] * (len(examples) % 3)
+    for side in ("a", "b"):
+        for loss_labels in (None, labels):
+            batched = toyclf.saliency_batch(params, examples, side, loss_labels)
+            reference = [ref_saliency(params, ex, side, y) for ex, y in
+                         zip(examples, loss_labels or [None] * len(examples))]
+            assert batched == reference
+    assert toyclf.saliency(params, examples[0], "b") == ref_saliency(params, examples[0], "b")
+
+
+def test_train_equals_reference_loop(model_and_split):
+    params, train_ds, val_ds = model_and_split
+    ds = Dataset(train_ds.examples[:40], train_ds.labels, train_ds.task_kind)
+    invalid = Dataset(tuple(_unlabeled(val_ds.examples[:7])), train_ds.labels,
+                      train_ds.task_kind)
+    cfg = TrainConfig(epochs=2, batch_size=6, learning_rate=1.0, seed=3)
+    loss_cfg = LossConfig("entropic", lambda_ent=0.2)
+    out = toyclf.train(ds, loss_cfg, cfg, warm=params, invalid_ds=invalid)
+    emb, w, b = ref_train(ds, loss_cfg, cfg, params, invalid)
+    assert np.array_equal(out.emb, emb)
+    assert np.array_equal(out.w, w)
+    assert np.array_equal(out.b, b)
+
+
+# --- encoding -------------------------------------------------------------------
+
+def test_encode_lays_out_sides_flat(pair_base):
+    vocab = {s: i for i, s in enumerate(pair_base.vocab)}
+    examples = _shared_word_pairs()
+    enc = toyclf.encode(pair_base, examples)
+    assert len(enc) == 3
+    assert enc.lengths[0].tolist() == [2, 3, 2]
+    assert enc.lengths[1].tolist() == [4, 1, 3]
+    assert enc.owner[1].tolist() == [0, 0, 0, 0, 1, 2, 2, 2]
+    assert enc.ids[1][:4].tolist() == [vocab.get(w, 0) for w in "not good at all".split()]
+    part = enc.take(np.array([2, 0]))
+    again = toyclf.encode(pair_base, [examples[2], examples[0]])
+    for got, want in ((part.ids, again.ids), (part.owner, again.owner),
+                      (part.lengths, again.lengths)):
+        assert all(np.array_equal(g, x) for g, x in zip(got, want))
+
+
+def test_encode_rejects_degenerate_examples(pair_base, sent_base):
+    with pytest.raises(DegenerateInputError):
+        toyclf.encode(sent_base, [Example("e", TextInput("fine"), 0),
+                                  Example("f", TextInput("  "), 0)])
+    with pytest.raises(DegenerateInputError, match="lacks text_b"):
+        toyclf.encode(pair_base, [Example("e", TextInput("fine"), 0)])
+    with pytest.raises(DegenerateInputError):
+        toyclf.encode(pair_base, [Example("e", TextInput("fine", " "), 0)])
+
+
+def test_train_requires_gold_labels(sent_split):
+    train_ds, _ = sent_split
+    unlabeled = Dataset(tuple(_unlabeled(train_ds.examples[:4])), train_ds.labels,
+                        "single")
+    with pytest.raises(ArgumentError):
+        toyclf.train(unlabeled, LossConfig(), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_train_encodes_each_example_once(task, request, monkeypatch):
+    prefix = "sent" if task == "single" else "pair"
+    train_ds, val_ds = request.getfixturevalue(f"{prefix}_split")
+    ds = Dataset(train_ds.examples[:48], train_ds.labels, task)
+    invalid = Dataset(tuple(_unlabeled(val_ds.examples[:16])), train_ds.labels, task)
+    sides = (len(ds) + len(invalid)) * (2 if task == "pair" else 1)
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(toyclf, "tokenize", counting)
+    made = []
+    for epochs in (1, 4):
+        calls.clear()
+        toyclf.train(ds, LossConfig("entropic"), TrainConfig(epochs=epochs),
+                     invalid_ds=invalid)
+        made.append(len(calls))
+    assert made[0] == made[1] <= 2 * sides
