@@ -373,3 +373,32 @@ def test_evaluate_mitigation_balances_transform_counts():
     # each kind contributes min-count (1) examples to the union
     assert report.per_transform_detection == {"drop": 100.0, "sort": 0.0}
     assert report.invalid_detected == 50.0
+
+
+def test_transform_examples_keep_the_untouched_side_and_name_rows(
+        pair_split, pair_base, pair_gens, sent_split, sent_base, sent_gens):
+    # the side rule: pair rows edit text_b (copysort, copyone and pbsmt read
+    # text_a), single rows edit text_a; every row is {id}__{kind}
+    cases = [("pair", pair_split, pair_base, pair_gens),
+             ("single", sent_split, sent_base, sent_gens)]
+    for task_kind, (_, val_ds), params, gens in cases:
+        examples = val_ds.examples
+        kinds = resolve_kinds("all", task_kind)[0]
+        saliency = mitigate.score_saliency(EmbeddedProvider(params), examples,
+                                           kinds, task_kind)
+        vocab = toyclf.build_vocab(val_ds)[1:]
+        for kind in kinds:
+            for seed in ((0, 3) if kind == "shuffle" else (0,)):
+                out = mitigate.transform_examples(examples, kind, task_kind, seed,
+                                                  0.5, saliency, gens, vocab)
+                assert out, (task_kind, kind)
+                sources = {ex.id: ex for ex in examples}
+                suffix = f"shuffle:{seed}" if kind == "shuffle" else kind
+                for tx in out:
+                    src = sources[tx.source_id]
+                    assert tx.example.id == f"{src.id}__{suffix}"
+                    assert tx.example.gold_label == src.gold_label
+                    if task_kind == "pair":
+                        assert tx.example.input.text_a == src.input.text_a
+                    else:
+                        assert tx.example.input.text_b is None
