@@ -7,9 +7,8 @@ strategies that teach models to recognize invalid inputs.
 
 __version__ = "0.1.0"
 
-from .corpus import (Dataset, Example, LabelSet, TextInput, Token, TokenSeq,
-                     detokenize, load_dataset, save_dataset, split_holdout,
-                     tokenize)
+from .corpus import (Dataset, Example, LabelSet, TextInput, detokenize,
+                     load_dataset, save_dataset, split_holdout, tokenize)
 from .lexical import (TransformSpec, TransformedExample, apply_lexical,
                       copy_sort, reverse_tokens, shuffle_tokens, sort_tokens)
 from .gradient import (ImportancePartition, SaliencyScores, apply_gradient,

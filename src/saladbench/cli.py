@@ -67,14 +67,6 @@ def _write_resolved_config(args, out_dir):
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
 
 
-def _vocab(ds) -> list[str]:
-    """Every token surface of the dataset, sorted: the replace transform's
-    draw pool."""
-    return sorted({t.surface for ex in ds.examples
-                   for text in (ex.input.text_a, ex.input.text_b) if text
-                   for t in corpus.tokenize(text)})
-
-
 def _save_transformed(transformed, ds, path):
     out_ds = corpus.Dataset(tuple(tx.example for tx in transformed), ds.labels,
                             ds.task_kind)
@@ -94,7 +86,7 @@ def cmd_transform(args) -> int:
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
-    vocab = _vocab(ds) if "replace" in kinds else None
+    vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
     for kind in kinds:
         for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
             transformed = mitigate.transform_examples(
@@ -119,7 +111,7 @@ def cmd_evaluate(args) -> int:
     for kind, why in skipped:
         print(f"{kind}: -- ({why})")
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
-    vocab = _vocab(ds) if "replace" in kinds else None
+    vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
     rows = []
     for kind in kinds:
         per_seed, confs = [], []

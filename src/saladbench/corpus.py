@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ArgumentError, DataError
 
@@ -20,31 +20,6 @@ log = logging.getLogger(__name__)
 
 # Punctuation characters detached from word edges by tokenize().
 PUNCT_CHARS = ".,!?;:'\"()"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    tokens: tuple[Token, ...]
-
-    @staticmethod
-    def from_surfaces(surfaces: Iterable[str]) -> "TokenSeq":
-        return TokenSeq(tuple(Token(s, i) for i, s in enumerate(surfaces)))
-
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -102,14 +77,8 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def by_id(self, example_id: str) -> Example:
-        for ex in self.examples:
-            if ex.id == example_id:
-                return ex
-        raise KeyError(example_id)
 
-
-def tokenize(text: str) -> TokenSeq:
+def tokenize(text: str) -> tuple[str, ...]:
     """Whitespace split, detach edge punctuation, lowercase. Deterministic."""
     surfaces: list[str] = []
     for chunk in text.split():
@@ -127,12 +96,12 @@ def tokenize(text: str) -> TokenSeq:
             surfaces.append(chunk.lower())
         for p in reversed(trail):
             surfaces.append(p)
-    return TokenSeq.from_surfaces(surfaces)
+    return tuple(surfaces)
 
 
-def detokenize(seq: TokenSeq) -> str:
+def detokenize(tokens: tuple[str, ...]) -> str:
     """Join tokens with single spaces ("the past ." style rendering)."""
-    return " ".join(seq.surfaces)
+    return " ".join(tokens)
 
 
 def _row_to_example(row_id, text_a, text_b, label, labels, task_kind):
@@ -149,61 +118,64 @@ def _row_to_example(row_id, text_a, text_b, label, labels, task_kind):
     return Example(id=row_id, input=TextInput(text_a, text_b), gold_label=gold)
 
 
+def jsonl_objects(path, error: type = DataError):
+    """(line number, object) for each non-blank line of a JSONL file. A line
+    that is not a JSON object raises `error` naming path:line."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise error(f"{path}:{lineno}: bad JSON: {e.msg}") from None
+            if not isinstance(obj, dict):
+                raise error(f"{path}:{lineno}: expected a JSON object, "
+                            f"got {type(obj).__name__}")
+            yield lineno, obj
+
+
+def _tsv_rows(path):
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split("\t")
+        expected = ["id", "text_a", "text_b", "label"]
+        if header[: len(expected)] != expected:
+            raise DataError(f"bad TSV header {header!r} in {path}")
+        for lineno, line in enumerate(f, start=2):
+            if line.strip():
+                yield lineno, (line.rstrip("\n").split("\t") + [""] * 4)[:4]
+
+
 def load_dataset(path, fmt: str, labels: LabelSet, task_kind: str) -> Dataset:
     """Load a TSV or JSONL dataset.
 
     Rows missing a required text field are skipped (count kept on the
-    Dataset and logged); duplicate ids and unknown labels are fatal.
+    Dataset and logged); duplicate ids, unknown labels and JSONL lines that
+    are not JSON objects are fatal.
     """
-    if fmt not in ("tsv", "jsonl"):
+    if fmt == "tsv":
+        rows = _tsv_rows(path)
+    elif fmt == "jsonl":
+        rows = ((lineno, (str(obj.get("id", lineno - 1)), obj.get("text_a"),
+                          obj.get("text_b"), obj.get("label")))
+                for lineno, obj in jsonl_objects(path))
+    else:
         raise ArgumentError(f"unknown format {fmt!r}")
     examples: list[Example] = []
     seen: set[str] = set()
     skipped = 0
-
-    with open(path, encoding="utf-8") as f:
-        if fmt == "tsv":
-            header = f.readline().rstrip("\n").split("\t")
-            expected = ["id", "text_a", "text_b", "label"]
-            if header[: len(expected)] != expected:
-                raise DataError(f"bad TSV header {header!r} in {path}")
-            for lineno, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
-                cols = line.rstrip("\n").split("\t")
-                cols += [""] * (4 - len(cols))
-                row_id, text_a, text_b, label = cols[:4]
-                try:
-                    ex = _row_to_example(row_id, text_a, text_b, label, labels, task_kind)
-                except DataError as e:
-                    raise DataError(f"{path}:{lineno}: {e}") from None
-                if ex is None:
-                    skipped += 1
-                    continue
-                if ex.id in seen:
-                    raise DataError(f"{path}:{lineno}: duplicate id {ex.id!r}")
-                seen.add(ex.id)
-                examples.append(ex)
-        else:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                row_id = str(obj.get("id", lineno - 1))
-                try:
-                    ex = _row_to_example(
-                        row_id, obj.get("text_a"), obj.get("text_b"),
-                        obj.get("label"), labels, task_kind,
-                    )
-                except DataError as e:
-                    raise DataError(f"{path}:{lineno}: {e}") from None
-                if ex is None:
-                    skipped += 1
-                    continue
-                if ex.id in seen:
-                    raise DataError(f"{path}:{lineno}: duplicate id {ex.id!r}")
-                seen.add(ex.id)
-                examples.append(ex)
+    for lineno, (row_id, text_a, text_b, label) in rows:
+        try:
+            ex = _row_to_example(row_id, text_a, text_b, label, labels, task_kind)
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        if ex is None:
+            skipped += 1
+            continue
+        if ex.id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {ex.id!r}")
+        seen.add(ex.id)
+        examples.append(ex)
 
     if skipped:
         log.warning("skipped %d malformed rows while loading %s", skipped, path)

@@ -12,9 +12,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .corpus import Example, TextInput, TokenSeq, detokenize, tokenize
+from .corpus import Example, TextInput
 from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
-from .lexical import TransformSpec, TransformedExample
+from .lexical import GRADIENT_KINDS, TransformSpec, rewrite
 
 
 @dataclass(frozen=True)
@@ -54,90 +54,69 @@ def partition_by_importance(scores: SaliencyScores, r: float) -> ImportanceParti
     return ImportancePartition(tuple(bottom), tuple(top), r)
 
 
-def drop_tokens(seq: TokenSeq, part: ImportancePartition) -> TokenSeq:
+def drop_tokens(tokens: tuple[str, ...], part: ImportancePartition) -> tuple[str, ...]:
     bottom = set(part.bottom)
-    survivors = [s for i, s in enumerate(seq.surfaces) if i not in bottom]
+    survivors = tuple(s for i, s in enumerate(tokens) if i not in bottom)
     if not survivors:
         raise DegenerateInputError("drop would remove every token")
-    return TokenSeq.from_surfaces(survivors)
+    return survivors
 
 
-def repeat_tokens(seq: TokenSeq, part: ImportancePartition, seed: int) -> TokenSeq:
+def repeat_tokens(tokens: tuple[str, ...], part: ImportancePartition,
+                  seed: int) -> tuple[str, ...]:
     """Replace each bottom token with a uniformly drawn top token."""
     if not part.top:
         raise UnsupportedTransformError("repeat needs a non-empty top set")
     rng = random.Random(seed)
-    top_surfaces = [seq.surfaces[i] for i in part.top]
-    out = list(seq.surfaces)
+    top = [tokens[i] for i in part.top]
+    out = list(tokens)
     for i in part.bottom:
-        out[i] = rng.choice(top_surfaces)
-    return TokenSeq.from_surfaces(out)
+        out[i] = rng.choice(top)
+    return tuple(out)
 
 
-def replace_tokens(seq: TokenSeq, part: ImportancePartition,
-                   vocab: Sequence[str], seed: int) -> TokenSeq:
+def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
+                   vocab: Sequence[str], seed: int) -> tuple[str, ...]:
     """Replace each bottom token with a uniform draw from vocab."""
     if not vocab:
         raise ArgumentError("replace needs a non-empty vocabulary")
     rng = random.Random(seed)
-    out = list(seq.surfaces)
+    pool = list(vocab)
+    out = list(tokens)
     for i in part.bottom:
-        out[i] = rng.choice(list(vocab))
-    return TokenSeq.from_surfaces(out)
+        out[i] = rng.choice(pool)
+    return tuple(out)
 
 
-def copy_one(ex: Example, scores_a: SaliencyScores,
-             spec: Optional[TransformSpec] = None) -> TransformedExample:
+def copy_one(ex: Example, scores_a: SaliencyScores) -> TextInput:
     """Replace text_b with the single most salient token of text_a."""
-    if not ex.input.is_pair:
-        raise UnsupportedTransformError("copyone requires a pair-input task")
-    seq_a = tokenize(ex.input.text_a)
-    if len(seq_a) != len(scores_a):
-        raise ArgumentError(
-            f"saliency length {len(scores_a)} != token count {len(seq_a)}")
-    best = max(range(len(scores_a)), key=lambda i: (scores_a.scores[i], -i))
-    spec = spec or TransformSpec(kind="copyone")
-    new_input = TextInput(ex.input.text_a, seq_a.surfaces[best])
-    return TransformedExample(
-        example=Example(ex.id, new_input, ex.gold_label),
-        source_id=ex.id,
-        transform=spec,
-    )
+    return apply_gradient(ex, TransformSpec(kind="copyone"), scores_a)
 
 
 def apply_gradient(ex: Example, spec: TransformSpec, scores: SaliencyScores,
-                   vocab: Optional[Sequence[str]] = None) -> TransformedExample:
-    """Apply drop/repeat/replace to the targeted side, or copyone.
+                   vocab: Optional[Sequence[str]] = None) -> TextInput:
+    """Apply drop/repeat/replace or copyone to an Example per its spec.
 
-    `scores` must be aligned with the tokenization of the targeted side
-    (text_a for copyone).
+    `scores` must be aligned with the tokens of the side the kind reads
+    (lexical.side_rule: text_a for copyone).
     """
-    if spec.kind == "copyone":
-        return copy_one(ex, scores, spec)
-    side = spec.target_side if ex.input.is_pair else "a"
-    text = ex.input.text_a if side == "a" else ex.input.text_b
-    seq = tokenize(text)
-    if len(seq) != len(scores):
-        raise ArgumentError(
-            f"saliency length {len(scores)} != token count {len(seq)}")
-    part = partition_by_importance(scores, spec.r)
-    if spec.kind == "drop":
-        out = drop_tokens(seq, part)
-    elif spec.kind == "repeat":
-        out = repeat_tokens(seq, part, spec.seed)
-    elif spec.kind == "replace":
-        if vocab is None:
-            raise ArgumentError("replace requires a vocabulary")
-        out = replace_tokens(seq, part, vocab, spec.seed)
-    else:
+    if spec.kind not in GRADIENT_KINDS:
         raise UnsupportedTransformError(f"{spec.kind} is not a gradient transform")
-    new_text = detokenize(out)
-    if side == "a":
-        new_input = TextInput(new_text, ex.input.text_b)
-    else:
-        new_input = TextInput(ex.input.text_a, new_text)
-    return TransformedExample(
-        example=Example(ex.id, new_input, ex.gold_label),
-        source_id=ex.id,
-        transform=spec,
-    )
+    if spec.kind == "replace" and vocab is None:
+        raise ArgumentError("replace requires a vocabulary")
+
+    def edit(tokens):
+        if len(tokens) != len(scores):
+            raise ArgumentError(
+                f"saliency length {len(scores)} != token count {len(tokens)}")
+        if spec.kind == "copyone":
+            return (tokens[max(range(len(scores)),
+                               key=lambda i: (scores.scores[i], -i))],)
+        part = partition_by_importance(scores, spec.r)
+        if spec.kind == "drop":
+            return drop_tokens(tokens, part)
+        if spec.kind == "repeat":
+            return repeat_tokens(tokens, part, spec.seed)
+        return replace_tokens(tokens, part, vocab, spec.seed)
+
+    return rewrite(ex.input, spec.kind, edit)

@@ -18,7 +18,7 @@ from .corpus import Dataset, Example, LabelSet
 from .errors import ArgumentError, ConfigError, DegenerateInputError
 from .gradient import apply_gradient
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
-                      TransformedExample, TransformSpec, apply_lexical)
+                      TransformedExample, TransformSpec, apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
 from .providers import Prediction
 from . import toyclf
@@ -95,9 +95,8 @@ def resolve_kinds(kinds: str | Sequence[str], task_kind: str,
 
 
 def scored_side(kind: str, task_kind: str) -> str:
-    """The side a gradient kind scores: copyone reads text_a; drop, repeat and
-    replace edit text_b on pair tasks and text_a otherwise."""
-    return "b" if task_kind == "pair" and kind != "copyone" else "a"
+    """The side a gradient kind scores: the side it reads (lexical.side_rule)."""
+    return side_rule(kind, task_kind == "pair")[0]
 
 
 def score_saliency(provider, examples: Sequence[Example], kinds: Sequence[str],
@@ -121,21 +120,22 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
     (`{id}__shuffle:{seed}`); rows too small for the kind are skipped and
     logged with a count per reason."""
     scores = saliency[scored_side(kind, task_kind)] if kind in GRADIENT_KINDS else None
+    spec = TransformSpec(kind=kind, seed=seed, r=r)
     suffix = f"{kind}:{seed}" if kind == "shuffle" else kind
     out, skipped = [], Counter()
     for i, ex in enumerate(examples):
-        spec = TransformSpec(kind=kind, seed=seed, r=r)
         try:
             if kind in LEXICAL_KINDS:
-                tx = apply_lexical(ex, spec)
+                new_input = apply_lexical(ex, spec)
             elif kind in GRADIENT_KINDS:
-                tx = apply_gradient(ex, spec, scores[i], vocab=vocab)
+                new_input = apply_gradient(ex, spec, scores[i], vocab=vocab)
             else:
-                tx = generate_invalid(ex, generators or {}, task_kind, spec)
+                new_input = generate_invalid(ex, generators or {}, task_kind)
         except DegenerateInputError as e:
             skipped[str(e)] += 1
             continue
-        out.append(replace(tx, example=replace(tx.example, id=f"{ex.id}__{suffix}")))
+        out.append(TransformedExample(
+            Example(f"{ex.id}__{suffix}", new_input, ex.gold_label), ex.id, spec))
     for reason, n in sorted(skipped.items()):
         log.warning("%s: skipped %d of %d rows: %s", suffix, n, len(examples), reason)
     return out

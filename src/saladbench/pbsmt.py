@@ -14,13 +14,13 @@ import json
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .corpus import Dataset, Example, TextInput, TokenSeq, detokenize, tokenize
+from .corpus import Dataset, Example, TextInput, tokenize
 from .errors import (ArgumentError, DegenerateInputError, InsufficientDataError,
                      UnsupportedTransformError)
-from .lexical import TransformSpec, TransformedExample
+from .lexical import rewrite
 
 NULL = "<null>"
 BOS = "<s>"
@@ -102,10 +102,10 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
         if ex.gold_label != label:
             continue
         if ds.task_kind == "pair":
-            src = tokenize(ex.input.text_a).surfaces
-            tgt = tokenize(ex.input.text_b).surfaces
+            src = tokenize(ex.input.text_a)
+            tgt = tokenize(ex.input.text_b)
         else:
-            toks = tokenize(ex.input.text_a).surfaces
+            toks = tokenize(ex.input.text_a)
             half = math.ceil(len(toks) / 2)
             src, tgt = toks[:half], toks[half:]
         if src and tgt:
@@ -272,8 +272,8 @@ def _first_uncovered(coverage: int, n: int) -> int:
     return n
 
 
-def decode(source: TokenSeq, pt: PhraseTable, lm: LanguageModel,
-           w: DecoderWeights) -> TokenSeq:
+def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
+           w: DecoderWeights) -> tuple[str, ...]:
     """Stack beam search over source coverage.
 
     Hypothesis score = w_tm * log p(t|s) + w_lm * LM + w_dist * sum(|jump|)
@@ -283,7 +283,7 @@ def decode(source: TokenSeq, pt: PhraseTable, lm: LanguageModel,
     every kept hypothesis stays completable). Deterministic: ties break on
     the output string.
     """
-    src = source.surfaces
+    src = tuple(source)
     if not src:
         raise DegenerateInputError("cannot decode an empty source")
     n = len(src)
@@ -329,13 +329,12 @@ def decode(source: TokenSeq, pt: PhraseTable, lm: LanguageModel,
                                          w.beam_size, 0))
         raise DegenerateInputError("decoder found no complete hypothesis")
     best = min(finals, key=lambda h: (-h.score, h.output))
-    return TokenSeq.from_surfaces(best.output)
+    return best.output
 
 
 @dataclass
 class GeneratorModel:
     label: int
-    lexical: LexicalTable
     phrases: PhraseTable
     lm: LanguageModel
     weights: DecoderWeights
@@ -345,45 +344,33 @@ def train_generator(ds: Dataset, label: int, iterations: int = 10,
                     weights: Optional[DecoderWeights] = None,
                     min_pairs: int = 50) -> GeneratorModel:
     corpus = build_parallel_corpus(ds, label, min_pairs=min_pairs)
-    lex = train_model1(corpus, iterations)
-    phrases = build_phrase_table(corpus, lex)
+    phrases = build_phrase_table(corpus, train_model1(corpus, iterations))
     lm = train_lm([t for _, t in corpus.pairs])
-    return GeneratorModel(label, lex, phrases, lm, weights or DecoderWeights())
+    return GeneratorModel(label, phrases, lm, weights or DecoderWeights())
 
 
 def generate_invalid(ex: Example, models: dict[int, GeneratorModel],
-                     task_kind: str,
-                     spec: Optional[TransformSpec] = None) -> TransformedExample:
-    """Run the example's own-label generator on its source side."""
+                     task_kind: str) -> TextInput:
+    """Run the example's own-label generator on its source side: text_a of a
+    pair row, whose text_b the output becomes, or the first half of a single
+    row, which the output then follows."""
     if ex.gold_label is None:
         raise UnsupportedTransformError(f"example {ex.id} has no gold label")
     model = models.get(ex.gold_label)
     if model is None:
         raise ArgumentError(f"no trained generator for label {ex.gold_label}")
-    spec = spec or TransformSpec(kind="pbsmt")
-    if task_kind == "pair":
-        src = tokenize(ex.input.text_a)
-        out = decode(src, model.phrases, model.lm, model.weights)
-        new_input = TextInput(ex.input.text_a, detokenize(out))
-    else:
-        toks = tokenize(ex.input.text_a)
-        half = math.ceil(len(toks) / 2)
-        first = TokenSeq.from_surfaces(toks.surfaces[:half])
-        out = decode(first, model.phrases, model.lm, model.weights)
-        new_input = TextInput(detokenize(first) + " " + detokenize(out))
-    return TransformedExample(
-        example=Example(ex.id, new_input, ex.gold_label),
-        source_id=ex.id,
-        transform=spec,
-    )
+
+    def edit(tokens):
+        if task_kind == "pair":
+            return decode(tokens, model.phrases, model.lm, model.weights)
+        first = tokens[:math.ceil(len(tokens) / 2)]
+        return first + decode(first, model.phrases, model.lm, model.weights)
+
+    return rewrite(ex.input, "pbsmt", edit)
 
 
 def save_generator(model: GeneratorModel, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "lex.tsv"), "w", encoding="utf-8") as f:
-        for s, dist in sorted(model.lexical.t.items()):
-            for t, p in sorted(dist.items()):
-                f.write(f"{s}\t{t}\t{p!r}\n")
     with open(os.path.join(dirpath, "phrases.tsv"), "w", encoding="utf-8") as f:
         for (s, t), (lts, lst) in sorted(model.phrases.entries.items()):
             f.write(f"{' '.join(s)}\t{' '.join(t)}\t{lts!r}\t{lst!r}\n")
@@ -405,11 +392,6 @@ def save_generator(model: GeneratorModel, dirpath) -> None:
 def load_generator(dirpath) -> GeneratorModel:
     with open(os.path.join(dirpath, "weights.json"), encoding="utf-8") as f:
         meta = json.load(f)
-    lex: dict[str, dict[str, float]] = defaultdict(dict)
-    with open(os.path.join(dirpath, "lex.tsv"), encoding="utf-8") as f:
-        for line in f:
-            s, t, p = line.rstrip("\n").split("\t")
-            lex[s][t] = float(p)
     entries = {}
     with open(os.path.join(dirpath, "phrases.tsv"), encoding="utf-8") as f:
         for line in f:
@@ -432,8 +414,7 @@ def load_generator(dirpath) -> GeneratorModel:
                        meta["lm_total_tokens"], frozenset(vocab))
     weights = DecoderWeights(meta["w_tm"], meta["w_lm"], meta["w_dist"],
                              meta["w_len"], meta["beam_size"], meta["distortion_limit"])
-    return GeneratorModel(meta["label"], LexicalTable(dict(lex)), PhraseTable(entries),
-                          lm, weights)
+    return GeneratorModel(meta["label"], PhraseTable(entries), lm, weights)
 
 
 def load_generators(dirpath) -> dict[int, GeneratorModel]:

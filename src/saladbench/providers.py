@@ -8,7 +8,6 @@ text_a, "b" scores text_b).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import requests
 
-from .corpus import Example, tokenize
+from .corpus import Example, jsonl_objects
 from .errors import (ArgumentError, CapabilityError, ContractError,
                      MissingPredictionError, TransportError)
 from .gradient import SaliencyScores
@@ -77,27 +76,31 @@ class EmbeddedProvider:
         return toyclf.saliency_batch(self.params, inputs, side, loss_labels)
 
 
+def _replay_rows(path, fields: tuple[str, ...]):
+    """The objects of a replay JSONL file; a line that is not a JSON object
+    with every one of `fields` is a ContractError naming path:line."""
+    for lineno, obj in jsonl_objects(path, ContractError):
+        missing = [k for k in fields if k not in obj]
+        if missing:
+            raise ContractError(f"{path}:{lineno}: missing {', '.join(missing)}")
+        yield obj
+
+
 class ReplayProvider:
     """Replays predictions (and optionally saliency) from JSONL fixtures.
 
     A saliency row names the side it scores in a `side` field; a row without
-    one scores side "a".
+    one scores side "a". Its `loss_label` is optional.
     """
 
     def __init__(self, predictions_path, saliency_path=None):
-        self._preds: dict[str, list[float]] = {}
-        with open(predictions_path, encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    obj = json.loads(line)
-                    self._preds[str(obj["id"])] = obj["probs"]
+        self._preds: dict[str, list[float]] = {
+            str(obj["id"]): obj["probs"]
+            for obj in _replay_rows(predictions_path, ("id", "probs"))}
         self._saliency: dict[tuple[str, str], dict] = {}
         if saliency_path is not None:
-            with open(saliency_path, encoding="utf-8") as f:
-                for line in f:
-                    if line.strip():
-                        obj = json.loads(line)
-                        self._saliency[str(obj["id"]), obj.get("side", "a")] = obj
+            for obj in _replay_rows(saliency_path, ("id", "scores")):
+                self._saliency[str(obj["id"]), obj.get("side", "a")] = obj
         self.supports_saliency = saliency_path is not None
         self._location = str(predictions_path)
 
@@ -121,8 +124,9 @@ class ReplayProvider:
             if obj is None:
                 raise MissingPredictionError(
                     f"no replay saliency for id {ex.id!r}, side {side!r}")
+            label = obj.get("loss_label")
             out.append(SaliencyScores(tuple(float(s) for s in obj["scores"]),
-                                      int(obj["loss_label"])))
+                                      int(label) if label is not None else None))
         return out
 
 

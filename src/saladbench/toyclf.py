@@ -10,6 +10,7 @@ seeded mini-batch gradient descent for determinism.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Optional, Sequence
@@ -19,6 +20,8 @@ import numpy as np
 from .corpus import Dataset, Example, tokenize
 from .errors import (ArgumentError, DegenerateInputError, TrainingError)
 from .gradient import SaliencyScores
+
+log = logging.getLogger(__name__)
 
 UNK = "<unk>"
 
@@ -83,7 +86,7 @@ class TrainConfig:
 
 
 def build_vocab(ds: Dataset) -> tuple[str, ...]:
-    return (UNK,) + tuple(sorted({t.surface for ex in ds.examples
+    return (UNK,) + tuple(sorted({t for ex in ds.examples
                                   for text in (ex.input.text_a, ex.input.text_b)
                                   if text is not None for t in tokenize(text)}))
 
@@ -131,7 +134,7 @@ def encode(params: ToyModelParams, examples: Sequence[Example]) -> Encoding:
         for side, text in zip(sides, (ex.input.text_a, ex.input.text_b)):
             if text is None:
                 raise DegenerateInputError(f"example {ex.id} lacks text_b for a pair model")
-            side.append([index.get(t.surface, 0) for t in tokenize(text)])
+            side.append([index.get(t, 0) for t in tokenize(text)])
             if not side[-1]:
                 raise DegenerateInputError("empty token sequence")
     return Encoding(tuple(np.fromiter(chain.from_iterable(s), dtype=int) for s in sides),
@@ -366,6 +369,10 @@ def fit_temperature(params: ToyModelParams, calibration: Dataset,
         val = _nll(logits, gold, float(t))
         if val < best_nll - 1e-12:
             best_t, best_nll = float(t), val
+    if best_t in (grid[0], grid[-1]):
+        log.warning("fitted temperature T = %.2f sits on the %s bound of the "
+                    "grid [%.2f, %.2f]; the NLL minimum may lie outside it",
+                    best_t, "lower" if best_t == grid[0] else "upper", lo, hi)
     return round(best_t, 10)
 
 

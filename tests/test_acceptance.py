@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from saladbench import cli, metrics, mitigate, pbsmt, toyclf
-from saladbench.corpus import Example, TextInput, TokenSeq, tokenize
+from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.gradient import SaliencyScores
 from saladbench.lexical import (TransformSpec, apply_lexical,
                                 bigram_free_permutation_exists, reverse_tokens,
@@ -62,21 +62,21 @@ def test_1_lexical_invariants_randomized():
             words = [rng.choice(pool) for _ in range(n)]
             terminal = rng.choice([None, ".", "!", "?"])
             surfaces = tuple(words) + ((terminal,) if terminal else ())
-            seq = TokenSeq.from_surfaces(surfaces)
+            seq = tuple(surfaces)
             bag = Counter(surfaces)
 
             for out in (sort_tokens(seq), reverse_tokens(seq)):
-                assert Counter(out.surfaces) == bag
+                assert Counter(out) == bag
                 if terminal:
-                    assert out.surfaces[-1] == terminal
+                    assert out[-1] == terminal
 
             shuffled, shared, exhausted = shuffle_with_report(seq, seed=trial)
-            assert Counter(shuffled.surfaces) == bag
+            assert Counter(shuffled) == bag
             if terminal:
-                assert shuffled.surfaces[-1] == terminal
+                assert shuffled[-1] == terminal
             if not exhausted:
                 forbidden = set(zip(surfaces, surfaces[1:]))
-                out = shuffled.surfaces
+                out = shuffled
                 assert not set(zip(out, out[1:])) & forbidden
             elif n <= 7 and bigram_free_permutation_exists(seq):
                 # achievable but missed within the default attempt budget:
@@ -93,7 +93,7 @@ def test_2_sorted_sentence_reproduction():
         seq = tokenize(
             "Making certain distinctions is imperative in looking back "
             "on the past.")
-        assert " ".join(sort_tokens(seq).surfaces) == \
+        assert " ".join(sort_tokens(seq)) == \
             "back certain distinctions imperative in is looking making on past the ."
 
 
@@ -136,7 +136,7 @@ def test_4_permutation_invariance(sent_base, sent_split):
         preds_orig = provider.predict_batch(val_ds.examples)
         for kind in ("sort", "reverse", "shuffle"):
             spec = TransformSpec(kind=kind, seed=0)
-            transformed = [apply_lexical(ex, spec).example
+            transformed = [Example(ex.id, apply_lexical(ex, spec), ex.gold_label)
                            for ex in val_ds.examples]
             preds = provider.predict_batch(transformed)
             assert metrics.agreement(preds_orig, preds) == 100.0, kind
@@ -375,17 +375,17 @@ def test_9_statistical_generator_guarantees(pair_split, pair_gens, sent_split):
         pt, lm = fixture_phrase_table(), fixture_lm()
         weights = pbsmt.DecoderWeights(beam_size=200)
         for source in DECODE_SOURCES:
-            got = pbsmt.decode(TokenSeq.from_surfaces(source), pt, lm, weights)
-            assert got.surfaces == oracle_decode(source, pt, lm, weights), source
+            got = pbsmt.decode(tuple(source), pt, lm, weights)
+            assert got == oracle_decode(source, pt, lm, weights), source
 
         # generated tokens stay inside target vocab + pass-through
         target_vocab = {label: set() for label in pair_gens}
         for ex in pair_train.examples:
-            target_vocab[ex.gold_label] |= set(tokenize(ex.input.text_b).surfaces)
+            target_vocab[ex.gold_label] |= set(tokenize(ex.input.text_b))
         for ex in pair_val.examples:
-            tx = pbsmt.generate_invalid(ex, pair_gens, "pair")
-            out = set(tokenize(tx.example.input.text_b).surfaces)
-            passthrough = set(tokenize(ex.input.text_a).surfaces)
+            new = pbsmt.generate_invalid(ex, pair_gens, "pair")
+            out = set(tokenize(new.text_b))
+            passthrough = set(tokenize(ex.input.text_a))
             assert out <= target_vocab[ex.gold_label] | passthrough, ex.id
 
         elapsed = time.perf_counter() - start

@@ -222,6 +222,45 @@ def test_exit_code_3_on_provider_failure(tmp_path):
     assert rc == 3
 
 
+def _replay_files(tmp_path, saliency_rows, pred_lines=None):
+    data = tmp_path / "d.tsv"
+    data.write_text("id\ttext_a\ttext_b\tlabel\n"
+                    "a\tgood film .\t\tpositive\nb\tbad film\t\tnegative\n",
+                    encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("\n".join(pred_lines or [
+        '{"id": "a", "probs": [0.2, 0.8]}', '{"id": "b", "probs": [0.7, 0.3]}'])
+        + "\n", encoding="utf-8")
+    sal = tmp_path / "sal.jsonl"
+    sal.write_text("\n".join(json.dumps(r) for r in saliency_rows) + "\n",
+                   encoding="utf-8")
+    return ["--data", str(data), "--task", "single",
+            "--labels", "negative,positive", "--replay", f"{preds},{sal}"]
+
+
+def test_replay_saliency_rows_need_no_loss_label(tmp_path):
+    args = _replay_files(tmp_path, [{"id": "a", "scores": [0.1, 0.2, 0.3]},
+                                    {"id": "b", "scores": [0.5, 0.4]}])
+    out = tmp_path / "tx"
+    assert run(["transform", *args, "--transforms", "drop",
+                "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in
+            (out / "drop.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("a__drop", "film ."),
+                                             ("b__drop", "bad")]
+
+
+@pytest.mark.parametrize("bad_line", ['{"id": "b"}', "not json"])
+def test_malformed_replay_file_is_a_contract_error(tmp_path, capsys, bad_line):
+    args = _replay_files(tmp_path, [{"id": "a", "scores": [0.1, 0.2, 0.3]}],
+                         ['{"id": "a", "probs": [0.2, 0.8]}', bad_line])
+    out = tmp_path / "tx"
+    assert run(["transform", *args, "--transforms", "drop",
+                "--out", str(out)]) == 3
+    assert f"{tmp_path / 'preds.jsonl'}:2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_1_on_unknown_transform(tmp_path):
     rc = run(["transform", *SENT_ARGS, "--transforms", "entropy-storm",
               "--out", str(tmp_path / "out")])

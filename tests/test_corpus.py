@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from saladbench import corpus
 from saladbench.corpus import (Dataset, Example, LabelSet, TextInput,
-                               TokenSeq, detokenize, load_dataset,
-                               save_dataset, split_holdout, tokenize)
+                               detokenize, load_dataset, save_dataset,
+                               split_holdout, tokenize)
 from saladbench.errors import ArgumentError, DataError
 
 LABELS = LabelSet(("negative", "positive"))
@@ -21,37 +21,32 @@ word = st.text(st.characters(whitelist_categories=("Ll", "Lu"), max_codepoint=0x
 
 
 def test_tokenize_basic():
-    assert tokenize("The cat sat.").surfaces == ("the", "cat", "sat", ".")
+    assert tokenize("The cat sat.") == ("the", "cat", "sat", ".")
 
 
 def test_tokenize_detaches_edge_punctuation():
-    assert tokenize('"Why, me?!"').surfaces == ('"', "why", ",", "me", "?", "!", '"')
+    assert tokenize('"Why, me?!"') == ('"', "why", ",", "me", "?", "!", '"')
 
 
 def test_tokenize_keeps_internal_punctuation():
-    assert tokenize("don't re-up").surfaces == ("don't", "re-up")
+    assert tokenize("don't re-up") == ("don't", "re-up")
 
 
 def test_tokenize_lowercases():
-    assert tokenize("MiXeD CASE").surfaces == ("mixed", "case")
-
-
-def test_tokenize_positions_are_consecutive():
-    seq = tokenize("one two three .")
-    assert [t.position for t in seq] == [0, 1, 2, 3]
+    assert tokenize("MiXeD CASE") == ("mixed", "case")
 
 
 def test_tokenize_empty_and_whitespace_only():
-    assert tokenize("").surfaces == ()
-    assert tokenize("   \t ").surfaces == ()
+    assert tokenize("") == ()
+    assert tokenize("   \t ") == ()
 
 
 def test_tokenize_pure_punctuation_chunk():
-    assert tokenize("...").surfaces == (".", ".", ".")
+    assert tokenize("...") == (".", ".", ".")
 
 
 def test_detokenize_space_joins():
-    assert detokenize(TokenSeq.from_surfaces(("the", "past", "."))) == "the past ."
+    assert detokenize(("the", "past", ".")) == "the past ."
 
 
 @given(st.lists(word, min_size=0, max_size=12))
@@ -63,8 +58,8 @@ def test_tokenize_detokenize_round_trip_on_normalized_text(words):
 
 @given(st.text(max_size=40))
 def test_tokenize_is_deterministic_and_lowercase(text):
-    a = tokenize(text).surfaces
-    b = tokenize(text).surfaces
+    a = tokenize(text)
+    b = tokenize(text)
     assert a == b
     assert all(s == s.lower() for s in a)
     assert all(" " not in s for s in a)
@@ -86,10 +81,7 @@ def test_dataset_validation():
     ex = Example("x", TextInput("hello"), 0)
     with pytest.raises(ArgumentError):
         Dataset((ex,), LABELS, "tri")
-    ds = Dataset((ex,), LABELS, "single")
-    assert ds.by_id("x") is ex
-    with pytest.raises(KeyError):
-        ds.by_id("missing")
+    Dataset((ex,), LABELS, "single")
 
 
 def _write(tmp_path, name, text):
@@ -105,7 +97,7 @@ def test_load_tsv_happy_path(tmp_path):
                   "b\tbad film\t\tnegative\n")
     ds = load_dataset(path, "tsv", LABELS, "single")
     assert len(ds) == 2
-    assert ds.by_id("a").gold_label == 1
+    assert ds.examples[0].gold_label == 1
     assert ds.skipped_rows == 0
 
 
@@ -162,6 +154,14 @@ def test_load_jsonl(tmp_path):
     path = _write(tmp_path, "d.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
     ds = load_dataset(path, "jsonl", LABELS, "single")
     assert [ex.id for ex in ds.examples] == ["a", "1"]
+
+
+@pytest.mark.parametrize("line", ["not json", "[1, 2]", '"text"', "null"])
+def test_load_jsonl_line_that_is_not_an_object_names_its_line(tmp_path, line):
+    good = json.dumps({"id": "a", "text_a": "x y", "label": "positive"})
+    path = _write(tmp_path, "d.jsonl", f"{good}\n\n{line}\n")
+    with pytest.raises(DataError, match=r"d\.jsonl:3: "):
+        load_dataset(path, "jsonl", LABELS, "single")
 
 
 def test_load_unknown_format(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from saladbench.corpus import Example, TextInput, TokenSeq, tokenize
+from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                UnsupportedTransformError)
 from saladbench.gradient import (ImportancePartition, SaliencyScores,
@@ -76,13 +76,13 @@ def test_partition_sizes_and_disjointness(values, r):
 # --- drop ---
 
 def test_drop_removes_bottom_keeps_order():
-    seq = TokenSeq.from_surfaces(("a", "b", "c", "d"))
+    seq = ("a", "b", "c", "d")
     part = ImportancePartition(bottom=(1, 3), top=(0, 2), r=0.5)
-    assert drop_tokens(seq, part).surfaces == ("a", "c")
+    assert drop_tokens(seq, part) == ("a", "c")
 
 
 def test_drop_everything_raises():
-    seq = TokenSeq.from_surfaces(("a",))
+    seq = ("a",)
     part = ImportancePartition(bottom=(0,), top=(), r=1.0)
     with pytest.raises(DegenerateInputError):
         drop_tokens(seq, part)
@@ -91,24 +91,24 @@ def test_drop_everything_raises():
 # --- repeat ---
 
 def test_repeat_overwrites_bottom_with_top_surfaces():
-    seq = TokenSeq.from_surfaces(("low1", "hi1", "low2", "hi2"))
+    seq = ("low1", "hi1", "low2", "hi2")
     part = ImportancePartition(bottom=(0, 2), top=(1, 3), r=0.5)
     out = repeat_tokens(seq, part, seed=0)
     assert len(out) == len(seq)
-    assert out.surfaces[1] == "hi1" and out.surfaces[3] == "hi2"
-    assert out.surfaces[0] in ("hi1", "hi2")
-    assert out.surfaces[2] in ("hi1", "hi2")
+    assert out[1] == "hi1" and out[3] == "hi2"
+    assert out[0] in ("hi1", "hi2")
+    assert out[2] in ("hi1", "hi2")
 
 
 def test_repeat_deterministic_per_seed():
-    seq = TokenSeq.from_surfaces(tuple(f"w{i}" for i in range(10)))
+    seq = tuple(f"w{i}" for i in range(10))
     part = partition_by_importance(scores_of(range(10)), 0.5)
-    assert repeat_tokens(seq, part, seed=5).surfaces == \
-        repeat_tokens(seq, part, seed=5).surfaces
+    assert repeat_tokens(seq, part, seed=5) == \
+        repeat_tokens(seq, part, seed=5)
 
 
 def test_repeat_needs_top_set():
-    seq = TokenSeq.from_surfaces(("only",))
+    seq = ("only",)
     part = ImportancePartition(bottom=(0,), top=(), r=0.5)
     with pytest.raises(UnsupportedTransformError):
         repeat_tokens(seq, part, seed=0)
@@ -117,41 +117,41 @@ def test_repeat_needs_top_set():
 # --- replace ---
 
 def test_replace_draws_from_vocab_only_at_bottom():
-    seq = TokenSeq.from_surfaces(("a", "b", "c", "d"))
+    seq = ("a", "b", "c", "d")
     part = ImportancePartition(bottom=(0, 1), top=(2, 3), r=0.5)
     out = replace_tokens(seq, part, vocab=["z"], seed=0)
-    assert out.surfaces == ("z", "z", "c", "d")
+    assert out == ("z", "z", "c", "d")
 
 
 def test_replace_requires_vocab():
-    seq = TokenSeq.from_surfaces(("a", "b"))
+    seq = ("a", "b")
     part = ImportancePartition(bottom=(0,), top=(1,), r=0.5)
     with pytest.raises(ArgumentError):
         replace_tokens(seq, part, vocab=[], seed=0)
 
 
 def test_replace_matches_seeded_uniform_draws():
-    seq = TokenSeq.from_surfaces(("a", "b", "c", "d"))
+    seq = ("a", "b", "c", "d")
     part = ImportancePartition(bottom=(1, 2), top=(0, 3), r=0.5)
     vocab = ["u", "v", "w"]
     out = replace_tokens(seq, part, vocab, seed=9)
     rng = random.Random(9)
-    assert out.surfaces == ("a", rng.choice(vocab), rng.choice(vocab), "d")
+    assert out == ("a", rng.choice(vocab), rng.choice(vocab), "d")
 
 
 # --- copyone ---
 
 def test_copy_one_takes_most_salient_token_of_a():
     ex = Example("p", TextInput("the verdict stands", "hypothesis"), 1)
-    tx = copy_one(ex, SaliencyScores((0.1, 0.9, 0.3), 0))
-    assert tx.example.input.text_b == "verdict"
-    assert tx.example.input.text_a == "the verdict stands"
+    new = copy_one(ex, SaliencyScores((0.1, 0.9, 0.3), 0))
+    assert new.text_b == "verdict"
+    assert new.text_a == "the verdict stands"
 
 
 def test_copy_one_tie_breaks_toward_first_token():
     ex = Example("p", TextInput("tie tie tie", "h"), 1)
-    tx = copy_one(ex, SaliencyScores((0.5, 0.5, 0.5), 0))
-    assert tx.example.input.text_b == "tie"
+    new = copy_one(ex, SaliencyScores((0.5, 0.5, 0.5), 0))
+    assert new.text_b == "tie"
 
 
 def test_copy_one_requires_pair_and_aligned_scores():
@@ -167,16 +167,16 @@ def test_copy_one_requires_pair_and_aligned_scores():
 def test_apply_gradient_targets_b_on_pairs():
     ex = Example("p", TextInput("keep a side", "b1 b2 b3 b4"), 0)
     scores = SaliencyScores((4.0, 3.0, 1.0, 2.0), 0)
-    tx = apply_gradient(ex, TransformSpec(kind="drop"), scores)
-    assert tx.example.input.text_a == "keep a side"
-    assert tx.example.input.text_b == "b1 b2"
+    new = apply_gradient(ex, TransformSpec(kind="drop"), scores)
+    assert new.text_a == "keep a side"
+    assert new.text_b == "b1 b2"
 
 
 def test_apply_gradient_single_task_targets_a():
     ex = Example("s", TextInput("w1 w2 w3 w4"), 0)
     scores = SaliencyScores((1.0, 2.0, 3.0, 4.0), 0)
-    tx = apply_gradient(ex, TransformSpec(kind="drop"), scores)
-    assert tx.example.input.text_a == "w3 w4"
+    new = apply_gradient(ex, TransformSpec(kind="drop"), scores)
+    assert new.text_a == "w3 w4"
 
 
 def test_apply_gradient_replace_needs_vocab():
@@ -184,8 +184,8 @@ def test_apply_gradient_replace_needs_vocab():
     scores = SaliencyScores((1.0, 2.0), 0)
     with pytest.raises(ArgumentError):
         apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=None)
-    tx = apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=["q"])
-    assert tx.example.input.text_a == "q w2"
+    new = apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=["q"])
+    assert new.text_a == "q w2"
 
 
 def test_apply_gradient_score_length_mismatch():
@@ -203,12 +203,12 @@ def test_apply_gradient_rejects_non_gradient_kind():
 @given(st.lists(finite, min_size=2, max_size=12), st.integers(0, 3))
 def test_repeat_only_touches_bottom_positions(values, seed):
     n = len(values)
-    seq = TokenSeq.from_surfaces(tuple(f"t{i}" for i in range(n)))
+    seq = tuple(f"t{i}" for i in range(n))
     part = partition_by_importance(scores_of(values), 0.5)
     out = repeat_tokens(seq, part, seed)
-    top_surfaces = {seq.surfaces[i] for i in part.top}
-    for i, s in enumerate(out.surfaces):
+    top_surfaces = {seq[i] for i in part.top}
+    for i, s in enumerate(out):
         if i in part.bottom:
             assert s in top_surfaces
         else:
-            assert s == seq.surfaces[i]
+            assert s == seq[i]

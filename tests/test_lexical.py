@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saladbench.corpus import Example, TextInput, TokenSeq, tokenize
+from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import DegenerateInputError, UnsupportedTransformError
 from saladbench.lexical import (TERMINAL_PUNCT, TransformSpec,
                                 apply_lexical, bigram_free_permutation_exists,
@@ -21,30 +21,30 @@ maybe_terminal = st.sampled_from([None, ".", "!", "?"])
 def seq_of(words, terminal=None):
     if terminal is not None:
         words = list(words) + [terminal]
-    return TokenSeq.from_surfaces(words)
+    return tuple(words)
 
 
 # --- sort ---
 
 def test_sort_known_sentence():
     seq = tokenize("Making certain distinctions is imperative in looking back on the past.")
-    assert " ".join(sort_tokens(seq).surfaces) == \
+    assert " ".join(sort_tokens(seq)) == \
         "back certain distinctions imperative in is looking making on past the ."
 
 
 def test_sort_single_word_with_terminal_is_fixed_point():
     seq = tokenize("hello.")
-    assert sort_tokens(seq).surfaces == ("hello", ".")
+    assert sort_tokens(seq) == ("hello", ".")
 
 
 def test_sort_empty_raises():
     with pytest.raises(DegenerateInputError):
-        sort_tokens(TokenSeq.from_surfaces(()))
+        sort_tokens(())
 
 
 @given(token_lists, maybe_terminal)
 def test_sort_preserves_multiset_and_orders_content(words, terminal):
-    out = sort_tokens(seq_of(words, terminal)).surfaces
+    out = sort_tokens(seq_of(words, terminal))
     assert Counter(out) == Counter(words + ([terminal] if terminal else []))
     content = out[:-1] if terminal else out
     assert list(content) == sorted(content, key=str.casefold)
@@ -56,18 +56,18 @@ def test_sort_preserves_multiset_and_orders_content(words, terminal):
 
 def test_reverse_known_sentence():
     seq = tokenize("Specific approaches to each principle is the same in each sector.")
-    assert " ".join(reverse_tokens(seq).surfaces) == \
+    assert " ".join(reverse_tokens(seq)) == \
         "sector each in same the is principle each to approaches specific ."
 
 
 def test_reverse_is_involution_on_content():
     seq = tokenize("one two three .")
-    assert reverse_tokens(reverse_tokens(seq)).surfaces == seq.surfaces
+    assert reverse_tokens(reverse_tokens(seq)) == seq
 
 
 @given(token_lists, maybe_terminal)
 def test_reverse_reverses_content_and_pins_terminal(words, terminal):
-    out = reverse_tokens(seq_of(words, terminal)).surfaces
+    out = reverse_tokens(seq_of(words, terminal))
     expected = tuple(reversed(words)) + ((terminal,) if terminal else ())
     assert out == expected
 
@@ -76,10 +76,10 @@ def test_reverse_reverses_content_and_pins_terminal(words, terminal):
 
 def test_shuffle_deterministic_per_seed():
     seq = tokenize("alpha beta gamma delta epsilon .")
-    a = shuffle_tokens(seq, seed=3).surfaces
-    b = shuffle_tokens(seq, seed=3).surfaces
+    a = shuffle_tokens(seq, seed=3)
+    b = shuffle_tokens(seq, seed=3)
     assert a == b
-    c = shuffle_tokens(seq, seed=4).surfaces
+    c = shuffle_tokens(seq, seed=4)
     assert a != c  # overwhelmingly likely for 5 distinct tokens
 
 
@@ -89,10 +89,10 @@ def test_shuffle_needs_two_content_tokens():
 
 
 def test_shuffle_reports_best_effort_when_no_bigram_free_permutation():
-    seq = TokenSeq.from_surfaces(("a", "a"))
+    seq = ("a", "a")
     out, shared, exhausted = shuffle_with_report(seq, seed=0)
     assert exhausted and shared >= 1
-    assert out.surfaces == ("a", "a")
+    assert out == ("a", "a")
 
 
 @given(st.lists(word, min_size=2, max_size=7), maybe_terminal,
@@ -101,16 +101,16 @@ def test_shuffle_reports_best_effort_when_no_bigram_free_permutation():
 def test_shuffle_multiset_terminal_and_bigram_guarantee(words, terminal, seed):
     seq = seq_of(words, terminal)
     out, shared, exhausted = shuffle_with_report(seq, seed)
-    assert Counter(out.surfaces) == Counter(seq.surfaces)
+    assert Counter(out) == Counter(seq)
     if terminal:
-        assert out.surfaces[-1] == terminal
+        assert out[-1] == terminal
     # when a bigram-free permutation exists it must be found (n small
     # enough here that 100 attempts always suffice is not guaranteed, but
     # a found solution must be genuinely bigram-free)
     if not exhausted:
         assert shared == 0
-        original = set(zip(seq.surfaces, seq.surfaces[1:]))
-        assert not set(zip(out.surfaces, out.surfaces[1:])) & original
+        original = set(zip(seq, seq[1:]))
+        assert not set(zip(out, out[1:])) & original
     else:
         assert not bigram_free_permutation_exists(seq) or shared > 0
 
@@ -119,7 +119,7 @@ def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():
     cases = [("a", "b"), ("a", "a"), ("a", "b", "c"), ("a", "a", "b"),
              ("a", "b", "a", "b"), ("x", "y", "z", "."), ("a", "a", "a")]
     for surfaces in cases:
-        seq = TokenSeq.from_surfaces(surfaces)
+        seq = tuple(surfaces)
         _, shared, exhausted = shuffle_with_report(seq, seed=0, max_attempts=500)
         if bigram_free_permutation_exists(seq):
             assert not exhausted and shared == 0, surfaces
@@ -131,10 +131,9 @@ def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():
 
 def test_copy_sort_replaces_b_with_sorted_a():
     ex = Example("p1", TextInput("Dogs chase the cat.", "some hypothesis"), 1)
-    tx = copy_sort(ex)
-    assert tx.example.input.text_a == "Dogs chase the cat."
-    assert tx.example.input.text_b == "cat chase dogs the ."
-    assert tx.source_id == "p1" and tx.valid_label_erased
+    new = copy_sort(ex)
+    assert new.text_a == "Dogs chase the cat."
+    assert new.text_b == "cat chase dogs the ."
 
 
 def test_copy_sort_requires_pair():
@@ -144,21 +143,14 @@ def test_copy_sort_requires_pair():
 
 def test_apply_lexical_targets_b_on_pairs_and_a_on_singles():
     pair = Example("p", TextInput("keep this side", "b c a"), 0)
-    tx = apply_lexical(pair, TransformSpec(kind="sort"))
-    assert tx.example.input.text_a == "keep this side"
-    assert tx.example.input.text_b == "a b c"
+    new = apply_lexical(pair, TransformSpec(kind="sort"))
+    assert new.text_a == "keep this side"
+    assert new.text_b == "a b c"
 
     single = Example("s", TextInput("b c a"), 0)
-    tx = apply_lexical(single, TransformSpec(kind="sort"))
-    assert tx.example.input.text_a == "a b c"
-    assert tx.example.input.text_b is None
-
-
-def test_apply_lexical_target_side_a_on_pair():
-    pair = Example("p", TextInput("b c a", "keep this side"), 0)
-    tx = apply_lexical(pair, TransformSpec(kind="reverse", target_side="a"))
-    assert tx.example.input.text_a == "a c b"
-    assert tx.example.input.text_b == "keep this side"
+    new = apply_lexical(single, TransformSpec(kind="sort"))
+    assert new.text_a == "a b c"
+    assert new.text_b is None
 
 
 def test_apply_lexical_rejects_non_lexical_kind():
@@ -169,8 +161,6 @@ def test_apply_lexical_rejects_non_lexical_kind():
 def test_transform_spec_validation_and_tag():
     with pytest.raises(UnsupportedTransformError):
         TransformSpec(kind="scramble")
-    with pytest.raises(UnsupportedTransformError):
-        TransformSpec(kind="sort", target_side="c")
     with pytest.raises(UnsupportedTransformError):
         TransformSpec(kind="sort", r=0.0)
     assert TransformSpec(kind="shuffle", seed=2, r=0.5).tag() == "shuffle:2:0.5"

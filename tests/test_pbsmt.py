@@ -7,7 +7,7 @@ import math
 import pytest
 
 from saladbench import pbsmt
-from saladbench.corpus import Dataset, Example, TextInput, TokenSeq, tokenize
+from saladbench.corpus import Dataset, Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                InsufficientDataError, UnsupportedTransformError)
 from saladbench.pbsmt import (BOS, NULL, DecoderWeights, LanguageModel,
@@ -313,8 +313,8 @@ def test_decoder_matches_exhaustive_search(source):
     pt, lm = fixture_phrase_table(), fixture_lm()
     # beam wide enough that no state is pruned on <= 5 source tokens
     weights = DecoderWeights(beam_size=200)
-    got = decode(TokenSeq.from_surfaces(source), pt, lm, weights)
-    assert got.surfaces == oracle_decode(source, pt, lm, weights)
+    got = decode(tuple(source), pt, lm, weights)
+    assert got == oracle_decode(source, pt, lm, weights)
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2])
@@ -322,15 +322,15 @@ def test_decoder_matches_exhaustive_search_other_distortion_limits(limit):
     pt, lm = fixture_phrase_table(), fixture_lm()
     weights = DecoderWeights(beam_size=200, distortion_limit=limit)
     for source in DECODE_SOURCES:
-        got = decode(TokenSeq.from_surfaces(source), pt, lm, weights)
-        assert got.surfaces == oracle_decode(source, pt, lm, weights), source
+        got = decode(tuple(source), pt, lm, weights)
+        assert got == oracle_decode(source, pt, lm, weights), source
 
 
 def test_decoder_passes_oov_through_unchanged():
     lm = fixture_lm()
-    src = TokenSeq.from_surfaces(("nope", "never", "unseen"))
+    src = ("nope", "never", "unseen")
     out = decode(src, PhraseTable({}), lm, DecoderWeights())
-    assert out.surfaces == src.surfaces  # monotone pass-through wins on distortion
+    assert out == src  # monotone pass-through wins on distortion
 
 
 def test_decoder_monotone_with_zero_distortion_and_tm_only():
@@ -342,21 +342,21 @@ def test_decoder_monotone_with_zero_distortion_and_tm_only():
     lm = fixture_lm()
     weights = DecoderWeights(w_tm=1.0, w_lm=0.0, w_dist=0.0, w_len=0.0,
                              beam_size=50, distortion_limit=0)
-    out = decode(TokenSeq.from_surfaces(("a", "b", "a")), pt, lm, weights)
-    assert out.surfaces == ("x", "y", "x")  # per-token argmax, in order
+    out = decode(("a", "b", "a"), pt, lm, weights)
+    assert out == ("x", "y", "x")  # per-token argmax, in order
 
 
 def test_decoder_is_deterministic():
     pt, lm = fixture_phrase_table(), fixture_lm()
-    src = TokenSeq.from_surfaces(("a", "b", "c", "d"))
+    src = ("a", "b", "c", "d")
     a = decode(src, pt, lm, DecoderWeights())
     b = decode(src, pt, lm, DecoderWeights())
-    assert a.surfaces == b.surfaces
+    assert a == b
 
 
 def test_decoder_rejects_empty_source():
     with pytest.raises(DegenerateInputError):
-        decode(TokenSeq.from_surfaces(()), PhraseTable({}), fixture_lm(),
+        decode((), PhraseTable({}), fixture_lm(),
                DecoderWeights())
 
 
@@ -372,21 +372,19 @@ def test_decoder_weights_validation():
 def test_generate_invalid_pair_keeps_a_and_rewrites_b(pair_split, pair_gens):
     _, val_ds = pair_split
     ex = val_ds.examples[0]
-    tx = generate_invalid(ex, pair_gens, "pair")
-    assert tx.example.input.text_a == ex.input.text_a
-    assert tx.example.input.text_b != ex.input.text_b
-    assert tx.source_id == ex.id
-    assert tx.transform.kind == "pbsmt"
+    new = generate_invalid(ex, pair_gens, "pair")
+    assert new.text_a == ex.input.text_a
+    assert new.text_b != ex.input.text_b
 
 
 def test_generate_invalid_single_prefixes_first_half(sent_split, sent_gens):
     _, val_ds = sent_split
     ex = val_ds.examples[0]
-    tx = generate_invalid(ex, sent_gens, "single")
-    toks = tokenize(ex.input.text_a).surfaces
+    new = generate_invalid(ex, sent_gens, "single")
+    toks = tokenize(ex.input.text_a)
     half = math.ceil(len(toks) / 2)
-    assert tx.example.input.text_a.startswith(" ".join(toks[:half]) + " ")
-    assert tx.example.input.text_b is None
+    assert new.text_a.startswith(" ".join(toks[:half]) + " ")
+    assert new.text_b is None
 
 
 def test_generate_invalid_vocabulary_containment(pair_split, pair_gens):
@@ -396,12 +394,12 @@ def test_generate_invalid_vocabulary_containment(pair_split, pair_gens):
         vocab = set()
         for ex in train_ds.examples:
             if ex.gold_label == label:
-                vocab |= set(tokenize(ex.input.text_b).surfaces)
+                vocab |= set(tokenize(ex.input.text_b))
         target_vocab[label] = vocab
     for ex in val_ds.examples[:30]:
-        tx = generate_invalid(ex, pair_gens, "pair")
-        out = set(tokenize(tx.example.input.text_b).surfaces)
-        passthrough = set(tokenize(ex.input.text_a).surfaces)
+        new = generate_invalid(ex, pair_gens, "pair")
+        out = set(tokenize(new.text_b))
+        passthrough = set(tokenize(ex.input.text_a))
         assert out <= target_vocab[ex.gold_label] | passthrough, ex.id
 
 
@@ -415,8 +413,8 @@ def test_generate_invalid_requires_label_and_generator(pair_gens):
 def test_generate_invalid_deterministic(pair_split, pair_gens):
     _, val_ds = pair_split
     ex = val_ds.examples[3]
-    a = generate_invalid(ex, pair_gens, "pair").example.input.text_b
-    b = generate_invalid(ex, pair_gens, "pair").example.input.text_b
+    a = generate_invalid(ex, pair_gens, "pair").text_b
+    b = generate_invalid(ex, pair_gens, "pair").text_b
     assert a == b
 
 
@@ -434,7 +432,13 @@ def test_save_load_generator_round_trip(tmp_path, pair_split, pair_gens):
         src = tokenize(ex.input.text_a)
         a = decode(src, model.phrases, model.lm, model.weights)
         b = decode(src, back.phrases, back.lm, back.weights)
-        assert a.surfaces == b.surfaces, ex.id
+        assert a == b, ex.id
+
+
+def test_save_generator_writes_no_lexical_table(tmp_path, pair_gens):
+    save_generator(pair_gens[0], tmp_path / "gen")
+    assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == \
+        ["lm.tsv", "phrases.tsv", "weights.json"]
 
 
 def test_train_generator_insufficient_data(pair_split):

@@ -2,6 +2,7 @@
 gradients (checked against central finite differences), saliency, training,
 temperature fitting, and parameter serialization."""
 
+import logging
 import math
 
 import numpy as np
@@ -392,6 +393,27 @@ def test_fit_temperature_grid_granularity(sent_base, sent_split):
     _, val_ds = sent_split
     t = fit_temperature(sent_base, val_ds)
     assert abs(round(t / 0.01) * 0.01 - t) < 1e-9  # lies on the 0.01 grid
+
+
+def test_fit_temperature_warns_when_t_sits_on_a_grid_bound(sent_base, sent_split,
+                                                          caplog):
+    # a tenth of the labels flipped puts the NLL optimum inside the grid
+    _, val_ds = sent_split
+    noisy = Dataset(
+        tuple(Example(ex.id, ex.input,
+                      1 - ex.gold_label if i % 10 == 0 else ex.gold_label)
+              for i, ex in enumerate(val_ds.examples)),
+        val_ds.labels, val_ds.task_kind)
+    with caplog.at_level(logging.WARNING, logger="saladbench.toyclf"):
+        interior = fit_temperature(sent_base, noisy)
+        assert caplog.records == []
+        assert fit_temperature(sent_base, val_ds) == 0.25
+        assert fit_temperature(sent_base, noisy, hi=1.0) == 1.0
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert "T = 0.25" in messages[0] and "lower bound" in messages[0]
+    assert "T = 1.00" in messages[1] and "upper bound" in messages[1]
+    assert 1.0 < interior < 5.0
 
 
 def test_fit_temperature_empty_calibration_set(sent_base):

@@ -21,7 +21,7 @@ from saladbench.toyclf import LossConfig, ParamGrads, TrainConfig
 
 def _ref_side_ids(params, text):
     index = {s: i for i, s in enumerate(params.vocab)}
-    ids = np.array([index.get(t.surface, 0) for t in tokenize(text)], dtype=int)
+    ids = np.array([index.get(t, 0) for t in tokenize(text)], dtype=int)
     if ids.size == 0:
         raise DegenerateInputError("empty token sequence")
     return ids
