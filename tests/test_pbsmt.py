@@ -2,6 +2,7 @@
 extraction, backoff language model, and the beam decoder (checked against an
 independent exhaustive search)."""
 
+import hashlib
 import math
 
 import pytest
@@ -445,3 +446,41 @@ def test_train_generator_insufficient_data(pair_split):
     train_ds, _ = pair_split
     with pytest.raises(InsufficientDataError):
         train_generator(train_ds, 0, min_pairs=10**6)
+
+
+# --- pinned decoder outputs ---
+
+# sha256 over "<id>\t<output>" lines: every bundled sentiment row decodes its
+# first half, every pair validation row its text_a, each with the generator of
+# its own label.
+DECODER_DIGESTS = {
+    "default":
+        "2d6b7990be62bd6f8db90feff9462b3deb4da7a4106ed6c8f6615e490704ed41",
+    "beam1":
+        "9055c2ca7164412c4a395a2787efc48244a46a2929900e536899179a366a7165",
+    "monotone":
+        "ed45f63fae5c38ea80938a10132bc681cce62bfa54c2a83d982e6490523d0015",
+}
+DECODER_SETTINGS = {
+    "default": {},
+    "beam1": {"beam_size": 1},
+    "monotone": {"distortion_limit": 0},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(DECODER_SETTINGS))
+def test_decoder_outputs_match_pinned_digests(setting, sent_ds, sent_gens,
+                                              pair_split, pair_gens):
+    weights = DecoderWeights(**DECODER_SETTINGS[setting])
+    sources = []
+    for ex in sent_ds.examples:
+        toks = tokenize(ex.input.text_a)
+        sources.append((ex, sent_gens, toks[:math.ceil(len(toks) / 2)]))
+    for ex in pair_split[1].examples:
+        sources.append((ex, pair_gens, tokenize(ex.input.text_a)))
+    h = hashlib.sha256()
+    for ex, gens, src in sources:
+        model = gens[ex.gold_label]
+        out = decode(src, model.phrases, model.lm, weights)
+        h.update(f"{ex.id}\t{' '.join(out)}\n".encode())
+    assert h.hexdigest() == DECODER_DIGESTS[setting]
