@@ -106,6 +106,9 @@ def detokenize(tokens: tuple[str, ...]) -> str:
 
 def _row_to_example(row_id, text_a, text_b, label, labels, task_kind):
     """Returns an Example or None when the row is unusable (skipped)."""
+    for name, text in (("text_a", text_a), ("text_b", text_b)):
+        if text is not None and not isinstance(text, str):
+            raise DataError(f"{name} is a {type(text).__name__}, not a string")
     text_a = (text_a or "").strip()
     text_b = (text_b or "").strip() or None
     if not text_a:
@@ -150,8 +153,8 @@ def load_dataset(path, fmt: str, labels: LabelSet, task_kind: str) -> Dataset:
     """Load a TSV or JSONL dataset.
 
     Rows missing a required text field are skipped (count kept on the
-    Dataset and logged); duplicate ids, unknown labels and JSONL lines that
-    are not JSON objects are fatal.
+    Dataset and logged); duplicate ids, unknown labels, JSONL lines that
+    are not JSON objects and JSONL text fields that are not strings are fatal.
     """
     if fmt == "tsv":
         rows = _tsv_rows(path)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .corpus import Dataset, Example, TextInput, tokenize
@@ -45,6 +45,14 @@ class LexicalTable:
 class PhraseTable:
     # (src phrase, tgt phrase) -> (log p(t|s), log p(s|t)); phrases are tuples
     entries: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[float, float]]
+    # src phrase -> [(tgt phrase, log p(t|s))], in `entries` order
+    by_source: dict[tuple[str, ...], list[tuple[tuple[str, ...], float]]] = \
+        field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_source = {}
+        for (s, t), (log_ts, _) in self.entries.items():
+            self.by_source.setdefault(s, []).append((t, log_ts))
 
 
 @dataclass
@@ -55,6 +63,9 @@ class LanguageModel:
     total_tokens: int
     vocab: frozenset
     alpha: float = 0.4
+    # (word, context) -> word_logprob(word, context), filled by `decode`
+    memo: dict[tuple[str, tuple[str, ...]], float] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """Stupid backoff score with alpha=0.4 and a 1/(V+1) unigram floor."""
@@ -240,36 +251,19 @@ def train_lm(targets: Sequence[Sequence[str]], order: int = 3) -> LanguageModel:
     return LanguageModel(order, dict(counts), dict(context_totals), total, frozenset(vocab))
 
 
-@dataclass(frozen=True)
-class _Hyp:
-    coverage: int
-    last_end: int
-    context: tuple[str, ...]
-    output: tuple[str, ...]
-    score: float
-
-
 def _phrase_options(source: tuple[str, ...], pt: PhraseTable, max_len: int = 3):
     """Applicable options per source span; bare single tokens pass through."""
     options: dict[tuple[int, int], list[tuple[tuple[str, ...], float]]] = {}
     n = len(source)
     for i in range(n):
         for j in range(i + 1, min(i + max_len, n) + 1):
-            span = source[i:j]
-            opts = [(tgt, logs[0]) for (s, tgt), logs in pt.entries.items() if s == span]
+            opts = pt.by_source.get(source[i:j])
             if opts:
                 options[(i, j)] = opts
     for i in range(n):
         if (i, i + 1) not in options:
             options[(i, i + 1)] = [((source[i],), 0.0)]
     return options
-
-
-def _first_uncovered(coverage: int, n: int) -> int:
-    for i in range(n):
-        if not (coverage >> i) & 1:
-            return i
-    return n
 
 
 def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
@@ -282,54 +276,66 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     not run ahead of the earliest uncovered word by more than the limit (so
     every kept hypothesis stays completable). Deterministic: ties break on
     the output string.
+
+    A hypothesis is (score, output, coverage, last_end, context); hypotheses
+    with the same (coverage, last_end, context) recombine. LM scores are read
+    through `lm.memo`.
     """
     src = tuple(source)
     if not src:
         raise DegenerateInputError("cannot decode an empty source")
     n = len(src)
-    options = _phrase_options(src, pt)
-    init = _Hyp(0, 0, (BOS,) * (lm.order - 1), (), 0.0)
+    limit, w_lm = w.distortion_limit, w.w_lm
+    keep = -(lm.order - 1)
+    memo = lm.memo
+    # (start, end, coverage mask, [(tgt, w_tm term, w_len term)]) per span
+    spans = [(i, j, ((1 << (j - i)) - 1) << i,
+              [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
+             for (i, j), opts in _phrase_options(src, pt).items()]
+    start = (BOS,) * (lm.order - 1)
     stacks: list[dict] = [dict() for _ in range(n + 1)]
-    stacks[0][(0, 0, init.context)] = init
+    stacks[0][(0, 0, start)] = (0.0, (), 0, 0, start)
 
     for covered in range(n):
         # histogram pruning per stack
-        hyps = sorted(stacks[covered].values(), key=lambda h: (-h.score, h.output))
-        for hyp in hyps[: w.beam_size]:
-            for (i, j), opts in options.items():
-                if (hyp.coverage >> i) & ((1 << (j - i)) - 1):
+        hyps = sorted(stacks[covered].values(), key=lambda h: (-h[0], h[1]))
+        for score, output, coverage, last_end, context in hyps[: w.beam_size]:
+            for i, j, mask, opts in spans:
+                if coverage & mask:
                     continue
-                jump = abs(i - hyp.last_end)
-                if jump > w.distortion_limit:
+                jump = abs(i - last_end)
+                if jump > limit:
                     continue
-                new_cov = hyp.coverage | (((1 << (j - i)) - 1) << i)
-                if j - _first_uncovered(new_cov, n) > w.distortion_limit:
+                new_cov = coverage | mask
+                # j minus the first uncovered position
+                if j - (((new_cov + 1) & ~new_cov).bit_length() - 1) > limit:
                     continue
-                for tgt, log_ts in opts:
+                dist = w.w_dist * jump
+                stack = stacks[covered + (j - i)]
+                for tgt, tm, length in opts:
                     lm_inc = 0.0
-                    ctx = hyp.context
+                    ctx = context
                     for word in tgt:
-                        lm_inc += lm.word_logprob(word, ctx)
-                        ctx = (ctx + (word,))[-(lm.order - 1):]
-                    score = (hyp.score + w.w_tm * log_ts + w.w_lm * lm_inc
-                             + w.w_dist * jump + w.w_len * len(tgt))
-                    new = _Hyp(new_cov, j, ctx, hyp.output + tgt, score)
-                    key = (new.coverage, new.last_end, new.context)
-                    stack = stacks[covered + (j - i)]
+                        logprob = memo.get((word, ctx))
+                        if logprob is None:
+                            logprob = memo[(word, ctx)] = lm.word_logprob(word, ctx)
+                        lm_inc += logprob
+                        ctx = (ctx + (word,))[keep:]
+                    new_score = score + tm + w_lm * lm_inc + dist + length
+                    key = (new_cov, j, ctx)
                     old = stack.get(key)
-                    if old is None or new.score > old.score or \
-                            (new.score == old.score and new.output < old.output):
-                        stack[key] = new
+                    if old is None or new_score > old[0] or \
+                            (new_score == old[0] and output + tgt < old[1]):
+                        stack[key] = (new_score, output + tgt, new_cov, j, ctx)
 
-    finals = [h for h in stacks[n].values() if h.coverage == (1 << n) - 1]
+    finals = [h for h in stacks[n].values() if h[2] == (1 << n) - 1]
     if not finals:
         if w.distortion_limit > 0:
             return decode(source, pt, lm,
                           DecoderWeights(w.w_tm, w.w_lm, w.w_dist, w.w_len,
                                          w.beam_size, 0))
         raise DegenerateInputError("decoder found no complete hypothesis")
-    best = min(finals, key=lambda h: (-h.score, h.output))
-    return best.output
+    return min(finals, key=lambda h: (-h[0], h[1]))[1]
 
 
 @dataclass

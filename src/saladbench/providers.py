@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Example, jsonl_objects
 from .errors import (ArgumentError, CapabilityError, ContractError,
@@ -33,7 +32,11 @@ class Prediction:
 
     @staticmethod
     def from_probs(example_id: str, probs: Sequence[float]) -> "Prediction":
-        arr = np.asarray(probs, dtype=float)
+        try:
+            arr = np.asarray(probs, dtype=float)
+        except (TypeError, ValueError):
+            raise ContractError(
+                f"non-numeric probability vector for id {example_id!r}") from None
         if arr.ndim != 1 or arr.size < 2:
             raise ContractError(f"bad probability vector for id {example_id!r}")
         if (arr < 0).any():
@@ -76,13 +79,21 @@ class EmbeddedProvider:
         return toyclf.saliency_batch(self.params, inputs, side, loss_labels)
 
 
-def _replay_rows(path, fields: tuple[str, ...]):
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
+
+def _replay_rows(path, vector: str):
     """The objects of a replay JSONL file; a line that is not a JSON object
-    with every one of `fields` is a ContractError naming path:line."""
+    with an `id` and a `vector` field holding a list of numbers is a
+    ContractError naming path:line."""
     for lineno, obj in jsonl_objects(path, ContractError):
-        missing = [k for k in fields if k not in obj]
+        missing = [k for k in ("id", vector) if k not in obj]
         if missing:
             raise ContractError(f"{path}:{lineno}: missing {', '.join(missing)}")
+        if not _is_numbers(obj[vector]):
+            raise ContractError(f"{path}:{lineno}: {vector} is not a list of numbers")
         yield obj
 
 
@@ -96,10 +107,10 @@ class ReplayProvider:
     def __init__(self, predictions_path, saliency_path=None):
         self._preds: dict[str, list[float]] = {
             str(obj["id"]): obj["probs"]
-            for obj in _replay_rows(predictions_path, ("id", "probs"))}
+            for obj in _replay_rows(predictions_path, "probs")}
         self._saliency: dict[tuple[str, str], dict] = {}
         if saliency_path is not None:
-            for obj in _replay_rows(saliency_path, ("id", "scores")):
+            for obj in _replay_rows(saliency_path, "scores"):
                 self._saliency[str(obj["id"]), obj.get("side", "a")] = obj
         self.supports_saliency = saliency_path is not None
         self._location = str(predictions_path)
@@ -156,6 +167,8 @@ class HttpProvider:
             "side": side,
             "loss_labels": list(loss_labels) if loss_labels is not None else None,
         }
+        import requests  # here, not at the top: only --url uses it
+
         try:
             resp = requests.post(self.base_url + "/v1/predict", json=body,
                                  timeout=self.timeout)
@@ -184,6 +197,8 @@ class HttpProvider:
         sal = payload.get("saliency")
         if sal is None or len(sal) != len(inputs):
             raise ContractError("response saliency missing or misaligned")
+        if not all(_is_numbers(scores) for scores in sal):
+            raise ContractError("response saliency is not lists of numbers")
         labels = loss_labels or [None] * len(inputs)
         return [SaliencyScores(tuple(float(s) for s in scores),
                                int(y) if y is not None else None)

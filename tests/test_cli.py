@@ -213,6 +213,19 @@ def test_exit_code_2_on_malformed_data(tmp_path):
     assert rc == 2
 
 
+def test_jsonl_text_that_is_not_a_string_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "text_a": 5, "label": "positive"}\n',
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    rc = run(["transform", "--data", str(bad), "--format", "jsonl",
+              "--task", "single", "--labels", "negative,positive",
+              "--transforms", "sort", "--out", str(out)])
+    assert rc == 2
+    assert f"{bad}:1: text_a is a int, not a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_3_on_provider_failure(tmp_path):
     preds = tmp_path / "preds.jsonl"
     preds.write_text('{"id": "nomatch", "probs": [0.5, 0.5]}\n',
@@ -258,6 +271,22 @@ def test_malformed_replay_file_is_a_contract_error(tmp_path, capsys, bad_line):
     assert run(["transform", *args, "--transforms", "drop",
                 "--out", str(out)]) == 3
     assert f"{tmp_path / 'preds.jsonl'}:2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "evaluate"])
+@pytest.mark.parametrize("bad", ["probs", "scores"])
+def test_non_numeric_replay_values_are_a_contract_error(tmp_path, capsys,
+                                                        command, bad):
+    sal_row = {"id": "a", "scores": ["x", 1] if bad == "scores" else [0.1, 0.2]}
+    pred_line = '{"id": "a", "probs": "high"}' if bad == "probs" else \
+        '{"id": "a", "probs": [0.2, 0.8]}'
+    args = _replay_files(tmp_path, [sal_row], [pred_line])
+    out = tmp_path / "tx"
+    assert run([command, *args, "--transforms", "drop", "--out", str(out)]) == 3
+    name = "preds.jsonl" if bad == "probs" else "sal.jsonl"
+    assert f"{tmp_path / name}:1: {bad} is not a list of numbers" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -327,6 +327,24 @@ def test_decoder_matches_exhaustive_search_other_distortion_limits(limit):
         assert got == oracle_decode(source, pt, lm, weights), source
 
 
+def test_phrase_table_indexes_options_by_source_in_entries_order():
+    pt = fixture_phrase_table()
+    assert pt.by_source[("a",)] == [(("x",), math.log(0.6)),
+                                    (("xx",), math.log(0.4))]
+    assert pt.by_source[("b", "c")] == [(("zz",), math.log(0.3))]
+    assert sum(map(len, pt.by_source.values())) == len(pt.entries)
+    assert "by_source" not in repr(pt)
+
+
+def test_decoder_memo_holds_word_logprobs_outside_the_model():
+    pt, lm = fixture_phrase_table(), fixture_lm()
+    decode(("a", "b", "c", "d"), pt, lm, DecoderWeights())
+    assert lm.memo
+    assert all(logprob == lm.word_logprob(word, ctx)
+               for (word, ctx), logprob in lm.memo.items())
+    assert lm == fixture_lm() and repr(lm) == repr(fixture_lm())
+
+
 def test_decoder_passes_oov_through_unchanged():
     lm = fixture_lm()
     src = ("nope", "never", "unseen")

@@ -2,8 +2,12 @@
 provider exercised against a local test server."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,12 @@ def test_from_probs_rejects_contract_violations():
         Prediction.from_probs("e", [1.0])           # fewer than 2 classes
     with pytest.raises(ContractError):
         Prediction.from_probs("e", [[0.5, 0.5]])    # wrong rank
+
+
+@pytest.mark.parametrize("probs", ["high", ["x", 1], None, {"a": 1}])
+def test_from_probs_rejects_non_numeric_vectors(probs):
+    with pytest.raises(ContractError):
+        Prediction.from_probs("e", probs)
 
 
 # --- embedded provider ---
@@ -161,6 +171,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if _Handler.mode == "misaligned":
             payload = {"probs": [[0.5, 0.5]] * (n + 1)}
+        elif _Handler.mode == "strings":
+            payload = {"probs": [["high", "low"]] * n, "saliency": [["x"]] * n}
         else:
             payload = {"probs": [[0.25, 0.75]] * n}
             if body.get("want_saliency"):
@@ -252,6 +264,14 @@ def test_http_provider_misaligned_probs(http_server):
         HttpProvider(http_server).predict_batch(_examples(2))
 
 
+def test_http_provider_non_numeric_response_is_a_contract_error(http_server):
+    _Handler.mode = "strings"
+    with pytest.raises(ContractError):
+        HttpProvider(http_server).predict_batch(_examples(2))
+    with pytest.raises(ContractError):
+        HttpProvider(http_server, supports_saliency=True).saliency_batch(_examples(2))
+
+
 def test_http_provider_connection_refused():
     provider = HttpProvider("http://127.0.0.1:1", timeout_ms=500)
     with pytest.raises(TransportError):
@@ -277,3 +297,12 @@ def test_open_provider_dispatch(tmp_path, sent_base):
 
     with pytest.raises(ArgumentError):
         open_provider(ProviderDescriptor("carrier-pigeon"))
+
+
+def test_importing_the_cli_does_not_import_requests():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, saladbench.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
