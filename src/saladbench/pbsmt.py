@@ -292,9 +292,9 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     spans = [(i, j, ((1 << (j - i)) - 1) << i,
               [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
              for (i, j), opts in _phrase_options(src, pt).items()]
-    start = (BOS,) * (lm.order - 1)
+    bos = (BOS,) * (lm.order - 1)
     stacks: list[dict] = [dict() for _ in range(n + 1)]
-    stacks[0][(0, 0, start)] = (0.0, (), 0, 0, start)
+    stacks[0][(0, 0, bos)] = (0.0, (), 0, 0, bos)
 
     for covered in range(n):
         # histogram pruning per stack
@@ -307,7 +307,7 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
                 if jump > limit:
                     continue
                 new_cov = coverage | mask
-                # j minus the first uncovered position
+                # the first uncovered word is the lowest zero bit, (x + 1) & ~x
                 if j - (((new_cov + 1) & ~new_cov).bit_length() - 1) > limit:
                     continue
                 dist = w.w_dist * jump

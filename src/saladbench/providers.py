@@ -86,14 +86,18 @@ def _is_numbers(value) -> bool:
 
 def _replay_rows(path, vector: str):
     """The objects of a replay JSONL file; a line that is not a JSON object
-    with an `id` and a `vector` field holding a list of numbers is a
-    ContractError naming path:line."""
+    with an `id` and a `vector` field holding a list of numbers, or whose
+    `loss_label` is neither absent, null nor an integer, is a ContractError
+    naming path:line."""
     for lineno, obj in jsonl_objects(path, ContractError):
         missing = [k for k in ("id", vector) if k not in obj]
         if missing:
             raise ContractError(f"{path}:{lineno}: missing {', '.join(missing)}")
         if not _is_numbers(obj[vector]):
             raise ContractError(f"{path}:{lineno}: {vector} is not a list of numbers")
+        label = obj.get("loss_label")
+        if label is not None and (not isinstance(label, int) or isinstance(label, bool)):
+            raise ContractError(f"{path}:{lineno}: loss_label is not an integer")
         yield obj
 
 
@@ -135,9 +139,8 @@ class ReplayProvider:
             if obj is None:
                 raise MissingPredictionError(
                     f"no replay saliency for id {ex.id!r}, side {side!r}")
-            label = obj.get("loss_label")
             out.append(SaliencyScores(tuple(float(s) for s in obj["scores"]),
-                                      int(label) if label is not None else None))
+                                      obj.get("loss_label")))
         return out
 
 

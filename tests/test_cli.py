@@ -213,16 +213,21 @@ def test_exit_code_2_on_malformed_data(tmp_path):
     assert rc == 2
 
 
-def test_jsonl_text_that_is_not_a_string_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("row, error", [
+    ({"text_a": 5}, "text_a is a int, not a string"),
+    ({"text_a": "x", "text_b": ["y"]}, "text_b is a list, not a string"),
+], ids=["text_a", "text_b"])
+def test_jsonl_text_that_is_not_a_string_exits_2(tmp_path, capsys, row, error):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": "a", "text_a": 5, "label": "positive"}\n',
+    bad.write_text('{"id": "a", "text_a": "good film", "label": "positive"}\n'
+                   + json.dumps({"id": "b", **row, "label": "positive"}) + "\n",
                    encoding="utf-8")
     out = tmp_path / "out"
     rc = run(["transform", "--data", str(bad), "--format", "jsonl",
               "--task", "single", "--labels", "negative,positive",
               "--transforms", "sort", "--out", str(out)])
     assert rc == 2
-    assert f"{bad}:1: text_a is a int, not a string" in capsys.readouterr().err
+    assert f"{bad}:2: {error}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -274,19 +279,25 @@ def test_malformed_replay_file_is_a_contract_error(tmp_path, capsys, bad_line):
     assert not out.exists()
 
 
+GOOD_PRED = '{"id": "a", "probs": [0.2, 0.8]}'
+GOOD_SAL = {"id": "a", "scores": [0.1, 0.2]}
+
+
 @pytest.mark.parametrize("command", ["transform", "evaluate"])
-@pytest.mark.parametrize("bad", ["probs", "scores"])
-def test_non_numeric_replay_values_are_a_contract_error(tmp_path, capsys,
-                                                        command, bad):
-    sal_row = {"id": "a", "scores": ["x", 1] if bad == "scores" else [0.1, 0.2]}
-    pred_line = '{"id": "a", "probs": "high"}' if bad == "probs" else \
-        '{"id": "a", "probs": [0.2, 0.8]}'
+@pytest.mark.parametrize("pred_line, sal_row, error", [
+    ('{"id": "a", "probs": "high"}', GOOD_SAL,
+     "preds.jsonl:1: probs is not a list of numbers"),
+    (GOOD_PRED, {"id": "a", "scores": ["x", 1]},
+     "sal.jsonl:1: scores is not a list of numbers"),
+    (GOOD_PRED, {**GOOD_SAL, "loss_label": "x"},
+     "sal.jsonl:1: loss_label is not an integer"),
+], ids=["probs", "scores", "loss_label"])
+def test_bad_replay_values_are_a_contract_error(tmp_path, capsys, command,
+                                                pred_line, sal_row, error):
     args = _replay_files(tmp_path, [sal_row], [pred_line])
     out = tmp_path / "tx"
     assert run([command, *args, "--transforms", "drop", "--out", str(out)]) == 3
-    name = "preds.jsonl" if bad == "probs" else "sal.jsonl"
-    assert f"{tmp_path / name}:1: {bad} is not a list of numbers" in \
-        capsys.readouterr().err
+    assert f"{tmp_path}/{error}" in capsys.readouterr().err
     assert not out.exists()
 
 

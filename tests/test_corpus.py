@@ -164,16 +164,6 @@ def test_load_jsonl_line_that_is_not_an_object_names_its_line(tmp_path, line):
         load_dataset(path, "jsonl", LABELS, "single")
 
 
-@pytest.mark.parametrize("row", [{"id": "a", "text_a": 5, "label": "positive"},
-                                 {"id": "a", "text_a": "x", "text_b": ["y"],
-                                  "label": "positive"}])
-def test_load_jsonl_text_that_is_not_a_string_names_its_line(tmp_path, row):
-    good = json.dumps({"id": "b", "text_a": "x y", "label": "positive"})
-    path = _write(tmp_path, "d.jsonl", f"{good}\n{json.dumps(row)}\n")
-    with pytest.raises(DataError, match=r"d\.jsonl:2: text_[ab] is a (int|list)"):
-        load_dataset(path, "jsonl", LABELS, "single")
-
-
 def test_load_unknown_format(tmp_path):
     path = _write(tmp_path, "d.xml", "<x/>")
     with pytest.raises(ArgumentError):
