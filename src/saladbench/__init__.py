@@ -14,7 +14,7 @@ from .lexical import (TransformSpec, TransformedExample, apply_lexical,
 from .gradient import (ImportancePartition, SaliencyScores, apply_gradient,
                        copy_one, drop_tokens, partition_by_importance,
                        repeat_tokens, replace_tokens)
-from .providers import (EmbeddedProvider, HttpProvider, Prediction,
-                        ProviderDescriptor, ReplayProvider)
+from .providers import (EmbeddedProvider, HttpProvider, ProviderDescriptor,
+                        ReplayProvider)
 from .metrics import (MetricsReport, MetricsRow, agreement, build_report,
                       default_agreement, ece, mean_confidence)

@@ -15,8 +15,10 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import corpus, lexical, metrics, mitigate, pbsmt, providers, toyclf
-from .errors import (ConfigError, DataError, ProviderError, SaladBenchError)
+from .errors import ConfigError, ContractError, DataError, ProviderError, SaladBenchError
 
 SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
 
@@ -67,6 +69,15 @@ def _write_resolved_config(args, out_dir):
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
 
 
+def _predict(provider, examples, labels: corpus.LabelSet):
+    """The provider's probabilities, checked to have one column per label."""
+    probs = provider.predict_batch(examples)
+    if probs.shape[1] != labels.n_classes:
+        raise ContractError(f"provider gives {probs.shape[1]} probabilities "
+                            f"per row for {labels.n_classes} labels")
+    return probs
+
+
 def _save_transformed(transformed, ds, path):
     out_ds = corpus.Dataset(tuple(tx.example for tx in transformed), ds.labels,
                             ds.task_kind)
@@ -82,11 +93,11 @@ def cmd_transform(args) -> int:
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind,
         provider is not None and provider.supports_saliency, bool(generators))
-    _write_resolved_config(args, args.out)
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
     vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
+    _write_resolved_config(args, args.out)
     for kind in kinds:
         for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
             transformed = mitigate.transform_examples(
@@ -105,9 +116,8 @@ def cmd_evaluate(args) -> int:
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind, provider.supports_saliency, bool(generators))
-    _write_resolved_config(args, args.out)
-    preds_orig = provider.predict_batch(ds.examples)
-    orig_by_id = {p.id: p for p in preds_orig}
+    preds_orig = _predict(provider, ds.examples, labels)
+    row_of = {ex.id: i for i, ex in enumerate(ds.examples)}
     for kind, why in skipped:
         print(f"{kind}: -- ({why})")
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
@@ -121,15 +131,13 @@ def cmd_evaluate(args) -> int:
                 generators, vocab)
             if not transformed:
                 break
-            preds = provider.predict_batch([tx.example for tx in transformed])
+            preds = _predict(provider, [tx.example for tx in transformed], labels)
             if kind in lexical.PAIR_ONLY_KINDS:
                 agr = metrics.default_agreement(preds, labels.default_label)
             else:
                 # each row is compared with the prediction for its own source
                 agr = metrics.agreement(
-                    [orig_by_id[tx.source_id] for tx in transformed],
-                    [dataclasses.replace(p, id=tx.source_id)
-                     for p, tx in zip(preds, transformed)])
+                    preds_orig[[row_of[tx.source_id] for tx in transformed]], preds)
             per_seed.append(agr)
             confs.append(metrics.mean_confidence(preds))
             n = len(preds)
@@ -139,14 +147,13 @@ def cmd_evaluate(args) -> int:
         rows.append(metrics.MetricsRow(
             kind, sum(per_seed) / len(per_seed), sum(confs) / len(confs), n,
             per_seed=tuple(per_seed) if kind == "shuffle" else ()))
-    ece_value = None
-    if all(ex.gold_label is not None for ex in ds.examples):
-        ece_value = metrics.ece(preds_orig,
-                                [ex.gold_label for ex in ds.examples])
+    gold = [ex.gold_label for ex in ds.examples]
+    ece_value = metrics.ece(preds_orig, gold) if None not in gold else None
     report = metrics.build_report(rows, labels.n_classes, ece_value,
                                   provenance={"provider": vars(provider.describe()),
                                               "seed": args.seed,
                                               "data": args.data})
+    _write_resolved_config(args, args.out)
     for name, text in (("report.json", report.to_json()),
                        ("report.csv", report.to_csv()),
                        ("report.md", report.to_markdown())):
@@ -176,9 +183,8 @@ def cmd_calibrate(args) -> int:
     ds = _load(args)
     params = toyclf.load_params(args.model)
     _write_resolved_config(args, args.out)
-    provider = providers.EmbeddedProvider(params)
     gold = [ex.gold_label for ex in ds.examples]
-    pre = metrics.ece(provider.predict_batch(ds.examples), gold)
+    pre = metrics.ece(providers.EmbeddedProvider(params).predict_batch(ds.examples), gold)
     t = toyclf.fit_temperature(params, ds)
     scaled = toyclf.with_temperature(params, t)
     post = metrics.ece(providers.EmbeddedProvider(scaled).predict_batch(ds.examples), gold)
@@ -256,10 +262,8 @@ def cmd_mitigate(args) -> int:
         eprov = providers.EmbeddedProvider(params)
         preds_clean = eprov.predict_batch(val_ds.examples)
         gold = [ex.gold_label for ex in val_ds.examples]
-        all_invalid = [e for v in invalid_val.values() for e in v]
-        preds_invalid = eprov.predict_batch(all_invalid)
-        scaled_acc = sum(1 for p, y in zip(preds_clean, gold)
-                         if p.predicted == y) / len(gold)
+        preds_invalid = eprov.predict_batch([e for v in invalid_val.values() for e in v])
+        scaled_acc = np.count_nonzero(preds_clean.argmax(axis=1) == gold) / len(gold)
         theta = mitigate.threshold_search(preds_clean, gold, preds_invalid,
                                           scaled_acc, cfg)
         report = mitigate.evaluate_mitigation(

@@ -9,62 +9,55 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ArgumentError, ConfigError
 from .lexical import GRADIENT_KINDS, LEXICAL_KINDS
-from .providers import Prediction
 
 
-def agreement(original: Sequence[Prediction], transformed: Sequence[Prediction]) -> float:
-    """Percent of examples whose predicted label survives the transformation."""
-    if len(original) != len(transformed) or not original:
-        raise ArgumentError("prediction lists must be id-aligned and non-empty")
-    for o, t in zip(original, transformed):
-        if o.id != t.id:
-            raise ArgumentError(f"id mismatch: {o.id!r} vs {t.id!r}")
-    same = sum(1 for o, t in zip(original, transformed) if o.predicted == t.predicted)
+def agreement(original: np.ndarray, transformed: np.ndarray) -> float:
+    """Percent of rows whose predicted label survives the transformation;
+    row i of both (n, C) probability arrays belongs to the same source."""
+    if len(original) != len(transformed) or len(original) == 0:
+        raise ArgumentError("prediction arrays must be row-aligned and non-empty")
+    same = np.count_nonzero(original.argmax(axis=1) == transformed.argmax(axis=1))
     return 100.0 * same / len(original)
 
 
-def default_agreement(transformed: Sequence[Prediction],
-                      default_label: Optional[int]) -> float:
+def default_agreement(transformed: np.ndarray, default_label: Optional[int]) -> float:
     """Percent predicting the task's default label (copy-based transforms)."""
     if default_label is None:
         raise ConfigError("label set has no default label configured")
-    if not transformed:
-        raise ArgumentError("empty prediction list")
-    hits = sum(1 for p in transformed if p.predicted == default_label)
+    if len(transformed) == 0:
+        raise ArgumentError("empty prediction array")
+    hits = np.count_nonzero(transformed.argmax(axis=1) == default_label)
     return 100.0 * hits / len(transformed)
 
 
-def mean_confidence(preds: Sequence[Prediction]) -> float:
+def mean_confidence(probs: np.ndarray) -> float:
     """Mean probability of the predicted label, as a percent."""
-    if not preds:
-        raise ArgumentError("empty prediction list")
-    return 100.0 * sum(p.confidence for p in preds) / len(preds)
+    if len(probs) == 0:
+        raise ArgumentError("empty prediction array")
+    # cumsum adds left to right; np.sum adds pairwise, which rounds differently
+    return 100.0 * float(np.cumsum(probs.max(axis=1))[-1]) / len(probs)
 
 
-def ece(preds: Sequence[Prediction], gold_labels: Sequence[int], bins: int = 10) -> float:
+def ece(probs: np.ndarray, gold_labels: Sequence[int], bins: int = 10) -> float:
     """Expected Calibration Error with equal-width confidence bins over (0,1]."""
-    if len(preds) != len(gold_labels) or not preds:
+    if len(probs) != len(gold_labels) or len(probs) == 0:
         raise ArgumentError("predictions and gold labels must align and be non-empty")
-    n = len(preds)
-    bin_total = [0] * bins
-    bin_correct = [0] * bins
-    bin_conf = [0.0] * bins
-    for p, y in zip(preds, gold_labels):
-        b = min(bins - 1, int(p.confidence * bins))
-        if p.confidence == b / bins and b > 0:  # bins are (lo, hi]
-            b -= 1
-        bin_total[b] += 1
-        bin_correct[b] += 1 if p.predicted == y else 0
-        bin_conf[b] += p.confidence
+    confidence = probs.max(axis=1)
+    bin_of = np.minimum(bins - 1, (confidence * bins).astype(int))
+    bin_of -= (confidence == bin_of / bins) & (bin_of > 0)  # bins are (lo, hi]
+    hit = probs.argmax(axis=1) == np.asarray(gold_labels)
+    bin_total = np.bincount(bin_of, minlength=bins).tolist()
+    bin_correct = np.bincount(bin_of[hit], minlength=bins).tolist()
+    # bincount adds each bin's confidences in row order, as a loop would
+    bin_conf = np.bincount(bin_of, weights=confidence, minlength=bins).tolist()
     total = 0.0
-    for b in range(bins):
-        if bin_total[b] == 0:
-            continue
-        acc = bin_correct[b] / bin_total[b]
-        conf = bin_conf[b] / bin_total[b]
-        total += (bin_total[b] / n) * abs(acc - conf)
+    for count, correct, conf in zip(bin_total, bin_correct, bin_conf):
+        if count:
+            total += (count / len(probs)) * abs(correct / count - conf / count)
     return total
 
 

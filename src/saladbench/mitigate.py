@@ -20,7 +20,6 @@ from .gradient import apply_gradient
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
                       TransformedExample, TransformSpec, apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
-from .providers import Prediction
 from . import toyclf
 
 log = logging.getLogger(__name__)
@@ -240,27 +239,27 @@ def threshold_grid(n_classes: int, step: float = 0.001) -> list[float]:
     return grid
 
 
-def threshold_search(preds_clean: Sequence[Prediction], gold: Sequence[int],
-                     preds_invalid: Sequence[Prediction],
+def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
+                     probs_invalid: np.ndarray,
                      baseline_accuracy: float, cfg: MitigationConfig) -> float:
     """Grid search over [1/N, 1]: keep thresholds whose clean accuracy stays
     within tolerance of baseline, then pick the one maximizing invalid
     detection (smallest theta on ties)."""
-    if not preds_clean or not preds_invalid:
+    if len(probs_clean) == 0 or len(probs_invalid) == 0:
         raise ArgumentError("both prediction sets must be non-empty")
-    n_classes = len(preds_clean[0].probs)
+    conf_clean, conf_invalid = probs_clean.max(axis=1), probs_invalid.max(axis=1)
+    correct = probs_clean.argmax(axis=1) == np.asarray(gold)
     best_theta, best_detect = None, -1.0
-    for theta in threshold_grid(n_classes, cfg.grid_step):
-        acc = sum(1 for p, y in zip(preds_clean, gold)
-                  if p.confidence >= theta and p.predicted == y) / len(preds_clean)
+    for theta in threshold_grid(probs_clean.shape[1], cfg.grid_step):
+        acc = np.count_nonzero(correct & (conf_clean >= theta)) / len(conf_clean)
         if acc < baseline_accuracy - cfg.accuracy_tolerance:
             continue
-        detect = sum(1 for p in preds_invalid if p.confidence < theta) / len(preds_invalid)
+        detect = np.count_nonzero(conf_invalid < theta) / len(conf_invalid)
         if detect > best_detect:
             best_theta, best_detect = theta, detect
     if best_theta is None:
         log.warning("no feasible threshold; falling back to 1/N")
-        return 1.0 / n_classes
+        return 1.0 / probs_clean.shape[1]
     return best_theta
 
 

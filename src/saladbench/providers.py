@@ -1,13 +1,15 @@
 """Prediction providers: embedded toy model, replay files, remote HTTP.
 
-All providers share one contract: `predict_batch` returns one Prediction per
-input in request order, and `saliency_batch(inputs, side)` (when supported)
+All providers share one contract: `predict_batch` returns an (n, C) array
+of probabilities, one renormalized row per input in request order
+(`checked_probs`), and `saliency_batch(inputs, side)` (when supported)
 returns scores aligned with the word tokenization of `side` ("a" scores
 text_a, "b" scores text_b).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,32 +25,33 @@ from . import toyclf
 RENORM_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class Prediction:
-    id: str
-    probs: tuple[float, ...]
-    predicted: int
-    confidence: float
-
-    @staticmethod
-    def from_probs(example_id: str, probs: Sequence[float]) -> "Prediction":
-        try:
-            arr = np.asarray(probs, dtype=float)
-        except (TypeError, ValueError):
-            raise ContractError(
-                f"non-numeric probability vector for id {example_id!r}") from None
-        if arr.ndim != 1 or arr.size < 2:
-            raise ContractError(f"bad probability vector for id {example_id!r}")
-        if (arr < 0).any():
-            raise ContractError(f"negative probability for id {example_id!r}")
-        total = arr.sum()
-        if abs(total - 1.0) > RENORM_TOL:
-            raise ContractError(
-                f"probabilities for id {example_id!r} sum to {total:.6f}")
-        arr = arr / total
-        predicted = int(np.argmax(arr))  # argmax tie -> lowest index
-        return Prediction(example_id, tuple(float(p) for p in arr),
-                          predicted, float(arr[predicted]))
+def checked_probs(ids: Sequence[str], rows) -> np.ndarray:
+    """`rows` as one (n, C) array, each row renormalized to sum to 1. A
+    ContractError names the first row that is not C >= 2 numbers (one C for
+    all); else the first not finite and non-negative with a sum within RENORM_TOL of 1."""
+    if len(rows) == 0:
+        return np.empty((0, 0))
+    try:
+        probs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # non-numeric or ragged
+        probs = None
+    if probs is None or probs.ndim != 2 or probs.shape[1] < 2:
+        for example_id, row in zip(ids, rows):  # one of them raises
+            try:
+                row = np.array(row, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise ContractError(
+                    f"non-numeric probability vector for id {example_id!r}") from None
+            if row.ndim != 1 or row.size < 2 or row.shape != np.shape(rows[0]):
+                raise ContractError(f"bad probability vector for id {example_id!r}")
+    totals = probs.sum(axis=1, keepdims=True)
+    bad = (~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1)
+           | (np.abs(totals[:, 0] - 1.0) > RENORM_TOL))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ContractError(f"probabilities for id {ids[i]!r} are not finite, non-negative "
+                            f"and summing to 1: {probs[i].tolist()}")
+    return probs / totals
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,9 @@ class EmbeddedProvider:
     def describe(self) -> ProviderDescriptor:
         return ProviderDescriptor("embedded", supports_saliency=True)
 
-    def predict_batch(self, inputs: Sequence[Example]) -> list[Prediction]:
-        probs = toyclf.probabilities(self.params, inputs)
-        return [Prediction.from_probs(ex.id, p) for ex, p in zip(inputs, probs)]
+    def predict_batch(self, inputs: Sequence[Example]) -> np.ndarray:
+        return checked_probs([ex.id for ex in inputs],
+                             toyclf.probabilities(self.params, inputs))
 
     def saliency_batch(self, inputs: Sequence[Example], side: str = "a",
                        loss_labels: Optional[Sequence[Optional[int]]] = None
@@ -80,8 +83,9 @@ class EmbeddedProvider:
 
 
 def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    return isinstance(value, list) and all(  # json reads NaN and Infinity as floats
+        isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < math.inf
+        for x in value)
 
 
 def _replay_rows(path, vector: str):
@@ -122,13 +126,12 @@ class ReplayProvider:
     def describe(self) -> ProviderDescriptor:
         return ProviderDescriptor("replay", self._location, self.supports_saliency)
 
-    def predict_batch(self, inputs: Sequence[Example]) -> list[Prediction]:
-        out = []
-        for ex in inputs:
-            if ex.id not in self._preds:
-                raise MissingPredictionError(f"no replay prediction for id {ex.id!r}")
-            out.append(Prediction.from_probs(ex.id, self._preds[ex.id]))
-        return out
+    def predict_batch(self, inputs: Sequence[Example]) -> np.ndarray:
+        ids = [ex.id for ex in inputs]
+        missing = next((i for i in ids if i not in self._preds), None)
+        if missing is not None:
+            raise MissingPredictionError(f"no replay prediction for id {missing!r}")
+        return checked_probs(ids, [self._preds[i] for i in ids])
 
     def saliency_batch(self, inputs, side="a", loss_labels=None) -> list[SaliencyScores]:
         if not self.supports_saliency:
@@ -188,10 +191,9 @@ class HttpProvider:
             raise ContractError("response probs missing or misaligned")
         return payload
 
-    def predict_batch(self, inputs: Sequence[Example]) -> list[Prediction]:
+    def predict_batch(self, inputs: Sequence[Example]) -> np.ndarray:
         payload = self._post(inputs, False, None)
-        return [Prediction.from_probs(ex.id, probs)
-                for ex, probs in zip(inputs, payload["probs"])]
+        return checked_probs([ex.id for ex in inputs], payload["probs"])
 
     def saliency_batch(self, inputs, side="a", loss_labels=None) -> list[SaliencyScores]:
         if not self.supports_saliency:

@@ -34,7 +34,7 @@ from saladbench.gradient import SaliencyScores
 from saladbench.lexical import (TransformSpec, apply_lexical,
                                 bigram_free_permutation_exists, reverse_tokens,
                                 shuffle_with_report, sort_tokens)
-from saladbench.providers import EmbeddedProvider, Prediction
+from saladbench.providers import EmbeddedProvider, checked_probs
 
 from test_pbsmt import (DECODE_SOURCES, fixture_lm, fixture_phrase_table,
                         oracle_decode)
@@ -151,7 +151,7 @@ def test_5_metric_oracles():
     with criterion("metrics match independent brute-force computations"):
         rng = random.Random(0)
         n_classes = 3
-        preds_a, preds_b, gold = [], [], []
+        rows_a, rows_b, gold = [], [], []
         for i in range(300):
             conf = rng.uniform(1 / 3 + 1e-9, 1.0)
             rest = (1.0 - conf) / (n_classes - 1)
@@ -160,29 +160,31 @@ def test_5_metric_oracles():
             pa[y_a] = conf
             pb = [rest] * n_classes
             pb[y_b] = conf
-            preds_a.append(Prediction.from_probs(f"e{i}", pa))
-            preds_b.append(Prediction.from_probs(f"e{i}", pb))
+            rows_a.append(pa)
+            rows_b.append(pb)
             gold.append(rng.randrange(3))
+        ids = [f"e{i}" for i in range(300)]
+        preds_a, preds_b = checked_probs(ids, rows_a), checked_probs(ids, rows_b)
 
         # agreement: plain counting
         expected = 100.0 * sum(1 for a, b in zip(preds_a, preds_b)
-                               if a.predicted == b.predicted) / 300
+                               if a.argmax() == b.argmax()) / 300
         assert metrics.agreement(preds_a, preds_b) == expected
 
         # default-label agreement
-        expected = 100.0 * sum(1 for p in preds_b if p.predicted == 2) / 300
+        expected = 100.0 * sum(1 for p in preds_b if p.argmax() == 2) / 300
         assert metrics.default_agreement(preds_b, 2) == expected
 
         # mean confidence
-        expected = 100.0 * sum(p.confidence for p in preds_a) / 300
+        expected = 100.0 * sum(p.max() for p in preds_a) / 300
         assert abs(metrics.mean_confidence(preds_a) - expected) < 1e-12
 
         # ECE against a from-the-definition binning: b/10 < conf <= (b+1)/10
         members = {b: [] for b in range(10)}
         for p, y in zip(preds_a, gold):
             b = next(b for b in range(10)
-                     if b / 10 < p.confidence <= (b + 1) / 10)
-            members[b].append((p.confidence, p.predicted == y))
+                     if b / 10 < p.max() <= (b + 1) / 10)
+            members[b].append((p.max(), p.argmax() == y))
         expected = 0.0
         for vals in members.values():
             if vals:
@@ -192,12 +194,12 @@ def test_5_metric_oracles():
         assert abs(metrics.ece(preds_a, gold) - expected) < 1e-12
 
         # perfectly calibrated fixture: per-bin accuracy == confidence
-        preds, ys = [], []
+        rows, ys = [], []
         for conf, n, correct in ((0.8, 5, 4), (0.6, 5, 3), (1.0, 2, 2)):
             for i in range(n):
-                preds.append(Prediction.from_probs(f"c{len(preds)}",
-                                                   [conf, 1.0 - conf]))
+                rows.append([conf, 1.0 - conf])
                 ys.append(0 if i < correct else 1)
+        preds = checked_probs([f"c{i}" for i in range(len(rows))], rows)
         assert metrics.ece(preds, ys) <= 1e-12
 
 
@@ -295,23 +297,23 @@ def _mitigation_for(base, split, gens):
     t_cfg = mitigate.MitigationConfig(strategy="threshold")
     theta = mitigate.threshold_search(preds_clean, gold, preds_invalid,
                                       baseline_acc / 100.0, t_cfg)
-    grid = mitigate.threshold_grid(len(preds_clean[0].probs), t_cfg.grid_step)
+    grid = mitigate.threshold_grid(len(preds_clean[0]), t_cfg.grid_step)
     best_theta, best_detect = None, -1.0
     for cand in grid:
         acc = sum(1 for p, y in zip(preds_clean, gold)
-                  if p.confidence >= cand and p.predicted == y) / len(gold)
+                  if p.max() >= cand and p.argmax() == y) / len(gold)
         if acc < baseline_acc / 100.0 - t_cfg.accuracy_tolerance:
             continue
         detect = sum(1 for p in preds_invalid
-                     if p.confidence < cand) / len(preds_invalid)
+                     if p.max() < cand) / len(preds_invalid)
         if detect > best_detect:
             best_theta, best_detect = cand, detect
     if best_theta is None:
-        assert theta == 1.0 / len(preds_clean[0].probs)
+        assert theta == 1.0 / len(preds_clean[0])
     else:
         assert theta == best_theta
         acc = sum(1 for p, y in zip(preds_clean, gold)
-                  if p.confidence >= theta and p.predicted == y) / len(gold)
+                  if p.max() >= theta and p.argmax() == y) / len(gold)
         assert acc >= baseline_acc / 100.0 - t_cfg.accuracy_tolerance
 
 

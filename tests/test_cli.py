@@ -281,23 +281,61 @@ def test_malformed_replay_file_is_a_contract_error(tmp_path, capsys, bad_line):
 
 GOOD_PRED = '{"id": "a", "probs": [0.2, 0.8]}'
 GOOD_SAL = {"id": "a", "scores": [0.1, 0.2]}
+NAN, INF = float("nan"), float("inf")
 
-
-@pytest.mark.parametrize("command", ["transform", "evaluate"])
-@pytest.mark.parametrize("pred_line, sal_row, error", [
-    ('{"id": "a", "probs": "high"}', GOOD_SAL,
+# (case, prediction lines, saliency rows, error after "<tmp_path>/")
+BAD_VALUES = [
+    ("probs", ['{"id": "a", "probs": "high"}'], [GOOD_SAL],
      "preds.jsonl:1: probs is not a list of numbers"),
-    (GOOD_PRED, {"id": "a", "scores": ["x", 1]},
+    ("scores", [GOOD_PRED], [{"id": "a", "scores": ["x", 1]}],
      "sal.jsonl:1: scores is not a list of numbers"),
-    (GOOD_PRED, {**GOOD_SAL, "loss_label": "x"},
+    ("loss_label", [GOOD_PRED], [{**GOOD_SAL, "loss_label": "x"}],
      "sal.jsonl:1: loss_label is not an integer"),
-], ids=["probs", "scores", "loss_label"])
+    # json reads NaN and Infinity as floats
+    ("probs-nan", ['{"id": "a", "probs": [NaN, 0.5]}'], [GOOD_SAL],
+     "preds.jsonl:1: probs is not a list of numbers"),
+    ("probs-inf", ['{"id": "a", "probs": [Infinity, 0.0]}'], [GOOD_SAL],
+     "preds.jsonl:1: probs is not a list of numbers"),
+    ("scores-nan", [GOOD_PRED], [{"id": "a", "scores": [NAN, 1]}],
+     "sal.jsonl:1: scores is not a list of numbers"),
+    ("scores-inf", [GOOD_PRED], [{"id": "a", "scores": [0.5, -INF]}],
+     "sal.jsonl:1: scores is not a list of numbers"),
+]
+B_PRED = '{"id": "b", "probs": [0.7, 0.3]}'
+SALS = [{"id": "a", "scores": [0.1, 0.2, 0.3]}, {"id": "b", "scores": [0.5, 0.4]}]
+
+
+@pytest.mark.parametrize("command, pred_lines, sal_rows, error", [
+    pytest.param(command, preds, sals, "{tmp}/" + error, id=f"{case}-{command}")
+    for case, preds, sals, error in BAD_VALUES
+    for command in ("transform", "evaluate")
+] + [
+    # every value is good, but a provider call fails after the checks
+    pytest.param("evaluate", [GOOD_PRED, B_PRED], SALS,
+                 "no replay prediction for id 'a__drop'", id="missing-evaluate"),
+    pytest.param("transform", [GOOD_PRED, B_PRED], SALS[:1],
+                 "no replay saliency for id 'b', side 'a'", id="missing-transform"),
+])
 def test_bad_replay_values_are_a_contract_error(tmp_path, capsys, command,
-                                                pred_line, sal_row, error):
-    args = _replay_files(tmp_path, [sal_row], [pred_line])
+                                                pred_lines, sal_rows, error):
+    args = _replay_files(tmp_path, sal_rows, pred_lines)
     out = tmp_path / "tx"
     assert run([command, *args, "--transforms", "drop", "--out", str(out)]) == 3
-    assert f"{tmp_path}/{error}" in capsys.readouterr().err
+    assert error.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pred_lines, error", [
+    ([GOOD_PRED, '{"id": "b", "probs": [0.1, 0.6, 0.3]}'],
+     "bad probability vector for id 'b'"),                   # ragged batch
+    (['{"id": "a", "probs": [0.2, 0.5, 0.3]}', '{"id": "b", "probs": [0.1, 0.6, 0.3]}'],
+     "provider gives 3 probabilities per row for 2 labels"),
+], ids=["ragged", "three-for-two-labels"])
+def test_evaluate_needs_one_probability_per_label(tmp_path, capsys, pred_lines, error):
+    args = _replay_files(tmp_path, [GOOD_SAL], pred_lines)
+    out = tmp_path / "ev"
+    assert run(["evaluate", *args, "--transforms", "sort", "--out", str(out)]) == 3
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,21 +9,22 @@ from saladbench.errors import ArgumentError, ConfigError
 from saladbench.metrics import (MetricsRow, agreement, build_report,
                                 default_agreement, ece, mean_confidence,
                                 report_from_json)
-from saladbench.providers import Prediction
+from saladbench.providers import checked_probs
 
 
-def pred(i, probs, ex_id=None):
-    return Prediction.from_probs(ex_id or f"e{i}", probs)
+def preds(*rows):
+    """The checked (n, C) probability array of the given rows."""
+    return checked_probs([f"e{i}" for i in range(len(rows))], list(rows))
 
 
 def preds_with_labels(labels, n_classes=3, conf=0.9):
     """One prediction per requested argmax label, at a fixed confidence."""
-    out = []
-    for i, y in enumerate(labels):
+    rows = []
+    for y in labels:
         probs = [(1.0 - conf) / (n_classes - 1)] * n_classes
         probs[y] = conf
-        out.append(pred(i, probs))
-    return out
+        rows.append(probs)
+    return preds(*rows)
 
 
 # --- agreement ---
@@ -42,9 +43,6 @@ def test_agreement_two_of_three():
 
 def test_agreement_requires_id_alignment():
     a = preds_with_labels([0, 1])
-    b = [pred(0, [0.9, 0.05, 0.05], "other"), a[1]]
-    with pytest.raises(ArgumentError, match="id mismatch"):
-        agreement(a, b)
     with pytest.raises(ArgumentError):
         agreement(a, a[:1])
     with pytest.raises(ArgumentError):
@@ -64,9 +62,9 @@ def test_agreement_matches_brute_force_on_random_fixture():
 # --- default agreement ---
 
 def test_default_agreement_counts_default_label_hits():
-    preds = preds_with_labels([1, 1, 0, 2])
-    assert default_agreement(preds, 1) == 50.0
-    assert default_agreement(preds, 0) == 25.0
+    probs = preds_with_labels([1, 1, 0, 2])
+    assert default_agreement(probs, 1) == 50.0
+    assert default_agreement(probs, 0) == 25.0
 
 
 def test_default_agreement_requires_configured_default():
@@ -79,13 +77,11 @@ def test_default_agreement_requires_configured_default():
 # --- mean confidence ---
 
 def test_mean_confidence_hand_summed():
-    preds = [pred(0, [0.8, 0.2]), pred(1, [0.4, 0.6])]
-    assert abs(mean_confidence(preds) - 70.0) < 1e-12
+    assert abs(mean_confidence(preds([0.8, 0.2], [0.4, 0.6])) - 70.0) < 1e-12
 
 
 def test_mean_confidence_uniform_three_way():
-    preds = [pred(0, [1 / 3, 1 / 3, 1 / 3])]
-    assert abs(mean_confidence(preds) - 100.0 / 3.0) < 1e-9
+    assert abs(mean_confidence(preds([1 / 3, 1 / 3, 1 / 3])) - 100.0 / 3.0) < 1e-9
 
 
 # --- ECE ---
@@ -93,69 +89,67 @@ def test_mean_confidence_uniform_three_way():
 def test_ece_hand_binned_example():
     # bin (0.5, 0.6]: two preds at 0.55, one correct -> |0.5 - 0.55| = 0.05
     # bin (0.9, 1.0]: two preds at 0.95, both correct -> |1.0 - 0.95| = 0.05
-    preds = [pred(0, [0.55, 0.45]), pred(1, [0.55, 0.45]),
-             pred(2, [0.95, 0.05]), pred(3, [0.95, 0.05])]
+    probs = preds([0.55, 0.45], [0.55, 0.45], [0.95, 0.05], [0.95, 0.05])
     gold = [0, 1, 0, 0]  # correct, wrong, correct, correct
-    assert abs(ece(preds, gold) - 0.05) < 1e-12
+    assert abs(ece(probs, gold) - 0.05) < 1e-12
 
 
 def test_ece_perfectly_calibrated_fixture_is_zero():
     # within each bin, accuracy exactly equals mean confidence
-    preds, gold = [], []
+    rows, gold = [], []
     for conf, n, correct in ((0.75, 4, 3), (0.8, 5, 4), (0.6, 5, 3), (1.0, 2, 2)):
         for i in range(n):
             # predicted label is argmax 0; make `correct` of them match gold
-            preds.append(pred(len(preds), [conf, 1.0 - conf]))
+            rows.append([conf, 1.0 - conf])
             gold.append(0 if i < correct else 1)
-    assert ece(preds, gold) <= 1e-12
+    assert ece(preds(*rows), gold) <= 1e-12
 
 
 def test_ece_all_confident_and_correct_is_zero():
-    preds = [pred(i, [1.0, 0.0]) for i in range(5)]
-    assert ece(preds, [0] * 5) == 0.0
+    assert ece(preds(*[[1.0, 0.0]] * 5), [0] * 5) == 0.0
 
 
 def test_ece_order_independent():
     rng = random.Random(1)
-    preds = [pred(i, [c, 1 - c]) for i, c in
-             enumerate(rng.uniform(0.5, 1.0) for _ in range(50))]
+    probs = preds(*[[c, 1 - c] for c in
+                    (rng.uniform(0.5, 1.0) for _ in range(50))])
     gold = [rng.randrange(2) for _ in range(50)]
-    shuffled = list(zip(preds, gold))
-    rng.shuffle(shuffled)
-    sp, sg = zip(*shuffled)
-    assert abs(ece(preds, gold) - ece(list(sp), list(sg))) < 1e-12
+    order = list(range(50))
+    rng.shuffle(order)
+    assert abs(ece(probs, gold) - ece(probs[order], [gold[i] for i in order])) < 1e-12
 
 
 def test_ece_bin_edges_are_left_open():
     # confidence exactly 0.6 belongs to bin (0.5, 0.6], not [0.6, 0.7)
-    preds = [pred(0, [0.6, 0.4]), pred(1, [0.55, 0.45])]
     gold = [0, 1]  # correct, wrong -> single bin: acc 0.5, conf 0.575
-    assert abs(ece(preds, gold) - abs(0.5 - 0.575)) < 1e-12
+    assert abs(ece(preds([0.6, 0.4], [0.55, 0.45]), gold) - abs(0.5 - 0.575)) < 1e-12
 
 
 def test_ece_matches_brute_force_binning_oracle():
     rng = random.Random(2)
-    preds, gold = [], []
+    rows, gold = [], []
     for i in range(300):
         c = rng.uniform(1 / 3 + 1e-6, 1.0)
         rest = (1.0 - c) / 2
-        preds.append(pred(i, [c, rest, rest]))
+        rows.append([c, rest, rest])
         gold.append(rng.randrange(3))
+    probs = preds(*rows)
 
     bins = [[] for _ in range(10)]
-    for p, y in zip(preds, gold):
-        b = min(9, int(p.confidence * 10))
-        if p.confidence == b / 10 and b > 0:
+    for p, y in zip(probs, gold):
+        confidence = float(p.max())
+        b = min(9, int(confidence * 10))
+        if confidence == b / 10 and b > 0:
             b -= 1
-        bins[b].append((p.confidence, p.predicted == y))
+        bins[b].append((confidence, int(p.argmax()) == y))
     expected = 0.0
     for members in bins:
         if not members:
             continue
         conf = sum(c for c, _ in members) / len(members)
         acc = sum(1 for _, ok in members if ok) / len(members)
-        expected += len(members) / len(preds) * abs(acc - conf)
-    assert abs(ece(preds, gold) - expected) < 1e-12
+        expected += len(members) / len(probs) * abs(acc - conf)
+    assert abs(ece(probs, gold) - expected) < 1e-12
 
 
 def test_ece_validation():

@@ -13,13 +13,18 @@ from saladbench.mitigate import (CONTENT_CHANGING_KINDS, MitigationConfig,
                                  evaluate_mitigation, make_invalid_examples,
                                  resolve_kinds, threshold_grid,
                                  threshold_search, train_invalid_class)
-from saladbench.providers import EmbeddedProvider, Prediction
+from saladbench.providers import EmbeddedProvider, checked_probs
 
 
-def pred(i, conf, predicted=0, n_classes=2):
-    probs = [(1.0 - conf) / (n_classes - 1)] * n_classes
-    probs[predicted] = conf
-    return Prediction.from_probs(f"e{i}", probs)
+def preds(confs, predicted=0, n_classes=2):
+    """Checked probability rows, one per confidence, each predicting
+    `predicted`."""
+    rows = []
+    for conf in confs:
+        probs = [(1.0 - conf) / (n_classes - 1)] * n_classes
+        probs[predicted] = conf
+        rows.append(probs)
+    return checked_probs([f"e{i}" for i in range(len(rows))], rows)
 
 
 # --- configuration ---
@@ -232,46 +237,43 @@ def test_threshold_grid_covers_unit_interval():
 
 def test_threshold_search_separable_case():
     # clean at 0.99 confidence (all correct), invalid at 0.6
-    clean = [pred(i, 0.99) for i in range(20)]
-    invalid = [pred(100 + i, 0.6) for i in range(20)]
+    clean = preds([0.99] * 20)
+    invalid = preds([0.6] * 20)
     cfg = MitigationConfig(strategy="threshold", grid_step=0.001)
     theta = threshold_search(clean, [0] * 20, invalid, 1.0, cfg)
     # smallest grid threshold strictly above 0.6 flags every invalid example
     assert 0.6 < theta <= 0.602
-    assert all(p.confidence < theta for p in invalid)
-    assert all(p.confidence >= theta for p in clean)
+    assert (invalid.max(axis=1) < theta).all()
+    assert (clean.max(axis=1) >= theta).all()
 
 
 def test_threshold_search_respects_accuracy_tolerance():
     # half the clean examples sit below the confidence of the invalid ones,
     # so flagging all invalid examples would cost 50 points of clean accuracy
-    clean = [pred(i, 0.95) for i in range(10)] + \
-            [pred(10 + i, 0.55) for i in range(10)]
-    invalid = [pred(100 + i, 0.7) for i in range(10)]
+    clean = preds([0.95] * 10 + [0.55] * 10)
+    invalid = preds([0.7] * 10)
     cfg = MitigationConfig(strategy="threshold", accuracy_tolerance=0.03)
     theta = threshold_search(clean, [0] * 20, invalid, 1.0, cfg)
-    acc = sum(1 for p in clean if p.confidence >= theta) / len(clean)
+    acc = sum(1 for p in clean if p.max() >= theta) / len(clean)
     assert acc >= 1.0 - 0.03
     assert theta <= 0.55
 
 
 def test_threshold_search_matches_exhaustive_grid_oracle():
     rng = np.random.default_rng(0)
-    clean = [pred(i, c) for i, c in
-             enumerate(rng.uniform(0.5, 1.0, size=60))]
+    clean = preds(rng.uniform(0.5, 1.0, size=60))
     gold = [0 if rng.random() < 0.9 else 1 for _ in range(60)]
-    invalid = [pred(100 + i, c) for i, c in
-               enumerate(rng.uniform(0.5, 0.95, size=40))]
-    baseline = sum(1 for p, y in zip(clean, gold) if p.predicted == y) / 60
+    invalid = preds(rng.uniform(0.5, 0.95, size=40))
+    baseline = sum(1 for p, y in zip(clean, gold) if p.argmax() == y) / 60
     cfg = MitigationConfig(strategy="threshold")
 
     best_theta, best_detect = None, -1.0
     for theta in threshold_grid(2, cfg.grid_step):
         acc = sum(1 for p, y in zip(clean, gold)
-                  if p.confidence >= theta and p.predicted == y) / len(clean)
+                  if p.max() >= theta and p.argmax() == y) / len(clean)
         if acc < baseline - cfg.accuracy_tolerance:
             continue
-        detect = sum(1 for p in invalid if p.confidence < theta) / len(invalid)
+        detect = sum(1 for p in invalid if p.max() < theta) / len(invalid)
         if detect > best_detect:  # first strict improvement = smallest theta
             best_theta, best_detect = theta, detect
     assert threshold_search(clean, gold, invalid, baseline, cfg) == best_theta
@@ -280,8 +282,8 @@ def test_threshold_search_matches_exhaustive_grid_oracle():
 def test_threshold_search_falls_back_to_uniform_when_infeasible():
     # every clean prediction is wrong, so no threshold can stay within
     # tolerance of a perfect baseline
-    clean = [pred(i, 0.9, predicted=1) for i in range(5)]
-    invalid = [pred(100, 0.6)]
+    clean = preds([0.9] * 5, predicted=1)
+    invalid = preds([0.6])
     cfg = MitigationConfig(strategy="threshold")
     theta = threshold_search(clean, [0] * 5, invalid, 1.0, cfg)
     assert theta == 0.5  # 1/N for two classes
@@ -290,7 +292,7 @@ def test_threshold_search_falls_back_to_uniform_when_infeasible():
 def test_threshold_search_validation():
     cfg = MitigationConfig(strategy="threshold")
     with pytest.raises(ArgumentError):
-        threshold_search([], [], [pred(0, 0.9)], 1.0, cfg)
+        threshold_search(preds([]), [], preds([0.9]), 1.0, cfg)
 
 
 # --- invalid-class training ---

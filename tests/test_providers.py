@@ -15,46 +15,68 @@ import pytest
 from saladbench.corpus import Example, TextInput
 from saladbench.errors import (ArgumentError, CapabilityError, ContractError,
                                MissingPredictionError, TransportError)
-from saladbench.providers import (EmbeddedProvider, HttpProvider, Prediction,
+from saladbench.providers import (EmbeddedProvider, HttpProvider,
                                   ProviderDescriptor, ReplayProvider,
-                                  open_provider)
+                                  checked_probs, open_provider)
 from saladbench import toyclf
 
 
-# --- Prediction contract ---
+# --- probability contract (checked_probs; these cases once covered the
+# per-row Prediction.from_probs it replaced) ---
 
 def test_from_probs_happy_path():
-    p = Prediction.from_probs("e1", [0.2, 0.7, 0.1])
-    assert p.predicted == 1
-    assert abs(p.confidence - 0.7) < 1e-12
-    assert abs(sum(p.probs) - 1.0) < 1e-12
+    probs = checked_probs(["e1"], [[0.2, 0.7, 0.1]])
+    assert probs.shape == (1, 3)
+    assert probs.argmax(axis=1).tolist() == [1]
+    assert abs(probs.max() - 0.7) < 1e-12
+    assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_from_probs_argmax_tie_prefers_lowest_index():
-    assert Prediction.from_probs("e", [0.5, 0.5]).predicted == 0
-    assert Prediction.from_probs("e", [0.25, 0.375, 0.375]).predicted == 1
+    assert checked_probs(["e"], [[0.5, 0.5]]).argmax(axis=1).tolist() == [0]
+    assert checked_probs(["e"], [[0.25, 0.375, 0.375]]).argmax(axis=1).tolist() == [1]
 
 
 def test_from_probs_renormalizes_small_drift():
-    p = Prediction.from_probs("e", [0.6004, 0.4])  # off by 4e-4, within tolerance
-    assert abs(sum(p.probs) - 1.0) < 1e-12
+    probs = checked_probs(["e"], [[0.6004, 0.4]])  # off by 4e-4, within tolerance
+    assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_from_probs_rejects_contract_violations():
     with pytest.raises(ContractError):
-        Prediction.from_probs("e", [1.2, -0.2])     # negative entry
+        checked_probs(["e"], [[1.2, -0.2]])     # negative entry
     with pytest.raises(ContractError):
-        Prediction.from_probs("e", [0.7, 0.7])      # sums to 1.4
+        checked_probs(["e"], [[0.7, 0.7]])      # sums to 1.4
     with pytest.raises(ContractError):
-        Prediction.from_probs("e", [1.0])           # fewer than 2 classes
+        checked_probs(["e"], [[1.0]])           # fewer than 2 classes
     with pytest.raises(ContractError):
-        Prediction.from_probs("e", [[0.5, 0.5]])    # wrong rank
+        checked_probs(["e"], [[[0.5, 0.5]]])    # wrong rank
 
 
 @pytest.mark.parametrize("probs", ["high", ["x", 1], None, {"a": 1}])
 def test_from_probs_rejects_non_numeric_vectors(probs):
     with pytest.raises(ContractError):
-        Prediction.from_probs("e", probs)
+        checked_probs(["e"], [probs])
+
+
+@pytest.mark.parametrize("rows, bad_id", [
+    ([[0.5, 0.5], [float("nan"), 0.5]], "'f'"),
+    ([[0.5, 0.5], [0.5, 0.5], [float("inf"), 0.0]], "'g'"),
+    ([[0.5, 0.5], [0.2, 0.3, 0.5]], "'f'"),                   # mixed width
+    ([[0.2, 0.3, 0.5], [0.5, 0.5]], "'f'"),
+    ([[0.5, 0.5], [0.7, 0.7], [1.2, -0.2]], "'f'"),           # first of two
+    ([[0.5, 0.5], [1.2, -0.2], [0.7, 0.7]], "'f'"),
+    ([[0.5, 0.5], [0.5, "x"], [0.5]], "'f'"),
+], ids=["nan", "inf", "wider", "narrower", "sum-first", "negative-first",
+        "non-numeric-first"])
+def test_checked_probs_names_the_first_row_at_fault(rows, bad_id):
+    with pytest.raises(ContractError, match=f"for id {bad_id}"):
+        checked_probs(["e", "f", "g"][:len(rows)], rows)
+
+
+def test_checked_probs_of_no_rows_is_empty(sent_base):
+    assert len(checked_probs([], [])) == 0
+    assert len(EmbeddedProvider(sent_base).predict_batch([])) == 0
 
 
 # --- embedded provider ---
@@ -63,18 +85,18 @@ def test_embedded_provider_matches_forward(sent_base, sent_split):
     _, val_ds = sent_split
     provider = EmbeddedProvider(sent_base)
     preds = provider.predict_batch(val_ds.examples[:5])
+    assert preds.shape == (5, sent_base.n_classes)
     for ex, p in zip(val_ds.examples[:5], preds):
-        assert p.id == ex.id
         probs = toyclf.forward(sent_base, ex)
-        assert np.allclose(p.probs, probs, atol=1e-12)
-        assert p.predicted == int(np.argmax(probs))
+        assert np.allclose(p, probs, atol=1e-12)
+        assert int(p.argmax()) == int(np.argmax(probs))
 
 
 def test_embedded_provider_is_deterministic(sent_base, sent_split):
     _, val_ds = sent_split
     a = EmbeddedProvider(sent_base).predict_batch(val_ds.examples)
     b = EmbeddedProvider(sent_base).predict_batch(val_ds.examples)
-    assert [p.probs for p in a] == [p.probs for p in b]
+    assert np.array_equal(a, b)
 
 
 def test_embedded_provider_saliency_alignment(pair_base, pair_split):
@@ -107,8 +129,9 @@ def test_replay_provider_returns_stored_predictions(tmp_path):
     provider = ReplayProvider(preds)
     out = provider.predict_batch([Example("b", TextInput("x"), None),
                                   Example("a", TextInput("y"), None)])
-    assert [p.id for p in out] == ["b", "a"]       # request order, not file order
-    assert out[0].predicted == 1 and out[1].predicted == 0
+    # request order, not file order
+    assert np.allclose(out, [[0.3, 0.7], [0.9, 0.1]], atol=1e-12)
+    assert out.argmax(axis=1).tolist() == [1, 0]
 
 
 def test_replay_provider_missing_id(tmp_path):
@@ -213,9 +236,9 @@ def _examples(n=2):
 def test_http_provider_predict(http_server):
     provider = HttpProvider(http_server)
     preds = provider.predict_batch(_examples(3))
-    assert [p.id for p in preds] == ["e0", "e1", "e2"]
-    assert all(p.predicted == 1 and abs(p.confidence - 0.75) < 1e-12
-               for p in preds)
+    assert preds.shape == (3, 2)
+    assert preds.argmax(axis=1).tolist() == [1, 1, 1]
+    assert np.allclose(preds.max(axis=1), 0.75, atol=1e-12)
 
 
 def test_http_provider_saliency(http_server):
