@@ -10,10 +10,9 @@ __version__ = "0.1.0"
 from .corpus import (Dataset, Example, LabelSet, TextInput, detokenize,
                      load_dataset, save_dataset, split_holdout, tokenize)
 from .lexical import (TransformSpec, TransformedExample, apply_lexical,
-                      copy_sort, reverse_tokens, shuffle_tokens, sort_tokens)
-from .gradient import (ImportancePartition, SaliencyScores, apply_gradient,
-                       copy_one, drop_tokens, partition_by_importance,
-                       repeat_tokens, replace_tokens)
+                      reverse_tokens, shuffle_tokens, sort_tokens)
+from .gradient import (ImportancePartition, apply_gradient, drop_tokens,
+                       partition_by_importance, repeat_tokens, replace_tokens)
 from .providers import (EmbeddedProvider, HttpProvider, ProviderDescriptor,
                         ReplayProvider)
 from .metrics import (MetricsReport, MetricsRow, agreement, build_report,

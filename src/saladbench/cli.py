@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: transform, evaluate, train, calibrate, mitigate, pbsmt, report.
-Every run writes its resolved configuration into the output directory so it
-can be reproduced exactly. Exit codes: 0 success, 1 usage/config error,
-2 data error, 3 provider/contract error.
+Every run writes its resolved configuration into the output directory, with
+its outputs and after its last check, so it can be reproduced exactly.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider/contract error.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def cmd_train(args) -> int:
                                  gamma=args.gamma)
     train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
                                    args.seed, args.dim)
-    _write_resolved_config(args, args.out)
     params = toyclf.train(ds, loss_cfg, train_cfg)
+    _write_resolved_config(args, args.out)
     path = os.path.join(args.out, "params.bin")
     toyclf.save_params(params, path, meta={"loss": args.loss, "seed": args.seed,
                                            "epochs": args.epochs, "data": args.data})
@@ -182,12 +182,12 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     ds = _load(args)
     params = toyclf.load_params(args.model)
-    _write_resolved_config(args, args.out)
     gold = [ex.gold_label for ex in ds.examples]
     pre = metrics.ece(providers.EmbeddedProvider(params).predict_batch(ds.examples), gold)
     t = toyclf.fit_temperature(params, ds)
     scaled = toyclf.with_temperature(params, t)
     post = metrics.ece(providers.EmbeddedProvider(scaled).predict_batch(ds.examples), gold)
+    _write_resolved_config(args, args.out)
     path = os.path.join(args.out, "params_scaled.bin")
     toyclf.save_params(scaled, path, meta={"temperature": t, "data": args.data})
     print(f"fitted T = {t:.2f}; ECE {pre:.4f} -> {post:.4f}; wrote {path}")
@@ -207,8 +207,6 @@ def cmd_mitigate(args) -> int:
                                    args.seed, args.dim)
     finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
                                       args.finetune_lr, args.seed, args.dim)
-    _write_resolved_config(args, args.out)
-
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
     baseline = toyclf.train(train_ds, toyclf.LossConfig(), train_cfg)
     baseline_acc = toyclf.accuracy(baseline, val_ds)
@@ -271,6 +269,7 @@ def cmd_mitigate(args) -> int:
             lambda_ent=cfg.lambda_ent if cfg.strategy == "entropic_threshold" else None,
             baseline_accuracy=100 * baseline_acc,
             n_task_classes=ds.labels.n_classes)
+    _write_resolved_config(args, args.out)
     toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
 
     payload = {k: v for k, v in vars(report).items()}
@@ -294,18 +293,19 @@ def cmd_pbsmt(args) -> int:
         weights = pbsmt.DecoderWeights(
             w_tm=args.w_tm, w_lm=args.w_lm, w_dist=args.w_dist, w_len=args.w_len,
             beam_size=args.beam, distortion_limit=args.distortion_limit)
+        generators = {label: pbsmt.train_generator(
+                          ds, label, iterations=args.iterations, weights=weights,
+                          min_pairs=args.min_pairs) for label in labels}
         _write_resolved_config(args, args.out)
-        for label in labels:
-            gen = pbsmt.train_generator(ds, label, iterations=args.iterations,
-                                        weights=weights, min_pairs=args.min_pairs)
+        for label, gen in generators.items():
             out = os.path.join(args.out, f"label_{label}")
             pbsmt.save_generator(gen, out)
             print(f"trained generator for label {label} -> {out}")
     else:
         generators = pbsmt.load_generators(args.models)
-        _write_resolved_config(args, args.out)
         transformed = mitigate.transform_examples(
             ds.examples, "pbsmt", ds.task_kind, args.seed, generators=generators)
+        _write_resolved_config(args, args.out)
         _save_transformed(transformed, ds, os.path.join(args.out, "pbsmt.tsv"))
     return 0
 

@@ -18,26 +18,13 @@ from .lexical import GRADIENT_KINDS, TransformSpec, rewrite
 
 
 @dataclass(frozen=True)
-class SaliencyScores:
-    scores: tuple[float, ...]
-    loss_label: Optional[int]         # the label the loss was taken at; None if not known
-
-    def __post_init__(self):
-        if any(not math.isfinite(s) for s in self.scores):
-            raise ArgumentError("saliency scores must be finite")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
-@dataclass(frozen=True)
 class ImportancePartition:
     bottom: tuple[int, ...]
     top: tuple[int, ...]
     r: float
 
 
-def partition_by_importance(scores: SaliencyScores, r: float) -> ImportancePartition:
+def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePartition:
     """Split positions into the bottom max(1, floor(r*n)) least-important and
     an equally sized (clipped) top set. Ties break toward lower positions."""
     n = len(scores)
@@ -46,10 +33,10 @@ def partition_by_importance(scores: SaliencyScores, r: float) -> ImportanceParti
     if not 0.0 < r <= 1.0:
         raise ArgumentError(f"r must be in (0,1], got {r}")
     m = max(1, math.floor(r * n))
-    by_ascending = sorted(range(n), key=lambda i: (scores.scores[i], i))
+    by_ascending = sorted(range(n), key=lambda i: (scores[i], i))
     bottom = sorted(by_ascending[:m])
     remaining = [i for i in range(n) if i not in set(bottom)]
-    by_descending = sorted(remaining, key=lambda i: (-scores.scores[i], i))
+    by_descending = sorted(remaining, key=lambda i: (-scores[i], i))
     top = sorted(by_descending[:m])
     return ImportancePartition(tuple(bottom), tuple(top), r)
 
@@ -88,17 +75,13 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
     return tuple(out)
 
 
-def copy_one(ex: Example, scores_a: SaliencyScores) -> TextInput:
-    """Replace text_b with the single most salient token of text_a."""
-    return apply_gradient(ex, TransformSpec(kind="copyone"), scores_a)
-
-
-def apply_gradient(ex: Example, spec: TransformSpec, scores: SaliencyScores,
+def apply_gradient(ex: Example, spec: TransformSpec, scores: Sequence[float],
                    vocab: Optional[Sequence[str]] = None) -> TextInput:
     """Apply drop/repeat/replace or copyone to an Example per its spec.
 
     `scores` must be aligned with the tokens of the side the kind reads
-    (lexical.side_rule: text_a for copyone).
+    (lexical.side_rule: text_a for copyone, whose text_b becomes the single
+    most salient token of text_a).
     """
     if spec.kind not in GRADIENT_KINDS:
         raise UnsupportedTransformError(f"{spec.kind} is not a gradient transform")
@@ -111,7 +94,7 @@ def apply_gradient(ex: Example, spec: TransformSpec, scores: SaliencyScores,
                 f"saliency length {len(scores)} != token count {len(tokens)}")
         if spec.kind == "copyone":
             return (tokens[max(range(len(scores)),
-                               key=lambda i: (scores.scores[i], -i))],)
+                               key=lambda i: (scores[i], -i))],)
         part = partition_by_importance(scores, spec.r)
         if spec.kind == "drop":
             return drop_tokens(tokens, part)

@@ -143,11 +143,6 @@ def shuffle_tokens(tokens: tuple[str, ...], seed: int,
     return out
 
 
-def copy_sort(ex: Example) -> TextInput:
-    """Replace text_b with the sorted tokens of text_a."""
-    return apply_lexical(ex, TransformSpec(kind="copysort"))
-
-
 def apply_lexical(ex: Example, spec: TransformSpec) -> TextInput:
     """Apply one of the four lexical kinds to an Example per its spec."""
     if spec.kind in ("sort", "copysort"):

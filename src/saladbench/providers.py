@@ -3,8 +3,8 @@
 All providers share one contract: `predict_batch` returns an (n, C) array
 of probabilities, one renormalized row per input in request order
 (`checked_probs`), and `saliency_batch(inputs, side)` (when supported)
-returns scores aligned with the word tokenization of `side` ("a" scores
-text_a, "b" scores text_b).
+returns one tuple of finite scores per input, one score per token of
+`side` ("a" scores text_a, "b" scores text_b; `checked_scores`).
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Example, jsonl_objects
+from .corpus import Example, jsonl_objects, tokenize
 from .errors import (ArgumentError, CapabilityError, ContractError,
                      MissingPredictionError, TransportError)
-from .gradient import SaliencyScores
 from . import toyclf
 
 RENORM_TOL = 1e-3
@@ -54,6 +53,22 @@ def checked_probs(ids: Sequence[str], rows) -> np.ndarray:
     return probs / totals
 
 
+def checked_scores(inputs: Sequence[Example], side: str, rows) -> list[tuple[float, ...]]:
+    """`rows` as one tuple of scores per input. A ContractError names the
+    first row that is not a sequence of finite numbers, one per token of `side`."""
+    if not isinstance(rows, list) or len(rows) != len(inputs):
+        raise ContractError(f"saliency for {len(inputs)} inputs is not one row per input")
+    for ex, row in zip(inputs, rows):
+        text = ex.input.text_a if side == "a" else ex.input.text_b
+        if text is None:
+            raise ArgumentError(f"example {ex.id} has no text_{side} to score")
+        n = len(tokenize(text))
+        if not _is_numbers(row) or len(row) != n:
+            raise ContractError(f"saliency for id {ex.id!r}, side {side!r} is not "
+                                f"{n} finite numbers, one per token")
+    return [tuple(float(s) for s in row) for row in rows]
+
+
 @dataclass(frozen=True)
 class ProviderDescriptor:
     kind: str                 # embedded | replay | http
@@ -76,14 +91,13 @@ class EmbeddedProvider:
         return checked_probs([ex.id for ex in inputs],
                              toyclf.probabilities(self.params, inputs))
 
-    def saliency_batch(self, inputs: Sequence[Example], side: str = "a",
-                       loss_labels: Optional[Sequence[Optional[int]]] = None
-                       ) -> list[SaliencyScores]:
-        return toyclf.saliency_batch(self.params, inputs, side, loss_labels)
+    def saliency_batch(self, inputs: Sequence[Example], side: str = "a"
+                       ) -> list[tuple[float, ...]]:
+        return checked_scores(inputs, side, toyclf.saliency_batch(self.params, inputs, side))
 
 
 def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(  # json reads NaN and Infinity as floats
+    return isinstance(value, (list, tuple)) and all(  # json reads NaN and Infinity as floats
         isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < math.inf
         for x in value)
 
@@ -92,7 +106,7 @@ def _replay_rows(path, vector: str):
     """The objects of a replay JSONL file; a line that is not a JSON object
     with an `id` and a `vector` field holding a list of numbers, or whose
     `loss_label` is neither absent, null nor an integer, is a ContractError
-    naming path:line."""
+    naming path:line. A valid `loss_label` is then ignored."""
     for lineno, obj in jsonl_objects(path, ContractError):
         missing = [k for k in ("id", vector) if k not in obj]
         if missing:
@@ -109,17 +123,17 @@ class ReplayProvider:
     """Replays predictions (and optionally saliency) from JSONL fixtures.
 
     A saliency row names the side it scores in a `side` field; a row without
-    one scores side "a". Its `loss_label` is optional.
+    one scores side "a". Its `loss_label` is optional and unused.
     """
 
     def __init__(self, predictions_path, saliency_path=None):
         self._preds: dict[str, list[float]] = {
             str(obj["id"]): obj["probs"]
             for obj in _replay_rows(predictions_path, "probs")}
-        self._saliency: dict[tuple[str, str], dict] = {}
+        self._saliency: dict[tuple[str, str], list[float]] = {}
         if saliency_path is not None:
             for obj in _replay_rows(saliency_path, "scores"):
-                self._saliency[str(obj["id"]), obj.get("side", "a")] = obj
+                self._saliency[str(obj["id"]), obj.get("side", "a")] = obj["scores"]
         self.supports_saliency = saliency_path is not None
         self._location = str(predictions_path)
 
@@ -133,18 +147,14 @@ class ReplayProvider:
             raise MissingPredictionError(f"no replay prediction for id {missing!r}")
         return checked_probs(ids, [self._preds[i] for i in ids])
 
-    def saliency_batch(self, inputs, side="a", loss_labels=None) -> list[SaliencyScores]:
+    def saliency_batch(self, inputs, side="a") -> list[tuple[float, ...]]:
         if not self.supports_saliency:
             raise CapabilityError("replay provider has no saliency file")
-        out = []
-        for ex in inputs:
-            obj = self._saliency.get((ex.id, side))
-            if obj is None:
-                raise MissingPredictionError(
-                    f"no replay saliency for id {ex.id!r}, side {side!r}")
-            out.append(SaliencyScores(tuple(float(s) for s in obj["scores"]),
-                                      obj.get("loss_label")))
-        return out
+        missing = next((ex.id for ex in inputs if (ex.id, side) not in self._saliency), None)
+        if missing is not None:
+            raise MissingPredictionError(
+                f"no replay saliency for id {missing!r}, side {side!r}")
+        return checked_scores(inputs, side, [self._saliency[ex.id, side] for ex in inputs])
 
 
 class HttpProvider:
@@ -162,7 +172,6 @@ class HttpProvider:
         return ProviderDescriptor("http", self.base_url, self.supports_saliency)
 
     def _post(self, inputs: Sequence[Example], want_saliency: bool,
-              loss_labels: Optional[Sequence[Optional[int]]],
               side: Optional[str] = None) -> dict:
         body = {
             "inputs": [
@@ -171,7 +180,6 @@ class HttpProvider:
             ],
             "want_saliency": want_saliency,
             "side": side,
-            "loss_labels": list(loss_labels) if loss_labels is not None else None,
         }
         import requests  # here, not at the top: only --url uses it
 
@@ -192,22 +200,13 @@ class HttpProvider:
         return payload
 
     def predict_batch(self, inputs: Sequence[Example]) -> np.ndarray:
-        payload = self._post(inputs, False, None)
+        payload = self._post(inputs, False)
         return checked_probs([ex.id for ex in inputs], payload["probs"])
 
-    def saliency_batch(self, inputs, side="a", loss_labels=None) -> list[SaliencyScores]:
+    def saliency_batch(self, inputs, side="a") -> list[tuple[float, ...]]:
         if not self.supports_saliency:
             raise CapabilityError("http provider not configured for saliency")
-        payload = self._post(inputs, True, loss_labels, side)
-        sal = payload.get("saliency")
-        if sal is None or len(sal) != len(inputs):
-            raise ContractError("response saliency missing or misaligned")
-        if not all(_is_numbers(scores) for scores in sal):
-            raise ContractError("response saliency is not lists of numbers")
-        labels = loss_labels or [None] * len(inputs)
-        return [SaliencyScores(tuple(float(s) for s in scores),
-                               int(y) if y is not None else None)
-                for scores, y in zip(sal, labels)]
+        return checked_scores(inputs, side, self._post(inputs, True, side).get("saliency"))
 
 
 def open_provider(desc: ProviderDescriptor, params=None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from .corpus import Dataset, Example, tokenize
 from .errors import (ArgumentError, DegenerateInputError, TrainingError)
-from .gradient import SaliencyScores
 
 log = logging.getLogger(__name__)
 
@@ -111,16 +111,20 @@ class Encoding:
     def __len__(self) -> int:
         return len(self.lengths[0])
 
-    @property
+    @cached_property
     def owner(self) -> tuple[np.ndarray, ...]:   # per side: each token's example
         return tuple(np.repeat(np.arange(len(n)), n) for n in self.lengths)
+
+    @cached_property
+    def starts(self) -> tuple[np.ndarray, ...]:  # per side: each example's first token
+        return tuple(np.cumsum(n) - n for n in self.lengths)
 
     def take(self, rows: np.ndarray) -> "Encoding":
         """The encoding of the examples at `rows`, in that order."""
         ids = []
-        for side, lengths in zip(self.ids, self.lengths):
+        for side, lengths, starts in zip(self.ids, self.lengths, self.starts):
             n = lengths[rows]
-            shift = (np.cumsum(lengths) - lengths)[rows] - (np.cumsum(n) - n)
+            shift = starts[rows] - (np.cumsum(n) - n)
             ids.append(side[np.arange(n.sum()) + np.repeat(shift, n)])
         return Encoding(tuple(ids), tuple(lengths[rows] for lengths in self.lengths))
 
@@ -277,29 +281,21 @@ def grad(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
     return grads, [list(sides) for sides in zip(*per_side)]
 
 
-def saliency_batch(params: ToyModelParams, examples: Sequence[Example], side: str = "a",
-                   loss_labels: Optional[Sequence[Optional[int]]] = None
-                   ) -> list[SaliencyScores]:
-    """Token scores t_i . dL/dt_i for the cross-entropy loss on one side. A
-    loss label left None is the gold label, else the model's prediction."""
+def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
+                   side: str = "a") -> list[tuple[float, ...]]:
+    """Token scores t_i . dL/dt_i for the cross-entropy loss on one side,
+    taken at the gold label, or at the model's prediction for an unlabeled
+    example."""
     enc = encode(params, examples)
     probs = _softmax(_logits(params, enc)[1] / params.temperature)
-    labels = [y if y is not None else ex.gold_label if ex.gold_label is not None
-              else int(np.argmax(p))
-              for ex, y, p in zip(examples, loss_labels or [None] * len(examples), probs)]
+    labels = [ex.gold_label if ex.gold_label is not None else int(np.argmax(p))
+              for ex, p in zip(examples, probs)]
     _, dz = _supervised_loss_and_dz(probs, np.array(labels, dtype=int),
                                     LossConfig("cross_entropy"), params.temperature)
     s = 0 if side == "a" or params.task_kind == "single" else 1
     g = _token_grads(params, enc, dz, s)
     scores = (params.emb[enc.ids[s]][:, None, :] @ g[:, :, None])[:, 0, 0]
-    return [SaliencyScores(tuple(part.tolist()), y) for part, y in
-            zip(np.split(scores, np.cumsum(enc.lengths[s])[:-1]), labels)]
-
-
-def saliency(params: ToyModelParams, ex: Example, side: str = "a",
-             loss_label: Optional[int] = None) -> SaliencyScores:
-    """Saliency scores of one example; see saliency_batch."""
-    return saliency_batch(params, [ex], side, [loss_label])[0]
+    return [tuple(part.tolist()) for part in np.split(scores, np.cumsum(enc.lengths[s]))[:-1]]
 
 
 def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,

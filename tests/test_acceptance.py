@@ -30,7 +30,6 @@ import pytest
 
 from saladbench import cli, metrics, mitigate, pbsmt, toyclf
 from saladbench.corpus import Example, TextInput, tokenize
-from saladbench.gradient import SaliencyScores
 from saladbench.lexical import (TransformSpec, apply_lexical,
                                 bigram_free_permutation_exists, reverse_tokens,
                                 shuffle_with_report, sort_tokens)
@@ -121,8 +120,8 @@ def test_3_gradient_correctness():
         zero = toyclf.ToyModelParams(("<unk>", "a"), np.ones((2, 3)),
                                      np.zeros((3, 2)), np.zeros(2), 1.0,
                                      "single")
-        scores = toyclf.saliency(zero, Example("e", TextInput("a a a"), 0))
-        assert scores.scores == (0.0, 0.0, 0.0)
+        scores = toyclf.saliency_batch(zero, [Example("e", TextInput("a a a"), 0)])[0]
+        assert scores == (0.0, 0.0, 0.0)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f} s"

@@ -315,6 +315,11 @@ SALS = [{"id": "a", "scores": [0.1, 0.2, 0.3]}, {"id": "b", "scores": [0.5, 0.4]
                  "no replay prediction for id 'a__drop'", id="missing-evaluate"),
     pytest.param("transform", [GOOD_PRED, B_PRED], SALS[:1],
                  "no replay saliency for id 'b', side 'a'", id="missing-transform"),
+] + [
+    # 2 scores for the 3 tokens of "good film ."
+    pytest.param(command, [GOOD_PRED, B_PRED], [GOOD_SAL, SALS[1]],
+                 "saliency for id 'a'", id=f"short-{command}")
+    for command in ("transform", "evaluate")
 ])
 def test_bad_replay_values_are_a_contract_error(tmp_path, capsys, command,
                                                 pred_lines, sal_rows, error):
@@ -351,7 +356,12 @@ def test_exit_code_1_on_unknown_transform(tmp_path):
     ["mitigate", *SENT_ARGS, "--transforms", "sort,entropy-storm"],
     ["mitigate", *SENT_ARGS, "--transforms", "copysort"],      # pair-only
     ["train", *SENT_ARGS, "--epochs", "-1"],
-], ids=["transform", "evaluate", "mitigate-unknown", "mitigate-none", "train"])
+    # these fail after their checks, in the work itself
+    ["train", *SENT_ARGS, "--lr", "1e308"],                    # non-finite gradient
+    ["mitigate", *SENT_ARGS, "--lr", "1e308"],
+    ["pbsmt", "train", *SENT_ARGS, "--min-pairs", "100000"],
+], ids=["transform", "evaluate", "mitigate-unknown", "mitigate-none", "train",
+        "train-diverges", "mitigate-diverges", "pbsmt-train-too-few-pairs"])
 def test_failed_checks_leave_no_output_directory(tmp_path, argv):
     out = tmp_path / "fo"
     assert run([*argv, "--out", str(out)]) == 1

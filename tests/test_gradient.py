@@ -10,59 +10,47 @@ from hypothesis import strategies as st
 from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                UnsupportedTransformError)
-from saladbench.gradient import (ImportancePartition, SaliencyScores,
-                                 apply_gradient, copy_one, drop_tokens,
-                                 partition_by_importance, repeat_tokens,
-                                 replace_tokens)
+from saladbench.gradient import (ImportancePartition, apply_gradient,
+                                 drop_tokens, partition_by_importance,
+                                 repeat_tokens, replace_tokens)
 from saladbench.lexical import TransformSpec
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
-def scores_of(values):
-    return SaliencyScores(tuple(values), loss_label=0)
-
-
 # --- partition ---
 
 def test_partition_example():
-    part = partition_by_importance(scores_of([3.0, 1.0, 4.0, 2.0]), r=0.5)
+    part = partition_by_importance((3.0, 1.0, 4.0, 2.0), r=0.5)
     assert part.bottom == (1, 3)
     assert part.top == (0, 2)
 
 
 def test_partition_all_equal_ties_break_toward_low_positions():
-    part = partition_by_importance(scores_of([0.0, 0.0, 0.0, 0.0]), r=0.5)
+    part = partition_by_importance((0.0, 0.0, 0.0, 0.0), r=0.5)
     assert part.bottom == (0, 1)
     assert part.top == (2, 3)
 
 
 def test_partition_single_token():
-    part = partition_by_importance(scores_of([7.0]), r=0.5)
+    part = partition_by_importance((7.0,), r=0.5)
     assert part.bottom == (0,) and part.top == ()
 
 
 def test_partition_validation():
     with pytest.raises(ArgumentError):
-        partition_by_importance(scores_of([]), r=0.5)
+        partition_by_importance((), r=0.5)
     with pytest.raises(ArgumentError):
-        partition_by_importance(scores_of([1.0]), r=0.0)
+        partition_by_importance((1.0,), r=0.0)
     with pytest.raises(ArgumentError):
-        partition_by_importance(scores_of([1.0]), r=1.5)
-
-
-def test_saliency_scores_reject_non_finite():
-    with pytest.raises(ArgumentError):
-        SaliencyScores((1.0, float("nan")), 0)
-    with pytest.raises(ArgumentError):
-        SaliencyScores((float("inf"),), 0)
+        partition_by_importance((1.0,), r=1.5)
 
 
 @given(st.lists(finite, min_size=1, max_size=20),
        st.floats(min_value=0.05, max_value=1.0))
 def test_partition_sizes_and_disjointness(values, r):
     n = len(values)
-    part = partition_by_importance(scores_of(values), r)
+    part = partition_by_importance(tuple(values), r)
     m = max(1, math.floor(r * n))
     assert len(part.bottom) == m
     assert len(part.top) == min(m, n - m)
@@ -102,7 +90,7 @@ def test_repeat_overwrites_bottom_with_top_surfaces():
 
 def test_repeat_deterministic_per_seed():
     seq = tuple(f"w{i}" for i in range(10))
-    part = partition_by_importance(scores_of(range(10)), 0.5)
+    part = partition_by_importance(tuple(range(10)), 0.5)
     assert repeat_tokens(seq, part, seed=5) == \
         repeat_tokens(seq, part, seed=5)
 
@@ -141,32 +129,35 @@ def test_replace_matches_seeded_uniform_draws():
 
 # --- copyone ---
 
+COPYONE = TransformSpec("copyone")
+
+
 def test_copy_one_takes_most_salient_token_of_a():
     ex = Example("p", TextInput("the verdict stands", "hypothesis"), 1)
-    new = copy_one(ex, SaliencyScores((0.1, 0.9, 0.3), 0))
+    new = apply_gradient(ex, COPYONE, (0.1, 0.9, 0.3))
     assert new.text_b == "verdict"
     assert new.text_a == "the verdict stands"
 
 
 def test_copy_one_tie_breaks_toward_first_token():
     ex = Example("p", TextInput("tie tie tie", "h"), 1)
-    new = copy_one(ex, SaliencyScores((0.5, 0.5, 0.5), 0))
+    new = apply_gradient(ex, COPYONE, (0.5, 0.5, 0.5))
     assert new.text_b == "tie"
 
 
 def test_copy_one_requires_pair_and_aligned_scores():
     with pytest.raises(UnsupportedTransformError):
-        copy_one(Example("s", TextInput("single"), 0), SaliencyScores((1.0,), 0))
+        apply_gradient(Example("s", TextInput("single"), 0), COPYONE, (1.0,))
     ex = Example("p", TextInput("two words", "h"), 1)
     with pytest.raises(ArgumentError):
-        copy_one(ex, SaliencyScores((1.0,), 0))
+        apply_gradient(ex, COPYONE, (1.0,))
 
 
 # --- apply_gradient ---
 
 def test_apply_gradient_targets_b_on_pairs():
     ex = Example("p", TextInput("keep a side", "b1 b2 b3 b4"), 0)
-    scores = SaliencyScores((4.0, 3.0, 1.0, 2.0), 0)
+    scores = (4.0, 3.0, 1.0, 2.0)
     new = apply_gradient(ex, TransformSpec(kind="drop"), scores)
     assert new.text_a == "keep a side"
     assert new.text_b == "b1 b2"
@@ -174,14 +165,14 @@ def test_apply_gradient_targets_b_on_pairs():
 
 def test_apply_gradient_single_task_targets_a():
     ex = Example("s", TextInput("w1 w2 w3 w4"), 0)
-    scores = SaliencyScores((1.0, 2.0, 3.0, 4.0), 0)
+    scores = (1.0, 2.0, 3.0, 4.0)
     new = apply_gradient(ex, TransformSpec(kind="drop"), scores)
     assert new.text_a == "w3 w4"
 
 
 def test_apply_gradient_replace_needs_vocab():
     ex = Example("s", TextInput("w1 w2"), 0)
-    scores = SaliencyScores((1.0, 2.0), 0)
+    scores = (1.0, 2.0)
     with pytest.raises(ArgumentError):
         apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=None)
     new = apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=["q"])
@@ -191,20 +182,20 @@ def test_apply_gradient_replace_needs_vocab():
 def test_apply_gradient_score_length_mismatch():
     ex = Example("s", TextInput("one two three"), 0)
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, TransformSpec(kind="drop"), SaliencyScores((1.0,), 0))
+        apply_gradient(ex, TransformSpec(kind="drop"), (1.0,))
 
 
 def test_apply_gradient_rejects_non_gradient_kind():
     ex = Example("s", TextInput("a b"), 0)
     with pytest.raises(UnsupportedTransformError):
-        apply_gradient(ex, TransformSpec(kind="sort"), SaliencyScores((1.0, 2.0), 0))
+        apply_gradient(ex, TransformSpec(kind="sort"), (1.0, 2.0))
 
 
 @given(st.lists(finite, min_size=2, max_size=12), st.integers(0, 3))
 def test_repeat_only_touches_bottom_positions(values, seed):
     n = len(values)
     seq = tuple(f"t{i}" for i in range(n))
-    part = partition_by_importance(scores_of(values), 0.5)
+    part = partition_by_importance(tuple(values), 0.5)
     out = repeat_tokens(seq, part, seed)
     top_surfaces = {seq[i] for i in part.top}
     for i, s in enumerate(out):

@@ -10,7 +10,7 @@ from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import DegenerateInputError, UnsupportedTransformError
 from saladbench.lexical import (TERMINAL_PUNCT, TransformSpec,
                                 apply_lexical, bigram_free_permutation_exists,
-                                copy_sort, reverse_tokens, shuffle_tokens,
+                                reverse_tokens, shuffle_tokens,
                                 shuffle_with_report, sort_tokens)
 
 word = st.text(alphabet="abcdefg", min_size=1, max_size=4)
@@ -131,14 +131,15 @@ def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():
 
 def test_copy_sort_replaces_b_with_sorted_a():
     ex = Example("p1", TextInput("Dogs chase the cat.", "some hypothesis"), 1)
-    new = copy_sort(ex)
+    new = apply_lexical(ex, TransformSpec("copysort"))
     assert new.text_a == "Dogs chase the cat."
     assert new.text_b == "cat chase dogs the ."
 
 
 def test_copy_sort_requires_pair():
     with pytest.raises(UnsupportedTransformError):
-        copy_sort(Example("s1", TextInput("just one side"), 0))
+        apply_lexical(Example("s1", TextInput("just one side"), 0),
+                      TransformSpec("copysort"))
 
 
 def test_apply_lexical_targets_b_on_pairs_and_a_on_singles():

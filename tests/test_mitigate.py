@@ -103,9 +103,9 @@ class _SideRecorder:
         self.inner = EmbeddedProvider(params)
         self.sides = []
 
-    def saliency_batch(self, inputs, side="a", loss_labels=None):
+    def saliency_batch(self, inputs, side="a"):
         self.sides.append(side)
-        return self.inner.saliency_batch(inputs, side, loss_labels)
+        return self.inner.saliency_batch(inputs, side)
 
 
 def test_gradient_kinds_score_their_own_side(pair_split, pair_base,

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saladbench.corpus import Example, TextInput
+from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, CapabilityError, ContractError,
                                MissingPredictionError, TransportError)
 from saladbench.providers import (EmbeddedProvider, HttpProvider,
                                   ProviderDescriptor, ReplayProvider,
-                                  checked_probs, open_provider)
+                                  checked_probs, checked_scores, open_provider)
 from saladbench import toyclf
 
 
@@ -79,6 +79,49 @@ def test_checked_probs_of_no_rows_is_empty(sent_base):
     assert len(EmbeddedProvider(sent_base).predict_batch([])) == 0
 
 
+# --- saliency contract (checked_scores) ---
+
+SCORED = [Example("e", TextInput("good film ."), 1),
+          Example("f", TextInput("bad film", "so it goes"), 0)]
+
+
+def test_checked_scores_are_float_tuples():
+    assert checked_scores(SCORED, "a", [[1, 0.5, -2], (0.25, 0)]) == [
+        (1.0, 0.5, -2.0), (0.25, 0.0)]
+    assert checked_scores(SCORED[1:], "b", [[0.1, 0.2, 0.3]]) == [(0.1, 0.2, 0.3)]
+    assert checked_scores([], "a", []) == []
+
+
+@pytest.mark.parametrize("rows, bad_id", [
+    ([[1.0, float("nan"), 0.0], [0.5, 0.5]], "'e'"),
+    ([[1.0, 2.0, 3.0], [float("inf"), 0.0]], "'f'"),
+    ([[1.0, 2.0, 3.0], [0.5]], "'f'"),                        # short
+    ([[1.0, 2.0, 3.0, 4.0], [0.5, 0.5]], "'e'"),              # long
+    ([[1.0, 2.0, 3.0], ["x", 0.5]], "'f'"),                   # non-numeric
+    ([[1.0, 2.0, 3.0], "ab"], "'f'"),
+    ([[1.0, 2.0, 3.0], [True, 0.5]], "'f'"),
+], ids=["nan", "inf", "short", "long", "non-numeric", "string", "bool"])
+def test_checked_scores_names_the_first_row_at_fault(rows, bad_id):
+    with pytest.raises(ContractError, match=f"saliency for id {bad_id}, side 'a'"):
+        checked_scores(SCORED, "a", rows)
+
+
+@pytest.mark.parametrize("rows", [None, [[1.0, 2.0, 3.0]], {"e": [1.0]}],
+                         ids=["none", "one-for-two", "dict"])
+def test_checked_scores_needs_one_row_per_input(rows):
+    with pytest.raises(ContractError, match="one row per input"):
+        checked_scores(SCORED, "a", rows)
+
+
+def test_checked_scores_of_a_missing_side_is_a_usage_error():
+    with pytest.raises(ArgumentError, match="no text_b"):
+        checked_scores(SCORED[:1], "b", [[]])
+
+
+def test_embedded_saliency_of_no_inputs_is_empty(sent_base):
+    assert EmbeddedProvider(sent_base).saliency_batch([]) == []
+
+
 # --- embedded provider ---
 
 def test_embedded_provider_matches_forward(sent_base, sent_split):
@@ -104,7 +147,6 @@ def test_embedded_provider_saliency_alignment(pair_base, pair_split):
     provider = EmbeddedProvider(pair_base)
     ex = val_ds.examples[0]
     scores = provider.saliency_batch([ex], side="b")[0]
-    from saladbench.corpus import tokenize
     assert len(scores) == len(tokenize(ex.input.text_b))
 
 
@@ -152,7 +194,7 @@ def test_replay_provider_saliency_requires_file(tmp_path):
                        [{"id": "a", "scores": [0.5, -0.5], "loss_label": 1}])
     provider = ReplayProvider(preds, sal)
     scores = provider.saliency_batch([Example("a", TextInput("x y"), None)])[0]
-    assert scores.scores == (0.5, -0.5) and scores.loss_label == 1
+    assert scores == (0.5, -0.5)
     with pytest.raises(MissingPredictionError):
         provider.saliency_batch([Example("b", TextInput("x"), None)])
 
@@ -166,8 +208,8 @@ def test_replay_provider_saliency_matches_side(tmp_path):
     ])
     provider = ReplayProvider(preds, sal)
     ex = Example("a", TextInput("x y", "z"), None)
-    assert provider.saliency_batch([ex], side="a")[0].scores == (0.5, -0.5)
-    assert provider.saliency_batch([ex], side="b")[0].scores == (0.25,)
+    assert provider.saliency_batch([ex], side="a")[0] == (0.5, -0.5)
+    assert provider.saliency_batch([ex], side="b")[0] == (0.25,)
     with pytest.raises(MissingPredictionError):
         provider.saliency_batch([Example("c", TextInput("x", "y"), None)], side="a")
 
@@ -197,10 +239,12 @@ class _Handler(BaseHTTPRequestHandler):
         elif _Handler.mode == "strings":
             payload = {"probs": [["high", "low"]] * n, "saliency": [["x"]] * n}
         else:
+            # one score per token of the requested side; "short" drops one
             payload = {"probs": [[0.25, 0.75]] * n}
             if body.get("want_saliency"):
+                short = int(_Handler.mode == "short")
                 payload["saliency"] = [
-                    [0.1 * (i + 1)] * len(inp["text_a"].split())
+                    [0.1 * (i + 1)] * (len(tokenize(inp[f"text_{body['side']}"])) - short)
                     for i, inp in enumerate(body["inputs"])]
         data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
@@ -228,8 +272,8 @@ def _reset_handler_mode():
     _Handler.mode = "ok"
 
 
-def _examples(n=2):
-    return [Example(f"e{i}", TextInput(f"text number {i}"), None)
+def _examples(n=2, text_b=None):
+    return [Example(f"e{i}", TextInput(f"text number {i}", text_b), None)
             for i in range(n)]
 
 
@@ -243,24 +287,25 @@ def test_http_provider_predict(http_server):
 
 def test_http_provider_saliency(http_server):
     provider = HttpProvider(http_server, supports_saliency=True)
-    scores = provider.saliency_batch(_examples(2), loss_labels=[1, 0])
-    assert len(scores[0]) == 3 and scores[0].loss_label == 1
-    assert scores[1].scores == (0.2, 0.2, 0.2)
-
-
-def test_http_provider_saliency_reports_only_labels_it_sent(http_server):
-    provider = HttpProvider(http_server, supports_saliency=True)
-    assert [s.loss_label for s in provider.saliency_batch(_examples(2))] == [None, None]
-    scores = provider.saliency_batch(_examples(2), loss_labels=[None, 1])
-    assert [s.loss_label for s in scores] == [None, 1]
+    scores = provider.saliency_batch(_examples(2))
+    assert len(scores[0]) == 3
+    assert scores[1] == (0.2, 0.2, 0.2)
+    assert set(_Handler.last_body) == {"inputs", "want_saliency", "side"}
 
 
 def test_http_provider_sends_the_saliency_side(http_server):
     provider = HttpProvider(http_server, supports_saliency=True)
-    provider.saliency_batch(_examples(1), side="b")
+    assert provider.saliency_batch(_examples(1, "a b"), side="b") == [(0.1, 0.1)]
     assert _Handler.last_body["side"] == "b" and _Handler.last_body["want_saliency"]
     provider.saliency_batch(_examples(1))
     assert _Handler.last_body["side"] == "a"
+
+
+def test_http_provider_saliency_misaligned_with_tokens(http_server):
+    _Handler.mode = "short"
+    provider = HttpProvider(http_server, supports_saliency=True)
+    with pytest.raises(ContractError, match="saliency for id 'e0', side 'a'"):
+        provider.saliency_batch(_examples(2))
 
 
 def test_http_provider_saliency_capability_gate(http_server):

@@ -14,7 +14,9 @@ from saladbench.errors import ArgumentError, DegenerateInputError
 from saladbench.toyclf import (LossConfig, ToyModelParams, TrainConfig,
                                build_vocab, fit_temperature, forward, grad,
                                init_params, load_params, loss, nll,
-                               saliency, save_params, train, with_temperature)
+                               saliency_batch, save_params, train, with_temperature)
+
+from test_toyclf_batched import ref_saliency
 
 LABELS = LabelSet(("negative", "positive"))
 
@@ -247,33 +249,38 @@ def test_grad_requires_gold_labels():
 
 def test_saliency_zero_head_is_exactly_zero():
     params = tiny_params(w=((0.0, 0.0),))
-    scores = saliency(params, Example("e", TextInput("a a a"), 0))
-    assert scores.scores == (0.0, 0.0, 0.0)
+    scores = saliency_batch(params, [Example("e", TextInput("a a a"), 0)])[0]
+    assert scores == (0.0, 0.0, 0.0)
 
 
 def test_saliency_duplicate_tokens_score_equally():
     rng = np.random.default_rng(3)
     params = random_model(rng)
-    scores = saliency(params, Example("e", TextInput("w1 w2 w1"), 0))
-    assert scores.scores[0] == scores.scores[2]
+    scores = saliency_batch(params, [Example("e", TextInput("w1 w2 w1"), 0)])[0]
+    assert scores[0] == scores[2]
 
 
 def test_saliency_loss_label_defaults_to_gold_then_argmax():
     rng = np.random.default_rng(4)
     params = random_model(rng)
     labeled = Example("e", TextInput("w1 w2"), 2)
-    assert saliency(params, labeled).loss_label == 2
+    assert saliency_batch(params, [labeled])[0] == ref_saliency(params, labeled, loss_label=2)
+    assert saliency_batch(params, [labeled])[0] != ref_saliency(params, labeled, loss_label=0)
     unlabeled = Example("e", TextInput("w1 w2"), None)
     predicted = int(np.argmax(forward(params, unlabeled)))
-    assert saliency(params, unlabeled).loss_label == predicted
+    assert (saliency_batch(params, [unlabeled])[0]
+            == ref_saliency(params, unlabeled, loss_label=predicted))
+    other = (predicted + 1) % params.n_classes
+    assert (saliency_batch(params, [unlabeled])[0]
+            != ref_saliency(params, unlabeled, loss_label=other))
 
 
 def test_saliency_side_selects_pair_side():
     rng = np.random.default_rng(5)
     params = random_model(rng, task_kind="pair")
     ex = Example("e", TextInput("w1 w2 w3", "w4 w5"), 0)
-    assert len(saliency(params, ex, side="a")) == 3
-    assert len(saliency(params, ex, side="b")) == 2
+    assert len(saliency_batch(params, [ex], side="a")[0]) == 3
+    assert len(saliency_batch(params, [ex], side="b")[0]) == 2
 
 
 def test_saliency_matches_finite_difference_dot_product():
@@ -281,7 +288,7 @@ def test_saliency_matches_finite_difference_dot_product():
     rng = np.random.default_rng(6)
     params = random_model(rng)
     ex = Example("e", TextInput("w1 w2 w3"), 1)
-    scores = saliency(params, ex)
+    scores = saliency_batch(params, [ex])[0]
     eps = 1e-6
     cfg = LossConfig()
     # token 0 is w1 -> vocab row 1; scale the row to probe the dot product:
@@ -296,7 +303,7 @@ def test_saliency_matches_finite_difference_dot_product():
                                params.temperature, params.task_kind)
             vals.append(loss(p, [ex], cfg))
         numeric = (vals[0] - vals[1]) / (2 * eps)
-        assert abs(scores.scores[pos] - numeric) < 1e-6, pos
+        assert abs(scores[pos] - numeric) < 1e-6, pos
 
 
 # --- vocab / init ---
