@@ -132,6 +132,20 @@ def test_evaluate_shuffle_averages_five_seeds(tmp_path, trained_model):
     assert len(report["rows"][0]["per_seed"]) == 5
 
 
+def test_evaluate_records_the_replay_provider_in_provenance(tmp_path):
+    ids = _sentiment_ids()
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"id": i + suffix, "probs": [0.3, 0.7]}) + "\n"
+                             for i in ids for suffix in ("", "__sort")),
+                     encoding="utf-8")
+    out = tmp_path / "eval"
+    assert run(["evaluate", *SENT_ARGS, "--replay", str(preds),
+                "--transforms", "sort", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["provenance"]["provider"] == {
+        "kind": "replay", "location": str(preds), "supports_saliency": False}
+
+
 def test_evaluate_requires_a_provider(tmp_path):
     assert run(["evaluate", *SENT_ARGS, "--transforms", "sort",
                 "--out", str(tmp_path / "x")]) == 1
