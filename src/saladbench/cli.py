@@ -49,14 +49,15 @@ def _load(args) -> corpus.Dataset:
     return corpus.load_dataset(args.data, args.format, _label_set(args), args.task)
 
 
-def _open_provider(args, required: bool = True):
+def _provider(args, required: bool = True):
     """The provider that --model, --replay or --url names; None when no flag
     is given and none is required."""
-    for kind, location in (("embedded", args.model), ("replay", args.replay),
-                           ("http", args.url)):
-        if location:
-            return providers.open_provider(
-                providers.ProviderDescriptor(kind, location, supports_saliency=True))
+    if args.model:
+        return providers.EmbeddedProvider(toyclf.load_params(args.model))
+    if args.replay:
+        return providers.ReplayProvider(*args.replay.split(",", 1))
+    if args.url:
+        return providers.HttpProvider(args.url)
     if required:
         raise ConfigError("one of --model / --replay / --url is required")
     return None
@@ -88,7 +89,7 @@ def _save_transformed(transformed, ds, path):
 
 def cmd_transform(args) -> int:
     ds = _load(args)
-    provider = _open_provider(args, required=False)
+    provider = _provider(args, required=False)
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind,
@@ -111,7 +112,7 @@ def cmd_transform(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = _load(args)
-    provider = _open_provider(args)
+    provider = _provider(args)
     labels = ds.labels
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
     kinds, skipped = mitigate.resolve_kinds(
@@ -150,7 +151,7 @@ def cmd_evaluate(args) -> int:
     gold = [ex.gold_label for ex in ds.examples]
     ece_value = metrics.ece(preds_orig, gold) if None not in gold else None
     report = metrics.build_report(rows, labels.n_classes, ece_value,
-                                  provenance={"provider": vars(provider.describe()),
+                                  provenance={"provider": provider.describe(),
                                               "seed": args.seed,
                                               "data": args.data})
     _write_resolved_config(args, args.out)
@@ -230,8 +231,8 @@ def cmd_mitigate(args) -> int:
                                        ds.task_kind)
     invalid_val = {
         kind: [tx.example for tx in mitigate.transform_examples(
-            val_ds.examples, kind, ds.task_kind, cfg.seed, cfg.r, saliency,
-            generators, vocab)]
+            val_ds.examples, kind, ds.task_kind, cfg.seed, saliency=saliency,
+            generators=generators, vocab=vocab)]
         for kind in cfg.transforms}
 
     if cfg.strategy == "invalid_class":
@@ -242,8 +243,7 @@ def cmd_mitigate(args) -> int:
                                               warm=baseline)
         report = mitigate.evaluate_mitigation(
             "invalid_class", params, val_ds, invalid_val,
-            baseline_accuracy=100 * baseline_acc,
-            n_task_classes=ds.labels.n_classes)
+            baseline_accuracy=100 * baseline_acc)
     else:
         if cfg.strategy == "entropic_threshold":
             augmented, flags = mitigate.augment(train_ds, cfg, provider,
@@ -267,8 +267,7 @@ def cmd_mitigate(args) -> int:
         report = mitigate.evaluate_mitigation(
             cfg.strategy, params, val_ds, invalid_val, theta=theta,
             lambda_ent=cfg.lambda_ent if cfg.strategy == "entropic_threshold" else None,
-            baseline_accuracy=100 * baseline_acc,
-            n_task_classes=ds.labels.n_classes)
+            baseline_accuracy=100 * baseline_acc)
     _write_resolved_config(args, args.out)
     toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
 

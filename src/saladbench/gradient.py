@@ -21,7 +21,6 @@ from .lexical import GRADIENT_KINDS, TransformSpec, rewrite
 class ImportancePartition:
     bottom: tuple[int, ...]
     top: tuple[int, ...]
-    r: float
 
 
 def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePartition:
@@ -38,7 +37,7 @@ def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePart
     remaining = [i for i in range(n) if i not in set(bottom)]
     by_descending = sorted(remaining, key=lambda i: (-scores[i], i))
     top = sorted(by_descending[:m])
-    return ImportancePartition(tuple(bottom), tuple(top), r)
+    return ImportancePartition(tuple(bottom), tuple(top))
 
 
 def drop_tokens(tokens: tuple[str, ...], part: ImportancePartition) -> tuple[str, ...]:

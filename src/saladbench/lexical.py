@@ -137,9 +137,8 @@ def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 
     return _rebuild(best, terminal), best_shared, True
 
 
-def shuffle_tokens(tokens: tuple[str, ...], seed: int,
-                   max_attempts: int = 100) -> tuple[str, ...]:
-    out, _, _ = shuffle_with_report(tokens, seed, max_attempts)
+def shuffle_tokens(tokens: tuple[str, ...], seed: int) -> tuple[str, ...]:
+    out, _, _ = shuffle_with_report(tokens, seed)
     return out
 
 

@@ -25,6 +25,7 @@ from . import toyclf
 log = logging.getLogger(__name__)
 
 INVALID_LABEL = "invalid"
+THRESHOLD_STEP = 0.001
 
 # transforms that alter token content (vs. pure reorderings)
 CONTENT_CHANGING_KINDS = ("copysort", "drop", "repeat", "replace", "copyone", "pbsmt")
@@ -37,8 +38,6 @@ class MitigationConfig:
     augment_fraction: float = 0.5
     transforms: tuple[str, ...] = ALL_KINDS
     accuracy_tolerance: float = 0.03
-    grid_step: float = 0.001
-    r: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -143,8 +142,7 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
 def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
                           task_kind: str, saliency_provider=None,
                           pbsmt_models: Optional[dict[int, GeneratorModel]] = None,
-                          vocab: Optional[Sequence[str]] = None,
-                          r: float = 0.5, seed: int = 0,
+                          vocab: Optional[Sequence[str]] = None, seed: int = 0,
                           invalid_label: Optional[int] = None) -> list[Example]:
     """One invalid example per (source example, transform kind), labeled
     `invalid_label`, ordered by source and then by kind.
@@ -160,7 +158,8 @@ def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
         raise ConfigError("no applicable transforms for this configuration")
     saliency = score_saliency(saliency_provider, examples, usable, task_kind)
     by_kind = [{tx.source_id: tx.example for tx in transform_examples(
-                   examples, kind, task_kind, seed, r, saliency, pbsmt_models, vocab)}
+                   examples, kind, task_kind, seed, saliency=saliency,
+                   generators=pbsmt_models, vocab=vocab)}
                for kind in usable]
     return [Example(rows[ex.id].id, rows[ex.id].input, invalid_label)
             for ex in examples for rows in by_kind if ex.id in rows]
@@ -182,7 +181,7 @@ def augment(ds: Dataset, cfg: MitigationConfig, saliency_provider=None,
     invalid_label = ds.labels.n_classes if cfg.strategy == "invalid_class" else None
     invalid = make_invalid_examples(
         sources, cfg.transforms, ds.task_kind, saliency_provider,
-        pbsmt_models, vocab, cfg.r, cfg.seed, invalid_label)
+        pbsmt_models, vocab, cfg.seed, invalid_label)
 
     if cfg.strategy == "invalid_class":
         labels = LabelSet(ds.labels.names + (INVALID_LABEL,), ds.labels.default_label)
@@ -193,38 +192,32 @@ def augment(ds: Dataset, cfg: MitigationConfig, saliency_provider=None,
     return Dataset(examples, labels, ds.task_kind), flags
 
 
-def balance_clean(augmented: Dataset, flags: Sequence[bool],
-                  multiplier: Optional[int] = None) -> Dataset:
+def balance_clean(augmented: Dataset, flags: Sequence[bool]) -> Dataset:
     """Oversample the clean portion of an augmented dataset.
 
     With one invalid example per (source, kind) the invalid class outnumbers
-    every task class; duplicating clean examples restores rough class balance
-    so the detector does not sacrifice clean accuracy. The default multiplier
-    matches the invalid/clean ratio.
+    every task class; repeating the clean examples the (rounded, at least 1)
+    invalid/clean ratio of times restores rough class balance so the
+    detector does not sacrifice clean accuracy.
     """
     clean = tuple(e for e, f in zip(augmented.examples, flags) if not f)
     invalid = tuple(e for e, f in zip(augmented.examples, flags) if f)
     if not clean:
         raise ArgumentError("augmented dataset has no clean examples")
-    if multiplier is None:
-        multiplier = max(1, round(len(invalid) / len(clean)))
-    if multiplier < 1:
-        raise ArgumentError("multiplier must be >= 1")
-    return Dataset(clean * multiplier + invalid, augmented.labels,
-                   augmented.task_kind)
+    return Dataset(clean * max(1, round(len(invalid) / len(clean))) + invalid,
+                   augmented.labels, augmented.task_kind)
 
 
 def train_entropic(warm: toyclf.ToyModelParams, clean: Dataset, invalid: Dataset,
-                   lambda_ent: float, train_cfg: toyclf.TrainConfig,
-                   entropy_sign: str = "max") -> toyclf.ToyModelParams:
+                   lambda_ent: float, train_cfg: toyclf.TrainConfig
+                   ) -> toyclf.ToyModelParams:
     """Continue training from baseline weights, maximizing prediction entropy
     on invalid examples alongside the clean cross-entropy loss."""
-    cfg = toyclf.LossConfig("entropic", lambda_ent=lambda_ent,
-                            entropy_sign=entropy_sign)
+    cfg = toyclf.LossConfig("entropic", lambda_ent=lambda_ent)
     return toyclf.train(clean, cfg, train_cfg, warm=warm, invalid_ds=invalid)
 
 
-def threshold_grid(n_classes: int, step: float = 0.001) -> list[float]:
+def threshold_grid(n_classes: int, step: float = THRESHOLD_STEP) -> list[float]:
     lo = 1.0 / n_classes
     grid = []
     k = 0
@@ -250,7 +243,7 @@ def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
     conf_clean, conf_invalid = probs_clean.max(axis=1), probs_invalid.max(axis=1)
     correct = probs_clean.argmax(axis=1) == np.asarray(gold)
     best_theta, best_detect = None, -1.0
-    for theta in threshold_grid(probs_clean.shape[1], cfg.grid_step):
+    for theta in threshold_grid(probs_clean.shape[1], THRESHOLD_STEP):
         acc = np.count_nonzero(correct & (conf_clean >= theta)) / len(conf_clean)
         if acc < baseline_accuracy - cfg.accuracy_tolerance:
             continue
@@ -296,17 +289,16 @@ def evaluate_mitigation(strategy: str, params: toyclf.ToyModelParams,
                         invalid_by_transform: dict[str, list[Example]],
                         theta: Optional[float] = None,
                         lambda_ent: Optional[float] = None,
-                        baseline_accuracy: Optional[float] = None,
-                        n_task_classes: Optional[int] = None) -> MitigationReport:
+                        baseline_accuracy: Optional[float] = None) -> MitigationReport:
     """Clean accuracy plus %-invalid-detected, overall and per transform.
 
     Detection: invalid-class strategy predicts the extra class; threshold
     strategies flag confidence below theta. On the clean side an example is
-    correct only when predicted valid AND matching gold.
+    correct only when predicted valid AND matching gold; `clean_val` carries
+    the task labels only.
     """
     invalid_by_transform = _balanced_union(invalid_by_transform)
-    n_task = n_task_classes or (params.n_classes - 1 if strategy == "invalid_class"
-                                else params.n_classes)
+    n_task = clean_val.labels.n_classes
 
     def flagged(probs: np.ndarray) -> np.ndarray:
         if strategy == "invalid_class":

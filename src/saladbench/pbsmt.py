@@ -2,8 +2,8 @@
 
 A minimal phrase-based pipeline replacing a full SMT toolkit: IBM Model 1
 word alignment, intersected argmax symmetrization, consistent phrase pairs
-up to 3 tokens, a trigram stupid-backoff language model, and a stack beam
-decoder with a distortion limit. Each label gets its own generator trained
+up to MAX_PHRASE_LEN tokens, a trigram stupid-backoff language model, and a
+stack beam decoder with a distortion limit. Each label gets its own generator trained
 only on that label's examples, so outputs carry the label's co-occurrence
 statistics while being meaningless.
 """
@@ -24,6 +24,7 @@ from .lexical import rewrite
 
 NULL = "<null>"
 BOS = "<s>"
+MAX_PHRASE_LEN = 3  # tokens per side of a phrase pair
 
 
 @dataclass(frozen=True)
@@ -187,16 +188,17 @@ def align(pair: tuple[Sequence[str], Sequence[str]], table: LexicalTable) -> set
 
 
 def extract_phrases(pair: tuple[Sequence[str], Sequence[str]],
-                    alignment: set[tuple[int, int]],
-                    max_len: int = 3) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """All phrase pairs consistent with the alignment: no link leaves the
-    rectangle and at least one link lies inside."""
+                    alignment: set[tuple[int, int]]
+                    ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """All phrase pairs of at most MAX_PHRASE_LEN tokens a side consistent
+    with the alignment: no link leaves the rectangle and at least one link
+    lies inside."""
     src, tgt = pair
     out = []
     for i1 in range(len(src)):
-        for i2 in range(i1, min(i1 + max_len, len(src))):
+        for i2 in range(i1, min(i1 + MAX_PHRASE_LEN, len(src))):
             for j1 in range(len(tgt)):
-                for j2 in range(j1, min(j1 + max_len, len(tgt))):
+                for j2 in range(j1, min(j1 + MAX_PHRASE_LEN, len(tgt))):
                     inside = False
                     consistent = True
                     for (i, j) in alignment:
@@ -212,14 +214,13 @@ def extract_phrases(pair: tuple[Sequence[str], Sequence[str]],
     return out
 
 
-def build_phrase_table(corpus: ParallelCorpus, table: LexicalTable,
-                       max_len: int = 3) -> PhraseTable:
+def build_phrase_table(corpus: ParallelCorpus, table: LexicalTable) -> PhraseTable:
     pair_counts: Counter = Counter()
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
     for pair in corpus.pairs:
         a = align(pair, table)
-        for s, t in extract_phrases(pair, a, max_len):
+        for s, t in extract_phrases(pair, a):
             pair_counts[(s, t)] += 1
             src_counts[s] += 1
             tgt_counts[t] += 1
@@ -251,12 +252,12 @@ def train_lm(targets: Sequence[Sequence[str]], order: int = 3) -> LanguageModel:
     return LanguageModel(order, dict(counts), dict(context_totals), total, frozenset(vocab))
 
 
-def _phrase_options(source: tuple[str, ...], pt: PhraseTable, max_len: int = 3):
+def _phrase_options(source: tuple[str, ...], pt: PhraseTable):
     """Applicable options per source span; bare single tokens pass through."""
     options: dict[tuple[int, int], list[tuple[tuple[str, ...], float]]] = {}
     n = len(source)
     for i in range(n):
-        for j in range(i + 1, min(i + max_len, n) + 1):
+        for j in range(i + 1, min(i + MAX_PHRASE_LEN, n) + 1):
             opts = pt.by_source.get(source[i:j])
             if opts:
                 options[(i, j)] = opts

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,13 +68,6 @@ def checked_scores(inputs: Sequence[Example], side: str, rows) -> list[tuple[flo
     return [tuple(float(s) for s in row) for row in rows]
 
 
-@dataclass(frozen=True)
-class ProviderDescriptor:
-    kind: str                 # embedded | replay | http
-    location: str = ""
-    supports_saliency: bool = False
-
-
 class EmbeddedProvider:
     """Wraps a ToyModelParams; fully deterministic, supports saliency."""
 
@@ -84,8 +76,8 @@ class EmbeddedProvider:
     def __init__(self, params: toyclf.ToyModelParams):
         self.params = params
 
-    def describe(self) -> ProviderDescriptor:
-        return ProviderDescriptor("embedded", supports_saliency=True)
+    def describe(self) -> dict:
+        return {"kind": "embedded", "location": "", "supports_saliency": True}
 
     def predict_batch(self, inputs: Sequence[Example]) -> np.ndarray:
         return checked_probs([ex.id for ex in inputs],
@@ -137,8 +129,9 @@ class ReplayProvider:
         self.supports_saliency = saliency_path is not None
         self._location = str(predictions_path)
 
-    def describe(self) -> ProviderDescriptor:
-        return ProviderDescriptor("replay", self._location, self.supports_saliency)
+    def describe(self) -> dict:
+        return {"kind": "replay", "location": self._location,
+                "supports_saliency": self.supports_saliency}
 
     def predict_batch(self, inputs: Sequence[Example]) -> np.ndarray:
         ids = [ex.id for ex in inputs]
@@ -160,16 +153,16 @@ class ReplayProvider:
 class HttpProvider:
     """POSTs batches to /v1/predict on a remote model server."""
 
-    def __init__(self, base_url: str, supports_saliency: bool = False,
-                 timeout_ms: Optional[int] = None):
+    supports_saliency = True
+
+    def __init__(self, base_url: str, timeout_ms: Optional[int] = None):
         self.base_url = base_url.rstrip("/")
-        self.supports_saliency = supports_saliency
         if timeout_ms is None:
             timeout_ms = int(os.environ.get("SALADBENCH_HTTP_TIMEOUT_MS", "30000"))
         self.timeout = timeout_ms / 1000.0
 
-    def describe(self) -> ProviderDescriptor:
-        return ProviderDescriptor("http", self.base_url, self.supports_saliency)
+    def describe(self) -> dict:
+        return {"kind": "http", "location": self.base_url, "supports_saliency": True}
 
     def _post(self, inputs: Sequence[Example], want_saliency: bool,
               side: Optional[str] = None) -> dict:
@@ -204,18 +197,5 @@ class HttpProvider:
         return checked_probs([ex.id for ex in inputs], payload["probs"])
 
     def saliency_batch(self, inputs, side="a") -> list[tuple[float, ...]]:
-        if not self.supports_saliency:
-            raise CapabilityError("http provider not configured for saliency")
         return checked_scores(inputs, side, self._post(inputs, True, side).get("saliency"))
 
-
-def open_provider(desc: ProviderDescriptor, params=None):
-    if desc.kind == "embedded":
-        if params is None:
-            params = toyclf.load_params(desc.location)
-        return EmbeddedProvider(params)
-    if desc.kind == "replay":
-        return ReplayProvider(*desc.location.split(",", 1))
-    if desc.kind == "http":
-        return HttpProvider(desc.location, desc.supports_saliency)
-    raise ArgumentError(f"unknown provider kind {desc.kind!r}")

@@ -57,7 +57,6 @@ class LossConfig:
     lambda_ls: float = 0.1
     gamma: float = 2.0
     lambda_ent: float = 0.1
-    entropy_sign: str = "max"         # max | paper-literal
 
     def __post_init__(self):
         if self.kind not in ("cross_entropy", "label_smoothing", "focal", "entropic"):
@@ -68,8 +67,6 @@ class LossConfig:
             raise ArgumentError("gamma must be >= 0")
         if self.lambda_ent < 0:
             raise ArgumentError("lambda_ent must be >= 0")
-        if self.entropy_sign not in ("max", "paper-literal"):
-            raise ArgumentError(f"bad entropy_sign {self.entropy_sign!r}")
 
 
 @dataclass(frozen=True)
@@ -222,14 +219,13 @@ class ParamGrads:
 def loss(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
          invalid_batch: Sequence[Example] = ()) -> float:
     """Mean batch loss. For the entropic kind the objective is
-    L_D - lambda * H(invalid) (entropy maximized; flip via entropy_sign)."""
+    L_D - lambda * H(invalid), so the entropy on invalid inputs is maximized."""
     values, _ = _supervised_loss_and_dz(probabilities(params, batch), _gold(batch), cfg,
                                         params.temperature)
     result = float(np.cumsum(values)[-1]) / len(batch) if batch else 0.0
     if cfg.kind == "entropic" and invalid_batch:
         h, _ = _entropy_and_dz(probabilities(params, invalid_batch), params.temperature)
-        sign = -1.0 if cfg.entropy_sign == "max" else 1.0
-        result += sign * cfg.lambda_ent * float(np.mean(h))
+        result -= cfg.lambda_ent * float(np.mean(h))
     return result
 
 
@@ -253,8 +249,7 @@ def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
     _, dz = _supervised_loss_and_dz(probs[:n], gold, cfg, params.temperature)
     scale = np.full(len(enc), 1.0 / n if n else 0.0)
     if len(enc) > n:
-        sign = -1.0 if cfg.entropy_sign == "max" else 1.0
-        scale[n:] = sign * cfg.lambda_ent / (len(enc) - n)
+        scale[n:] = -cfg.lambda_ent / (len(enc) - n)
         dz = np.concatenate([dz, _entropy_and_dz(probs[n:], params.temperature)[1]])
     token_grads = [scale[owner, None] * _token_grads(params, enc, dz, s)
                    for s, owner in enumerate(enc.owner)]

@@ -256,8 +256,7 @@ def _mitigation_for(base, split, gens):
     detector = mitigate.train_invalid_class(
         balanced, toyclf.TrainConfig(epochs=15, learning_rate=1.0), warm=base)
     report = mitigate.evaluate_mitigation(
-        "invalid_class", detector, val_ds, invalid_val,
-        n_task_classes=train_ds.labels.n_classes)
+        "invalid_class", detector, val_ds, invalid_val)
     assert report.invalid_detected >= 90.0, (task_kind, report)
     assert report.clean_accuracy >= baseline_acc - 3.0, (task_kind, report)
 
@@ -296,7 +295,7 @@ def _mitigation_for(base, split, gens):
     t_cfg = mitigate.MitigationConfig(strategy="threshold")
     theta = mitigate.threshold_search(preds_clean, gold, preds_invalid,
                                       baseline_acc / 100.0, t_cfg)
-    grid = mitigate.threshold_grid(len(preds_clean[0]), t_cfg.grid_step)
+    grid = mitigate.threshold_grid(len(preds_clean[0]), mitigate.THRESHOLD_STEP)
     best_theta, best_detect = None, -1.0
     for cand in grid:
         acc = sum(1 for p, y in zip(preds_clean, gold)

@@ -65,13 +65,13 @@ def test_partition_sizes_and_disjointness(values, r):
 
 def test_drop_removes_bottom_keeps_order():
     seq = ("a", "b", "c", "d")
-    part = ImportancePartition(bottom=(1, 3), top=(0, 2), r=0.5)
+    part = ImportancePartition(bottom=(1, 3), top=(0, 2))
     assert drop_tokens(seq, part) == ("a", "c")
 
 
 def test_drop_everything_raises():
     seq = ("a",)
-    part = ImportancePartition(bottom=(0,), top=(), r=1.0)
+    part = ImportancePartition(bottom=(0,), top=())
     with pytest.raises(DegenerateInputError):
         drop_tokens(seq, part)
 
@@ -80,7 +80,7 @@ def test_drop_everything_raises():
 
 def test_repeat_overwrites_bottom_with_top_surfaces():
     seq = ("low1", "hi1", "low2", "hi2")
-    part = ImportancePartition(bottom=(0, 2), top=(1, 3), r=0.5)
+    part = ImportancePartition(bottom=(0, 2), top=(1, 3))
     out = repeat_tokens(seq, part, seed=0)
     assert len(out) == len(seq)
     assert out[1] == "hi1" and out[3] == "hi2"
@@ -97,7 +97,7 @@ def test_repeat_deterministic_per_seed():
 
 def test_repeat_needs_top_set():
     seq = ("only",)
-    part = ImportancePartition(bottom=(0,), top=(), r=0.5)
+    part = ImportancePartition(bottom=(0,), top=())
     with pytest.raises(UnsupportedTransformError):
         repeat_tokens(seq, part, seed=0)
 
@@ -106,21 +106,21 @@ def test_repeat_needs_top_set():
 
 def test_replace_draws_from_vocab_only_at_bottom():
     seq = ("a", "b", "c", "d")
-    part = ImportancePartition(bottom=(0, 1), top=(2, 3), r=0.5)
+    part = ImportancePartition(bottom=(0, 1), top=(2, 3))
     out = replace_tokens(seq, part, vocab=["z"], seed=0)
     assert out == ("z", "z", "c", "d")
 
 
 def test_replace_requires_vocab():
     seq = ("a", "b")
-    part = ImportancePartition(bottom=(0,), top=(1,), r=0.5)
+    part = ImportancePartition(bottom=(0,), top=(1,))
     with pytest.raises(ArgumentError):
         replace_tokens(seq, part, vocab=[], seed=0)
 
 
 def test_replace_matches_seeded_uniform_draws():
     seq = ("a", "b", "c", "d")
-    part = ImportancePartition(bottom=(1, 2), top=(0, 3), r=0.5)
+    part = ImportancePartition(bottom=(1, 2), top=(0, 3))
     vocab = ["u", "v", "w"]
     out = replace_tokens(seq, part, vocab, seed=9)
     rng = random.Random(9)

@@ -209,19 +209,8 @@ def test_balance_clean_default_multiplier_matches_ratio():
     assert len(balanced) == 10 * 6 + 60
     assert balanced.examples[:10] == clean
     assert balanced.examples[-60:] == invalid
-
-
-def test_balance_clean_explicit_multiplier_and_validation():
-    labels = LabelSet(("a", "b"))
-    clean = (Example("c", TextInput("x"), 0),)
-    invalid = (Example("i", TextInput("y"), None),)
-    ds = Dataset(clean + invalid, labels, "single")
-    balanced = balance_clean(ds, (False, True), multiplier=3)
-    assert len(balanced) == 4
     with pytest.raises(ArgumentError):
-        balance_clean(ds, (False, True), multiplier=0)
-    with pytest.raises(ArgumentError):
-        balance_clean(Dataset(invalid, labels, "single"), (True,))
+        balance_clean(Dataset(invalid, labels, "single"), (True,) * 60)
 
 
 # --- threshold search ---
@@ -239,7 +228,7 @@ def test_threshold_search_separable_case():
     # clean at 0.99 confidence (all correct), invalid at 0.6
     clean = preds([0.99] * 20)
     invalid = preds([0.6] * 20)
-    cfg = MitigationConfig(strategy="threshold", grid_step=0.001)
+    cfg = MitigationConfig(strategy="threshold")
     theta = threshold_search(clean, [0] * 20, invalid, 1.0, cfg)
     # smallest grid threshold strictly above 0.6 flags every invalid example
     assert 0.6 < theta <= 0.602
@@ -268,7 +257,7 @@ def test_threshold_search_matches_exhaustive_grid_oracle():
     cfg = MitigationConfig(strategy="threshold")
 
     best_theta, best_detect = None, -1.0
-    for theta in threshold_grid(2, cfg.grid_step):
+    for theta in threshold_grid(2, mitigate.THRESHOLD_STEP):
         acc = sum(1 for p, y in zip(clean, gold)
                   if p.max() >= theta and p.argmax() == y) / len(clean)
         if acc < baseline - cfg.accuracy_tolerance:
@@ -328,8 +317,7 @@ def test_train_invalid_class_learns_detector(pair_split, pair_base, pair_gens):
                                     provider, pair_gens,
                                     list(pair_base.vocab[1:]))
         for kind in CONTENT_CHANGING_KINDS}
-    report = evaluate_mitigation("invalid_class", params, val_ds, invalid_val,
-                                 n_task_classes=2)
+    report = evaluate_mitigation("invalid_class", params, val_ds, invalid_val)
     assert report.invalid_detected >= 90.0
     assert report.clean_accuracy >= 100.0 * toyclf.accuracy(pair_base, val_ds) - 3.0
 
@@ -351,7 +339,7 @@ def test_evaluate_mitigation_hand_counted_threshold_case():
     invalid = {"sort": [Example("i1", TextInput("lo"), None),    # flagged
                         Example("i2", TextInput("hi"), None)]}   # missed
     report = evaluate_mitigation("threshold", params, clean, invalid,
-                                 theta=0.9, n_task_classes=2)
+                                 theta=0.9)
     assert abs(report.clean_accuracy - 100.0 / 3.0) < 1e-9
     assert report.invalid_detected == 50.0
     assert report.per_transform_detection == {"sort": 50.0}
@@ -371,7 +359,7 @@ def test_evaluate_mitigation_balances_transform_counts():
     missed = [Example("m", TextInput("hi"), None)]
     invalid = {"drop": flagged, "sort": missed + flagged[:0]}
     report = evaluate_mitigation("threshold", params, clean, invalid,
-                                 theta=0.9, n_task_classes=2)
+                                 theta=0.9)
     # each kind contributes min-count (1) examples to the union
     assert report.per_transform_detection == {"drop": 100.0, "sort": 0.0}
     assert report.invalid_detected == 50.0

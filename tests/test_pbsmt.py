@@ -139,7 +139,7 @@ def test_extract_phrases_respects_max_len():
     n = 5
     src = tuple(f"s{i}" for i in range(n))
     tgt = tuple(f"t{i}" for i in range(n))
-    got = extract_phrases((src, tgt), {(i, i) for i in range(n)}, max_len=3)
+    got = extract_phrases((src, tgt), {(i, i) for i in range(n)})
     assert got  # diagonal alignment always yields phrases
     assert all(len(s) <= 3 and len(t) <= 3 for s, t in got)
 

@@ -80,7 +80,7 @@ def ref_ece(preds, gold_labels, bins=10):
 def ref_threshold_search(preds_clean, gold, preds_invalid, baseline_accuracy, cfg):
     n_classes = len(preds_clean[0].probs)
     best_theta, best_detect = None, -1.0
-    for theta in mitigate.threshold_grid(n_classes, cfg.grid_step):
+    for theta in mitigate.threshold_grid(n_classes, mitigate.THRESHOLD_STEP):
         acc = sum(1 for p, y in zip(preds_clean, gold)
                   if p.confidence >= theta and p.predicted == y) / len(preds_clean)
         if acc < baseline_accuracy - cfg.accuracy_tolerance:

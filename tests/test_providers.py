@@ -15,9 +15,8 @@ import pytest
 from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, CapabilityError, ContractError,
                                MissingPredictionError, TransportError)
-from saladbench.providers import (EmbeddedProvider, HttpProvider,
-                                  ProviderDescriptor, ReplayProvider,
-                                  checked_probs, checked_scores, open_provider)
+from saladbench.providers import (EmbeddedProvider, HttpProvider, ReplayProvider,
+                                  checked_probs, checked_scores)
 from saladbench import toyclf
 
 
@@ -151,8 +150,8 @@ def test_embedded_provider_saliency_alignment(pair_base, pair_split):
 
 
 def test_embedded_provider_describe(sent_base):
-    desc = EmbeddedProvider(sent_base).describe()
-    assert desc.kind == "embedded" and desc.supports_saliency
+    assert EmbeddedProvider(sent_base).describe() == {
+        "kind": "embedded", "location": "", "supports_saliency": True}
 
 
 # --- replay provider ---
@@ -286,7 +285,7 @@ def test_http_provider_predict(http_server):
 
 
 def test_http_provider_saliency(http_server):
-    provider = HttpProvider(http_server, supports_saliency=True)
+    provider = HttpProvider(http_server)
     scores = provider.saliency_batch(_examples(2))
     assert len(scores[0]) == 3
     assert scores[1] == (0.2, 0.2, 0.2)
@@ -294,7 +293,7 @@ def test_http_provider_saliency(http_server):
 
 
 def test_http_provider_sends_the_saliency_side(http_server):
-    provider = HttpProvider(http_server, supports_saliency=True)
+    provider = HttpProvider(http_server)
     assert provider.saliency_batch(_examples(1, "a b"), side="b") == [(0.1, 0.1)]
     assert _Handler.last_body["side"] == "b" and _Handler.last_body["want_saliency"]
     provider.saliency_batch(_examples(1))
@@ -303,15 +302,9 @@ def test_http_provider_sends_the_saliency_side(http_server):
 
 def test_http_provider_saliency_misaligned_with_tokens(http_server):
     _Handler.mode = "short"
-    provider = HttpProvider(http_server, supports_saliency=True)
+    provider = HttpProvider(http_server)
     with pytest.raises(ContractError, match="saliency for id 'e0', side 'a'"):
         provider.saliency_batch(_examples(2))
-
-
-def test_http_provider_saliency_capability_gate(http_server):
-    provider = HttpProvider(http_server)  # saliency not enabled
-    with pytest.raises(CapabilityError):
-        provider.saliency_batch(_examples(1))
 
 
 def test_http_provider_server_error(http_server):
@@ -337,34 +330,13 @@ def test_http_provider_non_numeric_response_is_a_contract_error(http_server):
     with pytest.raises(ContractError):
         HttpProvider(http_server).predict_batch(_examples(2))
     with pytest.raises(ContractError):
-        HttpProvider(http_server, supports_saliency=True).saliency_batch(_examples(2))
+        HttpProvider(http_server).saliency_batch(_examples(2))
 
 
 def test_http_provider_connection_refused():
     provider = HttpProvider("http://127.0.0.1:1", timeout_ms=500)
     with pytest.raises(TransportError):
         provider.predict_batch(_examples(1))
-
-
-# --- open_provider dispatch ---
-
-def test_open_provider_dispatch(tmp_path, sent_base):
-    path = tmp_path / "params.bin"
-    toyclf.save_params(sent_base, path)
-    p = open_provider(ProviderDescriptor("embedded", str(path)))
-    assert isinstance(p, EmbeddedProvider)
-
-    preds = _write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "probs": [1.0, 0.0]}])
-    sal = _write_jsonl(tmp_path / "s.jsonl",
-                       [{"id": "a", "scores": [0.0], "loss_label": 0}])
-    rp = open_provider(ProviderDescriptor("replay", f"{preds},{sal}"))
-    assert isinstance(rp, ReplayProvider) and rp.supports_saliency
-
-    hp = open_provider(ProviderDescriptor("http", "http://localhost:9"))
-    assert isinstance(hp, HttpProvider)
-
-    with pytest.raises(ArgumentError):
-        open_provider(ProviderDescriptor("carrier-pigeon"))
 
 
 def test_importing_the_cli_does_not_import_requests():

@@ -110,8 +110,7 @@ def ref_grad(params, batch, cfg, invalid_batch=()):
                                 params.temperature)
         token_grads.append(ref_accumulate(params, ex, dz, grads, scale))
     if cfg.kind == "entropic" and invalid_batch:
-        sign = -1.0 if cfg.entropy_sign == "max" else 1.0
-        iscale = sign * cfg.lambda_ent / len(invalid_batch)
+        iscale = -1.0 * cfg.lambda_ent / len(invalid_batch)  # entropy maximized
         for ex in invalid_batch:
             dh_dz = _ref_entropy_dz(ref_forward(params, ex), params.temperature)
             ref_accumulate(params, ex, dh_dz, grads, iscale)
