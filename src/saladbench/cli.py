@@ -41,6 +41,9 @@ def _add_provider_args(p):
 
 def _label_set(args) -> corpus.LabelSet:
     names = tuple(s.strip() for s in args.labels.split(","))
+    if args.default_label and args.default_label not in names:
+        raise ConfigError(f"--default-label {args.default_label!r} is not one of "
+                          f"--labels {args.labels!r}")
     default = names.index(args.default_label) if args.default_label else None
     return corpus.LabelSet(names, default)
 
@@ -98,15 +101,14 @@ def cmd_transform(args) -> int:
         print(f"skipped {kind}: {why}", file=sys.stderr)
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
     vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
+    outputs = [(f"{kind}_{seed}" if kind == "shuffle" else kind,
+                mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,
+                                            args.r, saliency, generators, vocab))
+               for kind in kinds
+               for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,))]
     _write_resolved_config(args, args.out)
-    for kind in kinds:
-        for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
-            transformed = mitigate.transform_examples(
-                ds.examples, kind, ds.task_kind, seed, args.r, saliency,
-                generators, vocab)
-            suffix = f"_{seed}" if kind == "shuffle" else ""
-            _save_transformed(transformed, ds,
-                              os.path.join(args.out, f"{kind}{suffix}.tsv"))
+    for name, transformed in outputs:
+        _save_transformed(transformed, ds, os.path.join(args.out, f"{name}.tsv"))
     return 0
 
 
@@ -287,8 +289,11 @@ def cmd_mitigate(args) -> int:
 def cmd_pbsmt(args) -> int:
     ds = _load(args)
     if args.pbsmt_command == "train":
-        labels = ([int(args.label)] if args.label is not None
-                  else list(range(ds.labels.n_classes)))
+        try:
+            labels = ([int(args.label)] if args.label is not None
+                      else list(range(ds.labels.n_classes)))
+        except ValueError:
+            raise ConfigError(f"--label must be an integer, got {args.label!r}") from None
         weights = pbsmt.DecoderWeights(
             w_tm=args.w_tm, w_lm=args.w_lm, w_dist=args.w_dist, w_len=args.w_len,
             beam_size=args.beam, distortion_limit=args.distortion_limit)
@@ -412,7 +417,13 @@ def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
     """Installs the --config JSON entries as defaults of the selected
     subcommand and parses argv again, so explicit flags win."""
     with open(args.config, encoding="utf-8") as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"--config {args.config}: bad JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"--config {args.config}: expected a JSON object, "
+                          f"got {type(cfg).__name__}")
     defaults = {key.replace("-", "_"): value for key, value in cfg.items()}
     parser.subcommands.choices[args.command].set_defaults(
         **{attr: value for attr, value in defaults.items() if hasattr(args, attr)})
@@ -437,7 +448,7 @@ def main(argv=None) -> int:
     except ProviderError as e:
         print(f"provider error: {e}", file=sys.stderr)
         return 3
-    except SaladBenchError as e:
+    except (SaladBenchError, OSError) as e:  # OSError: an input file is missing or unreadable
         print(f"error: {e}", file=sys.stderr)
         return 1
 

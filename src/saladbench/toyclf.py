@@ -393,9 +393,12 @@ def save_params(params: ToyModelParams, path, meta: Optional[dict] = None) -> No
 
 def load_params(path) -> ToyModelParams:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        v, d, n = header["vocab_size"], header["dim"], header["n_classes"]
-        k = 2 if header["task_kind"] == "pair" else 1
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+            v, d, n = header["vocab_size"], header["dim"], header["n_classes"]
+            k = 2 if header["task_kind"] == "pair" else 1
+        except (ValueError, KeyError, TypeError):  # not JSON, or not a params header
+            raise ArgumentError(f"{path}: first line is not a params header") from None
         raw = f.read()
     need = (v * d + k * d * n + n) * 8
     if len(raw) != need:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from saladbench import cli
+from saladbench import cli, pbsmt
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "saladbench" / "data"
 SENT = str(DATA_DIR / "toy_sentiment.tsv")
@@ -379,6 +379,52 @@ def test_exit_code_1_on_unknown_transform(tmp_path):
 def test_failed_checks_leave_no_output_directory(tmp_path, argv):
     out = tmp_path / "fo"
     assert run([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_transform_writes_nothing_when_a_later_kind_fails(tmp_path, sent_gens):
+    gens = tmp_path / "g0"                       # no generator for label 1
+    pbsmt.save_generator(sent_gens[0], gens / "label_0")
+    out = tmp_path / "fo"
+    assert run(["transform", *SENT_ARGS, "--pbsmt-dir", str(gens),
+                "--transforms", "sort,reverse,pbsmt", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+# (case, files written under tmp_path, argv, text the error line names);
+# "{tmp}" in argv and in the text stands for tmp_path
+SORT = ["--transforms", "sort"]
+OUTSIDE_INPUT = [
+    ("default-label", {}, ["transform", *SENT_ARGS, "--default-label", "neutral", *SORT],
+     "--default-label 'neutral'"),
+    ("pbsmt-label", {}, ["pbsmt", "train", *SENT_ARGS, "--label", "one"], "--label"),
+    ("model-header", {"m.bin": "not a header\n"},
+     ["evaluate", *SENT_ARGS, "--model", "{tmp}/m.bin", *SORT], "{tmp}/m.bin"),
+    ("config-json", {"c.json": "{seed: 7"},
+     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT], "--config {tmp}/c.json"),
+    ("config-list", {"c.json": "[7]"},
+     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT], "--config {tmp}/c.json"),
+    ("missing-data", {}, ["transform", "--data", "{tmp}/no.tsv", "--task", "single",
+                          "--labels", "negative,positive", *SORT], "{tmp}/no.tsv"),
+    ("missing-model", {}, ["evaluate", *SENT_ARGS, "--model", "{tmp}/no.bin", *SORT],
+     "{tmp}/no.bin"),
+    ("missing-config", {}, ["--config", "{tmp}/no.json", "transform", *SENT_ARGS, *SORT],
+     "{tmp}/no.json"),
+    ("missing-replay", {}, ["evaluate", *SENT_ARGS, "--replay", "{tmp}/no.jsonl", *SORT],
+     "{tmp}/no.jsonl"),
+]
+
+
+@pytest.mark.parametrize("files, argv, named", [
+    pytest.param(files, argv, named, id=case) for case, files, argv, named in OUTSIDE_INPUT])
+def test_bad_outside_input_is_one_error_line(tmp_path, capsys, files, argv, named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "fo"
+    assert run([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert named.format(tmp=tmp_path) in lines[0]
     assert not out.exists()
 
 
