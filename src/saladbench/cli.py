@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     except ProviderError as e:
         print(f"provider error: {e}", file=sys.stderr)
         return 3
-    except (SaladBenchError, OSError) as e:  # OSError: an input file is missing or unreadable
+    except (SaladBenchError, OSError) as e:  # OSError: a missing or unreadable file
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -243,7 +243,7 @@ def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
     conf_clean, conf_invalid = probs_clean.max(axis=1), probs_invalid.max(axis=1)
     correct = probs_clean.argmax(axis=1) == np.asarray(gold)
     best_theta, best_detect = None, -1.0
-    for theta in threshold_grid(probs_clean.shape[1], THRESHOLD_STEP):
+    for theta in threshold_grid(probs_clean.shape[1]):
         acc = np.count_nonzero(correct & (conf_clean >= theta)) / len(conf_clean)
         if acc < baseline_accuracy - cfg.accuracy_tolerance:
             continue

@@ -3,9 +3,9 @@
 A minimal phrase-based pipeline replacing a full SMT toolkit: IBM Model 1
 word alignment, intersected argmax symmetrization, consistent phrase pairs
 up to MAX_PHRASE_LEN tokens, a trigram stupid-backoff language model, and a
-stack beam decoder with a distortion limit. Each label gets its own generator trained
-only on that label's examples, so outputs carry the label's co-occurrence
-statistics while being meaningless.
+stack beam decoder with a distortion limit. Each label gets its own generator
+trained only on that label's examples, so outputs carry the label's
+co-occurrence statistics while being meaningless.
 """
 
 from __future__ import annotations

@@ -401,9 +401,11 @@ OUTSIDE_INPUT = [
     ("model-header", {"m.bin": "not a header\n"},
      ["evaluate", *SENT_ARGS, "--model", "{tmp}/m.bin", *SORT], "{tmp}/m.bin"),
     ("config-json", {"c.json": "{seed: 7"},
-     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT], "--config {tmp}/c.json"),
+     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT],
+     "--config {tmp}/c.json"),
     ("config-list", {"c.json": "[7]"},
-     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT], "--config {tmp}/c.json"),
+     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT],
+     "--config {tmp}/c.json"),
     ("missing-data", {}, ["transform", "--data", "{tmp}/no.tsv", "--task", "single",
                           "--labels", "negative,positive", *SORT], "{tmp}/no.tsv"),
     ("missing-model", {}, ["evaluate", *SENT_ARGS, "--model", "{tmp}/no.bin", *SORT],
@@ -416,7 +418,8 @@ OUTSIDE_INPUT = [
 
 
 @pytest.mark.parametrize("files, argv, named", [
-    pytest.param(files, argv, named, id=case) for case, files, argv, named in OUTSIDE_INPUT])
+    pytest.param(files, argv, named, id=case)
+    for case, files, argv, named in OUTSIDE_INPUT])
 def test_bad_outside_input_is_one_error_line(tmp_path, capsys, files, argv, named):
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
