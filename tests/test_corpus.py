@@ -1,6 +1,7 @@
 """Tokenization, dataset I/O, and splitting."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -54,6 +55,25 @@ def test_tokenize_detokenize_round_trip_on_normalized_text(words):
     text = " ".join(words)
     once = detokenize(tokenize(text))
     assert detokenize(tokenize(once)) == once
+
+
+@given(st.text())
+def test_tokens_survive_a_detokenize_round_trip(text):
+    # rows keep the tokens an edit returns instead of re-tokenizing the text
+    # built from them; that is only sound if this holds for any text
+    tokens = tokenize(text)
+    assert tokenize(detokenize(tokens)) == tokens
+
+
+# every code point that lowercasing changes or that str.split() splits on
+CASED_OR_SPACE = [c for c in map(chr, range(sys.maxunicode + 1))
+                  if c.lower() != c or c.isspace()]
+
+
+@pytest.mark.parametrize("context", ["{}", "a{}", "{}a", ".{}."])
+def test_tokens_survive_a_detokenize_round_trip_for_cased_and_space_chars(context):
+    tokens = tokenize(" ".join(context.format(c) for c in CASED_OR_SPACE))
+    assert tokenize(detokenize(tokens)) == tokens
 
 
 @given(st.text(max_size=40))
