@@ -421,6 +421,8 @@ def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
             cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"--config {args.config}: bad JSON: {e}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"--config {args.config}: not UTF-8 text") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"--config {args.config}: expected a JSON object, "
                           f"got {type(cfg).__name__}")

@@ -121,32 +121,44 @@ def _row_to_example(row_id, text_a, text_b, label, labels, task_kind):
     return Example(id=row_id, input=TextInput(text_a, text_b), gold_label=gold)
 
 
+def text_lines(path, error: type = DataError):
+    """(line number, line) for each line of a UTF-8 text file. A line that
+    is not UTF-8 raises `error` naming path:line."""
+    # undecodable bytes become lone surrogates, which valid UTF-8 never yields
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
+
+
 def jsonl_objects(path, error: type = DataError):
     """(line number, object) for each non-blank line of a JSONL file. A line
-    that is not a JSON object raises `error` naming path:line."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise error(f"{path}:{lineno}: bad JSON: {e.msg}") from None
-            if not isinstance(obj, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object, "
-                            f"got {type(obj).__name__}")
-            yield lineno, obj
+    that is not UTF-8 or not a JSON object raises `error` naming path:line."""
+    for lineno, line in text_lines(path, error):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise error(f"{path}:{lineno}: bad JSON: {e.msg}") from None
+        if not isinstance(obj, dict):
+            raise error(f"{path}:{lineno}: expected a JSON object, "
+                        f"got {type(obj).__name__}")
+        yield lineno, obj
 
 
 def _tsv_rows(path):
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        expected = ["id", "text_a", "text_b", "label"]
-        if header[: len(expected)] != expected:
-            raise DataError(f"bad TSV header {header!r} in {path}")
-        for lineno, line in enumerate(f, start=2):
-            if line.strip():
-                yield lineno, (line.rstrip("\n").split("\t") + [""] * 4)[:4]
+    lines = text_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
+    expected = ["id", "text_a", "text_b", "label"]
+    if header[: len(expected)] != expected:
+        raise DataError(f"bad TSV header {header!r} in {path}")
+    for lineno, line in lines:
+        if line.strip():
+            yield lineno, (line.rstrip("\n").split("\t") + [""] * 4)[:4]
 
 
 def load_dataset(path, fmt: str, labels: LabelSet, task_kind: str) -> Dataset:

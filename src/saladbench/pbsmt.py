@@ -17,9 +17,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .corpus import Dataset, Example, TextInput, tokenize
-from .errors import (ArgumentError, DegenerateInputError, InsufficientDataError,
-                     UnsupportedTransformError)
+from .corpus import Dataset, Example, TextInput, text_lines, tokenize
+from .errors import (ArgumentError, DataError, DegenerateInputError,
+                     InsufficientDataError, UnsupportedTransformError)
 from .lexical import rewrite
 
 NULL = "<null>"
@@ -396,20 +396,55 @@ def save_generator(model: GeneratorModel, dirpath) -> None:
         }, f, indent=2)
 
 
+def _fields(path, n: int):
+    """(line number, fields) for each line of a generator TSV file; a line
+    without exactly n tab-separated fields is a DataError naming path:line."""
+    for lineno, line in text_lines(path):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != n:
+            raise DataError(f"{path}:{lineno}: {len(fields)} fields, expected {n}")
+        yield lineno, fields
+
+
 def load_generator(dirpath) -> GeneratorModel:
-    with open(os.path.join(dirpath, "weights.json"), encoding="utf-8") as f:
-        meta = json.load(f)
+    """A generator saved by `save_generator`. A line with the wrong field
+    count, a number that does not parse, or a phrase token that `tokenize`
+    would not return unchanged is a DataError naming path:line, so every
+    decoder output is a token tuple that survives a detokenize round trip."""
     entries = {}
-    with open(os.path.join(dirpath, "phrases.tsv"), encoding="utf-8") as f:
-        for line in f:
-            s, t, lts, lst = line.rstrip("\n").split("\t")
-            entries[(tuple(s.split(" ")), tuple(t.split(" ")))] = (float(lts), float(lst))
+    path = os.path.join(dirpath, "phrases.tsv")
+    tokens_ok: set[str] = set()
+    for lineno, (s, t, lts, lst) in _fields(path, 4):
+        phrases = (tuple(s.split(" ")), tuple(t.split(" ")))
+        for tok in phrases[0] + phrases[1]:
+            if tok not in tokens_ok:
+                if tokenize(tok) != (tok,):
+                    raise DataError(f"{path}:{lineno}: {tok!r} is not a token")
+                tokens_ok.add(tok)
+        try:
+            entries[phrases] = (float(lts), float(lst))
+        except ValueError:
+            entries[phrases] = (math.nan, math.nan)
+        if not all(map(math.isfinite, entries[phrases])):
+            raise DataError(f"{path}:{lineno}: scores {lts!r}, {lst!r} are not "
+                            f"finite numbers")
     counts: dict[tuple[str, ...], int] = {}
-    with open(os.path.join(dirpath, "lm.tsv"), encoding="utf-8") as f:
-        for line in f:
-            ngram, c = line.rstrip("\n").split("\t")
+    path = os.path.join(dirpath, "lm.tsv")
+    for lineno, (ngram, c) in _fields(path, 2):
+        try:
             counts[tuple(ngram.split(" "))] = int(c)
-    order = meta["lm_order"]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: count {c!r} is not an integer") from None
+    path = os.path.join(dirpath, "weights.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            meta = json.load(f)
+        order, total = meta["lm_order"], meta["lm_total_tokens"]
+        weights = DecoderWeights(meta["w_tm"], meta["w_lm"], meta["w_dist"],
+                                 meta["w_len"], meta["beam_size"], meta["distortion_limit"])
+        label = meta["label"]
+    except (ValueError, KeyError, TypeError) as e:  # not UTF-8 or JSON, or a field missing
+        raise DataError(f"{path}: not generator weights ({type(e).__name__}: {e})") from None
     context_totals: Counter = Counter()
     vocab = set()
     for ngram, c in counts.items():
@@ -417,11 +452,8 @@ def load_generator(dirpath) -> GeneratorModel:
             context_totals[ngram[:-1]] += c
         else:
             vocab.add(ngram[0])
-    lm = LanguageModel(order, counts, dict(context_totals),
-                       meta["lm_total_tokens"], frozenset(vocab))
-    weights = DecoderWeights(meta["w_tm"], meta["w_lm"], meta["w_dist"],
-                             meta["w_len"], meta["beam_size"], meta["distortion_limit"])
-    return GeneratorModel(meta["label"], PhraseTable(entries), lm, weights)
+    lm = LanguageModel(order, counts, dict(context_totals), total, frozenset(vocab))
+    return GeneratorModel(label, PhraseTable(entries), lm, weights)
 
 
 def load_generators(dirpath) -> dict[int, GeneratorModel]:

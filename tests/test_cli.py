@@ -431,6 +431,53 @@ def test_bad_outside_input_is_one_error_line(tmp_path, capsys, files, argv, name
     assert not out.exists()
 
 
+# (case, bytes of a file that is not UTF-8, argv, exit code, error prefix);
+# "{bad}" in argv stands for that file
+TSV_NOT_UTF8 = b"id\ttext_a\ttext_b\tlabel\na\t\xff\xfe bad\t\tpositive\n"
+JSONL_NOT_UTF8 = b'{"id": "a", "text_a": "\xff\xfe bad", "probs": [0.5, 0.5]}\n'
+NON_UTF8_INPUT = [
+    ("data-tsv", TSV_NOT_UTF8, ["transform", "--data", "{bad}", "--task", "single",
+                                "--labels", "negative,positive", *SORT],
+     2, "data error: {bad}:2: "),
+    ("data-jsonl", JSONL_NOT_UTF8, ["transform", "--data", "{bad}", "--format", "jsonl",
+                                    "--task", "single", "--labels", "negative,positive",
+                                    *SORT], 2, "data error: {bad}:1: "),
+    ("replay", JSONL_NOT_UTF8, ["evaluate", *SENT_ARGS, "--replay", "{bad}", *SORT],
+     3, "provider error: {bad}:1: "),
+    ("config", b'{"seed": "\xff"}', ["--config", "{bad}", "transform", *SENT_ARGS, *SORT],
+     1, "error: --config {bad}: "),
+]
+
+
+@pytest.mark.parametrize("content, argv, code, prefix", [
+    pytest.param(content, argv, code, prefix, id=case)
+    for case, content, argv, code, prefix in NON_UTF8_INPUT])
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, content, argv,
+                                                  code, prefix):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    out = tmp_path / "fo"
+    assert run([a.format(bad=bad) for a in argv] + ["--out", str(out)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix.format(bad=bad)), lines
+    assert lines[0].endswith("not UTF-8 text"), lines
+    assert not out.exists()
+
+
+def test_bad_generator_file_is_one_data_error_line(tmp_path, capsys, sent_gens):
+    models = tmp_path / "models"
+    for label, gen in sent_gens.items():
+        pbsmt.save_generator(gen, models / f"label_{label}")
+    phrases = models / "label_1" / "phrases.tsv"
+    phrases.write_text("good\tfine\n", encoding="utf-8")   # two fields, not four
+    out = tmp_path / "fo"
+    assert run(["pbsmt", "generate", *SENT_ARGS, "--models", str(models),
+                "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {phrases}:1: "), lines
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults_but_explicit_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"transforms": "reverse", "seed": 7}),

@@ -4,12 +4,13 @@ independent exhaustive search)."""
 
 import hashlib
 import math
+import re
 
 import pytest
 
 from saladbench import pbsmt
 from saladbench.corpus import Dataset, Example, TextInput, tokenize
-from saladbench.errors import (ArgumentError, DegenerateInputError,
+from saladbench.errors import (ArgumentError, DataError, DegenerateInputError,
                                InsufficientDataError, UnsupportedTransformError)
 from saladbench.pbsmt import (BOS, NULL, DecoderWeights, LanguageModel,
                               LexicalTable, ParallelCorpus, PhraseTable, align,
@@ -452,6 +453,37 @@ def test_save_load_generator_round_trip(tmp_path, pair_split, pair_gens):
         a = decode(src, model.phrases, model.lm, model.weights)
         b = decode(src, back.phrases, back.lm, back.weights)
         assert a == b, ex.id
+
+
+@pytest.mark.parametrize("name, line", [
+    ("phrases.tsv", "good\tfine\n"),                         # two fields
+    ("phrases.tsv", "good\tfine\t-0.5\t-0.5\t0\n"),          # five fields
+    ("phrases.tsv", "good\tfine\t-0.5\thalf\n"),             # not a number
+    ("phrases.tsv", "good\tfine\tnan\t-0.5\n"),              # not finite
+    ("phrases.tsv", "good\tFine\t-0.5\t-0.5\n"),             # tokenize lowercases it
+    ("phrases.tsv", "good\tfine.\t-0.5\t-0.5\n"),            # tokenize splits it
+    ("phrases.tsv", "good\t\t-0.5\t-0.5\n"),                 # empty phrase
+    ("phrases.tsv", "good  film\tfine\t-0.5\t-0.5\n"),       # empty token
+    ("lm.tsv", "good film\n"),                                # one field
+    ("lm.tsv", "good film\tmany\n"),                          # not a count
+], ids=["phrase-2-fields", "phrase-5-fields", "phrase-number", "phrase-nan",
+        "phrase-case", "phrase-punct", "phrase-empty", "phrase-empty-token",
+        "lm-1-field", "lm-count"])
+def test_load_generator_refuses_a_bad_line_naming_it(tmp_path, pair_gens, name, line):
+    save_generator(pair_gens[0], tmp_path / "gen")
+    path = tmp_path / "gen" / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + line + "".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+        load_generator(tmp_path / "gen")
+
+
+def test_load_generator_refuses_weights_without_a_field(tmp_path, pair_gens):
+    save_generator(pair_gens[0], tmp_path / "gen")
+    path = tmp_path / "gen" / "weights.json"
+    path.write_text('{"label": 0}', encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_generator(tmp_path / "gen")
 
 
 def test_save_generator_writes_no_lexical_table(tmp_path, pair_gens):
