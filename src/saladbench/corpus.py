@@ -3,7 +3,8 @@
 Everything here is immutable after construction and safe to share across
 workers. The tokenizer is deliberately simple: whitespace split, leading and
 trailing punctuation detached, lowercased. Transformations operate on these
-word tokens; external models tokenize on their own side.
+word tokens; external models tokenize on their own side. A row tokenizes each
+side once and keeps the tokens (`TextInput.tokens`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ArgumentError, DataError
@@ -22,17 +24,52 @@ log = logging.getLogger(__name__)
 PUNCT_CHARS = ".,!?;:'\"()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextInput:
+    """One row's text. Each side is tokenized at most once, on first use of
+    `tokens`, and its tokens are kept on the row; `with_side` hands a new
+    row the tokens its text was built from."""
     text_a: str
     text_b: Optional[str] = None
+    # tokenize() of each side, once known; never passed in, so no
+    # constructor or dataclasses.replace call can pair a text with stale tokens
+    _tokens_a: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False,
+                                                 compare=False)
+    _tokens_b: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     @property
     def is_pair(self) -> bool:
         return self.text_b is not None
 
+    def tokens(self, side: str = "a") -> Optional[tuple[str, ...]]:
+        """tokenize() of text_a (side "a") or text_b (side "b"); None for a
+        row without text_b."""
+        if side == "a":
+            if self._tokens_a is None:
+                object.__setattr__(self, "_tokens_a", tokenize(self.text_a))
+            return self._tokens_a
+        if self._tokens_b is None and self.text_b is not None:
+            object.__setattr__(self, "_tokens_b", tokenize(self.text_b))
+        return self._tokens_b
 
-@dataclass(frozen=True)
+    def with_side(self, side: str, tokens: tuple[str, ...]) -> "TextInput":
+        """This row with `side` set to detokenize(tokens), keeping `tokens` as
+        that side's tokens and sharing the other side's. Sound because every
+        token is one that tokenize() returns unchanged, so that
+        tokenize(detokenize(tokens)) == tokens: tokens come from tokenize(),
+        from a vocabulary of them, or from a checked generator file."""
+        tokens = tuple(tokens)
+        if side == "a":
+            new = TextInput(detokenize(tokens), self.text_b)
+        else:
+            new = TextInput(self.text_a, detokenize(tokens))
+        object.__setattr__(new, "_tokens_a", tokens if side == "a" else self.tokens("a"))
+        object.__setattr__(new, "_tokens_b", tokens if side == "b" else self.tokens("b"))
+        return new
+
+
+@dataclass(frozen=True, slots=True)
 class Example:
     id: str
     input: TextInput
@@ -93,7 +130,8 @@ def tokenize(text: str) -> tuple[str, ...]:
         for p in lead:
             surfaces.append(p)
         if chunk:
-            surfaces.append(chunk.lower())
+            # interned: rows keep their tokens, and a word recurs across rows
+            surfaces.append(sys.intern(chunk.lower()))
         for p in reversed(trail):
             surfaces.append(p)
     return tuple(surfaces)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .corpus import Example, TextInput
+from .corpus import Example, TextInput, tokenize
 from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
 from .lexical import GRADIENT_KINDS, TransformSpec, rewrite
 
@@ -63,7 +63,8 @@ def repeat_tokens(tokens: tuple[str, ...], part: ImportancePartition,
 
 def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
                    vocab: Sequence[str], seed: int) -> tuple[str, ...]:
-    """Replace each bottom token with a uniform draw from vocab."""
+    """Replace each bottom token with a uniform draw from vocab, whose every
+    entry must be a token: one that tokenize() returns unchanged."""
     if not vocab:
         raise ArgumentError("replace needs a non-empty vocabulary")
     rng = random.Random(seed)
@@ -71,6 +72,8 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
     out = list(tokens)
     for i in part.bottom:
         out[i] = rng.choice(pool)
+        if tokenize(out[i]) != (out[i],):
+            raise ArgumentError(f"vocabulary entry {out[i]!r} is not a token")
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .corpus import Example, TextInput, detokenize, tokenize
+from .corpus import Example, TextInput
 from .errors import DegenerateInputError, UnsupportedTransformError
 
 log = logging.getLogger(__name__)
@@ -65,14 +65,11 @@ def rewrite(inp: TextInput, kind: str,
             edit: Callable[[tuple[str, ...]], tuple[str, ...]]) -> TextInput:
     """`inp` with `edit` applied under the side rule: `edit` gets the tokens
     of the side `kind` reads, and its output replaces the side `kind`
-    rewrites."""
+    rewrites and becomes that side's tokens (`TextInput.with_side`)."""
     if kind in PAIR_ONLY_KINDS and not inp.is_pair:
         raise UnsupportedTransformError(f"{kind} requires a pair-input task")
     read, written = side_rule(kind, inp.is_pair)
-    text = detokenize(edit(tokenize(inp.text_a if read == "a" else inp.text_b)))
-    if written == "a":
-        return TextInput(text, inp.text_b)
-    return TextInput(inp.text_a, text)
+    return inp.with_side(written, edit(inp.tokens(read)))
 
 
 def _split_terminal(tokens: tuple[str, ...]) -> tuple[list[str], Optional[str]]:

@@ -114,10 +114,9 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
         if ex.gold_label != label:
             continue
         if ds.task_kind == "pair":
-            src = tokenize(ex.input.text_a)
-            tgt = tokenize(ex.input.text_b)
+            src, tgt = ex.input.tokens("a"), ex.input.tokens("b")
         else:
-            toks = tokenize(ex.input.text_a)
+            toks = ex.input.tokens("a")
             half = math.ceil(len(toks) / 2)
             src, tgt = toks[:half], toks[half:]
         if src and tgt:

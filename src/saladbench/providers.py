@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Example, jsonl_objects, tokenize
+from .corpus import Example, jsonl_objects
 from .errors import (ArgumentError, CapabilityError, ContractError,
                      MissingPredictionError, TransportError)
 from . import toyclf
@@ -58,10 +58,10 @@ def checked_scores(inputs: Sequence[Example], side: str, rows) -> list[tuple[flo
     if not isinstance(rows, list) or len(rows) != len(inputs):
         raise ContractError(f"saliency for {len(inputs)} inputs is not one row per input")
     for ex, row in zip(inputs, rows):
-        text = ex.input.text_a if side == "a" else ex.input.text_b
-        if text is None:
+        tokens = ex.input.tokens(side)
+        if tokens is None:
             raise ArgumentError(f"example {ex.id} has no text_{side} to score")
-        n = len(tokenize(text))
+        n = len(tokens)
         if not _is_numbers(row) or len(row) != n:
             raise ContractError(f"saliency for id {ex.id!r}, side {side!r} is not "
                                 f"{n} finite numbers, one per token")

@@ -1,5 +1,6 @@
 """Tokenization, dataset I/O, and splitting."""
 
+import dataclasses
 import json
 import sys
 
@@ -83,6 +84,35 @@ def test_tokenize_is_deterministic_and_lowercase(text):
     assert a == b
     assert all(s == s.lower() for s in a)
     assert all(" " not in s for s in a)
+
+
+def test_text_input_tokens_are_each_sides_tokenize():
+    inp = TextInput("The film.", "It was GOOD")
+    assert inp.tokens("a") == tokenize("The film.")
+    assert inp.tokens("b") == tokenize("It was GOOD")
+    assert inp.tokens("a") is inp.tokens("a")          # kept, not recomputed
+    assert TextInput("x").tokens("b") is None
+    assert not hasattr(inp, "__dict__")                # slots keep rows small
+
+
+def test_text_input_replace_never_keeps_stale_tokens():
+    inp = TextInput("good film", "bad plot")
+    inp.tokens("a"), inp.tokens("b")
+    again = dataclasses.replace(inp, text_a="Awful acting!")
+    assert again.tokens("a") == ("awful", "acting", "!")
+    assert again.tokens("b") == ("bad", "plot")
+
+
+def test_text_input_with_side_keeps_the_given_tokens_and_shares_the_other():
+    inp = TextInput("good film", "bad plot")
+    new = inp.with_side("b", ("plot", "bad"))
+    assert (new.text_a, new.text_b) == ("good film", "plot bad")
+    assert new.tokens("b") == ("plot", "bad")
+    assert new.tokens("a") is inp.tokens("a")
+    single = TextInput("good film .").with_side("a", ["film", "good", "."])
+    assert single == TextInput("film good .")
+    assert single.tokens("a") == ("film", "good", ".") and single.tokens("b") is None
+    assert hash(single) == hash(TextInput("film good ."))  # tokens take no part
 
 
 def test_label_set_validation():

@@ -118,6 +118,15 @@ def test_replace_requires_vocab():
         replace_tokens(seq, part, vocab=[], seed=0)
 
 
+@pytest.mark.parametrize("entry", ["Z", "z.", "two words", ""])
+def test_replace_refuses_a_vocabulary_entry_that_is_not_a_token(entry):
+    # the new row keeps the edited tuple as its tokens, so each must be one
+    # that tokenize returns unchanged
+    part = ImportancePartition(bottom=(0,), top=(1,))
+    with pytest.raises(ArgumentError, match="is not a token"):
+        replace_tokens(("a", "b"), part, vocab=[entry], seed=0)
+
+
 def test_replace_matches_seeded_uniform_draws():
     seq = ("a", "b", "c", "d")
     part = ImportancePartition(bottom=(1, 2), top=(0, 3))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from saladbench import mitigate, toyclf
-from saladbench.corpus import Dataset, Example, LabelSet, TextInput
+from saladbench.corpus import Dataset, Example, LabelSet, TextInput, tokenize
 from saladbench.errors import ArgumentError, ConfigError
 from saladbench.lexical import ALL_KINDS, PAIR_ONLY_KINDS
 from saladbench.mitigate import (CONTENT_CHANGING_KINDS, MitigationConfig,
@@ -392,3 +392,35 @@ def test_transform_examples_keep_the_untouched_side_and_name_rows(
                         assert tx.example.input.text_a == src.input.text_a
                     else:
                         assert tx.example.input.text_b is None
+
+
+# --- tokens held by transformed rows ---
+
+@pytest.mark.parametrize("task", ["single", "pair"])
+def test_every_transformed_row_holds_the_tokens_of_its_text(task, request):
+    """Rows keep the tokens an edit returned instead of re-tokenizing the text
+    built from them; on both bundled corpora, those tokens must be exactly
+    what tokenizing each side's text gives."""
+    prefix = "sent" if task == "single" else "pair"
+    ds = request.getfixturevalue(f"{prefix}_ds")
+    _, val_ds = request.getfixturevalue(f"{prefix}_split")
+    params = request.getfixturevalue(f"{prefix}_base")
+    gens = request.getfixturevalue(f"{prefix}_gens")
+    kinds, _ = resolve_kinds("all", task)
+    provider = EmbeddedProvider(params)
+    vocab = toyclf.build_vocab(ds)[1:]
+    rows = 0
+    for kind in kinds:
+        # pbsmt decodes; the validation split keeps that fast
+        examples = val_ds.examples if kind == "pbsmt" else ds.examples
+        saliency = mitigate.score_saliency(provider, examples, [kind], task)
+        for seed in (0, 1):
+            for tx in mitigate.transform_examples(examples, kind, task, seed,
+                                                  saliency=saliency,
+                                                  generators=gens, vocab=vocab):
+                inp = tx.example.input
+                assert inp.tokens("a") == tokenize(inp.text_a), tx.example.id
+                if task == "pair":
+                    assert inp.tokens("b") == tokenize(inp.text_b), tx.example.id
+                rows += 1
+    assert rows > 2 * len(ds) * (len(kinds) - 1)

@@ -10,7 +10,7 @@ pinned outputs and the benchmark's reference checks depend on exact floats.
 import numpy as np
 import pytest
 
-from saladbench import toyclf
+from saladbench import corpus, toyclf
 from saladbench.corpus import Dataset, Example, TextInput, tokenize
 from saladbench.errors import ArgumentError, DegenerateInputError
 from saladbench.toyclf import LossConfig, ParamGrads, TrainConfig
@@ -281,8 +281,13 @@ def test_train_requires_gold_labels(sent_split):
 def test_train_encodes_each_example_once(task, request, monkeypatch):
     prefix = "sent" if task == "single" else "pair"
     train_ds, val_ds = request.getfixturevalue(f"{prefix}_split")
-    ds = Dataset(train_ds.examples[:48], train_ds.labels, task)
-    invalid = Dataset(tuple(_unlabeled(val_ds.examples[:16])), train_ds.labels, task)
+
+    def fresh(examples):  # rows that have not tokenized a side yet
+        return tuple(Example(ex.id, TextInput(ex.input.text_a, ex.input.text_b),
+                             ex.gold_label) for ex in examples)
+
+    ds = Dataset(fresh(train_ds.examples[:48]), train_ds.labels, task)
+    invalid = Dataset(fresh(_unlabeled(val_ds.examples[:16])), train_ds.labels, task)
     sides = (len(ds) + len(invalid)) * (2 if task == "pair" else 1)
     calls = []
 
@@ -290,11 +295,48 @@ def test_train_encodes_each_example_once(task, request, monkeypatch):
         calls.append(text)
         return tokenize(text)
 
-    monkeypatch.setattr(toyclf, "tokenize", counting)
+    monkeypatch.setattr(corpus, "tokenize", counting)
     made = []
     for epochs in (1, 4):
         calls.clear()
         toyclf.train(ds, LossConfig("entropic"), TrainConfig(epochs=epochs),
                      invalid_ds=invalid)
         made.append(len(calls))
-    assert made[0] == made[1] <= 2 * sides
+    # each side once, by the first run; the second reads the rows' tokens
+    assert made == [sides, 0]
+
+
+@pytest.mark.parametrize("batch_size", [16, 32])
+def test_emb_gradient_scatter_equals_add_at_on_mixed_magnitudes(batch_size):
+    """The emb gradient's flat bincount against np.add.at, adding in the same
+    order, on values from 1e-8 to 1e6 where summation order shows; words
+    repeat within an example, across examples and across sides."""
+    rng = np.random.default_rng(batch_size)
+    words = "a b c d e f".split()
+    vocab = (toyclf.UNK, *words)
+    d, n = 8, 3
+
+    def mixed(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 6, shape)
+
+    params = toyclf.ToyModelParams(vocab, mixed(len(vocab), d), mixed(2 * d, n),
+                                   mixed(n) * 1e-6, 1.0, "pair")
+
+    def text():
+        return " ".join(rng.choice(words + ["zz"], rng.integers(1, 9)))
+
+    batch = [Example(f"e{i}", TextInput(text(), text()), int(rng.integers(n)))
+             for i in range(batch_size)]
+    enc = toyclf.encode(params, batch)
+    gold = np.array([ex.gold_label for ex in batch])
+    grads, token_grads = toyclf._grad(params, enc, gold, LossConfig())
+    order = np.argsort(np.concatenate(enc.owner), kind="stable")
+    reference = np.zeros_like(params.emb)
+    np.add.at(reference, np.concatenate(enc.ids)[order],
+              np.concatenate(token_grads)[order])
+    assert np.array_equal(grads.emb, reference)
+    # the check can fail: another order of the same additions differs
+    shuffled = np.zeros_like(params.emb)
+    np.add.at(shuffled, np.concatenate(enc.ids)[order[::-1]],
+              np.concatenate(token_grads)[order[::-1]])
+    assert not np.array_equal(shuffled, reference)
