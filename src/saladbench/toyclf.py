@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -411,5 +412,5 @@ def load_params(path) -> ToyModelParams:
     emb = buf[: v * d].reshape(v, d).copy()
     w = buf[v * d: v * d + k * d * n].reshape(k * d, n).copy()
     b = buf[v * d + k * d * n:].copy()
-    return ToyModelParams(tuple(header["vocab"]), emb, w, b,
+    return ToyModelParams(tuple(map(sys.intern, header["vocab"])), emb, w, b,
                           header["temperature"], header["task_kind"])
