@@ -42,7 +42,7 @@ class TextInput:
     def is_pair(self) -> bool:
         return self.text_b is not None
 
-    def tokens(self, side: str = "a") -> Optional[tuple[str, ...]]:
+    def tokens(self, side: str) -> Optional[tuple[str, ...]]:
         """tokenize() of text_a (side "a") or text_b (side "b"); None for a
         row without text_b."""
         if side == "a":

@@ -412,14 +412,14 @@ def load_generator(dirpath) -> GeneratorModel:
     decoder output is a token tuple that survives a detokenize round trip."""
     entries = {}
     path = os.path.join(dirpath, "phrases.tsv")
-    tokens_ok: set[str] = set()
+    checked: set[str] = set()  # tokens seen to be tokens; a table repeats them
     for lineno, (s, t, lts, lst) in _fields(path, 4):
         phrases = (tuple(s.split(" ")), tuple(t.split(" ")))
         for tok in phrases[0] + phrases[1]:
-            if tok not in tokens_ok:
+            if tok not in checked:
                 if tokenize(tok) != (tok,):
                     raise DataError(f"{path}:{lineno}: {tok!r} is not a token")
-                tokens_ok.add(tok)
+                checked.add(tok)
         try:
             entries[phrases] = (float(lts), float(lst))
         except ValueError:
