@@ -46,7 +46,7 @@ class TransformSpec:
         return f"{self.kind}:{self.seed}:{self.r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformedExample:
     example: Example
     source_id: str

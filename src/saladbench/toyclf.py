@@ -14,7 +14,7 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,10 @@ from .errors import (ArgumentError, DegenerateInputError, TrainingError)
 log = logging.getLogger(__name__)
 
 UNK = "<unk>"
+# Token rows gathered at a time in a forward pass and in saliency: bounds the
+# (tokens x dim) copies of embedding rows, which otherwise grow with the
+# batch. Each chunk adds in the same order, so results are bit-identical.
+CHUNK_TOKENS = 512
 
 
 @dataclass(frozen=True)
@@ -131,17 +135,17 @@ def encode(params: ToyModelParams, examples: Sequence[Example]) -> Encoding:
     """The one place a row's tokens become model input; unknown words map to
     row 0. An empty side, or a pair example without text_b, is degenerate."""
     index = {s: i for i, s in enumerate(params.vocab)}
-    sides: list[list[list[int]]] = [[], []] if params.task_kind == "pair" else [[]]
-    for ex in examples:
-        for side, name in zip(sides, "ab"):
-            tokens = ex.input.tokens(name)
+    ids, lengths = [], []
+    for side in ("a", "b") if params.task_kind == "pair" else ("a",):
+        rows = [ex.input.tokens(side) for ex in examples]
+        for ex, tokens in zip(examples, rows):
             if tokens is None:
                 raise DegenerateInputError(f"example {ex.id} lacks text_b for a pair model")
-            side.append([index.get(t, 0) for t in tokens])
-            if not side[-1]:
+            if not tokens:
                 raise DegenerateInputError("empty token sequence")
-    return Encoding(tuple(np.fromiter(chain.from_iterable(s), dtype=int) for s in sides),
-                    tuple(np.array([len(ids) for ids in s], dtype=int) for s in sides))
+        ids.append(np.fromiter(map(index.get, chain.from_iterable(rows), repeat(0)), dtype=int))
+        lengths.append(np.fromiter(map(len, rows), dtype=int, count=len(rows)))
+    return Encoding(tuple(ids), tuple(lengths))
 
 
 def _gold(examples: Sequence[Example]) -> np.ndarray:
@@ -158,7 +162,9 @@ def _logits(params: ToyModelParams, enc: Encoding) -> tuple[np.ndarray, np.ndarr
     parts = []
     for ids, owner, lengths in zip(enc.ids, enc.owner, enc.lengths):
         sums = np.zeros((len(enc), params.dim))
-        np.add.at(sums, owner, params.emb[ids])
+        for i in range(0, len(ids), CHUNK_TOKENS):
+            chunk = slice(i, i + CHUNK_TOKENS)
+            np.add.at(sums, owner[chunk], params.emb[ids[chunk]])
         parts.append(sums / lengths[:, None])
     pooled = np.concatenate(parts, axis=1)
     return pooled, (pooled[:, None, :] @ params.w)[:, 0, :] + params.b
@@ -294,7 +300,11 @@ def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
                                     LossConfig("cross_entropy"), params.temperature)
     s = 0 if side == "a" or params.task_kind == "single" else 1
     g = _token_grads(params, enc, dz, s)
-    scores = (params.emb[enc.ids[s]][:, None, :] @ g[:, :, None])[:, 0, 0]
+    ids = enc.ids[s]
+    scores = np.empty(len(ids))
+    for i in range(0, len(ids), CHUNK_TOKENS):
+        chunk = slice(i, i + CHUNK_TOKENS)
+        scores[chunk] = (params.emb[ids[chunk]][:, None, :] @ g[chunk, :, None])[:, 0, 0]
     return [tuple(part.tolist()) for part in np.split(scores, np.cumsum(enc.lengths[s]))[:-1]]
 
 

@@ -227,6 +227,19 @@ def test_saliency_equals_reference_on_both_sides(model_and_split):
             == ref_saliency(params, examples[0], "b"))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_any_token_chunking_equals_reference(model_and_split, chunk, monkeypatch):
+    # forward passes and saliency gather embedding rows CHUNK_TOKENS at a time
+    monkeypatch.setattr(toyclf, "CHUNK_TOKENS", chunk)
+    params, _, val_ds = model_and_split
+    examples = list(val_ds.examples)
+    assert np.array_equal(toyclf.probabilities(params, examples),
+                          np.stack([ref_forward(params, ex) for ex in examples]))
+    for side in ("a", "b"):
+        assert (toyclf.saliency_batch(params, examples, side)
+                == [ref_saliency(params, ex, side) for ex in examples])
+
+
 def test_train_equals_reference_loop(model_and_split):
     params, train_ds, val_ds = model_and_split
     ds = Dataset(train_ds.examples[:40], train_ds.labels, train_ds.task_kind)
