@@ -1,7 +1,8 @@
 """Data model, word-level tokenization, and dataset I/O.
 
-Everything here is immutable after construction and safe to share across
-workers. The tokenizer is deliberately simple: whitespace split, leading and
+Every compared field is immutable after construction and safe to share
+across workers; a row fills in each side's tokens on first use, and every
+writer stores the same value. The tokenizer is deliberately simple: whitespace split, leading and
 trailing punctuation detached, lowercased. Transformations operate on these
 word tokens; external models tokenize on their own side. A row tokenizes each
 side once and keeps the tokens (`TextInput.tokens`).

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .corpus import Example, TextInput, tokenize
+from .corpus import Example, TextInput
 from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
 from .lexical import GRADIENT_KINDS, TransformSpec, rewrite
 
@@ -64,7 +64,8 @@ def repeat_tokens(tokens: tuple[str, ...], part: ImportancePartition,
 def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
                    vocab: Sequence[str], seed: int) -> tuple[str, ...]:
     """Replace each bottom token with a uniform draw from vocab, whose every
-    entry must be a token: one that tokenize() returns unchanged."""
+    entry must be a token: one that tokenize() returns unchanged
+    (mitigate.transform_examples checks a vocabulary once per set)."""
     if not vocab:
         raise ArgumentError("replace needs a non-empty vocabulary")
     rng = random.Random(seed)
@@ -72,8 +73,6 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
     out = list(tokens)
     for i in part.bottom:
         out[i] = rng.choice(pool)
-        if tokenize(out[i]) != (out[i],):
-            raise ArgumentError(f"vocabulary entry {out[i]!r} is not a token")
     return tuple(out)
 
 
@@ -83,7 +82,8 @@ def apply_gradient(ex: Example, spec: TransformSpec, scores: Sequence[float],
 
     `scores` must be aligned with the tokens of the side the kind reads
     (lexical.side_rule: text_a for copyone, whose text_b becomes the single
-    most salient token of text_a).
+    most salient token of text_a). A replace vocabulary must hold only
+    tokens, as replace_tokens says.
     """
     if spec.kind not in GRADIENT_KINDS:
         raise UnsupportedTransformError(f"{spec.kind} is not a gradient transform")

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Example, LabelSet
+from .corpus import Dataset, Example, LabelSet, tokenize
 from .errors import ArgumentError, ConfigError, DegenerateInputError
 from .gradient import apply_gradient
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
@@ -116,7 +116,12 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
     """Applies one kind to every example; gradient kinds read `saliency`
     (score_saliency over the same examples). Rows are named `{id}__{kind}`
     (`{id}__shuffle:{seed}`); rows too small for the kind are skipped and
-    logged with a count per reason."""
+    logged with a count per reason. A replace vocabulary entry that is not a
+    token (one that tokenize() returns unchanged) is an ArgumentError."""
+    if kind == "replace":  # once per set, so no seed decides whether it fails
+        bad = next((v for v in vocab or () if tokenize(v) != (v,)), None)
+        if bad is not None:
+            raise ArgumentError(f"vocabulary entry {bad!r} is not a token")
     scores = saliency[scored_side(kind, task_kind)] if kind in GRADIENT_KINDS else None
     spec = TransformSpec(kind=kind, seed=seed, r=r)
     suffix = f"{kind}:{seed}" if kind == "shuffle" else kind

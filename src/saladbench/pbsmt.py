@@ -421,12 +421,14 @@ def load_generator(dirpath) -> GeneratorModel:
                     raise DataError(f"{path}:{lineno}: {tok!r} is not a token")
                 checked.add(tok)
         try:
-            entries[phrases] = (float(lts), float(lst))
+            scores = (float(lts), float(lst))
         except ValueError:
-            entries[phrases] = (math.nan, math.nan)
-        if not all(map(math.isfinite, entries[phrases])):
+            raise DataError(f"{path}:{lineno}: scores {lts!r}, {lst!r} do not "
+                            f"parse") from None
+        if not all(map(math.isfinite, scores)):
             raise DataError(f"{path}:{lineno}: scores {lts!r}, {lst!r} are not "
                             f"finite numbers")
+        entries[phrases] = scores
     counts: dict[tuple[str, ...], int] = {}
     path = os.path.join(dirpath, "lm.tsv")
     for lineno, (ngram, c) in _fields(path, 2):

@@ -14,6 +14,7 @@ from saladbench.gradient import (ImportancePartition, apply_gradient,
                                  drop_tokens, partition_by_importance,
                                  repeat_tokens, replace_tokens)
 from saladbench.lexical import TransformSpec
+from saladbench.mitigate import transform_examples
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -121,10 +122,14 @@ def test_replace_requires_vocab():
 @pytest.mark.parametrize("entry", ["Z", "z.", "two words", ""])
 def test_replace_refuses_a_vocabulary_entry_that_is_not_a_token(entry):
     # the new row keeps the edited tuple as its tokens, so each must be one
-    # that tokenize returns unchanged
-    part = ImportancePartition(bottom=(0,), top=(1,))
-    with pytest.raises(ArgumentError, match="is not a token"):
-        replace_tokens(("a", "b"), part, vocab=[entry], seed=0)
+    # that tokenize returns unchanged; the whole vocabulary is checked before
+    # any draw, so the outcome does not depend on which entries a seed draws
+    examples = [Example("e", TextInput("a b c d"), 0)]
+    saliency = {"a": [(1.0, 2.0, 3.0, 4.0)]}
+    for seed in range(4):
+        with pytest.raises(ArgumentError, match="is not a token"):
+            transform_examples(examples, "replace", "single", seed, r=0.25,
+                               saliency=saliency, vocab=["z"] * 50 + [entry])
 
 
 def test_replace_matches_seeded_uniform_draws():

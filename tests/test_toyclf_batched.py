@@ -302,13 +302,19 @@ def test_train_encodes_each_example_once(task, request, monkeypatch):
     ds = Dataset(fresh(train_ds.examples[:48]), train_ds.labels, task)
     invalid = Dataset(fresh(_unlabeled(val_ds.examples[:16])), train_ds.labels, task)
     sides = (len(ds) + len(invalid)) * (2 if task == "pair" else 1)
-    calls = []
+    calls, encodes = [], []
+    encode = toyclf.encode
 
     def counting(text):
         calls.append(text)
         return tokenize(text)
 
+    def counting_encode(params, examples):
+        encodes.append(len(examples))
+        return encode(params, examples)
+
     monkeypatch.setattr(corpus, "tokenize", counting)
+    monkeypatch.setattr(toyclf, "encode", counting_encode)
     made = []
     for epochs in (1, 4):
         calls.clear()
@@ -317,6 +323,8 @@ def test_train_encodes_each_example_once(task, request, monkeypatch):
         made.append(len(calls))
     # each side once, by the first run; the second reads the rows' tokens
     assert made == [sides, 0]
+    # one encode of both sets per run, however many epochs and batches
+    assert encodes == [len(ds) + len(invalid)] * 2
 
 
 @pytest.mark.parametrize("batch_size", [16, 32])
