@@ -1,11 +1,12 @@
 """Pinned command outputs on both bundled corpora.
 
-`transform --transforms all`, `pbsmt generate` and `evaluate --transforms all`
-must keep producing exactly these files. The TSV digests leave out the `id`
+`transform --transforms all`, `pbsmt generate`, `evaluate --transforms all`
+and `mitigate` under each strategy must keep producing exactly these files. The TSV digests leave out the `id`
 column (it names a row, not its content) and the report digest leaves out
 `provenance.data` (a path). Generators are the session fixtures, saved with
 `pbsmt.save_generator`; decoding runs on the validation split only, to keep
-the test fast.
+the test fast. `mitigate` pins `report.json` and `report.csv`, not
+`params_mitigated.bin`, whose float bytes depend on the CPU.
 """
 
 import hashlib
@@ -104,3 +105,31 @@ def test_outputs_match_pinned_digests(task, request, tmp_path):
         observed[label] = (_report_digest(out / "report.json")
                            if argv[0] == "evaluate" else _tsv_digest(out))
     assert observed == EXPECTED[task]
+
+
+MITIGATE_EXPECTED = {
+    ("single", "invalid-class"):
+        "08d8f0747f11a83f3ca0729cb533dd4f9d7afd4fc75e6d43bbcf58838b971e15",
+    ("single", "threshold"):
+        "1e5570a7ffd9769fc5a7d7eda14c8d4c860dc8881f7c34364aafa1135553f567",
+    ("single", "entropic-threshold"):
+        "d03dd8c2c48d64ee3a0be720a1679448231813b7696fbf25049cb185f731b0a1",
+    ("pair", "invalid-class"):
+        "bdeb09f6ac692031f5b11ff6ba9aacc7b87792b5af6c227b8fde5b39381858e0",
+    ("pair", "threshold"):
+        "bbfbcbb047e834b5e6d3a8c0cf03c2a7d4cd8a5acb305d66b4d08ce49f823d46",
+    ("pair", "entropic-threshold"):
+        "c3113962c3827c9a777ddcdb1d4158485a412465d7dce7027548b17948e5dc6c",
+}
+
+
+@pytest.mark.parametrize("task, strategy", sorted(MITIGATE_EXPECTED))
+def test_mitigate_reports_match_pinned_digests(task, strategy, tmp_path):
+    name, task_args, _ = CORPORA[task]
+    out = tmp_path / "mit"
+    assert cli.main(["mitigate", "--data", str(DATA_DIR / name), *task_args,
+                     "--strategy", strategy, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for report in ("report.json", "report.csv"):
+        h.update((out / report).read_bytes())
+    assert h.hexdigest() == MITIGATE_EXPECTED[task, strategy]
