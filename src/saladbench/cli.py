@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider/contract e
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -202,10 +201,7 @@ def cmd_mitigate(args) -> int:
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
     if not kinds:
         raise ConfigError("no applicable transforms for this task")
-    cfg = mitigate.MitigationConfig(
-        strategy=args.strategy.replace("-", "_"), lambda_ent=args.lambda_ent,
-        augment_fraction=args.augment_fraction, transforms=kinds,
-        accuracy_tolerance=args.tolerance, seed=args.seed)
+    strategy = args.strategy.replace("-", "_")
     train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
                                    args.seed, args.dim)
     finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
@@ -217,59 +213,46 @@ def cmd_mitigate(args) -> int:
     vocab = list(baseline.vocab[1:])
 
     generators = {}
-    if "pbsmt" in cfg.transforms:
+    if "pbsmt" in kinds:
         try:
-            for label in range(ds.labels.n_classes):
-                generators[label] = pbsmt.train_generator(train_ds, label)
+            generators = {label: pbsmt.train_generator(train_ds, label)
+                          for label in range(ds.labels.n_classes)}
         except SaladBenchError as e:
             skipped.append(("pbsmt", f"generators unavailable: {e}"))
-            generators = {}
-            cfg = dataclasses.replace(
-                cfg, transforms=tuple(k for k in cfg.transforms if k != "pbsmt"))
+            kinds = tuple(k for k in kinds if k != "pbsmt")
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
 
-    saliency = mitigate.score_saliency(provider, val_ds.examples, cfg.transforms,
-                                       ds.task_kind)
-    invalid_val = {
-        kind: [tx.example for tx in mitigate.transform_examples(
-            val_ds.examples, kind, ds.task_kind, cfg.seed, saliency=saliency,
-            generators=generators, vocab=vocab)]
-        for kind in cfg.transforms}
+    invalid_val = {kind: list(rows.values()) for kind, rows in mitigate.invalid_by_kind(
+        val_ds.examples, kinds, ds.task_kind, provider, generators, vocab,
+        args.seed).items()}
 
-    if cfg.strategy == "invalid_class":
-        augmented, flags = mitigate.augment(train_ds, cfg, provider, generators,
-                                            vocab)
-        balanced = mitigate.balance_clean(augmented, flags)
-        params = mitigate.train_invalid_class(balanced, finetune_cfg,
-                                              warm=baseline)
-        report = mitigate.evaluate_mitigation(
-            "invalid_class", params, val_ds, invalid_val,
-            baseline_accuracy=100 * baseline_acc)
+    def invalid_train():
+        return mitigate.augment(train_ds, kinds, args.augment_fraction, args.seed,
+                                provider, generators, vocab)
+
+    theta = None
+    if strategy == "invalid_class":
+        params = mitigate.train_invalid_class(
+            mitigate.balance_clean(train_ds, invalid_train()), finetune_cfg,
+            warm=baseline)
     else:
-        if cfg.strategy == "entropic_threshold":
-            augmented, flags = mitigate.augment(train_ds, cfg, provider,
-                                                generators, vocab)
-            invalid_train = corpus.Dataset(
-                tuple(ex for ex, f in zip(augmented.examples, flags) if f),
-                ds.labels, ds.task_kind)
-            params = mitigate.train_entropic(baseline, train_ds, invalid_train,
-                                             cfg.lambda_ent, finetune_cfg)
-        else:
-            params = baseline
-        t = toyclf.fit_temperature(params, val_ds)
-        params = toyclf.with_temperature(params, t)
+        params = baseline if strategy == "threshold" else mitigate.train_entropic(
+            baseline, train_ds,
+            corpus.Dataset(tuple(invalid_train()), ds.labels, ds.task_kind),
+            args.lambda_ent, finetune_cfg)
+        params = toyclf.with_temperature(params, toyclf.fit_temperature(params, val_ds))
         eprov = providers.EmbeddedProvider(params)
         preds_clean = eprov.predict_batch(val_ds.examples)
         gold = [ex.gold_label for ex in val_ds.examples]
         preds_invalid = eprov.predict_batch([e for v in invalid_val.values() for e in v])
         scaled_acc = np.count_nonzero(preds_clean.argmax(axis=1) == gold) / len(gold)
         theta = mitigate.threshold_search(preds_clean, gold, preds_invalid,
-                                          scaled_acc, cfg)
-        report = mitigate.evaluate_mitigation(
-            cfg.strategy, params, val_ds, invalid_val, theta=theta,
-            lambda_ent=cfg.lambda_ent if cfg.strategy == "entropic_threshold" else None,
-            baseline_accuracy=100 * baseline_acc)
+                                          scaled_acc, args.tolerance)
+    report = mitigate.evaluate_mitigation(
+        strategy, params, val_ds, invalid_val, theta=theta,
+        lambda_ent=args.lambda_ent if strategy == "entropic_threshold" else None,
+        baseline_accuracy=100 * baseline_acc)
     _write_resolved_config(args, args.out)
     toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
 
@@ -315,8 +298,13 @@ def cmd_pbsmt(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8") as f:
-        report = metrics.report_from_json(f.read())
+    try:
+        with open(args.input, encoding="utf-8") as f:
+            report = metrics.report_from_json(f.read())
+    except UnicodeDecodeError:
+        raise DataError(f"{args.input}: not UTF-8 text") from None
+    except DataError as e:
+        raise DataError(f"{args.input}: {e}") from None
     print(report.to_markdown() if args.render == "md" else report.to_csv())
     return 0
 
@@ -426,10 +414,29 @@ def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
     if not isinstance(cfg, dict):
         raise ConfigError(f"--config {args.config}: expected a JSON object, "
                           f"got {type(cfg).__name__}")
-    defaults = {key.replace("-", "_"): value for key, value in cfg.items()}
-    parser.subcommands.choices[args.command].set_defaults(
-        **{attr: value for attr, value in defaults.items() if hasattr(args, attr)})
+    sub = parser.subcommands.choices[args.command]
+    actions = {action.dest: action for action in sub._actions}
+    entries = {key.replace("-", "_"): (key, value) for key, value in cfg.items()}
+    sub.set_defaults(**{attr: _config_value(actions[attr], key, value, args.config)
+                        for attr, (key, value) in entries.items() if attr in actions})
     return parser.parse_args(argv)
+
+
+def _config_value(action, key: str, value, path: str):
+    """A non-null --config value parsed as the flag's command-line text would
+    be: through its type, then checked against its choices."""
+    if value is None or (action.type is None and action.choices is None):
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        parsed = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        raise ConfigError(f"--config {path}: {key}: invalid {action.type.__name__} "
+                          f"value: {text!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ConfigError(f"--config {path}: {key}: invalid choice: {parsed!r} "
+                          f"(choose from {', '.join(map(repr, action.choices))})")
+    return parsed
 
 
 def main(argv=None) -> int:

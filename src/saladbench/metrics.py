@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError
+from .errors import ArgumentError, ConfigError, DataError
 from .lexical import GRADIENT_KINDS, LEXICAL_KINDS
 
 
@@ -133,9 +133,18 @@ def build_report(rows: Sequence[MetricsRow], n_classes: int,
 
 
 def report_from_json(text: str) -> MetricsReport:
-    obj = json.loads(text)
-    rows = tuple(MetricsRow(r["transform"], r["agreement"], r["mean_confidence"],
-                            r["n"], tuple(r.get("per_seed", ())))
-                 for r in obj["rows"])
-    return MetricsReport(rows, obj["random_baseline"], obj.get("ece"),
-                         obj.get("family_averages", {}), obj.get("provenance", {}))
+    """An `evaluate` report.json read back; text that is not one is a
+    DataError."""
+    try:
+        obj = json.loads(text)
+        rows = tuple(MetricsRow(r["transform"], r["agreement"], r["mean_confidence"],
+                                r["n"], tuple(r.get("per_seed", ())))
+                     for r in obj["rows"])
+        return MetricsReport(rows, obj["random_baseline"], obj.get("ece"),
+                             obj.get("family_averages", {}), obj.get("provenance", {}))
+    except json.JSONDecodeError as e:
+        raise DataError(f"bad JSON: {e}") from None
+    except (KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"not an evaluate report: {type(e).__name__} {e}") from None
+    except ArgumentError as e:
+        raise DataError(str(e)) from None

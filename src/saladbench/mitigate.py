@@ -32,25 +32,6 @@ CONTENT_CHANGING_KINDS = ("copysort", "drop", "repeat", "replace", "copyone", "p
 
 
 @dataclass(frozen=True)
-class MitigationConfig:
-    strategy: str = "invalid_class"   # threshold | entropic_threshold | invalid_class
-    lambda_ent: float = 0.1
-    augment_fraction: float = 0.5
-    transforms: tuple[str, ...] = ALL_KINDS
-    accuracy_tolerance: float = 0.03
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in ("threshold", "entropic_threshold", "invalid_class"):
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 < self.augment_fraction <= 1.0:
-            raise ConfigError("augment_fraction must be in (0,1]")
-        bad = set(self.transforms) - set(ALL_KINDS)
-        if bad:
-            raise ConfigError(f"unknown transforms {sorted(bad)}")
-
-
-@dataclass(frozen=True)
 class MitigationReport:
     strategy: str
     clean_accuracy: float
@@ -144,13 +125,13 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
     return out
 
 
-def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
-                          task_kind: str, saliency_provider=None,
-                          pbsmt_models: Optional[dict[int, GeneratorModel]] = None,
-                          vocab: Optional[Sequence[str]] = None, seed: int = 0,
-                          invalid_label: Optional[int] = None) -> list[Example]:
-    """One invalid example per (source example, transform kind), labeled
-    `invalid_label`, ordered by source and then by kind.
+def invalid_by_kind(examples: Sequence[Example], kinds: Sequence[str],
+                    task_kind: str, saliency_provider=None,
+                    pbsmt_models: Optional[dict[int, GeneratorModel]] = None,
+                    vocab: Optional[Sequence[str]] = None, seed: int = 0
+                    ) -> dict[str, dict[str, Example]]:
+    """Each usable kind's rows over `examples`, keyed by source id, in source
+    order; saliency is scored once for all kinds.
 
     Gradient kinds need a saliency provider, pbsmt needs trained generators;
     unavailable kinds are skipped with a warning.
@@ -162,55 +143,54 @@ def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
     if not usable:
         raise ConfigError("no applicable transforms for this configuration")
     saliency = score_saliency(saliency_provider, examples, usable, task_kind)
-    by_kind = [{tx.source_id: tx.example for tx in transform_examples(
-                   examples, kind, task_kind, seed, saliency=saliency,
-                   generators=pbsmt_models, vocab=vocab)}
-               for kind in usable]
-    return [Example(rows[ex.id].id, rows[ex.id].input, invalid_label)
+    return {kind: {tx.source_id: tx.example for tx in transform_examples(
+                examples, kind, task_kind, seed, saliency=saliency,
+                generators=pbsmt_models, vocab=vocab)}
+            for kind in usable}
+
+
+def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
+                          task_kind: str, saliency_provider=None,
+                          pbsmt_models: Optional[dict[int, GeneratorModel]] = None,
+                          vocab: Optional[Sequence[str]] = None, seed: int = 0
+                          ) -> list[Example]:
+    """One unlabeled invalid example per (source example, usable kind),
+    ordered by source and then by kind (see invalid_by_kind)."""
+    by_kind = invalid_by_kind(examples, kinds, task_kind, saliency_provider,
+                              pbsmt_models, vocab, seed).values()
+    return [Example(rows[ex.id].id, rows[ex.id].input)
             for ex in examples for rows in by_kind if ex.id in rows]
 
 
-def augment(ds: Dataset, cfg: MitigationConfig, saliency_provider=None,
-            pbsmt_models=None, vocab=None) -> tuple[Dataset, tuple[bool, ...]]:
-    """Append invalid examples built from a seeded sample of the training set.
-
-    For the invalid_class strategy the invalid examples carry label index N
-    (a new class); otherwise they are unlabeled and flagged. Returns the
-    augmented dataset and a per-example invalid flag vector.
-    """
-    rng = random.Random(cfg.seed)
-    n_sample = math.ceil(cfg.augment_fraction * len(ds))
-    sampled = sorted(rng.sample(range(len(ds)), n_sample))
-    sources = [ds.examples[i] for i in sampled]
-
-    invalid_label = ds.labels.n_classes if cfg.strategy == "invalid_class" else None
-    invalid = make_invalid_examples(
-        sources, cfg.transforms, ds.task_kind, saliency_provider,
-        pbsmt_models, vocab, cfg.seed, invalid_label)
-
-    if cfg.strategy == "invalid_class":
-        labels = LabelSet(ds.labels.names + (INVALID_LABEL,), ds.labels.default_label)
-    else:
-        labels = ds.labels
-    examples = ds.examples + tuple(invalid)
-    flags = (False,) * len(ds.examples) + (True,) * len(invalid)
-    return Dataset(examples, labels, ds.task_kind), flags
+def augment(ds: Dataset, kinds: Sequence[str], fraction: float, seed: int,
+            saliency_provider=None, pbsmt_models=None, vocab=None) -> list[Example]:
+    """Unlabeled invalid examples built from a seeded sample of `fraction`
+    of the training set (fraction in (0, 1])."""
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"augment fraction must be in (0, 1], got {fraction}")
+    rng = random.Random(seed)
+    sampled = sorted(rng.sample(range(len(ds)), math.ceil(fraction * len(ds))))
+    return make_invalid_examples([ds.examples[i] for i in sampled], kinds,
+                                 ds.task_kind, saliency_provider, pbsmt_models,
+                                 vocab, seed)
 
 
-def balance_clean(augmented: Dataset, flags: Sequence[bool]) -> Dataset:
-    """Oversample the clean portion of an augmented dataset.
+def balance_clean(clean: Dataset, invalid: Sequence[Example]) -> Dataset:
+    """The invalid-class training set: the invalid examples labeled N (a new
+    `invalid` class) after the clean examples, repeated.
 
     With one invalid example per (source, kind) the invalid class outnumbers
     every task class; repeating the clean examples the (rounded, at least 1)
     invalid/clean ratio of times restores rough class balance so the
     detector does not sacrifice clean accuracy.
     """
-    clean = tuple(e for e, f in zip(augmented.examples, flags) if not f)
-    invalid = tuple(e for e, f in zip(augmented.examples, flags) if f)
-    if not clean:
-        raise ArgumentError("augmented dataset has no clean examples")
-    return Dataset(clean * max(1, round(len(invalid) / len(clean))) + invalid,
-                   augmented.labels, augmented.task_kind)
+    if not clean.examples:
+        raise ArgumentError("no clean examples to balance")
+    n = clean.labels.n_classes
+    labels = LabelSet(clean.labels.names + (INVALID_LABEL,), clean.labels.default_label)
+    return Dataset(clean.examples * max(1, round(len(invalid) / len(clean)))
+                   + tuple(Example(ex.id, ex.input, n) for ex in invalid),
+                   labels, clean.task_kind)
 
 
 def train_entropic(warm: toyclf.ToyModelParams, clean: Dataset, invalid: Dataset,
@@ -239,9 +219,9 @@ def threshold_grid(n_classes: int, step: float = THRESHOLD_STEP) -> list[float]:
 
 def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
                      probs_invalid: np.ndarray,
-                     baseline_accuracy: float, cfg: MitigationConfig) -> float:
+                     baseline_accuracy: float, tolerance: float) -> float:
     """Grid search over [1/N, 1]: keep thresholds whose clean accuracy stays
-    within tolerance of baseline, then pick the one maximizing invalid
+    within `tolerance` of baseline, then pick the one maximizing invalid
     detection (smallest theta on ties)."""
     if len(probs_clean) == 0 or len(probs_invalid) == 0:
         raise ArgumentError("both prediction sets must be non-empty")
@@ -250,7 +230,7 @@ def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
     best_theta, best_detect = None, -1.0
     for theta in threshold_grid(probs_clean.shape[1]):
         acc = np.count_nonzero(correct & (conf_clean >= theta)) / len(conf_clean)
-        if acc < baseline_accuracy - cfg.accuracy_tolerance:
+        if acc < baseline_accuracy - tolerance:
             continue
         detect = np.count_nonzero(conf_invalid < theta) / len(conf_invalid)
         if detect > best_detect:
@@ -274,13 +254,12 @@ def train_invalid_class(augmented: Dataset, train_cfg: toyclf.TrainConfig,
                         warm=warm, n_classes=augmented.labels.n_classes)
 
 
-def _balanced_union(per_transform: dict[str, list[Example]],
-                    seed: int = 0) -> dict[str, list[Example]]:
+def _balanced_union(per_transform: dict[str, list[Example]]) -> dict[str, list[Example]]:
     """Equal example counts per transform kind."""
     if not per_transform:
         return {}
     n = min(len(v) for v in per_transform.values())
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = {}
     for kind, examples in sorted(per_transform.items()):
         idx = sorted(rng.sample(range(len(examples)), n)) if len(examples) > n \

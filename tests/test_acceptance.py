@@ -248,11 +248,9 @@ def _mitigation_for(base, split, gens):
         for kind in content_kinds}
 
     # invalid-class detector over content-changing transforms
-    cfg = mitigate.MitigationConfig(strategy="invalid_class",
-                                    transforms=content_kinds,
-                                    augment_fraction=1.0)
-    augmented, flags = mitigate.augment(train_ds, cfg, provider, gens, vocab)
-    balanced = mitigate.balance_clean(augmented, flags)
+    invalid = mitigate.augment(train_ds, content_kinds, 1.0, 0, provider, gens,
+                               vocab)
+    balanced = mitigate.balance_clean(train_ds, invalid)
     detector = mitigate.train_invalid_class(
         balanced, toyclf.TrainConfig(epochs=15, learning_rate=1.0), warm=base)
     report = mitigate.evaluate_mitigation(
@@ -261,16 +259,10 @@ def _mitigation_for(base, split, gens):
     assert report.clean_accuracy >= baseline_acc - 3.0, (task_kind, report)
 
     # entropic fine-tuning drops confidence on invalid inputs by >= 15 points
-    all_kinds = mitigate.resolve_kinds(
-        mitigate.MitigationConfig().transforms, task_kind)[0]
-    ent_cfg = mitigate.MitigationConfig(strategy="entropic_threshold",
-                                        transforms=all_kinds,
-                                        augment_fraction=1.0, lambda_ent=2.0)
-    augmented, flags = mitigate.augment(train_ds, ent_cfg, provider, gens,
-                                        vocab)
+    all_kinds = mitigate.resolve_kinds("all", task_kind)[0]
     from saladbench.corpus import Dataset
     invalid_train = Dataset(
-        tuple(ex for ex, f in zip(augmented.examples, flags) if f),
+        tuple(mitigate.augment(train_ds, all_kinds, 1.0, 0, provider, gens, vocab)),
         train_ds.labels, task_kind)
     entropic = mitigate.train_entropic(
         base, train_ds, invalid_train, lambda_ent=2.0,
@@ -292,15 +284,15 @@ def _mitigation_for(base, split, gens):
     gold = [ex.gold_label for ex in val_ds.examples]
     preds_invalid = provider.predict_batch(
         [ex for v in invalid_val.values() for ex in v])
-    t_cfg = mitigate.MitigationConfig(strategy="threshold")
+    tolerance = 0.03
     theta = mitigate.threshold_search(preds_clean, gold, preds_invalid,
-                                      baseline_acc / 100.0, t_cfg)
+                                      baseline_acc / 100.0, tolerance)
     grid = mitigate.threshold_grid(len(preds_clean[0]), mitigate.THRESHOLD_STEP)
     best_theta, best_detect = None, -1.0
     for cand in grid:
         acc = sum(1 for p, y in zip(preds_clean, gold)
                   if p.max() >= cand and p.argmax() == y) / len(gold)
-        if acc < baseline_acc / 100.0 - t_cfg.accuracy_tolerance:
+        if acc < baseline_acc / 100.0 - tolerance:
             continue
         detect = sum(1 for p in preds_invalid
                      if p.max() < cand) / len(preds_invalid)
@@ -312,7 +304,7 @@ def _mitigation_for(base, split, gens):
         assert theta == best_theta
         acc = sum(1 for p, y in zip(preds_clean, gold)
                   if p.max() >= theta and p.argmax() == y) / len(gold)
-        assert acc >= baseline_acc / 100.0 - t_cfg.accuracy_tolerance
+        assert acc >= baseline_acc / 100.0 - tolerance
 
 
 def test_7_mitigation(sent_base, sent_split, sent_gens,

@@ -406,6 +406,15 @@ OUTSIDE_INPUT = [
     ("config-list", {"c.json": "[7]"},
      ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT],
      "--config {tmp}/c.json"),
+    # --config values are parsed and checked as the flags' text would be
+    ("config-int", {"c.json": '{"epochs": 2.5}'},
+     ["--config", "{tmp}/c.json", "train", *SENT_ARGS], "epochs"),
+    ("config-bool", {"c.json": '{"seed": true}'},
+     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT], "seed"),
+    ("config-choice", {"c.json": '{"strategy": "hope"}'},
+     ["--config", "{tmp}/c.json", "mitigate", *SENT_ARGS, *SORT], "strategy"),
+    ("config-float-text", {"c.json": '{"lambda-ent": "big"}'},
+     ["--config", "{tmp}/c.json", "mitigate", *SENT_ARGS, *SORT], "lambda-ent"),
     ("missing-data", {}, ["transform", "--data", "{tmp}/no.tsv", "--task", "single",
                           "--labels", "negative,positive", *SORT], "{tmp}/no.tsv"),
     ("missing-model", {}, ["evaluate", *SENT_ARGS, "--model", "{tmp}/no.bin", *SORT],
@@ -462,6 +471,67 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, content, arg
     assert len(lines) == 1 and lines[0].startswith(prefix.format(bad=bad)), lines
     assert lines[0].endswith("not UTF-8 text"), lines
     assert not out.exists()
+
+
+def test_unknown_strategy_flag_is_refused(tmp_path):
+    out = tmp_path / "fo"
+    with pytest.raises(SystemExit):
+        run(["mitigate", *SENT_ARGS, "--strategy", "hope", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_config_render_value_is_checked(tmp_path, capsys, trained_model):
+    out = tmp_path / "eval"
+    assert run(["evaluate", *SENT_ARGS, "--model", trained_model,
+                "--transforms", "sort", "--out", str(out)]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"render": "pdf"}', encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", str(cfg), "report",
+                "--input", str(out / "report.json")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "render" in lines[0] and captured.out == ""
+
+
+def test_a_runs_own_config_replays_to_the_same_report(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["mitigate", *SENT_ARGS, "--strategy", "threshold",
+                "--transforms", "sort,drop", "--out", str(first)]) == 0
+    assert run(["--config", str(first / "config.json"), "mitigate", *SENT_ARGS,
+                "--out", str(second)]) == 0
+    assert (second / "report.json").read_bytes() == \
+        (first / "report.json").read_bytes()
+
+
+# (case, bytes of a --input file that is not an evaluate report, error text)
+BAD_REPORTS = [
+    ("not-utf8", b"\xff\xfe{}", "not UTF-8 text"),
+    ("bad-json", b"{rows", "bad JSON"),
+    ("no-rows", b"{}", "rows"),
+    ("mitigate-report", json.dumps({"clean_accuracy": 100.0,
+                                    "invalid_detected": 90.0}).encode(), "rows"),
+    ("list", b"[1]", "not an evaluate report"),
+    ("bad-percentage", json.dumps({"rows": [{"transform": "sort", "agreement": 101,
+                                             "mean_confidence": 90.0, "n": 5}],
+                                   "random_baseline": 50.0}).encode(),
+     "percentages must lie in [0, 100]"),
+]
+
+
+@pytest.mark.parametrize("content, error", [
+    pytest.param(content, error, id=case) for case, content, error in BAD_REPORTS])
+def test_report_input_that_is_not_a_report_is_one_data_error_line(
+        tmp_path, capsys, content, error):
+    bad = tmp_path / "report.json"
+    bad.write_bytes(content)
+    assert run(["report", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {bad}: "), lines
+    assert error in lines[0], lines
+    assert captured.out == ""
 
 
 def test_bad_generator_file_is_one_data_error_line(tmp_path, capsys, sent_gens):

@@ -8,8 +8,8 @@ from saladbench import mitigate, toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput, tokenize
 from saladbench.errors import ArgumentError, ConfigError
 from saladbench.lexical import ALL_KINDS, PAIR_ONLY_KINDS
-from saladbench.mitigate import (CONTENT_CHANGING_KINDS, MitigationConfig,
-                                 MitigationReport, augment, balance_clean,
+from saladbench.mitigate import (CONTENT_CHANGING_KINDS, MitigationReport,
+                                 augment, balance_clean,
                                  evaluate_mitigation, make_invalid_examples,
                                  resolve_kinds, threshold_grid,
                                  threshold_search, train_invalid_class)
@@ -29,13 +29,13 @@ def preds(confs, predicted=0, n_classes=2):
 
 # --- configuration ---
 
-def test_mitigation_config_validation():
+def test_mitigation_config_validation(sent_split):
+    # an unknown strategy is refused by the CLI (test_cli)
+    train_ds, _ = sent_split
     with pytest.raises(ConfigError):
-        MitigationConfig(strategy="hope")
+        augment(train_ds, ("sort",), 0.0, 0)
     with pytest.raises(ConfigError):
-        MitigationConfig(augment_fraction=0.0)
-    with pytest.raises(ConfigError):
-        MitigationConfig(transforms=("sort", "mystery"))
+        resolve_kinds(("sort", "mystery"), "single")
 
 
 def test_mitigation_report_validation():
@@ -63,12 +63,10 @@ def test_make_invalid_examples_one_per_source_and_kind(pair_split, pair_base):
     provider = EmbeddedProvider(pair_base)
     sources = val_ds.examples[:5]
     out = make_invalid_examples(sources, ("sort", "drop", "copyone"), "pair",
-                                provider, vocab=list(pair_base.vocab[1:]),
-                                invalid_label=2)
+                                provider, vocab=list(pair_base.vocab[1:]))
     assert len(out) == 15
     assert {ex.id for ex in out} == \
         {f"{src.id}__{k}" for src in sources for k in ("sort", "drop", "copyone")}
-    assert all(ex.gold_label == 2 for ex in out)
 
 
 def test_make_invalid_examples_skips_unavailable_kinds(sent_split):
@@ -145,10 +143,8 @@ def test_make_invalid_examples_scores_each_side_once(pair_split, pair_base):
 def test_make_invalid_examples_skips_degenerate_rows():
     examples = [Example("x", TextInput("one"), 0),
                 Example("y", TextInput("two words here"), 1)]
-    out = make_invalid_examples(examples, ("sort", "shuffle"), "single",
-                                invalid_label=2)
+    out = make_invalid_examples(examples, ("sort", "shuffle"), "single")
     assert [ex.id for ex in out] == ["x__sort", "y__sort", "y__shuffle:0"]
-    assert all(ex.gold_label == 2 for ex in out)
 
 
 # --- augment ---
@@ -156,61 +152,53 @@ def test_make_invalid_examples_skips_degenerate_rows():
 def test_augment_counts_and_flags(pair_split, pair_base, pair_gens):
     train_ds, _ = pair_split
     provider = EmbeddedProvider(pair_base)
-    cfg = MitigationConfig(strategy="invalid_class", augment_fraction=0.5)
-    augmented, flags = augment(train_ds, cfg, provider, pair_gens,
-                               vocab=list(pair_base.vocab[1:]))
+    invalid = augment(train_ds, ALL_KINDS, 0.5, 0, provider, pair_gens,
+                      vocab=list(pair_base.vocab[1:]))
     n_sources = -(-len(train_ds) // 2)  # ceil
-    assert len(augmented) == len(train_ds) + n_sources * len(ALL_KINDS)
-    assert sum(flags) == n_sources * len(ALL_KINDS)
-    assert flags[:len(train_ds)] == (False,) * len(train_ds)
-    # clean portion is carried over untouched, in order
-    assert augmented.examples[:len(train_ds)] == train_ds.examples
-    # invalid-class strategy appends a new label and assigns it
-    assert augmented.labels.names[-1] == "invalid"
+    assert len(invalid) == n_sources * len(ALL_KINDS)
+    assert all(ex.gold_label is None for ex in invalid)
+    # the invalid-class set appends a new label and assigns it
+    balanced = balance_clean(train_ds, invalid)
+    assert balanced.labels.names[-1] == "invalid"
     n = train_ds.labels.n_classes
-    assert all(ex.gold_label == n
-               for ex, f in zip(augmented.examples, flags) if f)
+    assert all(ex.gold_label == n for ex in balanced.examples[-len(invalid):])
 
 
 def test_augment_single_task_skips_pair_only_kinds(sent_split, sent_base,
                                                    sent_gens):
     train_ds, _ = sent_split
     provider = EmbeddedProvider(sent_base)
-    cfg = MitigationConfig(strategy="threshold", augment_fraction=0.25)
-    augmented, flags = augment(train_ds, cfg, provider, sent_gens,
-                               vocab=list(sent_base.vocab[1:]))
+    invalid = augment(train_ds, ALL_KINDS, 0.25, 0, provider, sent_gens,
+                      vocab=list(sent_base.vocab[1:]))
     n_sources = -(-len(train_ds) // 4)
-    assert sum(flags) == n_sources * (len(ALL_KINDS) - len(PAIR_ONLY_KINDS))
-    # threshold strategies leave invalid examples unlabeled
-    assert augmented.labels.names == train_ds.labels.names
-    assert all(ex.gold_label is None
-               for ex, f in zip(augmented.examples, flags) if f)
+    assert len(invalid) == n_sources * (len(ALL_KINDS) - len(PAIR_ONLY_KINDS))
+    assert all(ex.gold_label is None for ex in invalid)
 
 
 def test_augment_is_deterministic(sent_split, sent_base):
     train_ds, _ = sent_split
     provider = EmbeddedProvider(sent_base)
-    cfg = MitigationConfig(transforms=("sort", "drop"), augment_fraction=0.3)
-    a, _ = augment(train_ds, cfg, provider, vocab=list(sent_base.vocab[1:]))
-    b, _ = augment(train_ds, cfg, provider, vocab=list(sent_base.vocab[1:]))
-    assert [(e.id, e.input) for e in a.examples] == \
-        [(e.id, e.input) for e in b.examples]
+    a = augment(train_ds, ("sort", "drop"), 0.3, 0, provider,
+                vocab=list(sent_base.vocab[1:]))
+    b = augment(train_ds, ("sort", "drop"), 0.3, 0, provider,
+                vocab=list(sent_base.vocab[1:]))
+    assert [(e.id, e.input) for e in a] == [(e.id, e.input) for e in b]
 
 
 # --- balance_clean ---
 
 def test_balance_clean_default_multiplier_matches_ratio():
-    labels = LabelSet(("a", "b", "invalid"))
+    labels = LabelSet(("a", "b"))
     clean = tuple(Example(f"c{i}", TextInput("x"), 0) for i in range(10))
-    invalid = tuple(Example(f"i{i}", TextInput("y"), 2) for i in range(60))
-    ds = Dataset(clean + invalid, labels, "single")
-    flags = (False,) * 10 + (True,) * 60
-    balanced = balance_clean(ds, flags)
+    invalid = tuple(Example(f"i{i}", TextInput("y")) for i in range(60))
+    balanced = balance_clean(Dataset(clean, labels, "single"), invalid)
     assert len(balanced) == 10 * 6 + 60
     assert balanced.examples[:10] == clean
-    assert balanced.examples[-60:] == invalid
+    assert balanced.examples[-60:] == tuple(Example(ex.id, ex.input, 2)
+                                            for ex in invalid)
+    assert balanced.labels.names == ("a", "b", "invalid")
     with pytest.raises(ArgumentError):
-        balance_clean(Dataset(invalid, labels, "single"), (True,) * 60)
+        balance_clean(Dataset((), labels, "single"), invalid)
 
 
 # --- threshold search ---
@@ -228,8 +216,7 @@ def test_threshold_search_separable_case():
     # clean at 0.99 confidence (all correct), invalid at 0.6
     clean = preds([0.99] * 20)
     invalid = preds([0.6] * 20)
-    cfg = MitigationConfig(strategy="threshold")
-    theta = threshold_search(clean, [0] * 20, invalid, 1.0, cfg)
+    theta = threshold_search(clean, [0] * 20, invalid, 1.0, 0.03)
     # smallest grid threshold strictly above 0.6 flags every invalid example
     assert 0.6 < theta <= 0.602
     assert (invalid.max(axis=1) < theta).all()
@@ -241,8 +228,7 @@ def test_threshold_search_respects_accuracy_tolerance():
     # so flagging all invalid examples would cost 50 points of clean accuracy
     clean = preds([0.95] * 10 + [0.55] * 10)
     invalid = preds([0.7] * 10)
-    cfg = MitigationConfig(strategy="threshold", accuracy_tolerance=0.03)
-    theta = threshold_search(clean, [0] * 20, invalid, 1.0, cfg)
+    theta = threshold_search(clean, [0] * 20, invalid, 1.0, 0.03)
     acc = sum(1 for p in clean if p.max() >= theta) / len(clean)
     assert acc >= 1.0 - 0.03
     assert theta <= 0.55
@@ -254,18 +240,18 @@ def test_threshold_search_matches_exhaustive_grid_oracle():
     gold = [0 if rng.random() < 0.9 else 1 for _ in range(60)]
     invalid = preds(rng.uniform(0.5, 0.95, size=40))
     baseline = sum(1 for p, y in zip(clean, gold) if p.argmax() == y) / 60
-    cfg = MitigationConfig(strategy="threshold")
+    tolerance = 0.03
 
     best_theta, best_detect = None, -1.0
     for theta in threshold_grid(2, mitigate.THRESHOLD_STEP):
         acc = sum(1 for p, y in zip(clean, gold)
                   if p.max() >= theta and p.argmax() == y) / len(clean)
-        if acc < baseline - cfg.accuracy_tolerance:
+        if acc < baseline - tolerance:
             continue
         detect = sum(1 for p in invalid if p.max() < theta) / len(invalid)
         if detect > best_detect:  # first strict improvement = smallest theta
             best_theta, best_detect = theta, detect
-    assert threshold_search(clean, gold, invalid, baseline, cfg) == best_theta
+    assert threshold_search(clean, gold, invalid, baseline, tolerance) == best_theta
 
 
 def test_threshold_search_falls_back_to_uniform_when_infeasible():
@@ -273,15 +259,13 @@ def test_threshold_search_falls_back_to_uniform_when_infeasible():
     # tolerance of a perfect baseline
     clean = preds([0.9] * 5, predicted=1)
     invalid = preds([0.6])
-    cfg = MitigationConfig(strategy="threshold")
-    theta = threshold_search(clean, [0] * 5, invalid, 1.0, cfg)
+    theta = threshold_search(clean, [0] * 5, invalid, 1.0, 0.03)
     assert theta == 0.5  # 1/N for two classes
 
 
 def test_threshold_search_validation():
-    cfg = MitigationConfig(strategy="threshold")
     with pytest.raises(ArgumentError):
-        threshold_search(preds([]), [], preds([0.9]), 1.0, cfg)
+        threshold_search(preds([]), [], preds([0.9]), 1.0, 0.03)
 
 
 # --- invalid-class training ---
@@ -303,12 +287,9 @@ def test_train_invalid_class_widens_warm_head(sent_base, sent_split):
 def test_train_invalid_class_learns_detector(pair_split, pair_base, pair_gens):
     train_ds, val_ds = pair_split
     provider = EmbeddedProvider(pair_base)
-    cfg = MitigationConfig(strategy="invalid_class",
-                           transforms=CONTENT_CHANGING_KINDS,
-                           augment_fraction=1.0)
-    augmented, flags = augment(train_ds, cfg, provider, pair_gens,
-                               vocab=list(pair_base.vocab[1:]))
-    balanced = balance_clean(augmented, flags)
+    invalid = augment(train_ds, CONTENT_CHANGING_KINDS, 1.0, 0, provider,
+                      pair_gens, vocab=list(pair_base.vocab[1:]))
+    balanced = balance_clean(train_ds, invalid)
     params = train_invalid_class(
         balanced, toyclf.TrainConfig(epochs=15, learning_rate=1.0),
         warm=pair_base)

@@ -77,13 +77,14 @@ def ref_ece(preds, gold_labels, bins=10):
     return total
 
 
-def ref_threshold_search(preds_clean, gold, preds_invalid, baseline_accuracy, cfg):
+def ref_threshold_search(preds_clean, gold, preds_invalid, baseline_accuracy,
+                         tolerance):
     n_classes = len(preds_clean[0].probs)
     best_theta, best_detect = None, -1.0
     for theta in mitigate.threshold_grid(n_classes, mitigate.THRESHOLD_STEP):
         acc = sum(1 for p, y in zip(preds_clean, gold)
                   if p.confidence >= theta and p.predicted == y) / len(preds_clean)
-        if acc < baseline_accuracy - cfg.accuracy_tolerance:
+        if acc < baseline_accuracy - tolerance:
             continue
         detect = sum(1 for p in preds_invalid if p.confidence < theta) / len(preds_invalid)
         if detect > best_detect:
@@ -172,7 +173,6 @@ def test_metrics_equal_the_per_row_loops(cases):
 
 @pytest.mark.parametrize("tolerance", [0.0, 0.03, 0.2])
 def test_threshold_search_equals_the_per_row_loop(cases, tolerance):
-    cfg = mitigate.MitigationConfig(strategy="threshold", accuracy_tolerance=tolerance)
     for i, (name, ids, rows, gold) in enumerate(cases):
         # invalid rows: the next set of the same width, or the set itself
         _, other_ids, other_rows, _ = next(
@@ -182,6 +182,7 @@ def test_threshold_search_equals_the_per_row_loop(cases, tolerance):
         baseline = sum(1 for p, y in zip(ref_clean, gold) if p.predicted == y) / len(gold)
         theta = mitigate.threshold_search(checked_probs(ids, rows), gold,
                                           checked_probs(other_ids, other_rows),
-                                          baseline, cfg)
+                                          baseline, tolerance)
         assert theta == ref_threshold_search(
-            ref_clean, gold, [ref_from_probs(r) for r in other_rows], baseline, cfg), name
+            ref_clean, gold, [ref_from_probs(r) for r in other_rows], baseline,
+            tolerance), name
