@@ -227,7 +227,7 @@ def cmd_mitigate(args) -> int:
         val_ds.examples, kinds, ds.task_kind, provider, generators, vocab,
         args.seed).items()}
 
-    def invalid_train():
+    def invalid_train():  # called inline, so no unlabeled copy outlives its use
         return mitigate.augment(train_ds, kinds, args.augment_fraction, args.seed,
                                 provider, generators, vocab)
 
@@ -425,8 +425,8 @@ def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
 def _config_value(action, key: str, value, path: str):
     """A non-null --config value parsed as the flag's command-line text would
     be: through its type, then checked against its choices."""
-    if value is None or (action.type is None and action.choices is None):
-        return value
+    if value is None:
+        return None
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         parsed = action.type(text) if action.type else text

@@ -415,6 +415,8 @@ OUTSIDE_INPUT = [
      ["--config", "{tmp}/c.json", "mitigate", *SENT_ARGS, *SORT], "strategy"),
     ("config-float-text", {"c.json": '{"lambda-ent": "big"}'},
      ["--config", "{tmp}/c.json", "mitigate", *SENT_ARGS, *SORT], "lambda-ent"),
+    ("config-number-as-text", {"c.json": '{"transforms": 5}'},
+     ["--config", "{tmp}/c.json", "transform", *SENT_ARGS], "unknown transforms ['5']"),
     ("missing-data", {}, ["transform", "--data", "{tmp}/no.tsv", "--task", "single",
                           "--labels", "negative,positive", *SORT], "{tmp}/no.tsv"),
     ("missing-model", {}, ["evaluate", *SENT_ARGS, "--model", "{tmp}/no.bin", *SORT],

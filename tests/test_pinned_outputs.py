@@ -1,9 +1,9 @@
 """Pinned command outputs on both bundled corpora.
 
 `transform --transforms all`, `pbsmt generate`, `evaluate --transforms all`
-and `mitigate` under each strategy must keep producing exactly these files. The TSV digests leave out the `id`
-column (it names a row, not its content) and the report digest leaves out
-`provenance.data` (a path). Generators are the session fixtures, saved with
+and `mitigate` under each strategy must keep producing exactly these files.
+The TSV digests leave out the `id` column (it names a row, not its content)
+and the report digest leaves out `provenance.data` (a path). Generators are the session fixtures, saved with
 `pbsmt.save_generator`; decoding runs on the validation split only, to keep
 the test fast. `mitigate` pins `report.json` and `report.csv`, not
 `params_mitigated.bin`, whose float bytes depend on the CPU.
