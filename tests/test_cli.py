@@ -373,9 +373,11 @@ def test_exit_code_1_on_unknown_transform(tmp_path):
     # these fail after their checks, in the work itself
     ["train", *SENT_ARGS, "--lr", "1e308"],                    # non-finite gradient
     ["mitigate", *SENT_ARGS, "--lr", "1e308"],
+    ["mitigate", *SENT_ARGS, "--finetune-lr", "1e308"],      # in the fine-tune
     ["pbsmt", "train", *SENT_ARGS, "--min-pairs", "100000"],
 ], ids=["transform", "evaluate", "mitigate-unknown", "mitigate-none", "train",
-        "train-diverges", "mitigate-diverges", "pbsmt-train-too-few-pairs"])
+        "train-diverges", "mitigate-diverges", "mitigate-finetune-diverges",
+        "pbsmt-train-too-few-pairs"])
 def test_failed_checks_leave_no_output_directory(tmp_path, argv):
     out = tmp_path / "fo"
     assert run([*argv, "--out", str(out)]) == 1

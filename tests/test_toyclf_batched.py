@@ -240,6 +240,37 @@ def test_any_token_chunking_equals_reference(model_and_split, chunk, monkeypatch
                 == [ref_saliency(params, ex, side) for ex in examples])
 
 
+@pytest.mark.parametrize("chunk, long_len, at", [
+    (None, 700, 0), (None, 300, 25), (6, 40, 10)],
+    ids=["row-longer-than-chunk", "long-row-among-short", "chunk-below-longest-row"])
+def test_uneven_rows_pool_equal_reference(model_and_split, chunk, long_len, at,
+                                          monkeypatch):
+    # one long row among the short ones; CHUNK_TOKENS default or patched
+    if chunk is not None:
+        monkeypatch.setattr(toyclf, "CHUNK_TOKENS", chunk)
+    params, _, val_ds = model_and_split
+    rng = np.random.default_rng(long_len)
+    words = [*params.vocab[1:], "zzunknown"]     # unknown words pool row 0
+
+    def text(n):
+        return " ".join(rng.choice(words, n))
+
+    examples = list(val_ds.examples)
+    examples.insert(at, Example("long", TextInput(
+        text(long_len), text(long_len // 2) if params.task_kind == "pair" else None), 0))
+    assert np.array_equal(toyclf.probabilities(params, examples),
+                          np.stack([ref_forward(params, ex) for ex in examples]))
+    for side in ("a", "b"):
+        assert (toyclf.saliency_batch(params, examples, side)
+                == [ref_saliency(params, ex, side) for ex in examples])
+
+
+def test_empty_batch_gives_empty_outputs(model_and_split):
+    params, _, _ = model_and_split
+    assert toyclf.probabilities(params, []).shape == (0, params.n_classes)
+    assert toyclf.saliency_batch(params, []) == []
+
+
 def test_train_equals_reference_loop(model_and_split):
     params, train_ds, val_ds = model_and_split
     ds = Dataset(train_ds.examples[:40], train_ds.labels, train_ds.task_kind)
@@ -361,3 +392,41 @@ def test_emb_gradient_scatter_equals_add_at_on_mixed_magnitudes(batch_size):
     np.add.at(shuffled, np.concatenate(enc.ids)[order[::-1]],
               np.concatenate(token_grads)[order[::-1]])
     assert not np.array_equal(shuffled, reference)
+
+
+@pytest.mark.parametrize("chunk, d", [(512, 8), (7, 8), (7, 1)])
+@pytest.mark.parametrize("batch_size", [16, 32])
+def test_pooled_sums_equal_add_at_on_mixed_magnitudes(batch_size, chunk, d, monkeypatch):
+    """Each side's pooled sums against np.add.at in token order, on values
+    from 1e-8 to 1e6 where summation order shows; unknown words pool row 0,
+    UNK's own embedding, so a pad read from row 0 would change a sum. With
+    d = 1 a long row pooled alone is a run of single numbers."""
+    monkeypatch.setattr(toyclf, "CHUNK_TOKENS", chunk)
+    rng = np.random.default_rng(batch_size + chunk + d)
+    words = "a b c d e f".split()
+    vocab = (toyclf.UNK, *words)
+    n = 3
+
+    def mixed(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 6, shape)
+
+    params = toyclf.ToyModelParams(vocab, mixed(len(vocab), d), mixed(2 * d, n),
+                                   mixed(n), 1.0, "pair")
+
+    def text():
+        return " ".join(rng.choice(words + ["zz"], rng.integers(1, 20)))
+
+    batch = [Example(f"e{i}", TextInput(text(), text()), None) for i in range(batch_size)]
+    enc = toyclf.encode(params, batch)
+    assert all((ids == 0).any() for ids in enc.ids)
+    pooled, _ = toyclf._logits(params, enc)
+    sides = []
+    for ids, owner, lengths in zip(enc.ids, enc.owner, enc.lengths):
+        sums = np.zeros((len(batch), d))
+        np.add.at(sums, owner, params.emb[ids])
+        sides.append(sums / lengths[:, None])
+        # the check can fail: another order of the same additions differs
+        shuffled = np.zeros((len(batch), d))
+        np.add.at(shuffled, owner[::-1], params.emb[ids[::-1]])
+        assert not np.array_equal(shuffled, sums)
+    assert np.array_equal(pooled, np.concatenate(sides, axis=1))
