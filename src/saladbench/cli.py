@@ -197,6 +197,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
+    if not 0.0 < args.augment_fraction <= 1.0:  # before any work, whatever the strategy
+        raise ConfigError(f"--augment-fraction must be in (0, 1], got {args.augment_fraction}")
     ds = _load(args)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
     if not kinds:
@@ -361,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["threshold", "entropic-threshold", "invalid-class"])
     p.add_argument("--transforms", default="all")
     p.add_argument("--lambda-ent", type=float, default=0.1)
-    p.add_argument("--augment-fraction", type=float, default=0.5)
+    p.add_argument("--augment-fraction", type=float, default=0.5,
+                   help="share of training rows in (0, 1] made invalid for the "
+                        "fine-tune; checked under every strategy, unused by threshold")
     p.add_argument("--tolerance", type=float, default=0.03)
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--epochs", type=int, default=3)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from saladbench import cli, pbsmt
+from saladbench import cli, pbsmt, toyclf
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "saladbench" / "data"
 SENT = str(DATA_DIR / "toy_sentiment.tsv")
@@ -177,6 +177,28 @@ def test_mitigate_threshold_smoke(tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["strategy"] == "threshold"
     assert report["theta"] is not None
+
+
+@pytest.mark.parametrize("fraction", ["0", "1.5"])
+@pytest.mark.parametrize("strategy", ["invalid-class", "threshold", "entropic-threshold"])
+def test_augment_fraction_is_refused_before_any_training(tmp_path, capsys, monkeypatch,
+                                                         strategy, fraction):
+    trained = []
+    train = toyclf.train
+    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
+    out = tmp_path / "fo"
+    assert run(["mitigate", *SENT_ARGS, "--strategy", strategy, "--transforms", "sort",
+                "--augment-fraction", fraction, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --augment-fraction "), lines
+    assert trained == []
+    assert not out.exists()
+
+
+def test_mitigate_help_says_threshold_ignores_augment_fraction(capsys):
+    with pytest.raises(SystemExit):
+        run(["mitigate", "--help"])
+    assert "unused by threshold" in " ".join(capsys.readouterr().out.split())
 
 
 # --- pbsmt ---
