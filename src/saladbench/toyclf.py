@@ -26,10 +26,10 @@ from .errors import (ArgumentError, DegenerateInputError, TrainingError)
 log = logging.getLogger(__name__)
 
 UNK = "<unk>"
-# Token rows gathered at a time in a forward pass and in saliency: bounds the
-# (tokens x dim) copies of embedding rows, which otherwise grow with the
-# batch. Each chunk adds in the same order, so results are bit-identical.
+# Bounds the rows gathered at a time, bit-identically: B examples pooled together,
+# padded to their longest row L, have B x L <= CHUNK_TOKENS unless one row is longer.
 CHUNK_TOKENS = 512
+TAKE_ROWS = 256   # training rows gathered by one Encoding.take, for the steps to slice
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ class Encoding:
     models) one flat array, example by example."""
     ids: tuple[np.ndarray, ...]       # per side: vocab row of each token
     lengths: tuple[np.ndarray, ...]   # per side: tokens per example
+    starts: tuple[np.ndarray, ...]    # per side: each example's first token
 
     def __len__(self) -> int:
         return len(self.lengths[0])
@@ -117,18 +118,23 @@ class Encoding:
     def owner(self) -> tuple[np.ndarray, ...]:   # per side: each token's example
         return tuple(np.repeat(np.arange(len(n)), n) for n in self.lengths)
 
-    @cached_property
-    def starts(self) -> tuple[np.ndarray, ...]:  # per side: each example's first token
-        return tuple(np.cumsum(n) - n for n in self.lengths)
-
     def take(self, rows: np.ndarray) -> "Encoding":
         """The encoding of the examples at `rows`, in that order."""
-        ids = []
-        for side, lengths, starts in zip(self.ids, self.lengths, self.starts):
+        sides = []
+        for ids, lengths, starts in zip(self.ids, self.lengths, self.starts):
             n = lengths[rows]
-            shift = starts[rows] - (np.cumsum(n) - n)
-            ids.append(side[np.arange(n.sum()) + np.repeat(shift, n)])
-        return Encoding(tuple(ids), tuple(lengths[rows] for lengths in self.lengths))
+            first = np.cumsum(n) - n
+            sides.append((ids[np.arange(n.sum()) + np.repeat(starts[rows] - first, n)], n, first))
+        return Encoding(*zip(*sides))
+
+    def __getitem__(self, rows: slice) -> "Encoding":
+        """The examples in the range `rows` (step 1), viewing these ids."""
+        sides = []
+        for ids, lengths, starts in zip(self.ids, self.lengths, self.starts):
+            n, first = lengths[rows], starts[rows]
+            span = slice(first[0], first[-1] + n[-1]) if len(n) else slice(0, 0)
+            sides.append((ids[span], n, first - span.start))
+        return Encoding(*zip(*sides))
 
 
 def encode(params: ToyModelParams, examples: Sequence[Example]) -> Encoding:
@@ -145,7 +151,7 @@ def encode(params: ToyModelParams, examples: Sequence[Example]) -> Encoding:
                 raise DegenerateInputError("empty token sequence")
         ids.append(np.fromiter(map(index.get, chain.from_iterable(rows), repeat(0)), dtype=int))
         lengths.append(np.fromiter(map(len, rows), dtype=int, count=len(rows)))
-    return Encoding(tuple(ids), tuple(lengths))
+    return Encoding(tuple(ids), tuple(lengths), tuple(np.cumsum(n) - n for n in lengths))
 
 
 def _gold(examples: Sequence[Example]) -> np.ndarray:
@@ -155,24 +161,42 @@ def _gold(examples: Sequence[Example]) -> np.ndarray:
     return np.array([ex.gold_label for ex in examples], dtype=int)
 
 
+def _chunks(lengths: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first, stop, longest) runs of consecutive examples for CHUNK_TOKENS."""
+    sizes, runs, first, longest = lengths.tolist(), [], 0, 0
+    if len(sizes) * max(sizes, default=0) <= CHUNK_TOKENS:   # the usual case: one run
+        return [(0, len(sizes), max(sizes))] if sizes else []
+    for i, n in enumerate(sizes):
+        if (i - first + 1) * max(longest, n) > CHUNK_TOKENS and i > first:
+            runs.append((first, i, longest))
+            first, longest = i, 0
+        longest = max(longest, n)
+    return runs + [(first, len(sizes), longest)]
+
+
 def _logits(params: ToyModelParams, enc: Encoding) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled sides (B x k*d) and logits (B x N). Token rows are added in
-    order and the head is a stack of vector products, so every row equals,
-    bit for bit, what its example gives alone."""
-    parts = []
-    for ids, owner, lengths in zip(enc.ids, enc.owner, enc.lengths):
-        sums = np.zeros((len(enc), params.dim))
-        for i in range(0, len(ids), CHUNK_TOKENS):
-            chunk = slice(i, i + CHUNK_TOKENS)
-            np.add.at(sums, owner[chunk], params.emb[ids[chunk]])
+    """Pooled sides (B x k*d) and logits (B x N). Each chunk is a zeroed (1 + L)
+    x B x d block added position by position from its +0.0 row, so a sum takes
+    its token rows in order and a +0.0 pad changes nothing; the head is a stack
+    of vector products. Each row is bit for bit what its example gives alone."""
+    parts, d = [], params.dim
+    for ids, lengths, starts in zip(enc.ids, enc.lengths, enc.starts):
+        sums = np.zeros((len(enc), d))
+        for first, stop, longest in _chunks(lengths):
+            rows, t0, t1 = stop - first, starts[first], starts[stop - 1] + lengths[stop - 1]
+            block = np.zeros(((longest + 1) * rows, d))   # token j of row r at (j + 1) * rows + r
+            lead = (np.arange(rows) - starts[first:stop] * rows).repeat(lengths[first:stop])
+            block[np.arange((t0 + 1) * rows, (t1 + 1) * rows, rows) + lead] = params.emb.take(ids[t0:t1], axis=0)
+            # numpy adds outer-axis rows in order, but sums single numbers pairwise
+            sums[first:stop] = np.add.reduce(block.reshape(-1, rows, d)) if rows * d > 1 else block.cumsum()[-1]
         parts.append(sums / lengths[:, None])
-    pooled = np.concatenate(parts, axis=1)
+    pooled = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     return pooled, (pooled[:, None, :] @ params.w)[:, 0, :] + params.b
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def probabilities(params: ToyModelParams, examples: Sequence[Example]) -> np.ndarray:
@@ -185,36 +209,24 @@ def forward(params: ToyModelParams, ex: Example) -> np.ndarray:
     return probabilities(params, [ex])[0]
 
 
-def _supervised_loss_and_dz(probs: np.ndarray, y: np.ndarray, cfg: LossConfig,
-                            temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example loss values and gradients w.r.t. the raw logits."""
-    b, n = probs.shape
-    onehot = np.eye(n)[y]
-    probs = np.clip(probs, 1e-300, 1.0)
-    p_y = probs[np.arange(b), y][:, None]
+def _supervised_dz(probs: np.ndarray, y: np.ndarray, cfg: LossConfig,
+                   temperature: float) -> np.ndarray:
+    """Gradients of each example's loss w.r.t. the raw logits."""
+    probs = np.maximum(probs, 1e-300)   # clipped to [1e-300, 1]: no softmax entry exceeds 1
+    onehot = np.arange(probs.shape[1]) == y[:, None]
     if cfg.kind in ("cross_entropy", "entropic"):
-        loss = -np.log(p_y)
-        dz = (probs - onehot) / temperature
-    elif cfg.kind == "label_smoothing":
-        q = (1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / n
-        loss = -(q * np.log(probs)).sum(axis=1)
-        dz = (probs - q) / temperature
-    elif cfg.kind == "focal":
-        g = cfg.gamma
-        loss = -((1.0 - p_y) ** g) * np.log(p_y)
-        dl_dpy = g * (1.0 - p_y) ** (g - 1.0) * np.log(p_y) - (1.0 - p_y) ** g / p_y \
-            if g > 0 else -1.0 / p_y
-        dz = dl_dpy * (p_y * (onehot - probs) / temperature)
-    else:
-        raise ArgumentError(f"unknown loss kind {cfg.kind!r}")
-    return loss.reshape(b), dz
+        return (probs - onehot) / temperature
+    if cfg.kind == "label_smoothing":
+        return (probs - ((1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / len(onehot[0]))) / temperature
+    g, p_y = cfg.gamma, probs[np.arange(len(y)), y][:, None]
+    dl_dpy = g * (1.0 - p_y) ** (g - 1.0) * np.log(p_y) - (1.0 - p_y) ** g / p_y \
+        if g > 0 else -1.0 / p_y
+    return dl_dpy * (p_y * (onehot - probs) / temperature)
 
 
-def _entropy_and_dz(probs: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+def _entropy_dz(probs: np.ndarray, temperature: float) -> np.ndarray:
     logp = np.log(np.clip(probs, 1e-300, 1.0))
-    plogp = probs * logp
-    dh_dz = probs * (plogp.sum(axis=1, keepdims=True) - logp) / temperature
-    return -plogp.sum(axis=1), dh_dz
+    return probs * ((probs * logp).sum(axis=1, keepdims=True) - logp) / temperature
 
 
 @dataclass
@@ -224,27 +236,11 @@ class ParamGrads:
     b: np.ndarray
 
 
-def loss(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
-         invalid_batch: Sequence[Example] = ()) -> float:
-    """Mean batch loss. For the entropic kind the objective is
-    L_D - lambda * H(invalid), so the entropy on invalid inputs is maximized."""
-    values, _ = _supervised_loss_and_dz(probabilities(params, batch), _gold(batch), cfg,
-                                        params.temperature)
-    result = float(np.cumsum(values)[-1]) / len(batch) if batch else 0.0
-    if cfg.kind == "entropic" and invalid_batch:
-        h, _ = _entropy_and_dz(probabilities(params, invalid_batch), params.temperature)
-        result -= cfg.lambda_ent * float(np.mean(h))
-    return result
-
-
-def _token_grads(params: ToyModelParams, enc: Encoding, dz: np.ndarray,
-                 s: int) -> np.ndarray:
-    """The gradient at each side-s token's embedding given logit gradients dz."""
+def _example_grads(params: ToyModelParams, enc: Encoding, dz: np.ndarray) -> list[np.ndarray]:
+    """Per side, the gradient at each of an example's token embeddings (B x d)."""
     d = params.dim
-    owner = enc.owner[s]
-    g = (params.w[None] @ dz[:, :, None])[:, s * d:(s + 1) * d, 0][owner]
-    g /= enc.lengths[s][owner, None]
-    return g
+    d_pooled = (params.w[None] @ dz[:, :, None])[:, :, 0]
+    return [d_pooled[:, s * d:(s + 1) * d] / n[:, None] for s, n in enumerate(enc.lengths)]
 
 
 def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
@@ -254,32 +250,32 @@ def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
     n = len(gold)
     pooled, logits = _logits(params, enc)
     probs = _softmax(logits / params.temperature)
-    _, dz = _supervised_loss_and_dz(probs[:n], gold, cfg, params.temperature)
-    scale = np.full(len(enc), 1.0 / n if n else 0.0)
+    dz = _supervised_dz(probs[:n], gold, cfg, params.temperature)
+    scale = 1.0 / n if n else 0.0   # each example's weight: one number, or a column
     if len(enc) > n:
+        scale = np.full((len(enc), 1), scale)
         scale[n:] = -cfg.lambda_ent / (len(enc) - n)
-        dz = np.concatenate([dz, _entropy_and_dz(probs[n:], params.temperature)[1]])
-    token_grads = [scale[owner, None] * _token_grads(params, enc, dz, s)
-                   for s, owner in enumerate(enc.owner)]
-    # token rows go in example by example, then side by side, as one example
-    # at a time would add them: a word may sit on both sides of a batch. One
-    # flat bincount over row * d + col adds in that order, as np.add.at does
-    order = np.argsort(np.concatenate(enc.owner), kind="stable")
-    d = params.dim
-    cells = np.concatenate(enc.ids)[order, None] * d + np.arange(d)
-    emb = np.bincount(cells.ravel(), np.concatenate(token_grads)[order].ravel(),
-                      params.emb.size).reshape(params.emb.shape)
-    w = (scale[:, None, None] * (pooled[:, :, None] * dz[:, None, :])).sum(axis=0)
-    return ParamGrads(emb, w, (scale[:, None] * dz).sum(axis=0)), token_grads
+        dz = np.concatenate([dz, _entropy_dz(probs[n:], params.temperature)])
+    token_grads = [(scale * g).repeat(lengths, axis=0)
+                   for g, lengths in zip(_example_grads(params, enc, dz), enc.lengths)]
+    # token rows go in example by example, then side by side, as one example at a
+    # time would add them (a word may sit on both sides); one flat bincount over
+    # row * d + col adds in that order, and one side's tokens are in it already
+    ids, rows = enc.ids[0], token_grads[0]
+    if len(enc.ids) > 1:
+        order = np.argsort(np.concatenate(enc.owner), kind="stable")
+        ids, rows = np.concatenate(enc.ids)[order], np.concatenate(token_grads)[order]
+    cells = ids[:, None] * params.dim + np.arange(params.dim)
+    emb = np.bincount(cells.ravel(), rows.ravel(), params.emb.size).reshape(params.emb.shape)
+    w = dz[:, :, None] * pooled[:, None, :]   # N x k*d outer products, scaled,
+    w *= np.asarray(scale)[..., None]           # summed over the batch in order
+    return ParamGrads(emb, np.add.reduce(w).T, np.add.reduce(scale * dz)), token_grads
 
 
 def grad(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
          invalid_batch: Sequence[Example] = ()) -> tuple[ParamGrads, list[list[np.ndarray]]]:
-    """Analytic gradients of the mean batch loss.
-
-    Returns parameter gradients plus, per clean example, per-side arrays of
-    input-embedding gradients (one row per token).
-    """
+    """Analytic gradients of the mean batch loss, plus per clean example its
+    per-side input-embedding gradients (one row per token)."""
     enc = encode(params, list(batch) + list(invalid_batch if cfg.kind == "entropic" else ()))
     grads, token_grads = _grad(params, enc, _gold(batch), cfg)
     per_side = [np.split(g, np.cumsum(lengths)[:len(batch)])[:len(batch)]
@@ -296,15 +292,14 @@ def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
     probs = _softmax(_logits(params, enc)[1] / params.temperature)
     labels = [ex.gold_label if ex.gold_label is not None else int(np.argmax(p))
               for ex, p in zip(examples, probs)]
-    _, dz = _supervised_loss_and_dz(probs, np.array(labels, dtype=int),
-                                    LossConfig("cross_entropy"), params.temperature)
+    dz = _supervised_dz(probs, np.array(labels, dtype=int), LossConfig("cross_entropy"),
+                        params.temperature)
     s = 0 if side == "a" or params.task_kind == "single" else 1
-    g = _token_grads(params, enc, dz, s)
-    ids = enc.ids[s]
+    g, ids, owner = _example_grads(params, enc, dz)[s], enc.ids[s], enc.owner[s]
     scores = np.empty(len(ids))
     for i in range(0, len(ids), CHUNK_TOKENS):
         chunk = slice(i, i + CHUNK_TOKENS)
-        scores[chunk] = (params.emb[ids[chunk]][:, None, :] @ g[chunk, :, None])[:, 0, 0]
+        scores[chunk] = (params.emb[ids[chunk]][:, None, :] @ g[owner[chunk], :, None])[:, 0, 0]
     return [tuple(part.tolist()) for part in np.split(scores, np.cumsum(enc.lengths[s]))[:-1]]
 
 
@@ -322,26 +317,37 @@ def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
     params = warm if warm is not None else init_params(
         build_vocab(ds), train_cfg.dim, n_classes or ds.labels.n_classes, ds.task_kind,
         train_cfg.seed)
-    emb, w, b = params.emb.copy(), params.w.copy(), params.b.copy()
+    v, k = params.emb.size, params.w.size
+    theta = np.concatenate([params.emb.ravel(), params.w.ravel(), params.b])   # steps update it
+    params = replace(params, emb=theta[:v].reshape(params.emb.shape),          # views of theta
+                     w=theta[v:v + k].reshape(params.w.shape), b=theta[v + k:])
     rng = np.random.default_rng(train_cfg.seed)
     invalid = invalid_ds.examples if loss_cfg.kind == "entropic" and invalid_ds else ()
     gold = _gold(ds.examples)
     enc = encode(params, ds.examples + invalid)
-    inv_cursor = step = 0
+    inv_cursor, step, bs = 0, 0, train_cfg.batch_size
+    run = max(TAKE_ROWS // bs, 1) * bs   # the rows of whole steps, taken at once
     for _ in range(train_cfg.epochs):
         order = rng.permutation(len(ds))
-        for start in range(0, len(ds), train_cfg.batch_size):
-            rows = order[start:start + train_cfg.batch_size]
-            inv = inv_cursor + np.arange(min(len(rows), len(invalid)))
-            inv_cursor += len(inv)
-            batch = enc.take(np.concatenate([rows, len(ds) + inv % max(len(invalid), 1)]))
-            grads, _ = _grad(replace(params, emb=emb, w=w, b=b), batch, gold[rows], loss_cfg)
-            if not all(np.isfinite(g).all() for g in (grads.w, grads.b, grads.emb)):
-                raise TrainingError(f"non-finite gradient at step {step}")
-            lr = train_cfg.learning_rate
-            emb, w, b = emb - lr * grads.emb, w - lr * grads.w, b - lr * grads.b
-            step += 1
-    return replace(params, emb=emb, w=w, b=b)
+        for first in range(0, len(ds), run):
+            picks = []   # per step: its clean rows, then its share of the cycled invalid rows
+            for start in range(first, min(first + run, len(ds)), bs):
+                rows = pick = order[start:start + bs]
+                if invalid:
+                    inv = inv_cursor + np.arange(min(len(rows), len(invalid)))
+                    inv_cursor += len(inv)
+                    pick = np.concatenate([rows, len(ds) + inv % len(invalid)])
+                picks.append((rows, pick))
+            taken, at = enc.take(np.concatenate([pick for _, pick in picks])), 0
+            for rows, pick in picks:
+                batch, at = taken[at:at + len(pick)], at + len(pick)
+                grads, _ = _grad(params, batch, gold[rows], loss_cfg)
+                g = np.concatenate([grads.emb.ravel(), grads.w.ravel(), grads.b])
+                if not np.isfinite(g).all():
+                    raise TrainingError(f"non-finite gradient at step {step}")
+                theta -= train_cfg.learning_rate * g
+                step += 1
+    return params
 
 
 def accuracy(params: ToyModelParams, ds: Dataset) -> float:

@@ -13,12 +13,33 @@ from saladbench.corpus import Dataset, Example, LabelSet, TextInput
 from saladbench.errors import ArgumentError, DegenerateInputError
 from saladbench.toyclf import (LossConfig, ToyModelParams, TrainConfig,
                                build_vocab, fit_temperature, forward, grad,
-                               init_params, load_params, loss, nll,
+                               init_params, load_params, nll, probabilities,
                                saliency_batch, save_params, train, with_temperature)
 
 from test_toyclf_batched import ref_saliency
 
 LABELS = LabelSet(("negative", "positive"))
+
+
+def loss(params, batch, cfg, invalid_batch=()):
+    """Mean batch loss, the objective toyclf's analytic gradients differentiate.
+    For the entropic kind it is L_D - lambda * H(invalid), so the entropy on
+    invalid inputs is maximized."""
+    probs = np.clip(probabilities(params, batch), 1e-300, 1.0)
+    gold = np.array([ex.gold_label for ex in batch], dtype=int)
+    p_y = probs[np.arange(len(batch)), gold]
+    if cfg.kind == "label_smoothing":
+        q = (1.0 - cfg.lambda_ls) * np.eye(probs.shape[1])[gold] + cfg.lambda_ls / probs.shape[1]
+        values = -(q * np.log(probs)).sum(axis=1)
+    elif cfg.kind == "focal":
+        values = -((1.0 - p_y) ** cfg.gamma) * np.log(p_y)
+    else:
+        values = -np.log(p_y)
+    result = float(np.cumsum(values)[-1]) / len(batch) if batch else 0.0
+    if cfg.kind == "entropic" and invalid_batch:
+        p = probabilities(params, invalid_batch)
+        result += cfg.lambda_ent * float(np.mean((p * np.log(np.clip(p, 1e-300, 1.0))).sum(axis=1)))
+    return result
 
 
 def tiny_params(emb_a=1.0, w=((math.log(0.8), math.log(0.2)),), b=(0.0, 0.0),
