@@ -139,6 +139,30 @@ def test_replace_matches_seeded_uniform_draws():
     out = replace_tokens(seq, part, vocab, seed=9)
     rng = random.Random(9)
     assert out == ("a", rng.choice(vocab), rng.choice(vocab), "d")
+    rng = random.Random(9)
+    assert repeat_tokens(seq, part, seed=9) == \
+        ("a", rng.choice(["a", "d"]), rng.choice(["a", "d"]), "d")
+    # rows of every shape, interleaved, so a draw made for one row's
+    # (seed, pool size, picks) is reused by later rows with other tokens
+    cases = random.Random(3)
+    for _ in range(600):
+        n = cases.randint(1, 12)
+        tokens = tuple(cases.choice("abcdefg") for _ in range(n))
+        part = partition_by_importance([cases.random() for _ in range(n)],
+                                       cases.choice([0.25, 0.5, 1.0]))
+        vocab = [cases.choice("uvwxyz") for _ in range(cases.randint(1, 4))]
+        seed = cases.randint(0, 20)
+        rng = random.Random(seed)
+        expected = list(tokens)
+        for i in part.bottom:
+            expected[i] = rng.choice(vocab)
+        assert replace_tokens(tokens, part, vocab, seed) == tuple(expected)
+        if part.top:
+            rng, top = random.Random(seed), [tokens[i] for i in part.top]
+            expected = list(tokens)
+            for i in part.bottom:
+                expected[i] = rng.choice(top)
+            assert repeat_tokens(tokens, part, seed) == tuple(expected)
 
 
 # --- copyone ---

@@ -1,5 +1,7 @@
 """Order-destroying transformations: sort, reverse, shuffle, copysort."""
 
+import logging
+import random
 from collections import Counter
 
 import pytest
@@ -113,6 +115,72 @@ def test_shuffle_multiset_terminal_and_bigram_guarantee(words, terminal, seed):
         assert not set(zip(out, out[1:])) & original
     else:
         assert not bigram_free_permutation_exists(seq) or shared > 0
+
+
+def reference_shuffle(tokens, seed, max_attempts=100, attempts=None):
+    """The per-row rejection loop shuffle_with_report is checked against: one
+    Random(seed) per row, which shuffles a fresh copy of the content tokens
+    on every attempt. Each attempt's (candidate, shared) is appended to
+    `attempts` when it is a list."""
+    if tokens and tokens[-1] in TERMINAL_PUNCT:
+        content, terminal = list(tokens[:-1]), tokens[-1]
+    else:
+        content, terminal = list(tokens), None
+    tail = [terminal] if terminal is not None else []
+    rng = random.Random(seed)
+    forbidden = set(zip(tokens, tokens[1:]))
+    best, best_shared = None, len(forbidden) + 1
+    for _ in range(max_attempts):
+        candidate = list(content)
+        rng.shuffle(candidate)
+        out = tuple(candidate + tail)
+        shared = len(set(zip(out, out[1:])) & forbidden)
+        if attempts is not None:
+            attempts.append((out, shared))
+        if shared == 0:
+            return out, 0, False
+        if shared < best_shared:
+            best, best_shared = candidate, shared
+    return tuple(best + tail), best_shared, True
+
+
+def test_shuffle_matches_the_per_row_reference_loop():
+    # rows of 2-12 content tokens from a small pool (so tokens repeat), with
+    # terminal marks inside the content too; seeds 0-50 and budgets 1-100.
+    # Rows of every shape are interleaved, so draws of one (seed, length)
+    # are reused by later rows of other contents.
+    rng = random.Random(12)
+    pool = ["a", "b", "c", "d", "e", ".", "!", "?"]
+    cases = []
+    for _ in range(2500):
+        words = [rng.choice(pool[:rng.randint(2, 8)])
+                 for _ in range(rng.randint(2, 12))]
+        if words[-1] in TERMINAL_PUNCT:
+            words.append("a")          # a terminal mark here is content
+        terminal = rng.choice([None, ".", "!", "?"])
+        cases.append((seq_of(words, terminal), rng.randint(0, 50),
+                       rng.choice([1, 2, 5, 100])))
+    exhausted_rows = ties = 0
+    for seq, seed, budget in cases:
+        attempts = []
+        expected = reference_shuffle(seq, seed, budget, attempts)
+        assert shuffle_with_report(seq, seed, budget) == expected, (seq, seed, budget)
+        if expected[2]:
+            exhausted_rows += 1
+            ties += sum(shared == expected[1] and out != expected[0]
+                        for out, shared in attempts)
+    assert 0 < exhausted_rows < len(cases) and ties > 0
+
+
+def test_shuffle_logs_one_warning_per_exhausted_row(caplog):
+    # three rows of two content tokens share one (seed, length) of draws
+    rows = [("a", "a"), ("a", "a", "."), ("x", "y", "z", "w", "v", "u"), ("a", "a")]
+    with caplog.at_level(logging.WARNING, logger="saladbench.lexical"):
+        reports = [shuffle_with_report(seq, seed=0, max_attempts=3) for seq in rows]
+        assert [exhausted for _, _, exhausted in reports] == [True, True, False, True]
+        assert len(caplog.records) == 3
+        shuffle_with_report(("b", "b"), seed=0, max_attempts=3)
+        assert len(caplog.records) == 4
 
 
 def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():
