@@ -327,26 +327,27 @@ def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
     enc = encode(params, ds.examples + invalid)
     inv_cursor, step, bs = 0, 0, train_cfg.batch_size
     run = max(TAKE_ROWS // bs, 1) * bs   # the rows of whole steps, taken at once
-    for _ in range(train_cfg.epochs):
-        order = rng.permutation(len(ds))
-        for first in range(0, len(ds), run):
-            picks = []   # per step: its clean rows, then its share of the cycled invalid rows
-            for start in range(first, min(first + run, len(ds)), bs):
-                rows = pick = order[start:start + bs]
-                if invalid:
-                    inv = inv_cursor + np.arange(min(len(rows), len(invalid)))
-                    inv_cursor += len(inv)
-                    pick = np.concatenate([rows, len(ds) + inv % len(invalid)])
-                picks.append((rows, pick))
-            taken, at = enc.take(np.concatenate([pick for _, pick in picks])), 0
-            for rows, pick in picks:
-                batch, at = taken[at:at + len(pick)], at + len(pick)
-                grads, _ = _grad(params, batch, gold[rows], loss_cfg)
-                g = np.concatenate([grads.emb.ravel(), grads.w.ravel(), grads.b])
-                if not np.isfinite(g).all():
-                    raise TrainingError(f"non-finite gradient at step {step}")
-                theta -= train_cfg.learning_rate * g
-                step += 1
+    with np.errstate(over="ignore", invalid="ignore"):   # divergence is one TrainingError
+        for _ in range(train_cfg.epochs):
+            order = rng.permutation(len(ds))
+            for first in range(0, len(ds), run):
+                picks = []   # per step: its clean rows, then its share of the cycled invalid rows
+                for start in range(first, min(first + run, len(ds)), bs):
+                    rows = pick = order[start:start + bs]
+                    if invalid:
+                        inv = inv_cursor + np.arange(min(len(rows), len(invalid)))
+                        inv_cursor += len(inv)
+                        pick = np.concatenate([rows, len(ds) + inv % len(invalid)])
+                    picks.append((rows, pick))
+                taken, at = enc.take(np.concatenate([pick for _, pick in picks])), 0
+                for rows, pick in picks:
+                    batch, at = taken[at:at + len(pick)], at + len(pick)
+                    grads, _ = _grad(params, batch, gold[rows], loss_cfg)
+                    g = np.concatenate([grads.emb.ravel(), grads.w.ravel(), grads.b])
+                    if not np.isfinite(g).all():
+                        raise TrainingError(f"non-finite gradient at step {step}")
+                    theta -= train_cfg.learning_rate * g
+                    step += 1
     return params
 
 

@@ -2,6 +2,9 @@
 and config-file handling. Commands run in-process through cli.main()."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -403,6 +406,24 @@ def test_exit_code_1_on_unknown_transform(tmp_path):
 def test_failed_checks_leave_no_output_directory(tmp_path, argv):
     out = tmp_path / "fo"
     assert run([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["train", *SENT_ARGS, "--lr", "1e308"], 2),
+    (["mitigate", *SENT_ARGS, "--finetune-lr", "1e308"], 1),
+], ids=["train", "mitigate-finetune"])
+def test_diverging_run_prints_only_its_error_line(tmp_path, argv, step):
+    # a child process, so stderr is what a user sees (pytest captures warnings)
+    env = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent.parent)}
+    env.pop("PYTHONWARNINGS", None)
+    out = tmp_path / "fo"
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "saladbench.cli",
+                           *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"error: non-finite gradient at step {step}"
     assert not out.exists()
 
 
