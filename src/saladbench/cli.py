@@ -143,6 +143,7 @@ def cmd_evaluate(args) -> int:
             per_seed.append(agr)
             confs.append(metrics.mean_confidence(preds))
             n = len(preds)
+            del transformed   # free this set before the next one is built
         if not per_seed:
             print(f"{kind}: -- (every row skipped)")
             continue

@@ -7,6 +7,7 @@ ones dropped or replaced.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -34,7 +35,8 @@ def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePart
     m = max(1, math.floor(r * n))
     by_ascending = sorted(range(n), key=lambda i: (scores[i], i))
     bottom = sorted(by_ascending[:m])
-    remaining = [i for i in range(n) if i not in set(bottom)]
+    below = set(bottom)
+    remaining = [i for i in range(n) if i not in below]
     by_descending = sorted(remaining, key=lambda i: (-scores[i], i))
     top = sorted(by_descending[:m])
     return ImportancePartition(tuple(bottom), tuple(top))
@@ -48,16 +50,22 @@ def drop_tokens(tokens: tuple[str, ...], part: ImportancePartition) -> tuple[str
     return survivors
 
 
+@functools.lru_cache(maxsize=None)
+def _picks(seed: int, pool: int, picks: int) -> tuple[int, ...]:
+    """`picks` uniform draws from range(pool) by one Random(seed): the
+    indices a per-row Random(seed) would choose from any pool of that size."""
+    rng = random.Random(seed)
+    return tuple(rng.choice(range(pool)) for _ in range(picks))
+
+
 def repeat_tokens(tokens: tuple[str, ...], part: ImportancePartition,
                   seed: int) -> tuple[str, ...]:
     """Replace each bottom token with a uniformly drawn top token."""
     if not part.top:
         raise UnsupportedTransformError("repeat needs a non-empty top set")
-    rng = random.Random(seed)
-    top = [tokens[i] for i in part.top]
     out = list(tokens)
-    for i in part.bottom:
-        out[i] = rng.choice(top)
+    for i, k in zip(part.bottom, _picks(seed, len(part.top), len(part.bottom))):
+        out[i] = tokens[part.top[k]]
     return tuple(out)
 
 
@@ -68,11 +76,9 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
     (mitigate.transform_examples checks a vocabulary once per set)."""
     if not vocab:
         raise ArgumentError("replace needs a non-empty vocabulary")
-    rng = random.Random(seed)
-    pool = list(vocab)
     out = list(tokens)
-    for i in part.bottom:
-        out[i] = rng.choice(pool)
+    for i, k in zip(part.bottom, _picks(seed, len(vocab), len(part.bottom))):
+        out[i] = vocab[k]
     return tuple(out)
 
 

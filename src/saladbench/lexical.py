@@ -8,7 +8,6 @@ rule that every transform kind follows is stated here (`side_rule`).
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import random
 from dataclasses import dataclass
@@ -105,10 +104,23 @@ def _bigrams(tokens) -> set[tuple[str, str]]:
     return set(zip(tokens, tokens[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def _orders(seed: int, n: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The first `count` shuffles of range(n) by one Random(seed). A
+    shuffle's draws depend only on the length, so these are the orders in
+    which a per-row Random(seed) would shuffle any n content tokens."""
+    rng, orders = random.Random(seed), [list(range(n)) for _ in range(count)]
+    for order in orders:
+        rng.shuffle(order)
+    return tuple(map(tuple, orders))
+
+
 def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 100
                         ) -> tuple[tuple[str, ...], int, bool]:
     """Shuffle until no ordered bigram of the input survives.
 
+    Attempt k puts the content in the k-th order of `_orders`, asked for in
+    doubling counts, so each (seed, content length) is drawn once per process.
     Returns (shuffled, shared_bigram_count, exhausted). When no bigram-free
     permutation is found within max_attempts, the best attempt seen is
     returned with exhausted=True.
@@ -116,22 +128,22 @@ def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 
     content, terminal = _split_terminal(tokens)
     if len(content) < 2:
         raise DegenerateInputError("shuffle needs at least 2 content tokens")
-    rng = random.Random(seed)
+    tail = (terminal,) if terminal is not None else ()
     forbidden = _bigrams(tokens)
-    best: Optional[list[str]] = None
-    best_shared = len(forbidden) + 1
-    for _ in range(max_attempts):
-        candidate = list(content)
-        rng.shuffle(candidate)
-        out = _rebuild(candidate, terminal)
-        shared = len(_bigrams(out) & forbidden)
-        if shared == 0:
-            return out, 0, False
-        if shared < best_shared:
-            best, best_shared = candidate, shared
+    best, best_shared = None, len(forbidden) + 1
+    tried, count = 0, 1
+    while tried < max_attempts:
+        for order in _orders(seed, len(content), count)[tried:]:
+            out = tuple([content[i] for i in order]) + tail
+            shared = len(forbidden.intersection(zip(out, out[1:])))
+            if shared == 0:
+                return out, 0, False
+            if shared < best_shared:
+                best, best_shared = out, shared
+        tried, count = count, min(2 * count, max_attempts)
     log.warning("shuffle exhausted %d attempts; best attempt shares %d bigrams",
                 max_attempts, best_shared)
-    return _rebuild(best, terminal), best_shared, True
+    return best, best_shared, True
 
 
 def shuffle_tokens(tokens: tuple[str, ...], seed: int) -> tuple[str, ...]:
@@ -150,14 +162,3 @@ def apply_lexical(ex: Example, spec: TransformSpec) -> TextInput:
     else:
         raise UnsupportedTransformError(f"{spec.kind} is not a lexical transform")
     return rewrite(ex.input, spec.kind, edit)
-
-
-def bigram_free_permutation_exists(tokens: tuple[str, ...]) -> bool:
-    """Exhaustive check (intended for short sequences) that some permutation
-    of the content tokens shares no ordered bigram with the input."""
-    content, terminal = _split_terminal(tokens)
-    forbidden = _bigrams(tokens)
-    for perm in itertools.permutations(content):
-        if not (_bigrams(_rebuild(list(perm), terminal)) & forbidden):
-            return True
-    return False

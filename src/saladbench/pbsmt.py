@@ -127,17 +127,6 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
     return ParallelCorpus(tuple(pairs), label)
 
 
-def corpus_loglikelihood(corpus: ParallelCorpus, table: LexicalTable) -> float:
-    """Model 1 log-likelihood with uniform alignment prior over src + NULL."""
-    total = 0.0
-    for src, tgt in corpus.pairs:
-        srcs = (NULL,) + src
-        for t_word in tgt:
-            p = sum(table.prob(t_word, s) for s in srcs) / len(srcs)
-            total += math.log(max(p, 1e-300))
-    return total
-
-
 def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
     """IBM Model 1 EM with a NULL source token and uniform initialization."""
     if not corpus.pairs:

@@ -30,13 +30,13 @@ import pytest
 
 from saladbench import cli, metrics, mitigate, pbsmt, toyclf
 from saladbench.corpus import Example, TextInput, tokenize
-from saladbench.lexical import (TransformSpec, apply_lexical,
-                                bigram_free_permutation_exists, reverse_tokens,
+from saladbench.lexical import (TransformSpec, apply_lexical, reverse_tokens,
                                 shuffle_with_report, sort_tokens)
 from saladbench.providers import EmbeddedProvider, checked_probs
 
-from test_pbsmt import (DECODE_SOURCES, fixture_lm, fixture_phrase_table,
-                        oracle_decode)
+from test_lexical import bigram_free_permutation_exists
+from test_pbsmt import (DECODE_SOURCES, corpus_loglikelihood, fixture_lm,
+                        fixture_phrase_table, oracle_decode)
 from test_toyclf import _numeric_grad, _rel_err, random_example, random_model
 
 
@@ -357,7 +357,7 @@ def test_9_statistical_generator_guarantees(pair_split, pair_gens, sent_split):
         # EM log-likelihood never decreases across 10 iterations
         for ds, label in ((pair_train, 0), (pair_train, 1), (sent_train, 0)):
             corpus = pbsmt.build_parallel_corpus(ds, label)
-            lls = [pbsmt.corpus_loglikelihood(
+            lls = [corpus_loglikelihood(
                        corpus, pbsmt.train_model1(corpus, iterations=k))
                    for k in range(1, 11)]
             for prev, cur in zip(lls, lls[1:]):

@@ -1,5 +1,6 @@
 """Order-destroying transformations: sort, reverse, shuffle, copysort."""
 
+import itertools
 import logging
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import DegenerateInputError, UnsupportedTransformError
 from saladbench.lexical import (TERMINAL_PUNCT, TransformSpec,
-                                apply_lexical, bigram_free_permutation_exists,
+                                apply_lexical,
                                 reverse_tokens, shuffle_tokens,
                                 shuffle_with_report, sort_tokens)
 
@@ -24,6 +25,18 @@ def seq_of(words, terminal=None):
     if terminal is not None:
         words = list(words) + [terminal]
     return tuple(words)
+
+
+def bigram_free_permutation_exists(tokens):
+    """Exhaustive check (for short sequences) that some permutation of the
+    content tokens shares no ordered bigram with the input."""
+    tail = tokens[-1:] if tokens and tokens[-1] in TERMINAL_PUNCT else ()
+    forbidden = set(zip(tokens, tokens[1:]))
+    for perm in itertools.permutations(tokens[:len(tokens) - len(tail)]):
+        out = perm + tail
+        if not set(zip(out, out[1:])) & forbidden:
+            return True
+    return False
 
 
 # --- sort ---

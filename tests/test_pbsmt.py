@@ -14,10 +14,21 @@ from saladbench.errors import (ArgumentError, DataError, DegenerateInputError,
                                InsufficientDataError, UnsupportedTransformError)
 from saladbench.pbsmt import (BOS, NULL, DecoderWeights, LanguageModel,
                               LexicalTable, ParallelCorpus, PhraseTable, align,
-                              build_parallel_corpus, build_phrase_table,
-                              corpus_loglikelihood, decode, extract_phrases,
-                              generate_invalid, load_generator, save_generator,
-                              train_generator, train_lm, train_model1)
+                              build_parallel_corpus, build_phrase_table, decode,
+                              extract_phrases, generate_invalid, load_generator,
+                              save_generator, train_generator, train_lm,
+                              train_model1)
+
+
+def corpus_loglikelihood(corpus, table):
+    """Model 1 log-likelihood with uniform alignment prior over src + NULL."""
+    total = 0.0
+    for src, tgt in corpus.pairs:
+        srcs = (NULL,) + src
+        for t_word in tgt:
+            p = sum(table.prob(t_word, s) for s in srcs) / len(srcs)
+            total += math.log(max(p, 1e-300))
+    return total
 
 
 def corpus_of(*pairs, label=0):
