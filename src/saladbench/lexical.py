@@ -120,7 +120,7 @@ def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 
     """Shuffle until no ordered bigram of the input survives.
 
     Attempt k puts the content in the k-th order of `_orders`, asked for in
-    doubling counts, so each (seed, content length) is drawn once per process.
+    doubling counts: a process draws each (seed, content length, count) once.
     Returns (shuffled, shared_bigram_count, exhausted). When no bigram-free
     permutation is found within max_attempts, the best attempt seen is
     returned with exhausted=True.
