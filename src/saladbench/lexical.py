@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .corpus import Example, TextInput
-from .errors import DegenerateInputError, UnsupportedTransformError
+from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
 
 log = logging.getLogger(__name__)
 
@@ -125,6 +125,8 @@ def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 
     permutation is found within max_attempts, the best attempt seen is
     returned with exhausted=True.
     """
+    if max_attempts < 1:
+        raise ArgumentError(f"max_attempts must be at least 1, got {max_attempts}")
     content, terminal = _split_terminal(tokens)
     if len(content) < 2:
         raise DegenerateInputError("shuffle needs at least 2 content tokens")

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saladbench.corpus import Example, TextInput, tokenize
-from saladbench.errors import DegenerateInputError, UnsupportedTransformError
+from saladbench.errors import (ArgumentError, DegenerateInputError,
+                               UnsupportedTransformError)
 from saladbench.lexical import (TERMINAL_PUNCT, TransformSpec,
                                 apply_lexical,
                                 reverse_tokens, shuffle_tokens,
@@ -101,6 +102,12 @@ def test_shuffle_deterministic_per_seed():
 def test_shuffle_needs_two_content_tokens():
     with pytest.raises(DegenerateInputError):
         shuffle_tokens(tokenize("lonely."), seed=0)
+
+
+@pytest.mark.parametrize("max_attempts", [0, -1])
+def test_shuffle_needs_at_least_one_attempt(max_attempts):
+    with pytest.raises(ArgumentError):
+        shuffle_with_report(("a", "b", "c"), seed=0, max_attempts=max_attempts)
 
 
 def test_shuffle_reports_best_effort_when_no_bigram_free_permutation():
