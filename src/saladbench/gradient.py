@@ -50,7 +50,7 @@ def drop_tokens(tokens: tuple[str, ...], part: ImportancePartition) -> tuple[str
     return survivors
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)   # bounded like lexical._orders
 def _picks(seed: int, pool: int, picks: int) -> tuple[int, ...]:
     """`picks` uniform draws from range(pool) by one Random(seed): the
     indices a per-row Random(seed) would choose from any pool of that size."""

@@ -104,11 +104,11 @@ def _bigrams(tokens) -> set[tuple[str, str]]:
     return set(zip(tokens, tokens[1:]))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _orders(seed: int, n: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """The first `count` shuffles of range(n) by one Random(seed). A
-    shuffle's draws depend only on the length, so these are the orders in
-    which a per-row Random(seed) would shuffle any n content tokens."""
+    """The first `count` shuffles of range(n) by one Random(seed): the orders
+    a per-row Random(seed) would try on any n content tokens, as a shuffle
+    draws by length alone. Bounded: a caller may give each row its own seed."""
     rng, orders = random.Random(seed), [list(range(n)) for _ in range(count)]
     for order in orders:
         rng.shuffle(order)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saladbench import lexical
 from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                UnsupportedTransformError)
@@ -201,6 +202,13 @@ def test_shuffle_logs_one_warning_per_exhausted_row(caplog):
         assert len(caplog.records) == 3
         shuffle_with_report(("b", "b"), seed=0, max_attempts=3)
         assert len(caplog.records) == 4
+
+
+def test_shuffle_order_memo_stays_bounded_when_every_row_has_its_own_seed():
+    for seed in range(1500):
+        shuffle_with_report(("a", "b", "c", "d", "."), seed)
+    info = lexical._orders.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():
