@@ -545,3 +545,232 @@ def test_decoder_outputs_match_pinned_digests(setting, sent_ds, sent_gens,
         out = decode(src, model.phrases, model.lm, weights)
         h.update(f"{ex.id}\t{' '.join(out)}\n".encode())
     assert h.hexdigest() == DECODER_DIGESTS[setting]
+
+
+# --- the plain implementations, kept as oracles for the faster ones ---
+
+def reference_train_model1(corpus, iterations=10):
+    """IBM Model 1 EM over string-keyed dicts, summing in the same order as
+    `train_model1`."""
+    from collections import defaultdict
+    tgt_vocab = sorted({w for _, tgt in corpus.pairs for w in tgt})
+    uniform = 1.0 / len(tgt_vocab)
+    src_vocab = {NULL} | {w for src, _ in corpus.pairs for w in src}
+    t = {s: defaultdict(lambda: uniform) for s in src_vocab}
+    for _ in range(iterations):
+        count = defaultdict(float)
+        total = defaultdict(float)
+        for src, tgt in corpus.pairs:
+            srcs = (NULL,) + src
+            for t_word in tgt:
+                denom = sum(t[s][t_word] for s in srcs)
+                for s in srcs:
+                    frac = t[s][t_word] / denom
+                    count[(s, t_word)] += frac
+                    total[s] += frac
+        new_t = {s: {} for s in src_vocab}
+        for (s, t_word), c in count.items():
+            new_t[s][t_word] = c / total[s]
+        t = {s: defaultdict(float, d) for s, d in new_t.items()}
+    return LexicalTable({s: dict(d) for s, d in t.items()})
+
+
+def reference_extract_phrases(pair, alignment):
+    """Every source span against every target span, each checked against
+    every link."""
+    src, tgt = pair
+    out = []
+    for i1 in range(len(src)):
+        for i2 in range(i1, min(i1 + 3, len(src))):
+            for j1 in range(len(tgt)):
+                for j2 in range(j1, min(j1 + 3, len(tgt))):
+                    inside = False
+                    consistent = True
+                    for (i, j) in alignment:
+                        in_src = i1 <= i <= i2
+                        in_tgt = j1 <= j <= j2
+                        if in_src and in_tgt:
+                            inside = True
+                        elif in_src != in_tgt:
+                            consistent = False
+                            break
+                    if inside and consistent:
+                        out.append((tuple(src[i1:i2 + 1]), tuple(tgt[j1:j2 + 1])))
+    return out
+
+
+def reference_decode(source, pt, lm, w):
+    """The stack decoder scoring every candidate with the language model."""
+    src = tuple(source)
+    n = len(src)
+    keep = -(lm.order - 1)
+    spans = [(i, j, ((1 << (j - i)) - 1) << i,
+              [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
+             for (i, j), opts in pbsmt._phrase_options(src, pt).items()]
+    bos = (BOS,) * (lm.order - 1)
+    stacks = [dict() for _ in range(n + 1)]
+    stacks[0][(0, 0, bos)] = (0.0, (), 0, 0, bos)
+    for covered in range(n):
+        hyps = sorted(stacks[covered].values(), key=lambda h: (-h[0], h[1]))
+        for score, output, coverage, last_end, context in hyps[: w.beam_size]:
+            for i, j, mask, opts in spans:
+                if coverage & mask:
+                    continue
+                jump = abs(i - last_end)
+                if jump > w.distortion_limit:
+                    continue
+                new_cov = coverage | mask
+                if j - (((new_cov + 1) & ~new_cov).bit_length() - 1) > w.distortion_limit:
+                    continue
+                dist = w.w_dist * jump
+                stack = stacks[covered + (j - i)]
+                for tgt, tm, length in opts:
+                    lm_inc = 0.0
+                    ctx = context
+                    for word in tgt:
+                        lm_inc += lm.word_logprob(word, ctx)
+                        ctx = (ctx + (word,))[keep:]
+                    new_score = score + tm + w.w_lm * lm_inc + dist + length
+                    key = (new_cov, j, ctx)
+                    old = stack.get(key)
+                    if old is None or new_score > old[0] or \
+                            (new_score == old[0] and output + tgt < old[1]):
+                        stack[key] = (new_score, output + tgt, new_cov, j, ctx)
+    finals = list(stacks[n].values())
+    if not finals:
+        if w.distortion_limit > 0:
+            return reference_decode(source, pt, lm,
+                                    DecoderWeights(w.w_tm, w.w_lm, w.w_dist,
+                                                   w.w_len, w.beam_size, 0))
+        raise DegenerateInputError("decoder found no complete hypothesis")
+    return min(finals, key=lambda h: (-h[0], h[1]))[1]
+
+
+SRC_WORDS = ("a", "b", "c", "d")
+TGT_WORDS = ("x", "y", "z", "w")
+# few distinct phrase scores, so that hypotheses often tie exactly
+TIE_PRONE_LOGS = (0.0, math.log(0.5), math.log(0.25), -1.0)
+
+
+def random_generator(rng):
+    """A small phrase table and trigram (or lower) LM over a few words."""
+    entries = {}
+    for _ in range(rng.randrange(13)):
+        s = tuple(rng.choice(SRC_WORDS) for _ in range(rng.randint(1, 3)))
+        t = tuple(rng.choice(TGT_WORDS) for _ in range(rng.randint(1, 3)))
+        entries[(s, t)] = (rng.choice(TIE_PRONE_LOGS), 0.0)
+    sents = [tuple(rng.choice(TGT_WORDS) for _ in range(rng.randrange(5)))
+             for _ in range(rng.randint(1, 6))]
+    sents.append((rng.choice(TGT_WORDS),))
+    return PhraseTable(entries), train_lm(sents, order=rng.choice((1, 2, 3, 3)))
+
+
+def random_weights(rng, w_lm_choices=(0.0, 0.5, 0.5, 1.0)):
+    return DecoderWeights(w_tm=rng.choice((1.0, 1.0, 0.5, 0.0)),
+                          w_lm=rng.choice(w_lm_choices),
+                          w_dist=rng.choice((0.0, -0.3, -0.3, -1.0)),
+                          w_len=rng.choice((0.0, -0.1, -0.1, 0.25)),
+                          beam_size=rng.randint(1, 10),
+                          distortion_limit=rng.randint(0, 3))
+
+
+def random_source(rng):
+    # repeated words and pass-through words the table does not know
+    words = SRC_WORDS + ("oov1", "oov2")
+    return tuple(rng.choice(words) for _ in range(rng.randint(1, 6)))
+
+
+def test_decoder_matches_the_reference_on_random_generators():
+    import random
+    rng = random.Random(13)
+    for case in range(3000):
+        pt, lm = random_generator(rng)
+        for _ in range(2):
+            w, src = random_weights(rng), random_source(rng)
+            assert decode(src, pt, lm, w) == reference_decode(src, pt, lm, w), \
+                (case, src, w)
+
+
+def test_decoder_matches_the_reference_when_the_lm_term_raises_scores():
+    import random
+    rng = random.Random(14)
+    for case in range(1000):
+        pt, lm = random_generator(rng)
+        w, src = random_weights(rng, w_lm_choices=(-0.5, -1.0, -2.0)), random_source(rng)
+        assert decode(src, pt, lm, w) == reference_decode(src, pt, lm, w), \
+            (case, src, w)
+
+
+def test_decoder_matches_the_reference_when_a_word_scores_above_zero():
+    import random
+    # counts above their context totals: log p(y | x) = log(6 / 2) > 0
+    lm = LanguageModel(2, {("x",): 2, ("y",): 2, ("z",): 1, ("x", "y"): 6,
+                           ("y", "y"): 9, ("x", "z"): 1, ("z", "x"): 3},
+                       {("x",): 2, ("y",): 1, ("z",): 1}, 3,
+                       frozenset({"x", "y", "z"}))
+    assert lm.word_logprob("y", ("x",)) > 0
+    rng = random.Random(15)
+    for case in range(1000):
+        pt, _ = random_generator(rng)
+        w, src = random_weights(rng, w_lm_choices=(0.5, 1.0, 3.0)), random_source(rng)
+        assert decode(src, pt, lm, w) == reference_decode(src, pt, lm, w), \
+            (case, src, w)
+
+
+def test_decoder_matches_the_reference_on_the_bundled_generators(
+        sent_ds, sent_gens, pair_split, pair_gens):
+    sources = [(sent_gens[ex.gold_label], tokenize(ex.input.text_a))
+               for ex in sent_ds.examples[::4]]
+    sources += [(pair_gens[ex.gold_label], tokenize(ex.input.text_a))
+                for ex in pair_split[1].examples[::4]]
+    for setting in DECODER_SETTINGS.values():
+        w = DecoderWeights(**setting)
+        for model, src in sources:
+            assert decode(src, model.phrases, model.lm, w) == \
+                reference_decode(src, model.phrases, model.lm, w), src
+
+
+def _bits(table):
+    return [(s, [(t, p.hex()) for t, p in d.items()]) for s, d in table.t.items()]
+
+
+@pytest.mark.parametrize("corpus_name", ["sent", "pair"])
+def test_model1_matches_the_reference_bit_for_bit(corpus_name, sent_ds, pair_ds):
+    ds = sent_ds if corpus_name == "sent" else pair_ds
+    for label in range(ds.labels.n_classes):
+        corpus = build_parallel_corpus(ds, label)
+        for iterations in (1, 2, 10):
+            assert _bits(train_model1(corpus, iterations)) == \
+                _bits(reference_train_model1(corpus, iterations))
+
+
+def test_model1_matches_the_reference_on_repeated_and_unaligned_words():
+    corpus = corpus_of(("a a b", "x x"), ("b", "y x y"), ("c a", "z"),
+                       ("a", "x"), ("d d d", "x y"))
+    for iterations in (1, 3):
+        assert _bits(train_model1(corpus, iterations)) == \
+            _bits(reference_train_model1(corpus, iterations))
+
+
+def test_extract_phrases_matches_the_reference_in_order():
+    import random
+    rng = random.Random(16)
+    for _ in range(2000):
+        src = tuple(f"s{i}" for i in range(rng.randint(1, 7)))
+        tgt = tuple(f"t{j}" for j in range(rng.randint(1, 7)))
+        links = {(rng.randrange(len(src)), rng.randrange(len(tgt)))
+                 for _ in range(rng.randrange(len(src) + len(tgt)))}
+        assert extract_phrases((src, tgt), links) == \
+            reference_extract_phrases((src, tgt), links), (src, tgt, links)
+
+
+@pytest.mark.parametrize("corpus_name", ["sent", "pair"])
+def test_extract_phrases_matches_the_reference_on_bundled_alignments(
+        corpus_name, sent_ds, pair_ds):
+    ds = sent_ds if corpus_name == "sent" else pair_ds
+    for label in range(ds.labels.n_classes):
+        corpus = build_parallel_corpus(ds, label)
+        table = train_model1(corpus)
+        for pair in corpus.pairs:
+            links = align(pair, table)
+            assert extract_phrases(pair, links) == reference_extract_phrases(pair, links)
