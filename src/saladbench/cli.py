@@ -273,6 +273,8 @@ def cmd_mitigate(args) -> int:
 
 
 def cmd_pbsmt(args) -> int:
+    if args.pbsmt_command == "train" and args.iterations < 1:
+        raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
     ds = _load(args)
     if args.pbsmt_command == "train":
         try:

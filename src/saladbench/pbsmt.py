@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter, defaultdict
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,6 +26,8 @@ from .lexical import rewrite
 NULL = "<null>"
 BOS = "<s>"
 MAX_PHRASE_LEN = 3  # tokens per side of a phrase pair
+# a stack entry that holds a key's place for a candidate `decode` skipped
+_RESERVED = (-math.inf, ())
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,15 @@ class LanguageModel:
     # (word, context) -> word_logprob(word, context), filled by `decode`
     memo: dict[tuple[str, tuple[str, ...]], float] = \
         field(default_factory=dict, init=False, repr=False, compare=False)
+    # no word scores above 0: every count it divides is at most the total it
+    # divides by, and backoff only shrinks a score
+    nonpositive: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.nonpositive = 0 < self.alpha <= 1 and all(
+            c <= (self.context_totals.get(ngram[:-1], 0) if len(ngram) > 1
+                  else self.total_tokens)
+            for ngram, c in self.counts.items() if c > 0)
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """Stupid backoff score with alpha=0.4 and a 1/(V+1) unigram floor."""
@@ -128,30 +140,49 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
 
 
 def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
-    """IBM Model 1 EM with a NULL source token and uniform initialization."""
+    """IBM Model 1 EM with a NULL source token and uniform initialization.
+
+    EM runs over integer cells, one per (source, target) word pair in order of
+    first co-occurrence; each target word of each pair lists the cells of its
+    source words, NULL first. The sums are those of a string-keyed EM, added
+    in the same order."""
     if not corpus.pairs:
         raise ArgumentError("empty parallel corpus")
-    tgt_vocab = sorted({w for _, tgt in corpus.pairs for w in tgt})
-    uniform = 1.0 / len(tgt_vocab)
+    if iterations < 1:
+        raise ArgumentError(f"iterations must be at least 1, got {iterations}")
+    uniform = 1.0 / len({w for _, tgt in corpus.pairs for w in tgt})
     src_vocab = {NULL} | {w for src, _ in corpus.pairs for w in src}
-    t: dict[str, dict[str, float]] = {s: defaultdict(lambda: uniform) for s in src_vocab}
+    cell_of: dict[tuple[str, str], int] = {}
+    owner: list[int] = []  # cell -> index of its source word
+    src_index: dict[str, int] = {}
+    rows = []  # per target word of each pair: [(cell, owner)] over NULL + source
+    for src, tgt in corpus.pairs:
+        srcs = (NULL,) + src
+        ids = [src_index.setdefault(s, len(src_index)) for s in srcs]
+        for t_word in tgt:
+            row = []
+            for s, o in zip(srcs, ids):
+                c = cell_of.setdefault((s, t_word), len(owner))
+                if c == len(owner):
+                    owner.append(o)
+                row.append((c, o))
+            rows.append(row)
 
+    probs = [uniform] * len(owner)
     for _ in range(iterations):
-        count = defaultdict(float)
-        total = defaultdict(float)
-        for src, tgt in corpus.pairs:
-            srcs = (NULL,) + src
-            for t_word in tgt:
-                denom = sum(t[s][t_word] for s in srcs)
-                for s in srcs:
-                    frac = t[s][t_word] / denom
-                    count[(s, t_word)] += frac
-                    total[s] += frac
-        new_t: dict[str, dict[str, float]] = {s: {} for s in src_vocab}
-        for (s, t_word), c in count.items():
-            new_t[s][t_word] = c / total[s]
-        t = {s: defaultdict(float, d) for s, d in new_t.items()}
-    return LexicalTable({s: dict(d) for s, d in t.items()})
+        count = [0.0] * len(owner)
+        total = [0.0] * len(src_index)
+        for row in rows:
+            denom = sum([probs[c] for c, _ in row])
+            for c, o in row:
+                frac = probs[c] / denom
+                count[c] += frac
+                total[o] += frac
+        probs = [c / total[o] for c, o in zip(count, owner)]
+    t: dict[str, dict[str, float]] = {s: {} for s in src_vocab}
+    for (s, t_word), c in cell_of.items():
+        t[s][t_word] = probs[c]
+    return LexicalTable(t)
 
 
 def align(pair: tuple[Sequence[str], Sequence[str]], table: LexicalTable) -> set[tuple[int, int]]:
@@ -180,25 +211,24 @@ def extract_phrases(pair: tuple[Sequence[str], Sequence[str]],
                     ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All phrase pairs of at most MAX_PHRASE_LEN tokens a side consistent
     with the alignment: no link leaves the rectangle and at least one link
-    lies inside."""
+    lies inside. Per source span, the target span must cover its links'
+    targets, lo..hi, and no target of a link from outside it."""
     src, tgt = pair
     out = []
     for i1 in range(len(src)):
         for i2 in range(i1, min(i1 + MAX_PHRASE_LEN, len(src))):
-            for j1 in range(len(tgt)):
-                for j2 in range(j1, min(j1 + MAX_PHRASE_LEN, len(tgt))):
-                    inside = False
-                    consistent = True
-                    for (i, j) in alignment:
-                        in_src = i1 <= i <= i2
-                        in_tgt = j1 <= j <= j2
-                        if in_src and in_tgt:
-                            inside = True
-                        elif in_src != in_tgt:
-                            consistent = False
-                            break
-                    if inside and consistent:
-                        out.append((tuple(src[i1:i2 + 1]), tuple(tgt[j1:j2 + 1])))
+            inside = [j for i, j in alignment if i1 <= i <= i2]
+            if not inside:
+                continue
+            lo, hi = min(inside), max(inside)
+            outside = [j for i, j in alignment if not i1 <= i <= i2]
+            if any(lo <= j <= hi for j in outside):
+                continue
+            start = max([-1, hi - MAX_PHRASE_LEN] + [j for j in outside if j < lo]) + 1
+            stop = min([len(tgt)] + [j for j in outside if j > hi])
+            for j1 in range(start, lo + 1):
+                for j2 in range(hi, min(j1 + MAX_PHRASE_LEN, stop)):
+                    out.append((tuple(src[i1:i2 + 1]), tuple(tgt[j1:j2 + 1])))
     return out
 
 
@@ -269,26 +299,39 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     A hypothesis is (score, output, coverage, last_end, context); hypotheses
     with the same (coverage, last_end, context) recombine. LM scores are read
     through `lm.memo`.
+
+    When w_lm >= 0 and no word scores above 0 (`lm.nonpositive`), the LM term
+    can only lower a score, so a candidate whose score without it is already
+    below its stack's floor is not LM-scored: it could never be expanded or
+    returned. A stack's floor is the beam_size-th best first score among its
+    keys (a key's score only rises), and in the last stack the best score so
+    far. Below the last stack, a skipped candidate that would have been the
+    first at its key leaves a placeholder there, never expanded, so the keys
+    keep the insertion order that `sorted` breaks exact ties by.
     """
     src = tuple(source)
     if not src:
         raise DegenerateInputError("cannot decode an empty source")
     n = len(src)
-    limit, w_lm = w.distortion_limit, w.w_lm
+    limit, w_lm, beam = w.distortion_limit, w.w_lm, w.beam_size
     keep = -(lm.order - 1)
     memo = lm.memo
     # (start, end, coverage mask, [(tgt, w_tm term, w_len term)]) per span
     spans = [(i, j, ((1 << (j - i)) - 1) << i,
               [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
              for (i, j), opts in _phrase_options(src, pt).items()]
+    skip = lm.nonpositive and 0 <= w_lm < math.inf and math.isfinite(w.w_dist) and \
+        all(math.isfinite(tm + length) for *_, opts in spans for _, tm, length in opts)
     bos = (BOS,) * (lm.order - 1)
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, bos)] = (0.0, (), 0, 0, bos)
+    floors = [-math.inf] * (n + 1)
+    tops: list[list[float]] = [[] for _ in range(n)]  # best first scores, ascending
 
     for covered in range(n):
         # histogram pruning per stack
         hyps = sorted(stacks[covered].values(), key=lambda h: (-h[0], h[1]))
-        for score, output, coverage, last_end, context in hyps[: w.beam_size]:
+        for score, output, coverage, last_end, context in hyps[:beam]:
             for i, j, mask, opts in spans:
                 if coverage & mask:
                     continue
@@ -300,8 +343,13 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
                 if j - (((new_cov + 1) & ~new_cov).bit_length() - 1) > limit:
                     continue
                 dist = w.w_dist * jump
-                stack = stacks[covered + (j - i)]
+                target = covered + (j - i)
+                stack = stacks[target]
                 for tgt, tm, length in opts:
+                    if skip and score + tm + dist + length < floors[target]:
+                        if target < n:
+                            stack.setdefault((new_cov, j, (context + tgt)[keep:]), _RESERVED)
+                        continue
                     lm_inc = 0.0
                     ctx = context
                     for word in tgt:
@@ -316,8 +364,17 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
                     if old is None or new_score > old[0] or \
                             (new_score == old[0] and output + tgt < old[1]):
                         stack[key] = (new_score, output + tgt, new_cov, j, ctx)
+                        if skip and target == n:
+                            floors[n] = max(floors[n], new_score)
+                        elif skip and (old is None or old is _RESERVED):
+                            top = tops[target]
+                            insort(top, new_score)
+                            if len(top) > beam:
+                                del top[0]
+                            if len(top) == beam:
+                                floors[target] = top[0]
 
-    finals = [h for h in stacks[n].values() if h[2] == (1 << n) - 1]
+    finals = list(stacks[n].values())
     if not finals:
         if w.distortion_limit > 0:
             return decode(source, pt, lm,
@@ -396,9 +453,12 @@ def _fields(path, n: int):
 
 def load_generator(dirpath) -> GeneratorModel:
     """A generator saved by `save_generator`. A line with the wrong field
-    count, a number that does not parse, or a phrase token that `tokenize`
-    would not return unchanged is a DataError naming path:line, so every
-    decoder output is a token tuple that survives a detokenize round trip."""
+    count, a number that does not parse, an LM count below 1, or a phrase
+    token that `tokenize` would not return unchanged is a DataError naming
+    path:line, so every decoder output is a token tuple that survives a
+    detokenize round trip. So is a `weights.json` whose `lm_order` is not the
+    longest n-gram in lm.tsv or whose `lm_total_tokens` is not the sum of its
+    unigram counts; together these keep every LM score at or below 0."""
     entries = {}
     path = os.path.join(dirpath, "phrases.tsv")
     checked: set[str] = set()  # tokens seen to be tokens; a table repeats them
@@ -422,9 +482,12 @@ def load_generator(dirpath) -> GeneratorModel:
     path = os.path.join(dirpath, "lm.tsv")
     for lineno, (ngram, c) in _fields(path, 2):
         try:
-            counts[tuple(ngram.split(" "))] = int(c)
+            count = int(c)
         except ValueError:
             raise DataError(f"{path}:{lineno}: count {c!r} is not an integer") from None
+        if count < 1:
+            raise DataError(f"{path}:{lineno}: count {c!r} is below 1")
+        counts[tuple(ngram.split(" "))] = count
     path = os.path.join(dirpath, "weights.json")
     try:
         with open(path, encoding="utf-8") as f:
@@ -435,6 +498,14 @@ def load_generator(dirpath) -> GeneratorModel:
         label = meta["label"]
     except (ValueError, KeyError, TypeError) as e:  # not UTF-8 or JSON, or a field missing
         raise DataError(f"{path}: not generator weights ({type(e).__name__}: {e})") from None
+    longest = max(map(len, counts), default=0)
+    if type(order) is not int or order < 1 or order != longest:
+        raise DataError(f"{path}: lm_order {order!r} is not the longest n-gram "
+                        f"length in lm.tsv ({longest})")
+    unigrams = sum(c for ngram, c in counts.items() if len(ngram) == 1)
+    if total != unigrams:
+        raise DataError(f"{path}: lm_total_tokens {total!r} is not the sum of "
+                        f"lm.tsv's unigram counts ({unigrams})")
     context_totals: Counter = Counter()
     vocab = set()
     for ngram, c in counts.items():

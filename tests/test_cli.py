@@ -443,6 +443,8 @@ OUTSIDE_INPUT = [
     ("default-label", {}, ["transform", *SENT_ARGS, "--default-label", "neutral", *SORT],
      "--default-label 'neutral'"),
     ("pbsmt-label", {}, ["pbsmt", "train", *SENT_ARGS, "--label", "one"], "--label"),
+    ("pbsmt-iterations", {}, ["pbsmt", "train", *SENT_ARGS, "--iterations", "0"],
+     "--iterations"),
     ("model-header", {"m.bin": "not a header\n"},
      ["evaluate", *SENT_ARGS, "--model", "{tmp}/m.bin", *SORT], "{tmp}/m.bin"),
     ("config-json", {"c.json": "{seed: 7"},
@@ -592,6 +594,25 @@ def test_bad_generator_file_is_one_data_error_line(tmp_path, capsys, sent_gens):
                 "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"data error: {phrases}:1: "), lines
+    assert not out.exists()
+
+
+def test_lm_count_that_cancels_a_context_total_is_one_data_error_line(
+        tmp_path, capsys, sent_gens):
+    models = tmp_path / "models"
+    for label, gen in sent_gens.items():
+        pbsmt.save_generator(gen, models / f"label_{label}")
+    lm = models / "label_0" / "lm.tsv"
+    lines = lm.read_text(encoding="utf-8").splitlines(keepends=True)
+    # every sentence starts "<s> <s>"; a negative count zeroes that total
+    starts = sum(int(line.split("\t")[1]) for line in lines
+                 if line.startswith("<s> <s> "))
+    lm.write_text("".join(lines) + f"<s> <s> zzz\t{-starts}\n", encoding="utf-8")
+    out = tmp_path / "fo"
+    assert run(["pbsmt", "generate", *SENT_ARGS, "--models", str(models),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {lm}:{len(lines) + 1}: "), err
     assert not out.exists()
 
 

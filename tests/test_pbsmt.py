@@ -3,6 +3,7 @@ extraction, backoff language model, and the beam decoder (checked against an
 independent exhaustive search)."""
 
 import hashlib
+import json
 import math
 import re
 
@@ -99,6 +100,12 @@ def test_em_loglikelihood_non_decreasing():
 def test_em_rejects_empty_corpus():
     with pytest.raises(ArgumentError):
         train_model1(ParallelCorpus((), 0))
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_em_rejects_fewer_than_one_iteration(iterations):
+    with pytest.raises(ArgumentError, match="iterations"):
+        train_model1(corpus_of(("a", "x")), iterations=iterations)
 
 
 # --- alignment ---
@@ -477,9 +484,11 @@ def test_save_load_generator_round_trip(tmp_path, pair_split, pair_gens):
     ("phrases.tsv", "good  film\tfine\t-0.5\t-0.5\n"),       # empty token
     ("lm.tsv", "good film\n"),                                # one field
     ("lm.tsv", "good film\tmany\n"),                          # not a count
+    ("lm.tsv", "good film\t0\n"),                             # below 1
+    ("lm.tsv", "good film\t-1\n"),                            # cancels another count
 ], ids=["phrase-2-fields", "phrase-5-fields", "phrase-number", "phrase-nan",
         "phrase-case", "phrase-punct", "phrase-empty", "phrase-empty-token",
-        "lm-1-field", "lm-count"])
+        "lm-1-field", "lm-count", "lm-count-zero", "lm-count-negative"])
 def test_load_generator_refuses_a_bad_line_naming_it(tmp_path, pair_gens, name, line):
     save_generator(pair_gens[0], tmp_path / "gen")
     path = tmp_path / "gen" / name
@@ -495,6 +504,32 @@ def test_load_generator_refuses_weights_without_a_field(tmp_path, pair_gens):
     path.write_text('{"label": 0}', encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(str(path))):
         load_generator(tmp_path / "gen")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lm_order", "x"), ("lm_order", 0), ("lm_order", 1), ("lm_order", 2),
+    ("lm_order", 4), ("lm_order", 3.0), ("lm_order", True),
+    ("lm_total_tokens", 1), ("lm_total_tokens", "many"),
+])
+def test_load_generator_refuses_weights_that_do_not_match_the_lm(
+        tmp_path, pair_gens, field, value):
+    save_generator(pair_gens[0], tmp_path / "gen")
+    path = tmp_path / "gen" / "weights.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    meta[field] = value
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{field}"):
+        load_generator(tmp_path / "gen")
+
+
+def test_load_generator_accepts_the_lm_save_generator_writes(tmp_path, pair_gens):
+    save_generator(pair_gens[0], tmp_path / "gen")
+    lm = load_generator(tmp_path / "gen").lm
+    assert lm.order == 3
+    assert lm.total_tokens == sum(c for ngram, c in lm.counts.items() if len(ngram) == 1)
+    # every count is at most its context's total, so no word scores above 0
+    assert all(c <= lm.context_totals[ngram[:-1]]
+               for ngram, c in lm.counts.items() if len(ngram) > 1)
 
 
 def test_save_generator_writes_no_lexical_table(tmp_path, pair_gens):
@@ -715,6 +750,37 @@ def test_decoder_matches_the_reference_when_a_word_scores_above_zero():
         w, src = random_weights(rng, w_lm_choices=(0.5, 1.0, 3.0)), random_source(rng)
         assert decode(src, pt, lm, w) == reference_decode(src, pt, lm, w), \
             (case, src, w)
+
+
+L2, L4 = math.log(0.5), math.log(0.25)
+# Found by random search: a candidate the decoder skips is the first to reach
+# a key that a better candidate reaches later. Keys that tie exactly on
+# (score, output) sort by first arrival, so without a placeholder holding the
+# skipped candidate's place the beam keeps a different hypothesis.
+KEY_ORDER_CASES = [
+    (("a", "a", "b", "a", "b", "b", "a"), 1, 0.3, {
+        (("b", "b"), ("x",)): 0.0, (("b", "a"), ("x", "x")): L2,
+        (("a", "b", "a"), ("x",)): L2, (("b", "a", "b"), ("x", "x")): L4,
+        (("a", "b", "b"), ("x", "x", "x")): L4, (("b", "a"), ("x", "x", "x")): L4,
+        (("b",), ("x", "x")): L2, (("a", "b"), ("x",)): L4,
+        (("a",), ("x", "x", "x")): L4, (("b", "a"), ("x",)): 0.0,
+        (("a", "a"), ("x",)): 0.0, (("b", "a", "a"), ("x", "x", "x")): L2,
+        (("a", "b", "b"), ("x",)): 0.0}),
+    (("b", "c", "q", "b", "a", "b", "b", "q"), 2, 0.0, {
+        (("b", "a"), ("x", "x", "x")): 0.0, (("b", "c"), ("x", "x", "x")): L4,
+        (("b",), ("x", "x")): 0.0, (("c", "b"), ("x", "x", "x")): L2,
+        (("b", "c", "c"), ("x", "x")): L2, (("b", "a"), ("x", "x")): 0.0,
+        (("a", "b"), ("x",)): L4, (("b", "a", "b"), ("x",)): L2,
+        (("b", "b"), ("x",)): L4, (("b", "b", "a"), ("x", "x")): 0.0}),
+]
+
+
+@pytest.mark.parametrize("src, order, w_len, log_ts", KEY_ORDER_CASES)
+def test_decoder_keeps_the_key_order_of_skipped_candidates(src, order, w_len, log_ts):
+    pt = PhraseTable({pair: (log_p, 0.0) for pair, log_p in log_ts.items()})
+    lm = train_lm([("x",)], order=order)
+    w = DecoderWeights(w_lm=0.0, w_dist=0.0, w_len=w_len, beam_size=1)
+    assert decode(src, pt, lm, w) == reference_decode(src, pt, lm, w)
 
 
 def test_decoder_matches_the_reference_on_the_bundled_generators(
