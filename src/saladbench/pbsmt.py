@@ -70,15 +70,13 @@ class LanguageModel:
     # (word, context) -> word_logprob(word, context), filled by `decode`
     memo: dict[tuple[str, tuple[str, ...]], float] = \
         field(default_factory=dict, init=False, repr=False, compare=False)
-    # no word scores above 0: every count it divides is at most the total it
-    # divides by, and backoff only shrinks a score
+    # no word scores above 0: no count exceeds the total it is divided by
     nonpositive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nonpositive = 0 < self.alpha <= 1 and all(
-            c <= (self.context_totals.get(ngram[:-1], 0) if len(ngram) > 1
-                  else self.total_tokens)
-            for ngram, c in self.counts.items() if c > 0)
+            c <= (self.context_totals.get(g[:-1], 0) if g[1:] else self.total_tokens)
+            for g, c in self.counts.items() if c > 0)
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """Stupid backoff score with alpha=0.4 and a 1/(V+1) unigram floor."""
@@ -94,14 +92,6 @@ class LanguageModel:
         if c > 0:
             return math.log(backoff * c / self.total_tokens)
         return math.log(backoff / (len(self.vocab) + 1))
-
-    def sequence_logprob(self, tokens: Sequence[str]) -> float:
-        context = (BOS,) * (self.order - 1)
-        total = 0.0
-        for w in tokens:
-            total += self.word_logprob(w, context)
-            context = (context + (w,))[-(self.order - 1):]
-        return total
 
 
 @dataclass(frozen=True)
@@ -140,33 +130,22 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
 
 
 def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
-    """IBM Model 1 EM with a NULL source token and uniform initialization.
-
-    EM runs over integer cells, one per (source, target) word pair in order of
-    first co-occurrence; each target word of each pair lists the cells of its
-    source words, NULL first. The sums are those of a string-keyed EM, added
-    in the same order."""
+    """IBM Model 1 EM with a NULL source token and uniform initialization, over
+    one integer cell per co-occurring (source, target) word pair."""
     if not corpus.pairs:
         raise ArgumentError("empty parallel corpus")
     if iterations < 1:
         raise ArgumentError(f"iterations must be at least 1, got {iterations}")
     uniform = 1.0 / len({w for _, tgt in corpus.pairs for w in tgt})
     src_vocab = {NULL} | {w for src, _ in corpus.pairs for w in src}
-    cell_of: dict[tuple[str, str], int] = {}
-    owner: list[int] = []  # cell -> index of its source word
+    cell_of: dict[tuple[str, str], int] = {}  # in order of first co-occurrence
     src_index: dict[str, int] = {}
-    rows = []  # per target word of each pair: [(cell, owner)] over NULL + source
+    rows = []  # per target word of each pair: (cell, source index) of NULL + source
     for src, tgt in corpus.pairs:
-        srcs = (NULL,) + src
-        ids = [src_index.setdefault(s, len(src_index)) for s in srcs]
+        srcs = [(s, src_index.setdefault(s, len(src_index))) for s in (NULL,) + src]
         for t_word in tgt:
-            row = []
-            for s, o in zip(srcs, ids):
-                c = cell_of.setdefault((s, t_word), len(owner))
-                if c == len(owner):
-                    owner.append(o)
-                row.append((c, o))
-            rows.append(row)
+            rows.append([(cell_of.setdefault((s, t_word), len(cell_of)), o) for s, o in srcs])
+    owner = [src_index[s] for s, _ in cell_of]
 
     probs = [uniform] * len(owner)
     for _ in range(iterations):
@@ -300,14 +279,12 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     with the same (coverage, last_end, context) recombine. LM scores are read
     through `lm.memo`.
 
-    When w_lm >= 0 and no word scores above 0 (`lm.nonpositive`), the LM term
-    can only lower a score, so a candidate whose score without it is already
-    below its stack's floor is not LM-scored: it could never be expanded or
-    returned. A stack's floor is the beam_size-th best first score among its
-    keys (a key's score only rises), and in the last stack the best score so
-    far. Below the last stack, a skipped candidate that would have been the
-    first at its key leaves a placeholder there, never expanded, so the keys
-    keep the insertion order that `sorted` breaks exact ties by.
+    When w_lm >= 0 and `lm.nonpositive`, a candidate whose score without its
+    LM term is below its stack's floor cannot survive and is not LM-scored.
+    The floor is the beam_size-th best first score among the stack's keys (a
+    key's score only rises), or in the last stack the best score so far.
+    Below the last stack the candidate still takes its key's place, so exact
+    ties keep the insertion order `sorted` breaks them by.
     """
     src = tuple(source)
     if not src:
