@@ -476,6 +476,7 @@ def test_save_load_generator_round_trip(tmp_path, pair_split, pair_gens):
     assert back.phrases.entries == model.phrases.entries
     assert back.lm.counts == model.lm.counts
     assert back.lm.total_tokens == model.lm.total_tokens
+    assert back.lm.nonpositive and model.lm.nonpositive  # the decoder may skip
     for ex in val_ds.examples[:10]:
         src = tokenize(ex.input.text_a)
         a = decode(src, model.phrases, model.lm, model.weights)
@@ -530,16 +531,6 @@ def test_load_generator_refuses_weights_that_do_not_match_the_lm(
     path.write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{field}"):
         load_generator(tmp_path / "gen")
-
-
-def test_load_generator_accepts_the_lm_save_generator_writes(tmp_path, pair_gens):
-    save_generator(pair_gens[0], tmp_path / "gen")
-    lm = load_generator(tmp_path / "gen").lm
-    assert lm.order == 3
-    assert lm.total_tokens == sum(c for ngram, c in lm.counts.items() if len(ngram) == 1)
-    # every count is at most its context's total, so no word scores above 0
-    assert all(c <= lm.context_totals[ngram[:-1]]
-               for ngram, c in lm.counts.items() if len(ngram) > 1)
 
 
 def test_save_generator_writes_no_lexical_table(tmp_path, pair_gens):
