@@ -228,6 +228,21 @@ def test_pbsmt_train_then_generate_and_transform(tmp_path):
         (gen_out / "pbsmt.tsv").read_bytes()
 
 
+def test_generator_weights_the_decoder_refuses_are_a_data_error(tmp_path, capsys,
+                                                                sent_gens):
+    pbsmt.save_generator(sent_gens[0], tmp_path / "g" / "label_0")
+    path = tmp_path / "g" / "label_0" / "weights.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    meta["beam_size"] = 0
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    out = tmp_path / "fo"
+    assert run(["pbsmt", "generate", *SENT_ARGS, "--models", str(tmp_path / "g"),
+                "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {path}: "), lines
+    assert not out.exists()
+
+
 # --- report rendering ---
 
 def test_report_rerenders_json(tmp_path, trained_model, capsys):
@@ -445,6 +460,7 @@ OUTSIDE_INPUT = [
     ("pbsmt-label", {}, ["pbsmt", "train", *SENT_ARGS, "--label", "one"], "--label"),
     ("pbsmt-iterations", {}, ["pbsmt", "train", *SENT_ARGS, "--iterations", "0"],
      "--iterations"),
+    ("pbsmt-weight-nan", {}, ["pbsmt", "train", *SENT_ARGS, "--w-lm", "nan"], "w_lm"),
     ("model-header", {"m.bin": "not a header\n"},
      ["evaluate", *SENT_ARGS, "--model", "{tmp}/m.bin", *SORT], "{tmp}/m.bin"),
     ("config-json", {"c.json": "{seed: 7"},

@@ -415,6 +415,13 @@ def test_decoder_weights_validation():
         DecoderWeights(distortion_limit=-1)
 
 
+@pytest.mark.parametrize("field", ["w_tm", "w_lm", "w_dist", "w_len"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_decoder_weights_refuse_a_non_finite_weight(field, value):
+    with pytest.raises(ArgumentError, match=field):
+        DecoderWeights(**{field: value})
+
+
 # --- generators end to end ---
 
 def test_generate_invalid_pair_keeps_a_and_rewrites_b(pair_split, pair_gens):
@@ -530,6 +537,20 @@ def test_load_generator_refuses_weights_that_do_not_match_the_lm(
     meta[field] = value
     path.write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{field}"):
+        load_generator(tmp_path / "gen")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beam_size", 0), ("distortion_limit", -1), ("w_lm", math.nan), ("w_tm", math.inf),
+])
+def test_load_generator_refuses_weights_the_decoder_refuses(tmp_path, pair_gens,
+                                                            field, value):
+    save_generator(pair_gens[0], tmp_path / "gen")
+    path = tmp_path / "gen" / "weights.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    meta[field] = value
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
         load_generator(tmp_path / "gen")
 
 
