@@ -104,6 +104,9 @@ class DecoderWeights:
     distortion_limit: int = 3
 
     def __post_init__(self):
+        for name in ("w_tm", "w_lm", "w_dist", "w_len"):
+            if not math.isfinite(getattr(self, name)):
+                raise ArgumentError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beam_size < 1 or self.distortion_limit < 0:
             raise ArgumentError("beam_size >= 1 and distortion_limit >= 0 required")
 
@@ -473,7 +476,8 @@ def load_generator(dirpath) -> GeneratorModel:
         weights = DecoderWeights(meta["w_tm"], meta["w_lm"], meta["w_dist"],
                                  meta["w_len"], meta["beam_size"], meta["distortion_limit"])
         label = meta["label"]
-    except (ValueError, KeyError, TypeError) as e:  # not UTF-8 or JSON, or a field missing
+    except (ValueError, KeyError, TypeError, ArgumentError) as e:
+        # not UTF-8 or JSON, a field missing, or a value DecoderWeights refuses
         raise DataError(f"{path}: not generator weights ({type(e).__name__}: {e})") from None
     longest = max(map(len, counts), default=0)
     if type(order) is not int or order < 1 or order != longest:
