@@ -243,6 +243,38 @@ def test_generator_weights_the_decoder_refuses_are_a_data_error(tmp_path, capsys
     assert not out.exists()
 
 
+# --- process start-up ---
+
+def _child_prints(code, blas_threads=None):
+    """The words `python -c code` prints, with the package importable and
+    OPENBLAS_NUM_THREADS set to blas_threads (unset if None)."""
+    env = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent.parent)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout.split()
+
+
+def test_importing_the_package_sets_one_blas_thread_and_loads_numpy():
+    assert _child_prints("import os, sys, saladbench; "
+                         "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)"
+                         ) == ["1", "True"]
+
+
+def test_a_preset_blas_thread_count_is_kept():
+    assert _child_prints("import os, saladbench; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                         blas_threads="3") == ["3"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_a_command_process_runs_one_thread():
+    assert _child_prints("import saladbench.cli; print([line for line in "
+                         "open('/proc/self/status') if line.startswith('Threads:')][0])"
+                         ) == ["Threads:", "1"]
+
+
 # --- report rendering ---
 
 def test_report_rerenders_json(tmp_path, trained_model, capsys):
