@@ -1,7 +1,6 @@
-"""Mitigation strategies and analysis experiments: augmentation with invalid
-examples, entropic-regularization training, probability thresholding,
-invalid-as-extra-class training, the transferability matrix, and the
-train-on-invalid experiment."""
+"""Mitigation strategies: augmentation with invalid examples,
+entropic-regularization training, probability thresholding, and
+invalid-as-extra-class training."""
 
 from __future__ import annotations
 
@@ -26,9 +25,6 @@ log = logging.getLogger(__name__)
 
 INVALID_LABEL = "invalid"
 THRESHOLD_STEP = 0.001
-
-# transforms that alter token content (vs. pure reorderings)
-CONTENT_CHANGING_KINDS = ("copysort", "drop", "repeat", "replace", "copyone", "pbsmt")
 
 
 @dataclass(frozen=True)
@@ -307,46 +303,3 @@ def evaluate_mitigation(strategy: str, params: toyclf.ToyModelParams,
     return MitigationReport(strategy, clean_acc, overall, per_transform,
                             theta=theta, lambda_ent=lambda_ent,
                             baseline_accuracy=baseline_accuracy)
-
-
-def transfer_matrix(ds_train: Dataset, invalid_train_by_kind: dict[str, list[Example]],
-                    invalid_val_by_kind: dict[str, list[Example]],
-                    train_cfg: toyclf.TrainConfig,
-                    warm: Optional[toyclf.ToyModelParams] = None
-                    ) -> tuple[list[str], np.ndarray]:
-    """Detection rates of invalid-class detectors trained on one kind and
-    evaluated on every kind. Rows = training kind, columns = eval kind."""
-    kinds = sorted(set(invalid_train_by_kind) & set(invalid_val_by_kind))
-    if not kinds:
-        raise ArgumentError("no transform kinds shared between train and eval sets")
-    n_task = ds_train.labels.n_classes
-    labels = LabelSet(ds_train.labels.names + (INVALID_LABEL,),
-                      ds_train.labels.default_label)
-    matrix = np.zeros((len(kinds), len(kinds)))
-    for i, train_kind in enumerate(kinds):
-        invalid = [Example(ex.id, ex.input, n_task)
-                   for ex in invalid_train_by_kind[train_kind]]
-        augmented = Dataset(ds_train.examples + tuple(invalid), labels,
-                            ds_train.task_kind)
-        params = train_invalid_class(augmented, train_cfg, warm=warm)
-        for j, eval_kind in enumerate(kinds):
-            probs = toyclf.probabilities(params, invalid_val_by_kind[eval_kind])
-            flagged = np.count_nonzero(probs.argmax(axis=1) == n_task)
-            matrix[i, j] = 100.0 * flagged / len(probs)
-    return kinds, matrix
-
-
-def train_on_invalid_experiment(ds_train: Dataset, ds_val: Dataset, kind: str,
-                                train_cfg: toyclf.TrainConfig,
-                                saliency_provider=None, pbsmt_models=None,
-                                vocab=None, r: float = 0.5, seed: int = 0) -> float:
-    """Transform the whole training set (labels kept), train from scratch,
-    and report accuracy on the untransformed validation set."""
-    saliency = score_saliency(saliency_provider, ds_train.examples, [kind],
-                              ds_train.task_kind)
-    transformed = transform_examples(ds_train.examples, kind, ds_train.task_kind,
-                                     seed, r, saliency, pbsmt_models, vocab)
-    ds = Dataset(tuple(tx.example for tx in transformed), ds_train.labels,
-                 ds_train.task_kind)
-    params = toyclf.train(ds, toyclf.LossConfig("cross_entropy"), train_cfg)
-    return toyclf.accuracy(params, ds_val)

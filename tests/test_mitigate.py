@@ -8,12 +8,13 @@ from saladbench import mitigate, toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput, tokenize
 from saladbench.errors import ArgumentError, ConfigError
 from saladbench.lexical import ALL_KINDS, PAIR_ONLY_KINDS
-from saladbench.mitigate import (CONTENT_CHANGING_KINDS, MitigationReport,
-                                 augment, balance_clean,
+from saladbench.mitigate import (MitigationReport, augment, balance_clean,
                                  evaluate_mitigation, make_invalid_examples,
                                  resolve_kinds, threshold_grid,
                                  threshold_search, train_invalid_class)
 from saladbench.providers import EmbeddedProvider, checked_probs
+
+from test_acceptance import CONTENT_CHANGING_KINDS
 
 
 def preds(confs, predicted=0, n_classes=2):
