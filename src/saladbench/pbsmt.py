@@ -300,7 +300,7 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     spans = [(i, j, ((1 << (j - i)) - 1) << i,
               [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
              for (i, j), opts in _phrase_options(src, pt).items()]
-    skip = lm.nonpositive and 0 <= w_lm < math.inf and math.isfinite(w.w_dist) and \
+    skip = lm.nonpositive and w_lm >= 0 and \
         all(math.isfinite(tm + length) for *_, opts in spans for _, tm, length in opts)
     bos = (BOS,) * (lm.order - 1)
     stacks: list[dict] = [dict() for _ in range(n + 1)]
