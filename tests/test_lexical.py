@@ -204,11 +204,38 @@ def test_shuffle_logs_one_warning_per_exhausted_row(caplog):
         assert len(caplog.records) == 4
 
 
+def test_shuffle_of_distinct_tokens_matches_the_reference_loop():
+    # rows whose tokens are all distinct, terminal included: lengths 2-12,
+    # with and without a terminal, seeds 0-50, budgets 1/2/5/100. Rows of one
+    # shape differ in their words, and a terminal mark may sit in the content.
+    rng = random.Random(15)
+    pool = [f"w{i}" for i in range(30)] + ["!"]
+    exhausted_rows = 0
+    for n in range(2, 13):
+        for terminal in (None, "."):
+            for seed in range(51):
+                for budget in (1, 2, 5, 100):
+                    words = rng.sample(pool, n)
+                    if words[-1] == "!":       # keep "!" in the content
+                        words.reverse()
+                    seq = seq_of(words, terminal)
+                    expected = reference_shuffle(seq, seed, budget)
+                    assert shuffle_with_report(seq, seed, budget) == expected, \
+                        (seq, seed, budget)
+                    exhausted_rows += expected[2]
+    assert exhausted_rows > 0
+
+
 def test_shuffle_order_memo_stays_bounded_when_every_row_has_its_own_seed():
+    # every memo of the lexical module, for rows of distinct and of repeated tokens
     for seed in range(1500):
         shuffle_with_report(("a", "b", "c", "d", "."), seed)
+        shuffle_with_report(("a", "b", "a", "d", "."), seed)
     info = lexical._orders.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+    for memo in (f for f in vars(lexical).values() if hasattr(f, "cache_info")):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, memo
 
 
 def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():

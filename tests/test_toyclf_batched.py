@@ -265,6 +265,35 @@ def test_uneven_rows_pool_equal_reference(model_and_split, chunk, long_len, at,
                 == [ref_saliency(params, ex, side) for ex in examples])
 
 
+def ref_chunks(lengths):
+    """The per-row loop toyclf._chunks is checked against."""
+    sizes, runs, first, longest = lengths.tolist(), [], 0, 0
+    if len(sizes) * max(sizes, default=0) <= toyclf.CHUNK_TOKENS:
+        return [(0, len(sizes), max(sizes))] if sizes else []
+    for i, n in enumerate(sizes):
+        if (i - first + 1) * max(longest, n) > toyclf.CHUNK_TOKENS and i > first:
+            runs.append((first, i, longest))
+            first, longest = i, 0
+        longest = max(longest, n)
+    return runs + [(first, len(sizes), longest)]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+def test_chunks_equal_the_per_row_loop(chunk, monkeypatch):
+    # random length vectors, with empty input and rows longer than a chunk
+    if chunk is not None:
+        monkeypatch.setattr(toyclf, "CHUNK_TOKENS", chunk)
+    limit = toyclf.CHUNK_TOKENS
+    rng = np.random.default_rng(chunk or 0)
+    cases = [np.array([], dtype=int), np.array([limit + 1]), np.array([3 * limit]),
+             np.array([limit + 1, 1, 2, limit + 5, 1]), np.ones(limit + 1, dtype=int)]
+    for _ in range(750):
+        high = rng.choice([2, 5, 20, limit // 4 + 2, 2 * limit])
+        cases.append(rng.integers(1, high, rng.integers(1, 400)))
+    for lengths in cases:
+        assert toyclf._chunks(lengths) == ref_chunks(lengths), lengths
+
+
 def test_empty_batch_gives_empty_outputs(model_and_split):
     params, _, _ = model_and_split
     assert toyclf.probabilities(params, []).shape == (0, params.n_classes)
