@@ -81,10 +81,10 @@ def _predict(provider, examples, labels: corpus.LabelSet):
     return probs
 
 
-def _save_transformed(transformed, ds, path):
-    out_ds = corpus.Dataset(tuple(tx.example for tx in transformed), ds.labels,
-                            ds.task_kind)
-    meta = {tx.example.id: (tx.source_id, tx.transform.tag()) for tx in transformed}
+def _save_transformed(transformed, tag, ds, path):
+    """Writes one set of `transform_examples` rows; `tag` is its TransformSpec's."""
+    out_ds = corpus.Dataset(tuple(transformed.values()), ds.labels, ds.task_kind)
+    meta = {ex.id: (src, tag) for src, ex in transformed.items()}
     corpus.save_dataset(out_ds, path, "tsv", transform_meta=meta)
     print(f"wrote {path} ({len(transformed)} rows)")
 
@@ -101,13 +101,14 @@ def cmd_transform(args) -> int:
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
     vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
     outputs = [(f"{kind}_{seed}" if kind == "shuffle" else kind,
+                lexical.TransformSpec(kind, seed, args.r).tag(),
                 mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,
                                             args.r, saliency, generators, vocab))
                for kind in kinds
                for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,))]
     _write_resolved_config(args, args.out)
-    for name, transformed in outputs:
-        _save_transformed(transformed, ds, os.path.join(args.out, f"{name}.tsv"))
+    for name, tag, transformed in outputs:
+        _save_transformed(transformed, tag, ds, os.path.join(args.out, f"{name}.tsv"))
     return 0
 
 
@@ -133,13 +134,13 @@ def cmd_evaluate(args) -> int:
                 generators, vocab)
             if not transformed:
                 break
-            preds = _predict(provider, [tx.example for tx in transformed], labels)
+            preds = _predict(provider, list(transformed.values()), labels)
             if kind in lexical.PAIR_ONLY_KINDS:
                 agr = metrics.default_agreement(preds, labels.default_label)
             else:
                 # each row is compared with the prediction for its own source
                 agr = metrics.agreement(
-                    preds_orig[[row_of[tx.source_id] for tx in transformed]], preds)
+                    preds_orig[[row_of[src] for src in transformed]], preds)
             per_seed.append(agr)
             confs.append(metrics.mean_confidence(preds))
             n = len(preds)
@@ -298,7 +299,8 @@ def cmd_pbsmt(args) -> int:
         transformed = mitigate.transform_examples(
             ds.examples, "pbsmt", ds.task_kind, args.seed, generators=generators)
         _write_resolved_config(args, args.out)
-        _save_transformed(transformed, ds, os.path.join(args.out, "pbsmt.tsv"))
+        _save_transformed(transformed, lexical.TransformSpec("pbsmt", args.seed).tag(),
+                          ds, os.path.join(args.out, "pbsmt.tsv"))
     return 0
 
 

@@ -45,13 +45,6 @@ class TransformSpec:
         return f"{self.kind}:{self.seed}:{self.r}"
 
 
-@dataclass(frozen=True, slots=True)
-class TransformedExample:
-    example: Example
-    source_id: str
-    transform: TransformSpec
-
-
 def side_rule(kind: str, is_pair: bool) -> tuple[str, str]:
     """(the side `kind` reads, the side it rewrites). Every transform rewrites
     text_b of a pair row and text_a of a single row; copysort, copyone and
@@ -115,12 +108,41 @@ def _orders(seed: int, n: int, count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, orders))
 
 
+def _search(content: list, terminal, seed: int, max_attempts: int
+            ) -> tuple[tuple[int, ...], int, bool]:
+    """(order, shared, exhausted): the bigram-free search over content + terminal."""
+    tail = [terminal] if terminal is not None else []
+    forbidden = _bigrams(content + tail)
+    best, best_shared = None, len(forbidden) + 1
+    tried, count = 0, 1
+    while tried < max_attempts:
+        for order in _orders(seed, len(content), count)[tried:]:
+            out = [content[i] for i in order] + tail
+            shared = len(forbidden.intersection(zip(out, out[1:])))
+            if shared == 0:
+                return order, 0, False
+            if shared < best_shared:
+                best, best_shared = order, shared
+        tried, count = count, min(2 * count, max_attempts)
+    return best, best_shared, True
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_search(seed: int, n: int, terminal: bool, max_attempts: int
+                  ) -> tuple[tuple[int, ...], int, bool]:
+    """`_search` for every row of n distinct content tokens (and a terminal
+    unlike them): with no repeated token, whether an order shares a bigram
+    depends on positions alone, so a stand-in row of distinct ints decides it."""
+    return _search(list(range(n)), -1 if terminal else None, seed, max_attempts)
+
+
 def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 100
                         ) -> tuple[tuple[str, ...], int, bool]:
     """Shuffle until no ordered bigram of the input survives.
 
     Attempt k puts the content in the k-th order of `_orders`, asked for in
     doubling counts: a process draws each (seed, content length, count) once.
+    Rows of distinct tokens are searched once per (seed, shape, max_attempts).
     Returns (shuffled, shared_bigram_count, exhausted). When no bigram-free
     permutation is found within max_attempts, the best attempt seen is
     returned with exhausted=True.
@@ -130,22 +152,14 @@ def shuffle_with_report(tokens: tuple[str, ...], seed: int, max_attempts: int = 
     content, terminal = _split_terminal(tokens)
     if len(content) < 2:
         raise DegenerateInputError("shuffle needs at least 2 content tokens")
-    tail = (terminal,) if terminal is not None else ()
-    forbidden = _bigrams(tokens)
-    best, best_shared = None, len(forbidden) + 1
-    tried, count = 0, 1
-    while tried < max_attempts:
-        for order in _orders(seed, len(content), count)[tried:]:
-            out = tuple([content[i] for i in order]) + tail
-            shared = len(forbidden.intersection(zip(out, out[1:])))
-            if shared == 0:
-                return out, 0, False
-            if shared < best_shared:
-                best, best_shared = out, shared
-        tried, count = count, min(2 * count, max_attempts)
-    log.warning("shuffle exhausted %d attempts; best attempt shares %d bigrams",
-                max_attempts, best_shared)
-    return best, best_shared, True
+    if len(set(tokens)) == len(tokens):
+        order, shared, exhausted = _shape_search(seed, len(content), bool(terminal), max_attempts)
+    else:
+        order, shared, exhausted = _search(content, terminal, seed, max_attempts)
+    if exhausted:
+        log.warning("shuffle exhausted %d attempts; best attempt shares %d bigrams",
+                    max_attempts, shared)
+    return _rebuild([content[i] for i in order], terminal), shared, exhausted
 
 
 def shuffle_tokens(tokens: tuple[str, ...], seed: int) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ from .corpus import Dataset, Example, LabelSet, tokenize
 from .errors import ArgumentError, ConfigError, DegenerateInputError
 from .gradient import apply_gradient
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
-                      TransformedExample, TransformSpec, apply_lexical, side_rule)
+                      TransformSpec, apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
 from . import toyclf
 
@@ -89,12 +89,12 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
                        saliency: Optional[dict[str, list]] = None,
                        generators: Optional[dict[int, GeneratorModel]] = None,
                        vocab: Optional[Sequence[str]] = None
-                       ) -> list[TransformedExample]:
-    """Applies one kind to every example; gradient kinds read `saliency`
-    (score_saliency over the same examples). Rows are named `{id}__{kind}`
-    (`{id}__shuffle:{seed}`); rows too small for the kind are skipped and
-    logged with a count per reason. A replace vocabulary entry that is not a
-    token (one that tokenize() returns unchanged) is an ArgumentError."""
+                       ) -> dict[str, Example]:
+    """{source id: row} of one kind over `examples`, in source order; gradient
+    kinds read `saliency` (score_saliency over the same examples). Rows are
+    named `{id}__{kind}` (`{id}__shuffle:{seed}`); rows too small for the kind
+    are skipped and logged with a count per reason. A replace vocabulary entry
+    that is not a token (one that tokenize() returns unchanged) is an ArgumentError."""
     if kind == "replace":  # once per set, so no seed decides whether it fails
         bad = next((v for v in vocab or () if tokenize(v) != (v,)), None)
         if bad is not None:
@@ -102,7 +102,7 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
     scores = saliency[scored_side(kind, task_kind)] if kind in GRADIENT_KINDS else None
     spec = TransformSpec(kind=kind, seed=seed, r=r)
     suffix = f"{kind}:{seed}" if kind == "shuffle" else kind
-    out, skipped = [], Counter()
+    out, skipped = {}, Counter()
     for i, ex in enumerate(examples):
         try:
             if kind in LEXICAL_KINDS:
@@ -114,8 +114,7 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
         except DegenerateInputError as e:
             skipped[str(e)] += 1
             continue
-        out.append(TransformedExample(
-            Example(f"{ex.id}__{suffix}", new_input, ex.gold_label), ex.id, spec))
+        out[ex.id] = Example(f"{ex.id}__{suffix}", new_input, ex.gold_label)
     for reason, n in sorted(skipped.items()):
         log.warning("%s: skipped %d of %d rows: %s", suffix, n, len(examples), reason)
     return out
@@ -139,9 +138,8 @@ def invalid_by_kind(examples: Sequence[Example], kinds: Sequence[str],
     if not usable:
         raise ConfigError("no applicable transforms for this configuration")
     saliency = score_saliency(saliency_provider, examples, usable, task_kind)
-    return {kind: {tx.source_id: tx.example for tx in transform_examples(
-                examples, kind, task_kind, seed, saliency=saliency,
-                generators=pbsmt_models, vocab=vocab)}
+    return {kind: transform_examples(examples, kind, task_kind, seed, saliency=saliency,
+                                     generators=pbsmt_models, vocab=vocab)
             for kind in usable}
 
 

@@ -162,16 +162,18 @@ def _gold(examples: Sequence[Example]) -> np.ndarray:
 
 
 def _chunks(lengths: np.ndarray) -> list[tuple[int, int, int]]:
-    """(first, stop, longest) runs of consecutive examples for CHUNK_TOKENS."""
-    sizes, runs, first, longest = lengths.tolist(), [], 0, 0
+    """(first, stop, longest) runs of consecutive examples for CHUNK_TOKENS. Rows
+    x running longest never falls, so the rows that fit are a prefix (at least
+    one row); each row holds a token, so a run has at most CHUNK_TOKENS rows."""
+    sizes, runs, first = lengths.tolist(), [], 0
     if len(sizes) * max(sizes, default=0) <= CHUNK_TOKENS:   # the usual case: one run
         return [(0, len(sizes), max(sizes))] if sizes else []
-    for i, n in enumerate(sizes):
-        if (i - first + 1) * max(longest, n) > CHUNK_TOKENS and i > first:
-            runs.append((first, i, longest))
-            first, longest = i, 0
-        longest = max(longest, n)
-    return runs + [(first, len(sizes), longest)]
+    while first < len(sizes):
+        top = np.maximum.accumulate(lengths[first:first + CHUNK_TOKENS])
+        rows = max(int(np.count_nonzero(np.arange(1, len(top) + 1) * top <= CHUNK_TOKENS)), 1)
+        runs.append((first, first + rows, int(top[rows - 1])))
+        first += rows
+    return runs
 
 
 def _logits(params: ToyModelParams, enc: Encoding) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +274,6 @@ def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
     return ParamGrads(emb, np.add.reduce(w).T, np.add.reduce(scale * dz)), token_grads
 
 
-def grad(params: ToyModelParams, batch: Sequence[Example], cfg: LossConfig,
-         invalid_batch: Sequence[Example] = ()) -> tuple[ParamGrads, list[list[np.ndarray]]]:
-    """Analytic gradients of the mean batch loss, plus per clean example its
-    per-side input-embedding gradients (one row per token)."""
-    enc = encode(params, list(batch) + list(invalid_batch if cfg.kind == "entropic" else ()))
-    grads, token_grads = _grad(params, enc, _gold(batch), cfg)
-    per_side = [np.split(g, np.cumsum(lengths)[:len(batch)])[:len(batch)]
-                for g, lengths in zip(token_grads, enc.lengths)]
-    return grads, [list(sides) for sides in zip(*per_side)]
-
-
 def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
                    side: str = "a") -> list[tuple[float, ...]]:
     """Token scores t_i . dL/dt_i for the cross-entropy loss on one side,
@@ -360,11 +351,6 @@ def _nll(logits: np.ndarray, gold: np.ndarray, temperature: float) -> float:
     # summed in order: np.sum adds pairwise, which rounds differently
     p = _softmax(logits / temperature)[np.arange(len(gold)), gold]
     return -float(np.cumsum(np.log(np.maximum(p, 1e-300)))[-1]) / len(gold)
-
-
-def nll(params: ToyModelParams, ds: Dataset, temperature: Optional[float] = None) -> float:
-    t = temperature if temperature is not None else params.temperature
-    return _nll(_logits(params, encode(params, ds.examples))[1], _gold(ds.examples), t)
 
 
 def fit_temperature(params: ToyModelParams, calibration: Dataset,

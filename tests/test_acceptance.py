@@ -38,6 +38,7 @@ from test_lexical import bigram_free_permutation_exists
 from test_pbsmt import (DECODE_SOURCES, corpus_loglikelihood, fixture_lm,
                         fixture_phrase_table, oracle_decode)
 from test_toyclf import _numeric_grad, _rel_err, random_example, random_model
+from test_toyclf_batched import grad, nll
 
 
 # transforms that alter token content (vs. pure reorderings)
@@ -114,7 +115,7 @@ def test_3_gradient_correctness():
                        if kind == "entropic" else ())
             cfg = toyclf.LossConfig(kind, lambda_ls=0.1, gamma=2.0,
                                     lambda_ent=0.3)
-            analytic, _ = toyclf.grad(params, batch, cfg, invalid)
+            analytic, _ = grad(params, batch, cfg, invalid)
             numeric = _numeric_grad(params, batch, cfg, invalid)
             assert _rel_err(analytic.emb, numeric["emb"]) < 1e-4, (trial, kind)
             assert _rel_err(analytic.w, numeric["w"]) < 1e-4, (trial, kind)
@@ -146,8 +147,8 @@ def test_4_permutation_invariance(sent_base, sent_split):
 
         # the paper's permuted-word-order experiment: train from scratch on
         # the whole training set shuffled (labels kept), score clean text
-        shuffled = Dataset(tuple(tx.example for tx in mitigate.transform_examples(
-                               train_ds.examples, "shuffle", train_ds.task_kind)),
+        shuffled = Dataset(tuple(mitigate.transform_examples(
+                               train_ds.examples, "shuffle", train_ds.task_kind).values()),
                            train_ds.labels, train_ds.task_kind)
         shuffled_params = toyclf.train(shuffled, toyclf.LossConfig(), toyclf.TrainConfig())
         clean_acc = toyclf.accuracy(sent_base, val_ds)
@@ -230,8 +231,8 @@ def test_6_calibration(sent_base, sent_split):
         for ex in val_ds.examples:
             assert int(np.argmax(toyclf.forward(sharp, ex))) == \
                 int(np.argmax(toyclf.forward(scaled, ex)))
-        assert toyclf.nll(sharp, val_ds, temperature=t) <= \
-            toyclf.nll(sharp, val_ds, temperature=1.0)
+        assert nll(sharp, val_ds, temperature=t) <= \
+            nll(sharp, val_ds, temperature=1.0)
         pre = metrics.ece(EmbeddedProvider(sharp).predict_batch(val_ds.examples),
                           gold)
         post = metrics.ece(EmbeddedProvider(scaled).predict_batch(val_ds.examples),

@@ -125,10 +125,10 @@ def test_gradient_kinds_score_their_own_side(pair_split, pair_base,
             out = mitigate.transform_examples(examples, kind, task_kind,
                                               saliency=saliency,
                                               vocab=list(params.vocab[1:]))
-            assert [tx.source_id for tx in out] == [ex.id for ex in examples]
+            assert list(out) == [ex.id for ex in examples]
             if task_kind == "pair":
-                assert all(tx.example.input.text_a == ex.input.text_a
-                           for tx, ex in zip(out, examples))
+                assert all(row.input.text_a == ex.input.text_a
+                           for row, ex in zip(out.values(), examples))
 
 
 def test_make_invalid_examples_scores_each_side_once(pair_split, pair_base):
@@ -366,14 +366,14 @@ def test_transform_examples_keep_the_untouched_side_and_name_rows(
                 assert out, (task_kind, kind)
                 sources = {ex.id: ex for ex in examples}
                 suffix = f"shuffle:{seed}" if kind == "shuffle" else kind
-                for tx in out:
-                    src = sources[tx.source_id]
-                    assert tx.example.id == f"{src.id}__{suffix}"
-                    assert tx.example.gold_label == src.gold_label
+                for source_id, row in out.items():
+                    src = sources[source_id]
+                    assert row.id == f"{src.id}__{suffix}"
+                    assert row.gold_label == src.gold_label
                     if task_kind == "pair":
-                        assert tx.example.input.text_a == src.input.text_a
+                        assert row.input.text_a == src.input.text_a
                     else:
-                        assert tx.example.input.text_b is None
+                        assert row.input.text_b is None
 
 
 # --- tokens held by transformed rows ---
@@ -397,12 +397,12 @@ def test_every_transformed_row_holds_the_tokens_of_its_text(task, request):
         examples = val_ds.examples if kind == "pbsmt" else ds.examples
         saliency = mitigate.score_saliency(provider, examples, [kind], task)
         for seed in (0, 1):
-            for tx in mitigate.transform_examples(examples, kind, task, seed,
-                                                  saliency=saliency,
-                                                  generators=gens, vocab=vocab):
-                inp = tx.example.input
-                assert inp.tokens("a") == tokenize(inp.text_a), tx.example.id
+            for row in mitigate.transform_examples(examples, kind, task, seed,
+                                                   saliency=saliency,
+                                                   generators=gens, vocab=vocab).values():
+                inp = row.input
+                assert inp.tokens("a") == tokenize(inp.text_a), row.id
                 if task == "pair":
-                    assert inp.tokens("b") == tokenize(inp.text_b), tx.example.id
+                    assert inp.tokens("b") == tokenize(inp.text_b), row.id
                 rows += 1
     assert rows > 2 * len(ds) * (len(kinds) - 1)

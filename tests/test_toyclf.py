@@ -12,11 +12,11 @@ from saladbench import toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput
 from saladbench.errors import ArgumentError, DegenerateInputError
 from saladbench.toyclf import (LossConfig, ToyModelParams, TrainConfig,
-                               build_vocab, fit_temperature, forward, grad,
-                               init_params, load_params, nll, probabilities,
+                               build_vocab, fit_temperature, forward,
+                               init_params, load_params, probabilities,
                                saliency_batch, save_params, train, with_temperature)
 
-from test_toyclf_batched import ref_saliency
+from test_toyclf_batched import grad, nll, ref_saliency
 
 LABELS = LabelSet(("negative", "positive"))
 
