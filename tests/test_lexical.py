@@ -202,6 +202,10 @@ def test_shuffle_logs_one_warning_per_exhausted_row(caplog):
         assert len(caplog.records) == 3
         shuffle_with_report(("b", "b"), seed=0, max_attempts=3)
         assert len(caplog.records) == 4
+        # two rows of distinct tokens share one search, and each row logs
+        for seq in (("x", "y"), ("u", "v")):
+            assert shuffle_with_report(seq, seed=0, max_attempts=1) == (seq, 1, True)
+        assert len(caplog.records) == 6
 
 
 def test_shuffle_of_distinct_tokens_matches_the_reference_loop():
