@@ -198,6 +198,35 @@ def test_augment_fraction_is_refused_before_any_training(tmp_path, capsys, monke
     assert not out.exists()
 
 
+# (case, argv with the dataset flags left out, a word the error line names)
+BAD_FLOATS = [
+    ("tolerance-nan", ["mitigate", "--strategy", "threshold", "--transforms", "sort",
+                       "--tolerance", "nan"], "tolerance"),
+    ("tolerance-negative", ["mitigate", "--strategy", "threshold", "--transforms", "sort",
+                            "--tolerance", "-1"], "tolerance"),
+    ("gamma-nan", ["train", "--loss", "focal", "--gamma", "nan"], "gamma"),
+    ("lr-nan", ["train", "--lr", "nan"], "lr"),
+    ("lambda-ent-nan", ["mitigate", "--strategy", "entropic-threshold",
+                        "--transforms", "sort", "--lambda-ent", "nan"], "lambda"),
+]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(argv, named, id=case) for case, argv, named in BAD_FLOATS])
+def test_a_non_finite_or_negative_float_flag_is_refused_before_any_training(
+        tmp_path, capsys, monkeypatch, argv, named):
+    trained = []
+    train = toyclf.train
+    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
+    out = tmp_path / "fo"
+    assert run([argv[0], *SENT_ARGS, *argv[1:], "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert named in lines[0], lines
+    assert trained == []
+    assert not out.exists()
+
+
 def test_mitigate_help_says_threshold_ignores_augment_fraction(capsys):
     with pytest.raises(SystemExit):
         run(["mitigate", "--help"])
@@ -508,6 +537,8 @@ OUTSIDE_INPUT = [
      ["--config", "{tmp}/c.json", "transform", *SENT_ARGS, *SORT], "seed"),
     ("config-choice", {"c.json": '{"strategy": "hope"}'},
      ["--config", "{tmp}/c.json", "mitigate", *SENT_ARGS, *SORT], "strategy"),
+    ("config-float-nan", {"c.json": '{"gamma": NaN}'},
+     ["--config", "{tmp}/c.json", "train", *SENT_ARGS, "--loss", "focal"], "gamma"),
     ("config-float-text", {"c.json": '{"lambda-ent": "big"}'},
      ["--config", "{tmp}/c.json", "mitigate", *SENT_ARGS, *SORT], "lambda-ent"),
     ("config-number-as-text", {"c.json": '{"transforms": 5}'},
