@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: transform, evaluate, train, calibrate, mitigate, pbsmt, report.
-Every run writes its resolved configuration into the output directory, with
-its outputs and after its last check, so it can be reproduced exactly.
+Each output file is replaced whole (corpus.write_file). A run writes its
+resolved configuration, config.json, last, so it marks a complete run.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider/contract error.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -22,6 +23,23 @@ from .errors import ConfigError, ContractError, DataError, ProviderError, SaladB
 SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
 
 
+class _Finite(argparse.Action):
+    """A float flag whose type refuses NaN and infinity, naming the flag's
+    config.json key; --config values pass through it in _config_value."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        def finite(text: str) -> float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ConfigError(f"{dest} must be finite, got {text}")
+            return value
+        finite.__name__ = "float"  # argparse's "invalid float value" message names it
+        super().__init__(option_strings, dest, type=finite, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+
+
 def _add_dataset_args(p):
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--format", default="tsv", choices=["tsv", "jsonl"])
@@ -30,12 +48,18 @@ def _add_dataset_args(p):
                    help="comma-separated label names, dataset order")
     p.add_argument("--default-label", default=None,
                    help="default label name for copy-based agreement")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
 
 
-def _add_provider_args(p):
+def _add_transform_args(p):
+    """The provider and transform flags of transform and evaluate."""
     p.add_argument("--model", help="embedded toy model params file")
     p.add_argument("--replay", help="replay predictions JSONL (append ,saliency.jsonl)")
     p.add_argument("--url", help="HTTP provider base URL")
+    p.add_argument("--transforms", default="all")
+    p.add_argument("--pbsmt-dir", help="directory of trained pbsmt generators")
+    p.add_argument("--r", action=_Finite, default=0.5)
 
 
 def _label_set(args) -> corpus.LabelSet:
@@ -65,11 +89,17 @@ def _provider(args, required: bool = True):
     return None
 
 
-def _write_resolved_config(args, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+def _clear_config(out_dir):
+    """Removes an earlier run's config.json; a command calls this before its
+    first output, and main writes the new one after the last."""
+    if os.path.exists(path := os.path.join(out_dir, "config.json")):
+        os.remove(path)
+
+
+def _write_config(args):
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True, default=str)
+    corpus.write_file(os.path.join(args.out, "config.json"), json.dumps(
+        resolved, indent=2, sort_keys=True, default=str, allow_nan=False))
 
 
 def _predict(provider, examples, labels: corpus.LabelSet):
@@ -85,11 +115,11 @@ def _save_transformed(transformed, tag, ds, path):
     """Writes one set of `transform_examples` rows; `tag` is its TransformSpec's."""
     out_ds = corpus.Dataset(tuple(transformed.values()), ds.labels, ds.task_kind)
     meta = {ex.id: (src, tag) for src, ex in transformed.items()}
-    corpus.save_dataset(out_ds, path, "tsv", transform_meta=meta)
+    corpus.save_dataset(out_ds, path, transform_meta=meta)
     print(f"wrote {path} ({len(transformed)} rows)")
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args):
     ds = _load(args)
     provider = _provider(args, required=False)
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
@@ -106,13 +136,12 @@ def cmd_transform(args) -> int:
                                             args.r, saliency, generators, vocab))
                for kind in kinds
                for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,))]
-    _write_resolved_config(args, args.out)
+    _clear_config(args.out)
     for name, tag, transformed in outputs:
         _save_transformed(transformed, tag, ds, os.path.join(args.out, f"{name}.tsv"))
-    return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     ds = _load(args)
     provider = _provider(args)
     labels = ds.labels
@@ -157,33 +186,30 @@ def cmd_evaluate(args) -> int:
                                   provenance={"provider": provider.describe(),
                                               "seed": args.seed,
                                               "data": args.data})
-    _write_resolved_config(args, args.out)
+    _clear_config(args.out)
     for name, text in (("report.json", report.to_json()),
                        ("report.csv", report.to_csv()),
                        ("report.md", report.to_markdown())):
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
-            f.write(text)
+        corpus.write_file(os.path.join(args.out, name), text)
     print(report.to_markdown())
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     ds = _load(args)
     loss_cfg = toyclf.LossConfig(args.loss, lambda_ls=args.lambda_ls,
                                  gamma=args.gamma)
     train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
                                    args.seed, args.dim)
     params = toyclf.train(ds, loss_cfg, train_cfg)
-    _write_resolved_config(args, args.out)
+    _clear_config(args.out)
     path = os.path.join(args.out, "params.bin")
     toyclf.save_params(params, path, meta={"loss": args.loss, "seed": args.seed,
                                            "epochs": args.epochs, "data": args.data})
     acc = toyclf.accuracy(params, ds)
     print(f"trained {path}; train accuracy {100 * acc:.2f}%")
-    return 0
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args):
     ds = _load(args)
     params = toyclf.load_params(args.model)
     gold = [ex.gold_label for ex in ds.examples]
@@ -191,16 +217,17 @@ def cmd_calibrate(args) -> int:
     t = toyclf.fit_temperature(params, ds)
     scaled = toyclf.with_temperature(params, t)
     post = metrics.ece(providers.EmbeddedProvider(scaled).predict_batch(ds.examples), gold)
-    _write_resolved_config(args, args.out)
+    _clear_config(args.out)
     path = os.path.join(args.out, "params_scaled.bin")
     toyclf.save_params(scaled, path, meta={"temperature": t, "data": args.data})
     print(f"fitted T = {t:.2f}; ECE {pre:.4f} -> {post:.4f}; wrote {path}")
-    return 0
 
 
-def cmd_mitigate(args) -> int:
+def cmd_mitigate(args):
     if not 0.0 < args.augment_fraction <= 1.0:  # before any work, whatever the strategy
         raise ConfigError(f"--augment-fraction must be in (0, 1], got {args.augment_fraction}")
+    if not args.tolerance >= 0.0:
+        raise ConfigError(f"--tolerance must be at least 0, got {args.tolerance}")
     ds = _load(args)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
     if not kinds:
@@ -257,23 +284,19 @@ def cmd_mitigate(args) -> int:
         strategy, params, val_ds, invalid_val, theta=theta,
         lambda_ent=args.lambda_ent if strategy == "entropic_threshold" else None,
         baseline_accuracy=100 * baseline_acc)
-    _write_resolved_config(args, args.out)
+    _clear_config(args.out)
     toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
-
-    payload = {k: v for k, v in vars(report).items()}
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-    with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as f:
-        f.write("metric,value\n")
-        f.write(f"clean_accuracy,{report.clean_accuracy:.2f}\n")
-        f.write(f"invalid_detected,{report.invalid_detected:.2f}\n")
-        for kind, val in sorted(report.per_transform_detection.items()):
-            f.write(f"detect_{kind},{val:.2f}\n")
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    text = json.dumps(vars(report), indent=2, sort_keys=True)
+    corpus.write_file(os.path.join(args.out, "report.json"), text)
+    rows = [("clean_accuracy", report.clean_accuracy),
+            ("invalid_detected", report.invalid_detected)] + [
+        (f"detect_{kind}", v) for kind, v in sorted(report.per_transform_detection.items())]
+    corpus.write_file(os.path.join(args.out, "report.csv"), "metric,value\n" + "".join(
+        f"{name},{v:.2f}\n" for name, v in rows))
+    print(text)
 
 
-def cmd_pbsmt(args) -> int:
+def cmd_pbsmt(args):
     if args.pbsmt_command == "train" and args.iterations < 1:
         raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
     ds = _load(args)
@@ -289,7 +312,7 @@ def cmd_pbsmt(args) -> int:
         generators = {label: pbsmt.train_generator(
                           ds, label, iterations=args.iterations, weights=weights,
                           min_pairs=args.min_pairs) for label in labels}
-        _write_resolved_config(args, args.out)
+        _clear_config(args.out)
         for label, gen in generators.items():
             out = os.path.join(args.out, f"label_{label}")
             pbsmt.save_generator(gen, out)
@@ -298,13 +321,12 @@ def cmd_pbsmt(args) -> int:
         generators = pbsmt.load_generators(args.models)
         transformed = mitigate.transform_examples(
             ds.examples, "pbsmt", ds.task_kind, args.seed, generators=generators)
-        _write_resolved_config(args, args.out)
+        _clear_config(args.out)
         _save_transformed(transformed, lexical.TransformSpec("pbsmt", args.seed).tag(),
                           ds, os.path.join(args.out, "pbsmt.tsv"))
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     try:
         with open(args.input, encoding="utf-8") as f:
             report = metrics.report_from_json(f.read())
@@ -313,7 +335,6 @@ def cmd_report(args) -> int:
     except DataError as e:
         raise DataError(f"{args.input}: {e}") from None
     print(report.to_markdown() if args.render == "md" else report.to_csv())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,43 +344,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="write destructively transformed datasets")
     _add_dataset_args(p)
-    _add_provider_args(p)
-    p.add_argument("--transforms", default="all")
-    p.add_argument("--pbsmt-dir", help="directory of trained pbsmt generators")
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_transform_args(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("evaluate", help="agreement/confidence report")
     _add_dataset_args(p)
-    _add_provider_args(p)
-    p.add_argument("--transforms", default="all")
-    p.add_argument("--pbsmt-dir")
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_transform_args(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("train", help="train the embedded toy classifier")
     _add_dataset_args(p)
     p.add_argument("--loss", default="cross_entropy",
                    choices=["cross_entropy", "label_smoothing", "focal"])
-    p.add_argument("--lambda-ls", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=2.0)
+    p.add_argument("--lambda-ls", action=_Finite, default=0.1)
+    p.add_argument("--gamma", action=_Finite, default=2.0)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=5.0)
+    p.add_argument("--lr", action=_Finite, default=5.0)
     p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="fit temperature, report ECE change")
     _add_dataset_args(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("mitigate", help="train and evaluate a mitigation strategy")
@@ -367,22 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="invalid-class",
                    choices=["threshold", "entropic-threshold", "invalid-class"])
     p.add_argument("--transforms", default="all")
-    p.add_argument("--lambda-ent", type=float, default=0.1)
-    p.add_argument("--augment-fraction", type=float, default=0.5,
+    p.add_argument("--lambda-ent", action=_Finite, default=0.1)
+    p.add_argument("--augment-fraction", action=_Finite, default=0.5,
                    help="share of training rows in (0, 1] made invalid for the "
                         "fine-tune; checked under every strategy, unused by threshold")
-    p.add_argument("--tolerance", type=float, default=0.03)
-    p.add_argument("--holdout", type=float, default=0.2)
+    p.add_argument("--tolerance", action=_Finite, default=0.03)
+    p.add_argument("--holdout", action=_Finite, default=0.2)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=5.0)
+    p.add_argument("--lr", action=_Finite, default=5.0)
     p.add_argument("--finetune-epochs", type=int, default=15,
                    help="epochs for the mitigation fine-tuning phase")
-    p.add_argument("--finetune-lr", type=float, default=1.0,
+    p.add_argument("--finetune-lr", action=_Finite, default=1.0,
                    help="learning rate for the mitigation fine-tuning phase")
     p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mitigate)
 
     p = sub.add_parser("pbsmt", help="train or run the statistical generators")
@@ -392,14 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", help="generator directory (generate)")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--min-pairs", type=int, default=50)
-    p.add_argument("--w-tm", type=float, default=1.0)
-    p.add_argument("--w-lm", type=float, default=0.5)
-    p.add_argument("--w-dist", type=float, default=-0.3)
-    p.add_argument("--w-len", type=float, default=-0.1)
+    p.add_argument("--w-tm", action=_Finite, default=1.0)
+    p.add_argument("--w-lm", action=_Finite, default=0.5)
+    p.add_argument("--w-dist", action=_Finite, default=-0.3)
+    p.add_argument("--w-len", action=_Finite, default=-0.1)
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--distortion-limit", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pbsmt)
 
     p = sub.add_parser("report", help="re-render a report.json")
@@ -439,7 +442,7 @@ def _config_value(action, key: str, value, path: str):
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         parsed = action.type(text) if action.type else text
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ConfigError):
         raise ConfigError(f"--config {path}: {key}: invalid {action.type.__name__} "
                           f"value: {text!r}") from None
     if action.choices is not None and parsed not in action.choices:
@@ -456,7 +459,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = _apply_config_file(parser, args, argv)
-        return args.func(args)
+        args.func(args)
+        if getattr(args, "out", None):
+            _write_config(args)  # last, so it marks a complete run
+        return 0
     except (ConfigError, argparse.ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -466,7 +472,7 @@ def main(argv=None) -> int:
     except ProviderError as e:
         print(f"provider error: {e}", file=sys.stderr)
         return 3
-    except (SaladBenchError, OSError) as e:  # OSError: a missing or unreadable file
+    except (SaladBenchError, OSError) as e:  # OSError: a file not read or written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

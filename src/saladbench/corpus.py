@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -236,38 +237,39 @@ def load_dataset(path, fmt: str, labels: LabelSet, task_kind: str) -> Dataset:
     return Dataset(tuple(examples), labels, task_kind, skipped_rows=skipped)
 
 
-def save_dataset(ds: Dataset, path, fmt: str = "tsv",
-                 transform_meta: Optional[dict] = None) -> None:
-    """Write a dataset; transform_meta maps example id -> (source_id, transform str)."""
-    with open(path, "w", encoding="utf-8") as f:
-        if fmt == "tsv":
-            cols = ["id", "text_a", "text_b", "label"]
-            if transform_meta is not None:
-                cols += ["source_id", "transform"]
-            f.write("\t".join(cols) + "\n")
-            for ex in ds.examples:
-                row = [
-                    ex.id,
-                    ex.input.text_a,
-                    ex.input.text_b or "",
-                    ds.labels.names[ex.gold_label] if ex.gold_label is not None else "",
-                ]
-                if transform_meta is not None:
-                    src, xf = transform_meta.get(ex.id, ("", ""))
-                    row += [src, xf]
-                f.write("\t".join(row) + "\n")
-        elif fmt == "jsonl":
-            for ex in ds.examples:
-                obj = {"id": ex.id, "text_a": ex.input.text_a}
-                if ex.input.text_b is not None:
-                    obj["text_b"] = ex.input.text_b
-                if ex.gold_label is not None:
-                    obj["label"] = ds.labels.names[ex.gold_label]
-                if transform_meta is not None and ex.id in transform_meta:
-                    obj["source_id"], obj["transform"] = transform_meta[ex.id]
-                f.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        else:
-            raise ArgumentError(f"unknown format {fmt!r}")
+def write_file(path, data) -> None:
+    """Writes `data` (str, as UTF-8, or bytes) to `path` whole: into a
+    temporary file beside it, then `os.replace`. A command that fails or is
+    killed mid-write leaves the old file or none, never a partial one; a
+    failed write removes its temporary file, a killed one leaves
+    `<path>.tmp<pid>`. No fsync: a power loss is out of scope. Creates the
+    parent directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp{os.getpid()}"  # matches no output name or glob
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def save_dataset(ds: Dataset, path, transform_meta: Optional[dict] = None) -> None:
+    """Write a dataset as TSV; transform_meta maps example id -> (source_id,
+    transform str) and adds those two columns."""
+    cols = ["id", "text_a", "text_b", "label"]
+    if transform_meta is not None:
+        cols += ["source_id", "transform"]
+    lines = ["\t".join(cols)]
+    for ex in ds.examples:
+        row = [ex.id, ex.input.text_a, ex.input.text_b or "",
+               ds.labels.names[ex.gold_label] if ex.gold_label is not None else ""]
+        if transform_meta is not None:
+            row += transform_meta.get(ex.id, ("", ""))
+        lines.append("\t".join(row))
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def split_holdout(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

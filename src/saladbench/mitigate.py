@@ -219,6 +219,8 @@ def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
     detection (smallest theta on ties)."""
     if len(probs_clean) == 0 or len(probs_invalid) == 0:
         raise ArgumentError("both prediction sets must be non-empty")
+    if not tolerance >= 0:
+        raise ArgumentError(f"tolerance must be at least 0, got {tolerance}")
     conf_clean, conf_invalid = probs_clean.max(axis=1), probs_invalid.max(axis=1)
     correct = probs_clean.argmax(axis=1) == np.asarray(gold)
     best_theta, best_detect = None, -1.0

@@ -15,10 +15,10 @@ import math
 import os
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-from .corpus import Dataset, Example, TextInput, text_lines, tokenize
+from .corpus import Dataset, Example, TextInput, text_lines, tokenize, write_file
 from .errors import (ArgumentError, DataError, DegenerateInputError,
                      InsufficientDataError, UnsupportedTransformError)
 from .lexical import rewrite
@@ -402,23 +402,14 @@ def generate_invalid(ex: Example, models: dict[int, GeneratorModel],
 
 
 def save_generator(model: GeneratorModel, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "phrases.tsv"), "w", encoding="utf-8") as f:
-        for (s, t), (lts, lst) in sorted(model.phrases.entries.items()):
-            f.write(f"{' '.join(s)}\t{' '.join(t)}\t{lts!r}\t{lst!r}\n")
-    with open(os.path.join(dirpath, "lm.tsv"), "w", encoding="utf-8") as f:
-        for ngram, c in sorted(model.lm.counts.items()):
-            f.write(f"{' '.join(ngram)}\t{c}\n")
-    with open(os.path.join(dirpath, "weights.json"), "w", encoding="utf-8") as f:
-        json.dump({
-            "label": model.label,
-            "w_tm": model.weights.w_tm, "w_lm": model.weights.w_lm,
-            "w_dist": model.weights.w_dist, "w_len": model.weights.w_len,
-            "beam_size": model.weights.beam_size,
-            "distortion_limit": model.weights.distortion_limit,
-            "lm_order": model.lm.order,
-            "lm_total_tokens": model.lm.total_tokens,
-        }, f, indent=2)
+    write_file(os.path.join(dirpath, "phrases.tsv"), "".join(
+        f"{' '.join(s)}\t{' '.join(t)}\t{lts!r}\t{lst!r}\n"
+        for (s, t), (lts, lst) in sorted(model.phrases.entries.items())))
+    write_file(os.path.join(dirpath, "lm.tsv"), "".join(
+        f"{' '.join(ngram)}\t{c}\n" for ngram, c in sorted(model.lm.counts.items())))
+    write_file(os.path.join(dirpath, "weights.json"), json.dumps(
+        {"label": model.label, **asdict(model.weights), "lm_order": model.lm.order,
+         "lm_total_tokens": model.lm.total_tokens}, indent=2))
 
 
 def _fields(path, n: int):

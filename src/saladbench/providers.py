@@ -166,29 +166,29 @@ class HttpProvider:
 
     def _post(self, inputs: Sequence[Example], want_saliency: bool,
               side: Optional[str] = None) -> dict:
-        body = {
-            "inputs": [
-                {"id": ex.id, "text_a": ex.input.text_a, "text_b": ex.input.text_b}
-                for ex in inputs
-            ],
-            "want_saliency": want_saliency,
-            "side": side,
-        }
-        import requests  # here, not at the top: only --url uses it
+        import http.client  # here, not at the top: only --url uses these
+        import json
+        import urllib.request
 
+        body = {"inputs": [{"id": ex.id, "text_a": ex.input.text_a,
+                            "text_b": ex.input.text_b} for ex in inputs],
+                "want_saliency": want_saliency, "side": side}
+        request = urllib.request.Request(
+            self.base_url + "/v1/predict", data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
         try:
-            resp = requests.post(self.base_url + "/v1/predict", json=body,
-                                 timeout=self.timeout)
-        except requests.RequestException as e:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, text = resp.status, resp.read().decode("utf-8", "replace")
+        except (OSError, ValueError, http.client.HTTPException) as e:  # HTTPError: 4xx/5xx
             raise TransportError(f"request failed: {e}") from e
-        if resp.status_code != 200:
-            raise TransportError(
-                f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            raise TransportError(f"HTTP {status}: {text[:200]}")
         try:
-            payload = resp.json()
+            payload = json.loads(text)
         except ValueError:
-            raise TransportError(f"malformed JSON body: {resp.text[:200]}") from None
-        if "probs" not in payload or len(payload["probs"]) != len(inputs):
+            raise TransportError(f"malformed JSON body: {text[:200]}") from None
+        probs = payload.get("probs") if isinstance(payload, dict) else None
+        if not isinstance(probs, list) or len(probs) != len(inputs):
             raise ContractError("response probs missing or misaligned")
         return payload
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 # tokenize: perfbench/tracer.py counts the calls made through this name
-from .corpus import Dataset, Example, tokenize  # noqa: F401
+from .corpus import Dataset, Example, tokenize, write_file  # noqa: F401
 from .errors import (ArgumentError, DegenerateInputError, TrainingError)
 
 log = logging.getLogger(__name__)
@@ -390,13 +390,11 @@ def save_params(params: ToyModelParams, path, meta: Optional[dict] = None) -> No
         "task_kind": params.task_kind,
         "vocab": list(params.vocab),
     }
-    with open(path, "wb") as f:
-        f.write((json.dumps(header) + "\n").encode("utf-8"))
-        for arr in (params.emb, params.w, params.b):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_file(path, b"".join([(json.dumps(header) + "\n").encode("utf-8")] + [
+        np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        for arr in (params.emb, params.w, params.b)]))
     if meta is not None:
-        with open(str(path) + ".json", "w", encoding="utf-8") as f:
-            json.dump(meta, f, indent=2)
+        write_file(f"{path}.json", json.dumps(meta, indent=2))
 
 
 def load_params(path) -> ToyModelParams:

@@ -227,6 +227,14 @@ def test_a_non_finite_or_negative_float_flag_is_refused_before_any_training(
     assert not out.exists()
 
 
+def test_a_float_flag_that_is_not_a_number_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "fo"
+    with pytest.raises(SystemExit):
+        run(["train", *SENT_ARGS, "--lr", "abc", "--out", str(out)])
+    assert "argument --lr: invalid float value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mitigate_help_says_threshold_ignores_augment_fraction(capsys):
     with pytest.raises(SystemExit):
         run(["mitigate", "--help"])

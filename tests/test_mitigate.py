@@ -269,6 +269,13 @@ def test_threshold_search_validation():
         threshold_search(preds([]), [], preds([0.9]), 1.0, 0.03)
 
 
+@pytest.mark.parametrize("tolerance", [-0.01, float("nan")])
+def test_threshold_search_refuses_a_negative_or_nan_tolerance(tolerance):
+    # every comparison with NaN is false, so NaN would make every threshold feasible
+    with pytest.raises(ArgumentError, match="tolerance"):
+        threshold_search(preds([0.9]), [0], preds([0.6]), 1.0, tolerance)
+
+
 # --- invalid-class training ---
 
 def test_train_invalid_class_widens_warm_head(sent_base, sent_split):
