@@ -23,6 +23,13 @@ from .errors import ConfigError, ContractError, DataError, ProviderError, SaladB
 SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (bad value, missing or unknown argument) is a ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 class _Finite(argparse.Action):
     """A float flag whose type refuses NaN and infinity, naming the flag's
     config.json key; --config values pass through it in _config_value."""
@@ -112,7 +119,7 @@ def _predict(provider, examples, labels: corpus.LabelSet):
 
 
 def _save_transformed(transformed, tag, ds, path):
-    """Writes one set of `transform_examples` rows; `tag` is its TransformSpec's."""
+    """Writes one set of `transform_examples` rows; `tag` is `kind:seed:r`."""
     out_ds = corpus.Dataset(tuple(transformed.values()), ds.labels, ds.task_kind)
     meta = {ex.id: (src, tag) for src, ex in transformed.items()}
     corpus.save_dataset(out_ds, path, transform_meta=meta)
@@ -120,6 +127,8 @@ def _save_transformed(transformed, tag, ds, path):
 
 
 def cmd_transform(args):
+    if not 0.0 < args.r <= 1.0:  # before any work, whatever the kinds
+        raise ConfigError(f"--r must be in (0, 1], got {args.r}")
     ds = _load(args)
     provider = _provider(args, required=False)
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
@@ -130,8 +139,7 @@ def cmd_transform(args):
         print(f"skipped {kind}: {why}", file=sys.stderr)
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
     vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
-    outputs = [(f"{kind}_{seed}" if kind == "shuffle" else kind,
-                lexical.TransformSpec(kind, seed, args.r).tag(),
+    outputs = [(f"{kind}_{seed}" if kind == "shuffle" else kind, f"{kind}:{seed}:{args.r}",
                 mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,
                                             args.r, saliency, generators, vocab))
                for kind in kinds
@@ -142,6 +150,8 @@ def cmd_transform(args):
 
 
 def cmd_evaluate(args):
+    if not 0.0 < args.r <= 1.0:
+        raise ConfigError(f"--r must be in (0, 1], got {args.r}")
     ds = _load(args)
     provider = _provider(args)
     labels = ds.labels
@@ -253,6 +263,8 @@ def cmd_mitigate(args):
             kinds = tuple(k for k in kinds if k != "pbsmt")
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
+    if not kinds:
+        raise ConfigError("no applicable transforms for this configuration")
 
     invalid_val = {kind: list(rows.values()) for kind, rows in mitigate.invalid_by_kind(
         val_ds.examples, kinds, ds.task_kind, provider, generators, vocab,
@@ -322,8 +334,8 @@ def cmd_pbsmt(args):
         transformed = mitigate.transform_examples(
             ds.examples, "pbsmt", ds.task_kind, args.seed, generators=generators)
         _clear_config(args.out)
-        _save_transformed(transformed, lexical.TransformSpec("pbsmt", args.seed).tag(),
-                          ds, os.path.join(args.out, "pbsmt.tsv"))
+        _save_transformed(transformed, f"pbsmt:{args.seed}:0.5", ds,
+                          os.path.join(args.out, "pbsmt.tsv"))
 
 
 def cmd_report(args):
@@ -338,7 +350,7 @@ def cmd_report(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="saladbench")
+    parser = _Parser(prog="saladbench")
     parser.add_argument("--config", help="JSON file supplying argument defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -463,16 +475,13 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             _write_config(args)  # last, so it marks a complete run
         return 0
-    except (ConfigError, argparse.ArgumentError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except ProviderError as e:
         print(f"provider error: {e}", file=sys.stderr)
         return 3
-    except (SaladBenchError, OSError) as e:  # OSError: a file not read or written
+    except (SaladBenchError, OSError) as e:  # ConfigError, or a file not read or written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .corpus import Example, TextInput
 from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
-from .lexical import GRADIENT_KINDS, TransformSpec, rewrite
+from .lexical import GRADIENT_KINDS, rewrite
 
 
 @dataclass(frozen=True)
@@ -82,32 +82,33 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
     return tuple(out)
 
 
-def apply_gradient(ex: Example, spec: TransformSpec, scores: Sequence[float],
-                   vocab: Optional[Sequence[str]] = None) -> TextInput:
-    """Apply drop/repeat/replace or copyone to an Example per its spec.
+def apply_gradient(ex: Example, kind: str, scores: Sequence[float], r: float = 0.5,
+                   seed: int = 0, vocab: Optional[Sequence[str]] = None) -> TextInput:
+    """Apply drop/repeat/replace or copyone to an Example: the bottom-r
+    positions (partition_by_importance) are edited, with draws by `seed`.
 
     `scores` must be aligned with the tokens of the side the kind reads
     (lexical.side_rule: text_a for copyone, whose text_b becomes the single
     most salient token of text_a). A replace vocabulary must hold only
     tokens, as replace_tokens says.
     """
-    if spec.kind not in GRADIENT_KINDS:
-        raise UnsupportedTransformError(f"{spec.kind} is not a gradient transform")
-    if spec.kind == "replace" and vocab is None:
+    if kind not in GRADIENT_KINDS:
+        raise UnsupportedTransformError(f"{kind} is not a gradient transform")
+    if kind == "replace" and vocab is None:
         raise ArgumentError("replace requires a vocabulary")
 
     def edit(tokens):
         if len(tokens) != len(scores):
             raise ArgumentError(
                 f"saliency length {len(scores)} != token count {len(tokens)}")
-        if spec.kind == "copyone":
+        if kind == "copyone":
             return (tokens[max(range(len(scores)),
                                key=lambda i: (scores[i], -i))],)
-        part = partition_by_importance(scores, spec.r)
-        if spec.kind == "drop":
+        part = partition_by_importance(scores, r)
+        if kind == "drop":
             return drop_tokens(tokens, part)
-        if spec.kind == "repeat":
-            return repeat_tokens(tokens, part, spec.seed)
-        return replace_tokens(tokens, part, vocab, spec.seed)
+        if kind == "repeat":
+            return repeat_tokens(tokens, part, seed)
+        return replace_tokens(tokens, part, vocab, seed)
 
-    return rewrite(ex.input, spec.kind, edit)
+    return rewrite(ex.input, kind, edit)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import logging
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .corpus import Example, TextInput
@@ -26,23 +25,6 @@ ALL_KINDS = LEXICAL_KINDS + GRADIENT_KINDS + ("pbsmt",)
 PAIR_ONLY_KINDS = ("copysort", "copyone")
 # kinds that read text_a of a pair row (and rewrite its text_b)
 COPY_KINDS = ("copysort", "copyone", "pbsmt")
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    kind: str
-    seed: int = 0
-    r: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise UnsupportedTransformError(f"unknown transform kind {self.kind!r}")
-        if not 0.0 < self.r <= 1.0:
-            raise UnsupportedTransformError(f"r must be in (0,1], got {self.r}")
-
-    def tag(self) -> str:
-        """Provenance string written to transformed dataset files."""
-        return f"{self.kind}:{self.seed}:{self.r}"
 
 
 def side_rule(kind: str, is_pair: bool) -> tuple[str, str]:
@@ -167,14 +149,14 @@ def shuffle_tokens(tokens: tuple[str, ...], seed: int) -> tuple[str, ...]:
     return out
 
 
-def apply_lexical(ex: Example, spec: TransformSpec) -> TextInput:
-    """Apply one of the four lexical kinds to an Example per its spec."""
-    if spec.kind in ("sort", "copysort"):
+def apply_lexical(ex: Example, kind: str, seed: int = 0) -> TextInput:
+    """Apply one of the four lexical kinds to an Example; `seed` drives shuffle."""
+    if kind in ("sort", "copysort"):
         edit = sort_tokens
-    elif spec.kind == "reverse":
+    elif kind == "reverse":
         edit = reverse_tokens
-    elif spec.kind == "shuffle":
-        edit = functools.partial(shuffle_tokens, seed=spec.seed)
+    elif kind == "shuffle":
+        edit = functools.partial(shuffle_tokens, seed=seed)
     else:
-        raise UnsupportedTransformError(f"{spec.kind} is not a lexical transform")
-    return rewrite(ex.input, spec.kind, edit)
+        raise UnsupportedTransformError(f"{kind} is not a lexical transform")
+    return rewrite(ex.input, kind, edit)

@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSet, tokenize
-from .errors import ArgumentError, ConfigError, DegenerateInputError
+from .errors import (ArgumentError, ConfigError, DegenerateInputError,
+                     UnsupportedTransformError)
 from .gradient import apply_gradient
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
-                      TransformSpec, apply_lexical, side_rule)
+                      apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
 from . import toyclf
 
@@ -99,18 +100,19 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
         bad = next((v for v in vocab or () if tokenize(v) != (v,)), None)
         if bad is not None:
             raise ArgumentError(f"vocabulary entry {bad!r} is not a token")
+    if kind not in ALL_KINDS:
+        raise UnsupportedTransformError(f"unknown transform kind {kind!r}")
     scores = saliency[scored_side(kind, task_kind)] if kind in GRADIENT_KINDS else None
-    spec = TransformSpec(kind=kind, seed=seed, r=r)
     suffix = f"{kind}:{seed}" if kind == "shuffle" else kind
     out, skipped = {}, Counter()
     for i, ex in enumerate(examples):
         try:
             if kind in LEXICAL_KINDS:
-                new_input = apply_lexical(ex, spec)
+                new_input = apply_lexical(ex, kind, seed)
             elif kind in GRADIENT_KINDS:
-                new_input = apply_gradient(ex, spec, scores[i], vocab=vocab)
+                new_input = apply_gradient(ex, kind, scores[i], r, seed, vocab)
             else:
-                new_input = generate_invalid(ex, generators or {}, task_kind)
+                new_input = generate_invalid(ex, generators or {})
         except DegenerateInputError as e:
             skipped[str(e)] += 1
             continue
@@ -125,22 +127,13 @@ def invalid_by_kind(examples: Sequence[Example], kinds: Sequence[str],
                     pbsmt_models: Optional[dict[int, GeneratorModel]] = None,
                     vocab: Optional[Sequence[str]] = None, seed: int = 0
                     ) -> dict[str, dict[str, Example]]:
-    """Each usable kind's rows over `examples`, keyed by source id, in source
-    order; saliency is scored once for all kinds.
-
-    Gradient kinds need a saliency provider, pbsmt needs trained generators;
-    unavailable kinds are skipped with a warning.
-    """
-    usable, skipped = resolve_kinds(kinds, task_kind, saliency_provider is not None,
-                                    bool(pbsmt_models))
-    for kind, reason in skipped:
-        log.warning("skipping %s: %s", kind, reason)
-    if not usable:
-        raise ConfigError("no applicable transforms for this configuration")
-    saliency = score_saliency(saliency_provider, examples, usable, task_kind)
+    """Each kind's rows over `examples`, keyed by source id, in source order;
+    saliency is scored once for all kinds. `kinds` are resolved (resolve_kinds):
+    gradient kinds need a saliency provider and pbsmt trained generators."""
+    saliency = score_saliency(saliency_provider, examples, kinds, task_kind)
     return {kind: transform_examples(examples, kind, task_kind, seed, saliency=saliency,
                                      generators=pbsmt_models, vocab=vocab)
-            for kind in usable}
+            for kind in kinds}
 
 
 def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
@@ -148,8 +141,8 @@ def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
                           pbsmt_models: Optional[dict[int, GeneratorModel]] = None,
                           vocab: Optional[Sequence[str]] = None, seed: int = 0
                           ) -> list[Example]:
-    """One unlabeled invalid example per (source example, usable kind),
-    ordered by source and then by kind (see invalid_by_kind)."""
+    """One unlabeled invalid example per (source example, kind), ordered by
+    source and then by kind (see invalid_by_kind)."""
     by_kind = invalid_by_kind(examples, kinds, task_kind, saliency_provider,
                               pbsmt_models, vocab, seed).values()
     return [Example(rows[ex.id].id, rows[ex.id].input)
@@ -158,8 +151,8 @@ def make_invalid_examples(examples: Sequence[Example], kinds: Sequence[str],
 
 def augment(ds: Dataset, kinds: Sequence[str], fraction: float, seed: int,
             saliency_provider=None, pbsmt_models=None, vocab=None) -> list[Example]:
-    """Unlabeled invalid examples built from a seeded sample of `fraction`
-    of the training set (fraction in (0, 1])."""
+    """Unlabeled invalid examples of the resolved `kinds`, built from a seeded
+    sample of `fraction` of the training set (fraction in (0, 1])."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"augment fraction must be in (0, 1], got {fraction}")
     rng = random.Random(seed)
@@ -192,8 +185,8 @@ def train_entropic(warm: toyclf.ToyModelParams, clean: Dataset, invalid: Dataset
                    ) -> toyclf.ToyModelParams:
     """Continue training from baseline weights, maximizing prediction entropy
     on invalid examples alongside the clean cross-entropy loss."""
-    cfg = toyclf.LossConfig("entropic", lambda_ent=lambda_ent)
-    return toyclf.train(clean, cfg, train_cfg, warm=warm, invalid_ds=invalid)
+    return toyclf.train(clean, toyclf.LossConfig(lambda_ent=lambda_ent), train_cfg,
+                        warm=warm, invalid_ds=invalid)
 
 
 def threshold_grid(n_classes: int, step: float = THRESHOLD_STEP) -> list[float]:
@@ -246,8 +239,7 @@ def train_invalid_class(augmented: Dataset, train_cfg: toyclf.TrainConfig,
         w = np.concatenate([warm.w, np.zeros((warm.w.shape[0], 1))], axis=1)
         b = np.concatenate([warm.b, [0.0]])
         warm = replace(warm, w=w, b=b)
-    return toyclf.train(augmented, toyclf.LossConfig("cross_entropy"), train_cfg,
-                        warm=warm, n_classes=augmented.labels.n_classes)
+    return toyclf.train(augmented, toyclf.LossConfig(), train_cfg, warm=warm)
 
 
 def _balanced_union(per_transform: dict[str, list[Example]]) -> dict[str, list[Example]]:

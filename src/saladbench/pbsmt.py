@@ -26,6 +26,7 @@ from .lexical import rewrite
 NULL = "<null>"
 BOS = "<s>"
 MAX_PHRASE_LEN = 3  # tokens per side of a phrase pair
+BACKOFF = 0.4  # stupid-backoff factor per order backed off; at most 1, so it lowers scores
 # a stack entry that holds a key's place for a candidate `decode` skipped
 _RESERVED = (-math.inf, ())
 
@@ -66,7 +67,6 @@ class LanguageModel:
     context_totals: dict[tuple[str, ...], int]  # context -> sum of continuations
     total_tokens: int
     vocab: frozenset
-    alpha: float = 0.4
     # (word, context) -> word_logprob(word, context), filled by `decode`
     memo: dict[tuple[str, tuple[str, ...]], float] = \
         field(default_factory=dict, init=False, repr=False, compare=False)
@@ -74,12 +74,12 @@ class LanguageModel:
     nonpositive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nonpositive = 0 < self.alpha <= 1 and all(
+        self.nonpositive = all(
             c <= (self.context_totals.get(g[:-1], 0) if g[1:] else self.total_tokens)
             for g, c in self.counts.items() if c > 0)
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
-        """Stupid backoff score with alpha=0.4 and a 1/(V+1) unigram floor."""
+        """Stupid backoff score (factor BACKOFF) with a 1/(V+1) unigram floor."""
         context = context[-(self.order - 1):]
         backoff = 1.0
         for n in range(len(context), 0, -1):
@@ -87,7 +87,7 @@ class LanguageModel:
             c = self.counts.get(ctx + (word,), 0)
             if c > 0:
                 return math.log(backoff * c / self.context_totals[ctx])
-            backoff *= self.alpha
+            backoff *= BACKOFF
         c = self.counts.get((word,), 0)
         if c > 0:
             return math.log(backoff * c / self.total_tokens)
@@ -381,8 +381,7 @@ def train_generator(ds: Dataset, label: int, iterations: int = 10,
     return GeneratorModel(label, phrases, lm, weights or DecoderWeights())
 
 
-def generate_invalid(ex: Example, models: dict[int, GeneratorModel],
-                     task_kind: str) -> TextInput:
+def generate_invalid(ex: Example, models: dict[int, GeneratorModel]) -> TextInput:
     """Run the example's own-label generator on its source side: text_a of a
     pair row, whose text_b the output becomes, or the first half of a single
     row, which the output then follows."""
@@ -393,7 +392,7 @@ def generate_invalid(ex: Example, models: dict[int, GeneratorModel],
         raise ArgumentError(f"no trained generator for label {ex.gold_label}")
 
     def edit(tokens):
-        if task_kind == "pair":
+        if ex.input.is_pair:
             return decode(tokens, model.phrases, model.lm, model.weights)
         first = tokens[:math.ceil(len(tokens) / 2)]
         return first + decode(first, model.phrases, model.lm, model.weights)

@@ -59,13 +59,13 @@ class ToyModelParams:
 
 @dataclass(frozen=True)
 class LossConfig:
-    kind: str = "cross_entropy"       # cross_entropy | label_smoothing | focal | entropic
+    kind: str = "cross_entropy"       # cross_entropy | label_smoothing | focal
     lambda_ls: float = 0.1
     gamma: float = 2.0
-    lambda_ent: float = 0.1
+    lambda_ent: float = 0.1           # weight of train's entropy term on invalid rows
 
     def __post_init__(self):
-        if self.kind not in ("cross_entropy", "label_smoothing", "focal", "entropic"):
+        if self.kind not in ("cross_entropy", "label_smoothing", "focal"):
             raise ArgumentError(f"unknown loss kind {self.kind!r}")
         if not 0.0 <= self.lambda_ls < 1.0:
             raise ArgumentError("lambda_ls must be in [0,1)")
@@ -216,7 +216,7 @@ def _supervised_dz(probs: np.ndarray, y: np.ndarray, cfg: LossConfig,
     """Gradients of each example's loss w.r.t. the raw logits."""
     probs = np.maximum(probs, 1e-300)   # clipped to [1e-300, 1]: no softmax entry exceeds 1
     onehot = np.arange(probs.shape[1]) == y[:, None]
-    if cfg.kind in ("cross_entropy", "entropic"):
+    if cfg.kind == "cross_entropy":
         return (probs - onehot) / temperature
     if cfg.kind == "label_smoothing":
         return (probs - ((1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / len(onehot[0]))) / temperature
@@ -296,24 +296,22 @@ def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
 
 def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
           warm: Optional[ToyModelParams] = None,
-          invalid_ds: Optional[Dataset] = None,
-          n_classes: Optional[int] = None) -> ToyModelParams:
+          invalid_ds: Optional[Dataset] = None) -> ToyModelParams:
     """Seeded mini-batch gradient descent; deterministic per seed.
 
-    For the entropic loss, each step pairs a clean mini-batch with a
-    mini-batch cycled from invalid_ds. Both sets are encoded once.
+    Given invalid_ds, each step pairs a clean mini-batch with one cycled from
+    it, whose entropy (times lambda_ent) it maximizes. Both are encoded once.
     """
     if len(ds) == 0:
         raise ArgumentError("cannot train on an empty dataset")
     params = warm if warm is not None else init_params(
-        build_vocab(ds), train_cfg.dim, n_classes or ds.labels.n_classes, ds.task_kind,
-        train_cfg.seed)
+        build_vocab(ds), train_cfg.dim, ds.labels.n_classes, ds.task_kind, train_cfg.seed)
     v, k = params.emb.size, params.w.size
     theta = np.concatenate([params.emb.ravel(), params.w.ravel(), params.b])   # steps update it
     params = replace(params, emb=theta[:v].reshape(params.emb.shape),          # views of theta
                      w=theta[v:v + k].reshape(params.w.shape), b=theta[v + k:])
     rng = np.random.default_rng(train_cfg.seed)
-    invalid = invalid_ds.examples if loss_cfg.kind == "entropic" and invalid_ds else ()
+    invalid = invalid_ds.examples if invalid_ds else ()
     gold = _gold(ds.examples)
     enc = encode(params, ds.examples + invalid)
     inv_cursor, step, bs = 0, 0, train_cfg.batch_size

@@ -30,8 +30,8 @@ import pytest
 
 from saladbench import cli, metrics, mitigate, pbsmt, toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput, tokenize
-from saladbench.lexical import (TransformSpec, apply_lexical, reverse_tokens,
-                                shuffle_with_report, sort_tokens)
+from saladbench.lexical import (apply_lexical, reverse_tokens, shuffle_with_report,
+                                sort_tokens)
 from saladbench.providers import EmbeddedProvider, checked_probs
 
 from test_lexical import bigram_free_permutation_exists
@@ -111,10 +111,11 @@ def test_3_gradient_correctness():
             task_kind = "pair" if trial % 2 else "single"
             params = random_model(rng, task_kind=task_kind)
             batch = [random_example(rng, params, f"e{i}") for i in range(3)]
+            # entropic: cross-entropy plus the entropy term over invalid rows
             invalid = ([Example("i0", random_example(rng, params).input, None)]
                        if kind == "entropic" else ())
-            cfg = toyclf.LossConfig(kind, lambda_ls=0.1, gamma=2.0,
-                                    lambda_ent=0.3)
+            cfg = toyclf.LossConfig("cross_entropy" if kind == "entropic" else kind,
+                                    lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
             analytic, _ = grad(params, batch, cfg, invalid)
             numeric = _numeric_grad(params, batch, cfg, invalid)
             assert _rel_err(analytic.emb, numeric["emb"]) < 1e-4, (trial, kind)
@@ -139,8 +140,7 @@ def test_4_permutation_invariance(sent_base, sent_split):
         provider = EmbeddedProvider(sent_base)
         preds_orig = provider.predict_batch(val_ds.examples)
         for kind in ("sort", "reverse", "shuffle"):
-            spec = TransformSpec(kind=kind, seed=0)
-            transformed = [Example(ex.id, apply_lexical(ex, spec), ex.gold_label)
+            transformed = [Example(ex.id, apply_lexical(ex, kind, seed=0), ex.gold_label)
                            for ex in val_ds.examples]
             preds = provider.predict_batch(transformed)
             assert metrics.agreement(preds_orig, preds) == 100.0, kind
@@ -406,7 +406,7 @@ def test_9_statistical_generator_guarantees(pair_split, pair_gens, sent_split):
         for ex in pair_train.examples:
             target_vocab[ex.gold_label] |= set(tokenize(ex.input.text_b))
         for ex in pair_val.examples:
-            new = pbsmt.generate_invalid(ex, pair_gens, "pair")
+            new = pbsmt.generate_invalid(ex, pair_gens)
             out = set(tokenize(new.text_b))
             passthrough = set(tokenize(ex.input.text_a))
             assert out <= target_vocab[ex.gold_label] | passthrough, ex.id

@@ -229,16 +229,64 @@ def test_a_non_finite_or_negative_float_flag_is_refused_before_any_training(
 
 def test_a_float_flag_that_is_not_a_number_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "fo"
-    with pytest.raises(SystemExit):
-        run(["train", *SENT_ARGS, "--lr", "abc", "--out", str(out)])
+    assert run(["train", *SENT_ARGS, "--lr", "abc", "--out", str(out)]) == 1
     assert "argument --lr: invalid float value: 'abc'" in capsys.readouterr().err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["train", *SENT_ARGS, "--out", "fo", "--epochs", "x"],
+                                  ["train", *SENT_ARGS],
+                                  ["train", *SENT_ARGS, "--out", "fo", "--wings", "2"],
+                                  ["transform", *SENT_ARGS, "--out", "fo", "--format", "csv"],
+                                  []],
+                         ids=["bad-int", "missing-flag", "unknown-flag", "bad-choice",
+                              "no-command"])
+def test_usage_errors_are_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert captured.out == "" and not (tmp_path / "fo").exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "evaluate"])
+@pytest.mark.parametrize("r", ["0", "1.5"])
+def test_r_outside_the_unit_interval_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                trained_model, command, r):
+    loaded = []
+    load = cli.corpus.load_dataset
+    monkeypatch.setattr(cli.corpus, "load_dataset",
+                        lambda *a, **kw: loaded.append(1) or load(*a, **kw))
+    out = tmp_path / "fo"
+    assert run([command, *SENT_ARGS, "--model", trained_model, "--transforms", "sort",
+                "--r", r, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --r "), lines
+    assert loaded == []
+    assert not out.exists()
+
+
 def test_mitigate_help_says_threshold_ignores_augment_fraction(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run(["mitigate", "--help"])
+    assert exc.value.code == 0   # help is not a usage error
     assert "unused by threshold" in " ".join(capsys.readouterr().out.split())
+
+
+def test_mitigate_with_no_transform_left_after_the_pbsmt_fallback_is_refused(tmp_path, capsys):
+    data = tmp_path / "small.tsv"   # too few rows per label to train a generator
+    data.write_text("".join(Path(SENT).read_text(encoding="utf-8").splitlines(True)[:41]),
+                    encoding="utf-8")
+    out = tmp_path / "fo"
+    assert run(["mitigate", "--data", str(data), "--task", "single",
+                "--labels", "negative,positive", "--transforms", "pbsmt",
+                "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("skipped pbsmt: generators unavailable")
+    assert lines[1].startswith("error: no applicable transforms")
+    assert not out.exists()
 
 
 # --- pbsmt ---
@@ -256,6 +304,7 @@ def test_pbsmt_train_then_generate_and_transform(tmp_path):
     assert rc == 0
     lines = (gen_out / "pbsmt.tsv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 301
+    assert {line.split("\t")[5] for line in lines[1:]} == {"pbsmt:0:0.5"}
 
     tx_out = tmp_path / "tx"
     rc = run(["transform", *PAIR_ARGS, "--transforms", "pbsmt",
@@ -611,8 +660,7 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, content, arg
 
 def test_unknown_strategy_flag_is_refused(tmp_path):
     out = tmp_path / "fo"
-    with pytest.raises(SystemExit):
-        run(["mitigate", *SENT_ARGS, "--strategy", "hope", "--out", str(out)])
+    assert run(["mitigate", *SENT_ARGS, "--strategy", "hope", "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -745,11 +793,13 @@ def test_transformed_rows_get_their_own_ids(tmp_path):
     assert run(["transform", *SENT_ARGS, "--transforms", "sort,shuffle",
                 "--out", str(out)]) == 0
     ids = _sentiment_ids()
-    for name, suffix in (("sort.tsv", "sort"), ("shuffle_2.tsv", "shuffle:2")):
+    for name, suffix, tag in (("sort.tsv", "sort", "sort:0:0.5"),
+                              ("shuffle_2.tsv", "shuffle:2", "shuffle:2:0.5")):
         rows = [line.split("\t") for line in
                 (out / name).read_text(encoding="utf-8").splitlines()[1:]]
         assert [r[0] for r in rows] == [f"{i}__{suffix}" for i in ids]
         assert [r[4] for r in rows] == ids      # source_id keeps the source
+        assert {r[5] for r in rows} == {tag}    # kind:seed:r
 
 
 def test_replay_evaluate_needs_predictions_for_transformed_rows(tmp_path):

@@ -13,7 +13,6 @@ from saladbench.errors import (ArgumentError, DegenerateInputError,
 from saladbench.gradient import (ImportancePartition, apply_gradient,
                                  drop_tokens, partition_by_importance,
                                  repeat_tokens, replace_tokens)
-from saladbench.lexical import TransformSpec
 from saladbench.mitigate import transform_examples
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -167,7 +166,7 @@ def test_replace_matches_seeded_uniform_draws():
 
 # --- copyone ---
 
-COPYONE = TransformSpec("copyone")
+COPYONE = "copyone"
 
 
 def test_copy_one_takes_most_salient_token_of_a():
@@ -196,7 +195,7 @@ def test_copy_one_requires_pair_and_aligned_scores():
 def test_apply_gradient_targets_b_on_pairs():
     ex = Example("p", TextInput("keep a side", "b1 b2 b3 b4"), 0)
     scores = (4.0, 3.0, 1.0, 2.0)
-    new = apply_gradient(ex, TransformSpec(kind="drop"), scores)
+    new = apply_gradient(ex, "drop", scores)
     assert new.text_a == "keep a side"
     assert new.text_b == "b1 b2"
 
@@ -204,7 +203,7 @@ def test_apply_gradient_targets_b_on_pairs():
 def test_apply_gradient_single_task_targets_a():
     ex = Example("s", TextInput("w1 w2 w3 w4"), 0)
     scores = (1.0, 2.0, 3.0, 4.0)
-    new = apply_gradient(ex, TransformSpec(kind="drop"), scores)
+    new = apply_gradient(ex, "drop", scores)
     assert new.text_a == "w3 w4"
 
 
@@ -212,21 +211,21 @@ def test_apply_gradient_replace_needs_vocab():
     ex = Example("s", TextInput("w1 w2"), 0)
     scores = (1.0, 2.0)
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=None)
-    new = apply_gradient(ex, TransformSpec(kind="replace"), scores, vocab=["q"])
+        apply_gradient(ex, "replace", scores, vocab=None)
+    new = apply_gradient(ex, "replace", scores, vocab=["q"])
     assert new.text_a == "q w2"
 
 
 def test_apply_gradient_score_length_mismatch():
     ex = Example("s", TextInput("one two three"), 0)
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, TransformSpec(kind="drop"), (1.0,))
+        apply_gradient(ex, "drop", (1.0,))
 
 
 def test_apply_gradient_rejects_non_gradient_kind():
     ex = Example("s", TextInput("a b"), 0)
     with pytest.raises(UnsupportedTransformError):
-        apply_gradient(ex, TransformSpec(kind="sort"), (1.0, 2.0))
+        apply_gradient(ex, "sort", (1.0, 2.0))
 
 
 @given(st.lists(finite, min_size=2, max_size=12), st.integers(0, 3))

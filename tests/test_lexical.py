@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saladbench import lexical
+from saladbench import lexical, mitigate
+from saladbench.gradient import apply_gradient
 from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                UnsupportedTransformError)
-from saladbench.lexical import (TERMINAL_PUNCT, TransformSpec,
-                                apply_lexical,
+from saladbench.lexical import (TERMINAL_PUNCT, apply_lexical,
                                 reverse_tokens, shuffle_tokens,
                                 shuffle_with_report, sort_tokens)
 
@@ -258,7 +258,7 @@ def test_bigram_free_oracle_agrees_with_shuffle_on_short_inputs():
 
 def test_copy_sort_replaces_b_with_sorted_a():
     ex = Example("p1", TextInput("Dogs chase the cat.", "some hypothesis"), 1)
-    new = apply_lexical(ex, TransformSpec("copysort"))
+    new = apply_lexical(ex, "copysort")
     assert new.text_a == "Dogs chase the cat."
     assert new.text_b == "cat chase dogs the ."
 
@@ -266,32 +266,35 @@ def test_copy_sort_replaces_b_with_sorted_a():
 def test_copy_sort_requires_pair():
     with pytest.raises(UnsupportedTransformError):
         apply_lexical(Example("s1", TextInput("just one side"), 0),
-                      TransformSpec("copysort"))
+                      "copysort")
 
 
 def test_apply_lexical_targets_b_on_pairs_and_a_on_singles():
     pair = Example("p", TextInput("keep this side", "b c a"), 0)
-    new = apply_lexical(pair, TransformSpec(kind="sort"))
+    new = apply_lexical(pair, "sort")
     assert new.text_a == "keep this side"
     assert new.text_b == "a b c"
 
     single = Example("s", TextInput("b c a"), 0)
-    new = apply_lexical(single, TransformSpec(kind="sort"))
+    new = apply_lexical(single, "sort")
     assert new.text_a == "a b c"
     assert new.text_b is None
 
 
 def test_apply_lexical_rejects_non_lexical_kind():
     with pytest.raises(UnsupportedTransformError):
-        apply_lexical(Example("s", TextInput("a b"), 0), TransformSpec(kind="drop"))
+        apply_lexical(Example("s", TextInput("a b"), 0), "drop")
 
 
-def test_transform_spec_validation_and_tag():
+def test_transform_kind_and_r_validation():
+    # the `kind:seed:r` tag is written by the CLI (test_cli)
+    ex = Example("s", TextInput("w1 w2"), 0)
     with pytest.raises(UnsupportedTransformError):
-        TransformSpec(kind="scramble")
+        apply_lexical(ex, "scramble")
     with pytest.raises(UnsupportedTransformError):
-        TransformSpec(kind="sort", r=0.0)
-    assert TransformSpec(kind="shuffle", seed=2, r=0.5).tag() == "shuffle:2:0.5"
+        mitigate.transform_examples([ex], "scramble", "single")
+    with pytest.raises(ArgumentError):
+        apply_gradient(ex, "drop", (1.0, 2.0), r=0.0)
 
 
 def test_terminal_punct_values():

@@ -6,7 +6,7 @@ import pytest
 
 from saladbench import mitigate, toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput, tokenize
-from saladbench.errors import ArgumentError, ConfigError
+from saladbench.errors import ArgumentError, ConfigError, UnsupportedTransformError
 from saladbench.lexical import ALL_KINDS, PAIR_ONLY_KINDS
 from saladbench.mitigate import (MitigationReport, augment, balance_clean,
                                  evaluate_mitigation, make_invalid_examples,
@@ -72,19 +72,26 @@ def test_make_invalid_examples_one_per_source_and_kind(pair_split, pair_base):
 
 def test_make_invalid_examples_skips_unavailable_kinds(sent_split):
     _, val_ds = sent_split
-    # no saliency provider, no generators: only lexical reorderings remain
-    out = make_invalid_examples(val_ds.examples[:3],
-                                ("sort", "drop", "pbsmt"), "single")
+    # no saliency provider, no generators: resolve_kinds leaves the lexical
+    # reorderings, and make_invalid_examples takes the kinds it resolved
+    kinds, skipped = resolve_kinds(("sort", "drop", "pbsmt"), "single",
+                                   saliency=False, generators=False)
+    assert [kind for kind, _ in skipped] == ["drop", "pbsmt"]
+    out = make_invalid_examples(val_ds.examples[:3], kinds, "single")
     assert len(out) == 3
     assert all(ex.id.endswith("__sort") for ex in out)
+    with pytest.raises(ConfigError):   # unresolved, a kind it cannot run is refused
+        make_invalid_examples(val_ds.examples[:3], ("sort", "drop", "pbsmt"), "single")
 
 
 def test_make_invalid_examples_requires_some_usable_kind(sent_split):
     _, val_ds = sent_split
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError):   # no saliency provider
         make_invalid_examples(val_ds.examples[:3], ("drop",), "single")
-    with pytest.raises(ConfigError):
+    with pytest.raises(UnsupportedTransformError):   # a pair-only kind
         make_invalid_examples(val_ds.examples[:3], ("copysort",), "single")
+    with pytest.raises(ArgumentError):   # no trained generators
+        make_invalid_examples(val_ds.examples[:3], ("pbsmt",), "single")
 
 
 def test_make_invalid_examples_unlabeled_by_default(sent_split):
@@ -169,11 +176,14 @@ def test_augment_single_task_skips_pair_only_kinds(sent_split, sent_base,
                                                    sent_gens):
     train_ds, _ = sent_split
     provider = EmbeddedProvider(sent_base)
-    invalid = augment(train_ds, ALL_KINDS, 0.25, 0, provider, sent_gens,
-                      vocab=list(sent_base.vocab[1:]))
+    invalid = augment(train_ds, resolve_kinds(ALL_KINDS, "single")[0], 0.25, 0,
+                      provider, sent_gens, vocab=list(sent_base.vocab[1:]))
     n_sources = -(-len(train_ds) // 4)
     assert len(invalid) == n_sources * (len(ALL_KINDS) - len(PAIR_ONLY_KINDS))
     assert all(ex.gold_label is None for ex in invalid)
+    with pytest.raises(UnsupportedTransformError):   # unresolved
+        augment(train_ds, ALL_KINDS, 0.25, 0, provider, sent_gens,
+                vocab=list(sent_base.vocab[1:]))
 
 
 def test_augment_is_deterministic(sent_split, sent_base):

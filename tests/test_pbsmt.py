@@ -427,7 +427,7 @@ def test_decoder_weights_refuse_a_non_finite_weight(field, value):
 def test_generate_invalid_pair_keeps_a_and_rewrites_b(pair_split, pair_gens):
     _, val_ds = pair_split
     ex = val_ds.examples[0]
-    new = generate_invalid(ex, pair_gens, "pair")
+    new = generate_invalid(ex, pair_gens)
     assert new.text_a == ex.input.text_a
     assert new.text_b != ex.input.text_b
 
@@ -435,7 +435,7 @@ def test_generate_invalid_pair_keeps_a_and_rewrites_b(pair_split, pair_gens):
 def test_generate_invalid_single_prefixes_first_half(sent_split, sent_gens):
     _, val_ds = sent_split
     ex = val_ds.examples[0]
-    new = generate_invalid(ex, sent_gens, "single")
+    new = generate_invalid(ex, sent_gens)
     toks = tokenize(ex.input.text_a)
     half = math.ceil(len(toks) / 2)
     assert new.text_a.startswith(" ".join(toks[:half]) + " ")
@@ -452,7 +452,7 @@ def test_generate_invalid_vocabulary_containment(pair_split, pair_gens):
                 vocab |= set(tokenize(ex.input.text_b))
         target_vocab[label] = vocab
     for ex in val_ds.examples[:30]:
-        new = generate_invalid(ex, pair_gens, "pair")
+        new = generate_invalid(ex, pair_gens)
         out = set(tokenize(new.text_b))
         passthrough = set(tokenize(ex.input.text_a))
         assert out <= target_vocab[ex.gold_label] | passthrough, ex.id
@@ -460,16 +460,16 @@ def test_generate_invalid_vocabulary_containment(pair_split, pair_gens):
 
 def test_generate_invalid_requires_label_and_generator(pair_gens):
     with pytest.raises(UnsupportedTransformError):
-        generate_invalid(Example("u", TextInput("a", "b"), None), pair_gens, "pair")
+        generate_invalid(Example("u", TextInput("a", "b"), None), pair_gens)
     with pytest.raises(ArgumentError):
-        generate_invalid(Example("u", TextInput("a", "b"), 5), pair_gens, "pair")
+        generate_invalid(Example("u", TextInput("a", "b"), 5), pair_gens)
 
 
 def test_generate_invalid_deterministic(pair_split, pair_gens):
     _, val_ds = pair_split
     ex = val_ds.examples[3]
-    a = generate_invalid(ex, pair_gens, "pair").text_b
-    b = generate_invalid(ex, pair_gens, "pair").text_b
+    a = generate_invalid(ex, pair_gens).text_b
+    b = generate_invalid(ex, pair_gens).text_b
     assert a == b
 
 

@@ -23,7 +23,7 @@ LABELS = LabelSet(("negative", "positive"))
 
 def loss(params, batch, cfg, invalid_batch=()):
     """Mean batch loss, the objective toyclf's analytic gradients differentiate.
-    For the entropic kind it is L_D - lambda * H(invalid), so the entropy on
+    Given invalid rows it is L_D - lambda * H(invalid), so the entropy on
     invalid inputs is maximized."""
     probs = np.clip(probabilities(params, batch), 1e-300, 1.0)
     gold = np.array([ex.gold_label for ex in batch], dtype=int)
@@ -36,7 +36,7 @@ def loss(params, batch, cfg, invalid_batch=()):
     else:
         values = -np.log(p_y)
     result = float(np.cumsum(values)[-1]) / len(batch) if batch else 0.0
-    if cfg.kind == "entropic" and invalid_batch:
+    if invalid_batch:
         p = probabilities(params, invalid_batch)
         result += cfg.lambda_ent * float(np.mean((p * np.log(np.clip(p, 1e-300, 1.0))).sum(axis=1)))
     return result
@@ -161,7 +161,7 @@ def test_entropic_loss_adds_signed_entropy_term():
     clean = [Example("c", TextInput("a"), 0)]
     invalid = [Example("i", TextInput("a a"), None)]
     base = math.log(2.0)  # CE under uniform probs
-    lmax = loss(params, clean, LossConfig("entropic", lambda_ent=0.5), invalid)
+    lmax = loss(params, clean, LossConfig(lambda_ent=0.5), invalid)
     assert abs(lmax - (base - 0.5 * math.log(2.0))) < 1e-12
 
 
@@ -221,9 +221,11 @@ def test_analytic_gradients_match_finite_differences(kind, task_kind):
     for trial in range(4):
         params = random_model(rng, task_kind=task_kind)
         batch = [random_example(rng, params, f"e{i}") for i in range(3)]
+        # the entropic case: cross-entropy plus the entropy term over invalid rows
         invalid = ([Example(f"i{i}", random_example(rng, params).input, None)
                     for i in range(2)] if kind == "entropic" else ())
-        cfg = LossConfig(kind, lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
+        cfg = LossConfig("cross_entropy" if kind == "entropic" else kind,
+                         lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
         analytic, _ = grad(params, batch, cfg, invalid)
         numeric = _numeric_grad(params, batch, cfg, invalid)
         for name, ga in (("emb", analytic.emb), ("w", analytic.w),
@@ -343,6 +345,19 @@ def test_train_is_deterministic(sent_split):
     assert np.array_equal(a.emb, b.emb)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.b, b.b)
+
+
+@pytest.mark.parametrize("kind", ["cross_entropy", "label_smoothing", "focal"])
+def test_train_adds_the_entropy_term_whenever_invalid_rows_are_given(sent_base, sent_split,
+                                                                       kind):
+    train_ds, val_ds = sent_split
+    invalid = Dataset(tuple(Example(f"{ex.id}__inv", ex.input, None)
+                            for ex in val_ds.examples[:10]), LABELS, "single")
+    cfg = TrainConfig(epochs=1)
+    plain = train(train_ds, LossConfig(kind), cfg, warm=sent_base)
+    entropic = train(train_ds, LossConfig(kind), cfg, warm=sent_base, invalid_ds=invalid)
+    assert not np.array_equal(plain.emb, entropic.emb)
+    assert not np.array_equal(plain.w, entropic.w)
 
 
 def test_train_zero_epochs_returns_warm_start_unchanged(sent_base, sent_split):

@@ -21,7 +21,7 @@ from saladbench.toyclf import LossConfig, ParamGrads, TrainConfig
 def grad(params, batch, cfg, invalid_batch=()):
     """Analytic gradients of the mean batch loss, plus per clean example its
     per-side input-embedding gradients (one row per token)."""
-    enc = toyclf.encode(params, list(batch) + list(invalid_batch if cfg.kind == "entropic" else ()))
+    enc = toyclf.encode(params, list(batch) + list(invalid_batch))
     grads, token_grads = toyclf._grad(params, enc, toyclf._gold(batch), cfg)
     per_side = [np.split(g, np.cumsum(lengths)[:len(batch)])[:len(batch)]
                 for g, lengths in zip(token_grads, enc.lengths)]
@@ -75,7 +75,7 @@ def _ref_supervised_dz(probs, y, cfg, temperature):
     onehot[y] = 1.0
     probs = np.clip(probs, 1e-300, 1.0)
     p_y = probs[y]
-    if cfg.kind in ("cross_entropy", "entropic"):
+    if cfg.kind == "cross_entropy":
         return (probs - onehot) / temperature
     if cfg.kind == "label_smoothing":
         q = (1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / n
@@ -127,7 +127,7 @@ def ref_grad(params, batch, cfg, invalid_batch=()):
         dz = _ref_supervised_dz(ref_forward(params, ex), ex.gold_label, cfg,
                                 params.temperature)
         token_grads.append(ref_accumulate(params, ex, dz, grads, scale))
-    if cfg.kind == "entropic" and invalid_batch:
+    if invalid_batch:
         iscale = -1.0 * cfg.lambda_ent / len(invalid_batch)  # entropy maximized
         for ex in invalid_batch:
             dh_dz = _ref_entropy_dz(ref_forward(params, ex), params.temperature)
@@ -163,7 +163,7 @@ def ref_train(ds, loss_cfg, train_cfg, warm, invalid_ds=None):
         for start in range(0, len(ds), train_cfg.batch_size):
             batch = [ds.examples[i] for i in order[start:start + train_cfg.batch_size]]
             inv_batch = []
-            if loss_cfg.kind == "entropic" and invalid:
+            if invalid:
                 for _ in range(min(len(batch), len(invalid))):
                     inv_batch.append(invalid[inv_cursor % len(invalid)])
                     inv_cursor += 1
@@ -221,8 +221,10 @@ def test_grad_equals_reference(model_and_split, kind):
     batch = list(train_ds.examples[:24])
     if params.task_kind == "pair":
         batch += _shared_word_pairs()
+    # the entropic case: cross-entropy plus the entropy term over invalid rows
     invalid = _unlabeled(val_ds.examples[:20]) if kind == "entropic" else ()
-    cfg = LossConfig(kind, lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
+    cfg = LossConfig("cross_entropy" if kind == "entropic" else kind,
+                     lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
     grads, token_grads = grad(params, batch, cfg, invalid)
     ref, ref_tokens = ref_grad(params, batch, cfg, invalid)
     for name in ("emb", "w", "b"):
@@ -324,7 +326,7 @@ def test_train_equals_reference_loop(model_and_split):
     invalid = Dataset(tuple(_unlabeled(val_ds.examples[:7])), train_ds.labels,
                       train_ds.task_kind)
     cfg = TrainConfig(epochs=2, batch_size=6, learning_rate=1.0, seed=3)
-    loss_cfg = LossConfig("entropic", lambda_ent=0.2)
+    loss_cfg = LossConfig(lambda_ent=0.2)
     out = toyclf.train(ds, loss_cfg, cfg, warm=params, invalid_ds=invalid)
     emb, w, b = ref_train(ds, loss_cfg, cfg, params, invalid)
     assert np.array_equal(out.emb, emb)
@@ -396,7 +398,7 @@ def test_train_encodes_each_example_once(task, request, monkeypatch):
     made = []
     for epochs in (1, 4):
         calls.clear()
-        toyclf.train(ds, LossConfig("entropic"), TrainConfig(epochs=epochs),
+        toyclf.train(ds, LossConfig(), TrainConfig(epochs=epochs),
                      invalid_ds=invalid)
         made.append(len(calls))
     # each side once, by the first run; the second reads the rows' tokens
