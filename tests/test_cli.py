@@ -289,6 +289,20 @@ def test_mitigate_with_no_transform_left_after_the_pbsmt_fallback_is_refused(tmp
     assert not out.exists()
 
 
+def test_mitigate_refuses_pbsmt_without_generator_data_before_training(tmp_path, capsys,
+                                                                      monkeypatch):
+    data = tmp_path / "small.tsv"   # 40 rows: too few usable pairs per label
+    data.write_text("".join(Path(SENT).read_text(encoding="utf-8").splitlines(True)[:41]),
+                    encoding="utf-8")
+    trained = []
+    monkeypatch.setattr(toyclf, "train", lambda *a, **k: trained.append(a))
+    assert run(["mitigate", "--data", str(data), "--task", "single",
+                "--labels", "negative,positive", "--transforms", "pbsmt",
+                "--out", str(tmp_path / "fo")]) == 1
+    assert "error: no applicable transforms for this configuration" in capsys.readouterr().err
+    assert trained == []
+
+
 # --- pbsmt ---
 
 def test_pbsmt_train_then_generate_and_transform(tmp_path):
@@ -346,6 +360,12 @@ def test_importing_the_package_sets_one_blas_thread_and_loads_numpy():
     assert _child_prints("import os, sys, saladbench; "
                          "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)"
                          ) == ["1", "True"]
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    # no record is built by @dataclass, so start-up generates no class code
+    assert _child_prints("import sys, saladbench.cli; print('dataclasses' in sys.modules)"
+                         ) == ["False"]
 
 
 def test_a_preset_blas_thread_count_is_kept():
