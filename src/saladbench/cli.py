@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import corpus, lexical, metrics, mitigate, pbsmt, providers, toyclf
-from .errors import ConfigError, ContractError, DataError, ProviderError, SaladBenchError
+from .errors import (ConfigError, ContractError, DataError, InsufficientDataError,
+                     ProviderError, SaladBenchError)
 
 SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
 
@@ -248,23 +249,23 @@ def cmd_mitigate(args):
     finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
                                       args.finetune_lr, args.seed, args.dim)
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
-    baseline = toyclf.train(train_ds, toyclf.LossConfig(), train_cfg)
-    baseline_acc = toyclf.accuracy(baseline, val_ds)
-    provider = providers.EmbeddedProvider(baseline)
-    vocab = list(baseline.vocab[1:])
-
-    generators = {}
     if "pbsmt" in kinds:
-        try:
-            generators = {label: pbsmt.train_generator(train_ds, label)
-                          for label in range(ds.labels.n_classes)}
-        except SaladBenchError as e:
+        try:  # before any training; the generators train after the baseline
+            for label in range(ds.labels.n_classes):
+                pbsmt.build_parallel_corpus(train_ds, label)
+        except InsufficientDataError as e:
             skipped.append(("pbsmt", f"generators unavailable: {e}"))
             kinds = tuple(k for k in kinds if k != "pbsmt")
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
     if not kinds:
         raise ConfigError("no applicable transforms for this configuration")
+    baseline = toyclf.train(train_ds, toyclf.LossConfig(), train_cfg)
+    baseline_acc = toyclf.accuracy(baseline, val_ds)
+    provider = providers.EmbeddedProvider(baseline)
+    vocab = list(baseline.vocab[1:])
+    generators = {label: pbsmt.train_generator(train_ds, label)
+                  for label in range(ds.labels.n_classes)} if "pbsmt" in kinds else {}
 
     invalid_val = {kind: list(rows.values()) for kind, rows in mitigate.invalid_by_kind(
         val_ds.examples, kinds, ds.task_kind, provider, generators, vocab,
@@ -298,7 +299,7 @@ def cmd_mitigate(args):
         baseline_accuracy=100 * baseline_acc)
     _clear_config(args.out)
     toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
-    text = json.dumps(vars(report), indent=2, sort_keys=True)
+    text = json.dumps(report._asdict(), indent=2, sort_keys=True)
     corpus.write_file(os.path.join(args.out, "report.json"), text)
     rows = [("clean_accuracy", report.clean_accuracy),
             ("invalid_detected", report.invalid_detected)] + [

@@ -1,11 +1,15 @@
 """Data model, word-level tokenization, and dataset I/O.
 
-Every compared field is immutable after construction and safe to share
-across workers; a row fills in each side's tokens on first use, and every
-writer stores the same value. The tokenizer is deliberately simple: whitespace split, leading and
-trailing punctuation detached, lowercased. Transformations operate on these
-word tokens; external models tokenize on their own side. A row tokenizes each
-side once and keeps the tokens (`TextInput.tokens`).
+Records are typing.NamedTuple or __slots__ classes, not dataclasses: building
+them at import compiles no class code beyond each NamedTuple's one-line
+`__new__`. Every compared field is immutable after construction and safe to
+share across workers. A record whose values are checked runs its
+check on every construction and every `_replace` (`checked`). A row
+tokenizes each side once, on first use, and keeps the tokens
+(`TextInput.tokens`); every writer stores the same value. The tokenizer is
+deliberately simple: whitespace split, leading and trailing punctuation
+detached, lowercased. Transformations operate on these word tokens; external
+models tokenize on their own side.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import logging
 import os
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .errors import ArgumentError, DataError
 
@@ -26,33 +30,65 @@ log = logging.getLogger(__name__)
 PUNCT_CHARS = ".,!?;:'\"()"
 
 
-@dataclass(frozen=True, slots=True)
+def checked(cls):
+    """Class decorator for a typing.NamedTuple record whose values `cls._check`
+    checks: every construction runs it, and `_make`, so `_replace` and
+    copies too, goes through the constructor."""
+    build = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        record = build(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, values: cls(*values))
+    return cls
+
+
 class TextInput:
     """One row's text. Each side is tokenized at most once, on first use of
     `tokens`, and its tokens are kept on the row; `with_side` hands a new
-    row the tokens its text was built from."""
-    text_a: str
-    text_b: Optional[str] = None
-    # tokenize() of each side, once known; never passed in, so no
-    # constructor or dataclasses.replace call can pair a text with stale tokens
-    _tokens_a: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False,
-                                                 compare=False)
-    _tokens_b: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False,
-                                                 compare=False)
+    row the tokens its text was built from. No other path takes tokens, so
+    none can pair a text with stale tokens. The texts are read-only, and
+    equality and hash depend on them only."""
+    __slots__ = ("_text_a", "_text_b", "_tokens_a", "_tokens_b")
+
+    def __init__(self, text_a: str, text_b: Optional[str] = None):
+        self._text_a, self._text_b = text_a, text_b
+        self._tokens_a = self._tokens_b = None   # tokenize() of each side, once known
+
+    text_a = property(attrgetter("_text_a"))
+    text_b = property(attrgetter("_text_b"))
+
+    def _replace(self, **texts) -> "TextInput":
+        """This row with a new `text_a` and/or `text_b`, tokenized afresh."""
+        return TextInput(**{"text_a": self._text_a, "text_b": self._text_b, **texts})
+
+    def __eq__(self, other):
+        if not isinstance(other, TextInput):
+            return NotImplemented
+        return self._text_a == other._text_a and self._text_b == other._text_b
+
+    def __hash__(self):
+        return hash((self._text_a, self._text_b))
+
+    def __repr__(self) -> str:
+        return f"TextInput(text_a={self._text_a!r}, text_b={self._text_b!r})"
 
     @property
     def is_pair(self) -> bool:
-        return self.text_b is not None
+        return self._text_b is not None
 
     def tokens(self, side: str) -> Optional[tuple[str, ...]]:
         """tokenize() of text_a (side "a") or text_b (side "b"); None for a
         row without text_b."""
         if side == "a":
             if self._tokens_a is None:
-                object.__setattr__(self, "_tokens_a", tokenize(self.text_a))
+                self._tokens_a = tokenize(self._text_a)
             return self._tokens_a
-        if self._tokens_b is None and self.text_b is not None:
-            object.__setattr__(self, "_tokens_b", tokenize(self.text_b))
+        if self._tokens_b is None and self._text_b is not None:
+            self._tokens_b = tokenize(self._text_b)
         return self._tokens_b
 
     def with_side(self, side: str, tokens: tuple[str, ...]) -> "TextInput":
@@ -63,27 +99,26 @@ class TextInput:
         from a vocabulary of them, or from a checked generator file."""
         tokens = tuple(tokens)
         if side == "a":
-            new = TextInput(detokenize(tokens), self.text_b)
+            new = TextInput(detokenize(tokens), self._text_b)
+            new._tokens_a, new._tokens_b = tokens, self.tokens("b")
         else:
-            new = TextInput(self.text_a, detokenize(tokens))
-        object.__setattr__(new, "_tokens_a", tokens if side == "a" else self.tokens("a"))
-        object.__setattr__(new, "_tokens_b", tokens if side == "b" else self.tokens("b"))
+            new = TextInput(self._text_a, detokenize(tokens))
+            new._tokens_a, new._tokens_b = self.tokens("a"), tokens
         return new
 
 
-@dataclass(frozen=True, slots=True)
-class Example:
+class Example(NamedTuple):
     id: str
     input: TextInput
     gold_label: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class LabelSet:
+@checked
+class LabelSet(NamedTuple):
     names: tuple[str, ...]
     default_label: Optional[int] = None
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.names) < 2:
             raise ArgumentError("LabelSet needs at least 2 labels")
         if len(set(self.names)) != len(self.names):
@@ -102,14 +137,15 @@ class LabelSet:
             raise DataError(f"unknown label {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Dataset:
+@checked
+class Dataset(NamedTuple):
+    """A tuple of four fields whose len() is its number of examples."""
     examples: tuple[Example, ...]
     labels: LabelSet
     task_kind: str  # "single" or "pair"
     skipped_rows: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.task_kind not in ("single", "pair"):
             raise ArgumentError(f"bad task_kind {self.task_kind!r}")
 

@@ -10,16 +10,14 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .corpus import Example, TextInput
 from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
 from .lexical import GRADIENT_KINDS, rewrite
 
 
-@dataclass(frozen=True)
-class ImportancePartition:
+class ImportancePartition(NamedTuple):
     bottom: tuple[int, ...]
     top: tuple[int, ...]
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .corpus import checked
 from .errors import ArgumentError, ConfigError, DataError
 from .lexical import GRADIENT_KINDS, LEXICAL_KINDS
 
@@ -61,32 +61,31 @@ def ece(probs: np.ndarray, gold_labels: Sequence[int], bins: int = 10) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+@checked
+class MetricsRow(NamedTuple):
     transform: str
     agreement: float
     mean_confidence: float
     n: int
     per_seed: tuple[float, ...] = ()   # shuffle agreement per seed, when applicable
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 <= self.agreement <= 100.0 and 0.0 <= self.mean_confidence <= 100.0):
             raise ArgumentError("percentages must lie in [0, 100]")
         if self.n <= 0:
             raise ArgumentError("row needs n > 0")
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     rows: tuple[MetricsRow, ...]
     random_baseline: float
-    ece: Optional[float] = None
-    family_averages: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    ece: Optional[float]
+    family_averages: dict
+    provenance: dict
 
     def to_json(self) -> str:
         return json.dumps({
-            "rows": [vars(r) | {"per_seed": list(r.per_seed)} for r in self.rows],
+            "rows": [r._asdict() | {"per_seed": list(r.per_seed)} for r in self.rows],
             "random_baseline": self.random_baseline,
             "ece": self.ece,
             "family_averages": self.family_averages,

@@ -8,12 +8,11 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Example, LabelSet, tokenize
+from .corpus import Dataset, Example, LabelSet, checked, tokenize
 from .errors import (ArgumentError, ConfigError, DegenerateInputError,
                      UnsupportedTransformError)
 from .gradient import apply_gradient
@@ -28,8 +27,8 @@ INVALID_LABEL = "invalid"
 THRESHOLD_STEP = 0.001
 
 
-@dataclass(frozen=True)
-class MitigationReport:
+@checked
+class MitigationReport(NamedTuple):
     strategy: str
     clean_accuracy: float
     invalid_detected: float
@@ -38,7 +37,7 @@ class MitigationReport:
     lambda_ent: Optional[float] = None
     baseline_accuracy: Optional[float] = None
 
-    def __post_init__(self):
+    def _check(self):
         for v in (self.clean_accuracy, self.invalid_detected,
                   *self.per_transform_detection.values()):
             if not 0.0 <= v <= 100.0:
@@ -238,7 +237,7 @@ def train_invalid_class(augmented: Dataset, train_cfg: toyclf.TrainConfig,
         # widen the head by one output column, keeping learned weights
         w = np.concatenate([warm.w, np.zeros((warm.w.shape[0], 1))], axis=1)
         b = np.concatenate([warm.b, [0.0]])
-        warm = replace(warm, w=w, b=b)
+        warm = warm._replace(w=w, b=b)
     return toyclf.train(augmented, toyclf.LossConfig(), train_cfg, warm=warm)
 
 

@@ -15,10 +15,9 @@ import math
 import os
 from bisect import insort
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .corpus import Dataset, Example, TextInput, text_lines, tokenize, write_file
+from .corpus import Dataset, Example, TextInput, checked, text_lines, tokenize, write_file
 from .errors import (ArgumentError, DataError, DegenerateInputError,
                      InsufficientDataError, UnsupportedTransformError)
 from .lexical import rewrite
@@ -31,14 +30,12 @@ BACKOFF = 0.4  # stupid-backoff factor per order backed off; at most 1, so it lo
 _RESERVED = (-math.inf, ())
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(NamedTuple):
     pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     label: int
 
 
-@dataclass
-class LexicalTable:
+class LexicalTable(NamedTuple):
     # t[src][tgt] = p(tgt | src); includes the NULL source token
     t: dict[str, dict[str, float]]
 
@@ -46,37 +43,50 @@ class LexicalTable:
         return self.t.get(src, {}).get(tgt, 0.0)
 
 
-@dataclass
 class PhraseTable:
-    # (src phrase, tgt phrase) -> (log p(t|s), log p(s|t)); phrases are tuples
-    entries: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[float, float]]
-    # src phrase -> [(tgt phrase, log p(t|s))], in `entries` order
-    by_source: dict[tuple[str, ...], list[tuple[tuple[str, ...], float]]] = \
-        field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "by_source")
 
-    def __post_init__(self):
-        self.by_source = {}
-        for (s, t), (log_ts, _) in self.entries.items():
+    def __init__(self, entries: dict[tuple[tuple[str, ...], tuple[str, ...]],
+                                     tuple[float, float]]):
+        # (src phrase, tgt phrase) -> (log p(t|s), log p(s|t)); phrases are tuples
+        self.entries = entries
+        # src phrase -> [(tgt phrase, log p(t|s))], in `entries` order
+        self.by_source: dict[tuple[str, ...], list[tuple[tuple[str, ...], float]]] = {}
+        for (s, t), (log_ts, _) in entries.items():
             self.by_source.setdefault(s, []).append((t, log_ts))
 
 
-@dataclass
 class LanguageModel:
-    order: int
-    counts: dict[tuple[str, ...], int]       # n-gram -> count, n in 1..order
-    context_totals: dict[tuple[str, ...], int]  # context -> sum of continuations
-    total_tokens: int
-    vocab: frozenset
-    # (word, context) -> word_logprob(word, context), filled by `decode`
-    memo: dict[tuple[str, tuple[str, ...]], float] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    # no word scores above 0: no count exceeds the total it is divided by
-    nonpositive: bool = field(init=False, repr=False, compare=False)
+    """Equality and repr read the counts; `memo` and `nonpositive` follow
+    from them."""
+    __slots__ = ("order", "counts", "context_totals", "total_tokens", "vocab",
+                 "memo", "nonpositive")
 
-    def __post_init__(self):
+    def __init__(self, order: int, counts: dict[tuple[str, ...], int],
+                 context_totals: dict[tuple[str, ...], int], total_tokens: int,
+                 vocab: frozenset):
+        self.order = order
+        self.counts = counts                    # n-gram -> count, n in 1..order
+        self.context_totals = context_totals    # context -> sum of continuations
+        self.total_tokens = total_tokens
+        self.vocab = vocab
+        # (word, context) -> word_logprob(word, context), filled by `decode`
+        self.memo: dict[tuple[str, tuple[str, ...]], float] = {}
+        # no word scores above 0: no count exceeds the total it is divided by
         self.nonpositive = all(
-            c <= (self.context_totals.get(g[:-1], 0) if g[1:] else self.total_tokens)
-            for g, c in self.counts.items() if c > 0)
+            c <= (context_totals.get(g[:-1], 0) if g[1:] else total_tokens)
+            for g, c in counts.items() if c > 0)
+
+    def _key(self) -> tuple:
+        return self.order, self.counts, self.context_totals, self.total_tokens, self.vocab
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, LanguageModel) \
+            else NotImplemented
+
+    def __repr__(self) -> str:
+        return "LanguageModel(order={!r}, counts={!r}, context_totals={!r}, " \
+            "total_tokens={!r}, vocab={!r})".format(*self._key())
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """Stupid backoff score (factor BACKOFF) with a 1/(V+1) unigram floor."""
@@ -94,8 +104,8 @@ class LanguageModel:
         return math.log(backoff / (len(self.vocab) + 1))
 
 
-@dataclass(frozen=True)
-class DecoderWeights:
+@checked
+class DecoderWeights(NamedTuple):
     w_tm: float = 1.0
     w_lm: float = 0.5
     w_dist: float = -0.3
@@ -103,7 +113,7 @@ class DecoderWeights:
     beam_size: int = 10
     distortion_limit: int = 3
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("w_tm", "w_lm", "w_dist", "w_len"):
             if not math.isfinite(getattr(self, name)):
                 raise ArgumentError(f"{name} must be finite, got {getattr(self, name)}")
@@ -357,15 +367,12 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     finals = list(stacks[n].values())
     if not finals:
         if w.distortion_limit > 0:
-            return decode(source, pt, lm,
-                          DecoderWeights(w.w_tm, w.w_lm, w.w_dist, w.w_len,
-                                         w.beam_size, 0))
+            return decode(source, pt, lm, w._replace(distortion_limit=0))
         raise DegenerateInputError("decoder found no complete hypothesis")
     return min(finals, key=lambda h: (-h[0], h[1]))[1]
 
 
-@dataclass
-class GeneratorModel:
+class GeneratorModel(NamedTuple):
     label: int
     phrases: PhraseTable
     lm: LanguageModel
@@ -407,7 +414,7 @@ def save_generator(model: GeneratorModel, dirpath) -> None:
     write_file(os.path.join(dirpath, "lm.tsv"), "".join(
         f"{' '.join(ngram)}\t{c}\n" for ngram, c in sorted(model.lm.counts.items())))
     write_file(os.path.join(dirpath, "weights.json"), json.dumps(
-        {"label": model.label, **asdict(model.weights), "lm_order": model.lm.order,
+        {"label": model.label, **model.weights._asdict(), "lm_order": model.lm.order,
          "lm_total_tokens": model.lm.total_tokens}, indent=2))
 
 

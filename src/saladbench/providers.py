@@ -68,6 +68,21 @@ def checked_scores(inputs: Sequence[Example], side: str, rows) -> list[tuple[flo
     return [tuple(float(s) for s in row) for row in rows]
 
 
+def checked_flat_scores(inputs: Sequence[Example], side: str, scores: np.ndarray,
+                        lengths: np.ndarray) -> list[tuple[float, ...]]:
+    """`checked_scores` of rows given as one flat array of scores and the
+    number of scores of each row: one finiteness check and one check of the
+    counts against the token counts of `side` for the whole batch. A batch
+    that fails either goes through `checked_scores`, which names the first
+    bad row."""
+    rows = toyclf.split_scores(scores, lengths)
+    tokens = [ex.input.tokens(side) for ex in inputs]
+    if None in tokens or lengths.tolist() != list(map(len, tokens)) \
+            or not np.isfinite(scores).all():
+        checked_scores(inputs, side, rows)
+    return rows
+
+
 class EmbeddedProvider:
     """Wraps a ToyModelParams; fully deterministic, supports saliency."""
 
@@ -85,7 +100,8 @@ class EmbeddedProvider:
 
     def saliency_batch(self, inputs: Sequence[Example], side: str = "a"
                        ) -> list[tuple[float, ...]]:
-        return checked_scores(inputs, side, toyclf.saliency_batch(self.params, inputs, side))
+        return checked_flat_scores(inputs, side,
+                                   *toyclf.saliency_scores(self.params, inputs, side))
 
 
 def _is_numbers(value) -> bool:

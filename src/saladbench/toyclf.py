@@ -12,15 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain, repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 # tokenize: perfbench/tracer.py counts the calls made through this name
-from .corpus import Dataset, Example, tokenize, write_file  # noqa: F401
+from .corpus import Dataset, Example, checked, tokenize, write_file  # noqa: F401
 from .errors import (ArgumentError, DegenerateInputError, TrainingError)
 
 log = logging.getLogger(__name__)
@@ -32,8 +30,8 @@ CHUNK_TOKENS = 512
 TAKE_ROWS = 256   # training rows gathered by one Encoding.take, for the steps to slice
 
 
-@dataclass(frozen=True)
-class ToyModelParams:
+@checked
+class ToyModelParams(NamedTuple):
     vocab: tuple[str, ...]            # row 0 is the UNK token
     emb: np.ndarray                   # V x d
     w: np.ndarray                     # (k*d) x N
@@ -41,7 +39,7 @@ class ToyModelParams:
     temperature: float = 1.0
     task_kind: str = "single"
 
-    def __post_init__(self):
+    def _check(self):
         if self.temperature <= 0:
             raise ArgumentError("temperature must be positive")
         k = 2 if self.task_kind == "pair" else 1
@@ -57,14 +55,14 @@ class ToyModelParams:
         return self.emb.shape[1]
 
 
-@dataclass(frozen=True)
-class LossConfig:
+@checked
+class LossConfig(NamedTuple):
     kind: str = "cross_entropy"       # cross_entropy | label_smoothing | focal
     lambda_ls: float = 0.1
     gamma: float = 2.0
     lambda_ent: float = 0.1           # weight of train's entropy term on invalid rows
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ("cross_entropy", "label_smoothing", "focal"):
             raise ArgumentError(f"unknown loss kind {self.kind!r}")
         if not 0.0 <= self.lambda_ls < 1.0:
@@ -75,15 +73,15 @@ class LossConfig:
             raise ArgumentError("lambda_ent must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@checked
+class TrainConfig(NamedTuple):
     epochs: int = 3
     batch_size: int = 16
     learning_rate: float = 5.0
     seed: int = 0
     dim: int = 32
 
-    def __post_init__(self):
+    def _check(self):
         if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0 or self.dim < 1:
             raise ArgumentError("TrainConfig values must be positive")
 
@@ -103,18 +101,21 @@ def init_params(vocab: Sequence[str], dim: int, n_classes: int,
     return ToyModelParams(tuple(vocab), emb, w, b, 1.0, task_kind)
 
 
-@dataclass(frozen=True)
 class Encoding:
     """Examples as token ids: per model side (text_a, then text_b on pair
     models) one flat array, example by example."""
-    ids: tuple[np.ndarray, ...]       # per side: vocab row of each token
-    lengths: tuple[np.ndarray, ...]   # per side: tokens per example
-    starts: tuple[np.ndarray, ...]    # per side: each example's first token
+    __slots__ = ("ids", "lengths", "starts")
+
+    def __init__(self, ids: tuple[np.ndarray, ...], lengths: tuple[np.ndarray, ...],
+                 starts: tuple[np.ndarray, ...]):
+        self.ids = ids            # per side: vocab row of each token
+        self.lengths = lengths    # per side: tokens per example
+        self.starts = starts      # per side: each example's first token
 
     def __len__(self) -> int:
         return len(self.lengths[0])
 
-    @cached_property
+    @property
     def owner(self) -> tuple[np.ndarray, ...]:   # per side: each token's example
         return tuple(np.repeat(np.arange(len(n)), n) for n in self.lengths)
 
@@ -231,11 +232,11 @@ def _entropy_dz(probs: np.ndarray, temperature: float) -> np.ndarray:
     return probs * ((probs * logp).sum(axis=1, keepdims=True) - logp) / temperature
 
 
-@dataclass
 class ParamGrads:
-    emb: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
+    __slots__ = ("emb", "w", "b")
+
+    def __init__(self, emb: np.ndarray, w: np.ndarray, b: np.ndarray):
+        self.emb, self.w, self.b = emb, w, b
 
 
 def _example_grads(params: ToyModelParams, enc: Encoding, dz: np.ndarray) -> list[np.ndarray]:
@@ -274,11 +275,12 @@ def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
     return ParamGrads(emb, np.add.reduce(w).T, np.add.reduce(scale * dz)), token_grads
 
 
-def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
-                   side: str = "a") -> list[tuple[float, ...]]:
+def saliency_scores(params: ToyModelParams, examples: Sequence[Example],
+                    side: str = "a") -> tuple[np.ndarray, np.ndarray]:
     """Token scores t_i . dL/dt_i for the cross-entropy loss on one side,
     taken at the gold label, or at the model's prediction for an unlabeled
-    example."""
+    example: every example's scores in one flat array, example by example,
+    and the number of scores of each example."""
     enc = encode(params, examples)
     probs = _softmax(_logits(params, enc)[1] / params.temperature)
     labels = [ex.gold_label if ex.gold_label is not None else int(np.argmax(p))
@@ -291,7 +293,22 @@ def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
     for i in range(0, len(ids), CHUNK_TOKENS):
         chunk = slice(i, i + CHUNK_TOKENS)
         scores[chunk] = (params.emb[ids[chunk]][:, None, :] @ g[owner[chunk], :, None])[:, 0, 0]
-    return [tuple(part.tolist()) for part in np.split(scores, np.cumsum(enc.lengths[s]))[:-1]]
+    return scores, enc.lengths[s]
+
+
+def split_scores(scores: np.ndarray, lengths: np.ndarray) -> list[tuple[float, ...]]:
+    """A flat score array as one tuple per example of `lengths[i]` scores."""
+    flat, rows, at = scores.tolist(), [], 0
+    for n in lengths.tolist():
+        rows.append(tuple(flat[at:at + n]))
+        at += n
+    return rows
+
+
+def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
+                   side: str = "a") -> list[tuple[float, ...]]:
+    """saliency_scores as one tuple of scores per example."""
+    return split_scores(*saliency_scores(params, examples, side))
 
 
 def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
@@ -308,8 +325,8 @@ def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
         build_vocab(ds), train_cfg.dim, ds.labels.n_classes, ds.task_kind, train_cfg.seed)
     v, k = params.emb.size, params.w.size
     theta = np.concatenate([params.emb.ravel(), params.w.ravel(), params.b])   # steps update it
-    params = replace(params, emb=theta[:v].reshape(params.emb.shape),          # views of theta
-                     w=theta[v:v + k].reshape(params.w.shape), b=theta[v + k:])
+    params = params._replace(emb=theta[:v].reshape(params.emb.shape),          # views of theta
+                             w=theta[v:v + k].reshape(params.w.shape), b=theta[v + k:])
     rng = np.random.default_rng(train_cfg.seed)
     invalid = invalid_ds.examples if invalid_ds else ()
     gold = _gold(ds.examples)
@@ -374,7 +391,7 @@ def fit_temperature(params: ToyModelParams, calibration: Dataset,
 
 
 def with_temperature(params: ToyModelParams, t: float) -> ToyModelParams:
-    return replace(params, temperature=t)
+    return params._replace(temperature=t)
 
 
 def save_params(params: ToyModelParams, path, meta: Optional[dict] = None) -> None:

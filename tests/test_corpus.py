@@ -1,6 +1,5 @@
 """Tokenization, dataset I/O, and splitting."""
 
-import dataclasses
 import json
 import sys
 
@@ -98,7 +97,7 @@ def test_text_input_tokens_are_each_sides_tokenize():
 def test_text_input_replace_never_keeps_stale_tokens():
     inp = TextInput("good film", "bad plot")
     inp.tokens("a"), inp.tokens("b")
-    again = dataclasses.replace(inp, text_a="Awful acting!")
+    again = inp._replace(text_a="Awful acting!")
     assert again.tokens("a") == ("awful", "acting", "!")
     assert again.tokens("b") == ("bad", "plot")
 

@@ -2,7 +2,6 @@
 construction, and every validated record refuses a bad value through its
 constructor and through its replace path."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +15,6 @@ from saladbench.pbsmt import DecoderWeights
 from saladbench.toyclf import LossConfig, ToyModelParams, TrainConfig
 
 LABELS = LabelSet(("negative", "positive"))
-
-
-def replace(record, **changes):
-    """The record's replace path."""
-    return dataclasses.replace(record, **changes)
 
 
 @pytest.mark.parametrize("record, names", [
@@ -83,4 +77,4 @@ def test_validated_records_refuse_a_bad_value_when_built_and_when_replaced(cls, 
     with pytest.raises(ArgumentError):
         cls(**{**VALID[cls], field: bad})
     with pytest.raises(ArgumentError):
-        replace(good, **{field: bad})
+        good._replace(**{field: bad})
