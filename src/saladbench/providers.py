@@ -4,7 +4,8 @@ All providers share one contract: `predict_batch` returns an (n, C) array
 of probabilities, one renormalized row per input in request order
 (`checked_probs`), and `saliency_batch(inputs, side)` (when supported)
 returns one tuple of finite scores per input, one score per token of
-`side` ("a" scores text_a, "b" scores text_b; `checked_scores`).
+`side` ("a" scores text_a, "b" scores text_b; `checked_scores`, or
+`checked_flat_scores` for the embedded model's scores of a whole batch).
 """
 
 from __future__ import annotations
