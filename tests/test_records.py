@@ -1,12 +1,16 @@
 """The records that carry rows and settings: rows cannot be changed after
-construction, and every validated record refuses a bad value through its
-constructor and through its replace path."""
+construction, every validated record refuses a bad value through its
+constructor and through its replace path, and the files written from records
+keep their bytes."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from saladbench import cli, corpus, pbsmt, toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput
 from saladbench.errors import ArgumentError
 from saladbench.metrics import MetricsRow
@@ -78,3 +82,26 @@ def test_validated_records_refuse_a_bad_value_when_built_and_when_replaced(cls, 
         cls(**{**VALID[cls], field: bad})
     with pytest.raises(ArgumentError):
         good._replace(**{field: bad})
+
+
+RAW_EXPECTED = "589c62af4fdb3473c6bc5b9a7e914487384e346a747bf8b43e1ba77e520990e8"
+
+
+def test_evaluate_reports_and_generator_weights_keep_their_bytes(
+        pair_base, pair_gens, pair_split, tmp_path, monkeypatch):
+    """report.json, report.csv and weights.json byte for byte, paths made
+    relative so that none of them names the test's directory."""
+    monkeypatch.chdir(tmp_path)
+    _, val_ds = pair_split
+    toyclf.save_params(pair_base, "params.bin")
+    corpus.save_dataset(val_ds, "val.tsv")
+    for label, gen in pair_gens.items():
+        pbsmt.save_generator(gen, f"gens/label_{label}")
+    assert cli.main(["evaluate", "--data", "val.tsv", "--task", "pair", "--labels", "no,yes",
+                     "--default-label", "yes", "--transforms", "all", "--model", "params.bin",
+                     "--pbsmt-dir", "gens", "--out", "eval"]) == 0
+    h = hashlib.sha256()
+    for path in ("eval/report.json", "eval/report.csv",
+                 *sorted(str(p) for p in Path("gens").glob("*/weights.json"))):
+        h.update(path.encode() + b"\n" + Path(path).read_bytes())
+    assert h.hexdigest() == RAW_EXPECTED
