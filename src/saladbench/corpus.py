@@ -3,13 +3,13 @@
 Records are typing.NamedTuple or __slots__ classes, not dataclasses: building
 them at import compiles no class code beyond each NamedTuple's one-line
 `__new__`. Every compared field is immutable after construction and safe to
-share across workers. A record whose values are checked runs its
-check on every construction and every `_replace` (`checked`). A row
-tokenizes each side once, on first use, and keeps the tokens
-(`TextInput.tokens`); every writer stores the same value. The tokenizer is
-deliberately simple: whitespace split, leading and trailing punctuation
-detached, lowercased. Transformations operate on these word tokens; external
-models tokenize on their own side.
+share across workers. A record whose values are checked runs its check on
+every construction and every `_replace` (`checked`). A row tokenizes each
+side once, on first use, and keeps the tokens (`TextInput.tokens`); every
+writer stores the same value. The tokenizer is deliberately simple:
+whitespace split, leading and trailing punctuation detached, lowercased.
+Transformations operate on these word tokens; external models tokenize on
+their own side.
 """
 
 from __future__ import annotations
