@@ -239,6 +239,8 @@ def cmd_mitigate(args):
         raise ConfigError(f"--augment-fraction must be in (0, 1], got {args.augment_fraction}")
     if not args.tolerance >= 0.0:
         raise ConfigError(f"--tolerance must be at least 0, got {args.tolerance}")
+    if not args.lambda_ent >= 0.0:
+        raise ConfigError(f"--lambda-ent must be at least 0, got {args.lambda_ent}")
     ds = _load(args)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
     if not kinds:
@@ -387,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="invalid-class",
                    choices=["threshold", "entropic-threshold", "invalid-class"])
     p.add_argument("--transforms", default="all")
-    p.add_argument("--lambda-ent", action=_Finite, default=0.1)
+    p.add_argument("--lambda-ent", action=_Finite, default=0.1,
+                   help="weight (at least 0) of the entropy term on invalid rows; "
+                        "checked under every strategy, used by entropic-threshold")
     p.add_argument("--augment-fraction", action=_Finite, default=0.5,
                    help="share of training rows in (0, 1] made invalid for the "
                         "fine-tune; checked under every strategy, unused by threshold")

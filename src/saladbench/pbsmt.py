@@ -13,9 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from bisect import insort
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .corpus import Dataset, Example, TextInput, checked, text_lines, tokenize, write_file
 from .errors import (ArgumentError, DataError, DegenerateInputError,
@@ -90,7 +93,7 @@ class LanguageModel:
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """Stupid backoff score (factor BACKOFF) with a 1/(V+1) unigram floor."""
-        context = context[-(self.order - 1):]
+        context = context[-(self.order - 1):] if self.order > 1 else ()
         backoff = 1.0
         for n in range(len(context), 0, -1):
             ctx = context[len(context) - n:]
@@ -144,7 +147,13 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
 
 def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
     """IBM Model 1 EM with a NULL source token and uniform initialization, over
-    one integer cell per co-occurring (source, target) word pair."""
+    one integer cell per co-occurring (source, target) word pair.
+
+    Each target word of each pair is one row of the cells of NULL + source,
+    padded with a spare cell that holds 0.0. A row's denominator is its
+    `cumsum`, which adds left to right as `sum` does, and `bincount` adds the
+    counts and totals in row order, so every float is what a loop over the
+    rows would give."""
     if not corpus.pairs:
         raise ArgumentError("empty parallel corpus")
     if iterations < 1:
@@ -153,24 +162,31 @@ def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
     src_vocab = {NULL} | {w for src, _ in corpus.pairs for w in src}
     cell_of: dict[tuple[str, str], int] = {}  # in order of first co-occurrence
     src_index: dict[str, int] = {}
-    rows = []  # per target word of each pair: (cell, source index) of NULL + source
+    width = 1 + max(len(src) for src, _ in corpus.pairs)
+    rows = []  # per target word of each pair: the cells of NULL + source, then -1s
     for src, tgt in corpus.pairs:
-        srcs = [(s, src_index.setdefault(s, len(src_index))) for s in (NULL,) + src]
+        srcs = (NULL,) + src
+        for s in srcs:
+            src_index.setdefault(s, len(src_index))
+        pad = [-1] * (width - len(srcs))
         for t_word in tgt:
-            rows.append([(cell_of.setdefault((s, t_word), len(cell_of)), o) for s, o in srcs])
-    owner = [src_index[s] for s, _ in cell_of]
+            rows.append([cell_of.setdefault((s, t_word), len(cell_of)) for s in srcs] + pad)
+    spare = len(cell_of)
+    cells = np.array(rows)
+    cells[cells < 0] = spare
+    owner = np.array([src_index[s] for s, _ in cell_of])  # each cell's source index
+    flat = cells.ravel()
+    owners = np.append(owner, len(src_index))[flat]       # a pad's goes to a spare total
 
-    probs = [uniform] * len(owner)
+    probs = np.full(spare + 1, uniform)
+    probs[spare] = 0.0
     for _ in range(iterations):
-        count = [0.0] * len(owner)
-        total = [0.0] * len(src_index)
-        for row in rows:
-            denom = sum([probs[c] for c, _ in row])
-            for c, o in row:
-                frac = probs[c] / denom
-                count[c] += frac
-                total[o] += frac
-        probs = [c / total[o] for c, o in zip(count, owner)]
+        p = probs[cells]
+        frac = (p / np.cumsum(p, axis=1)[:, -1:]).ravel()
+        count = np.bincount(flat, frac, spare + 1)
+        total = np.bincount(owners, frac, len(src_index) + 1)
+        probs[:spare] = count[:spare] / total[owner]
+    probs = probs.tolist()
     t: dict[str, dict[str, float]] = {s: {} for s in src_vocab}
     for (s, t_word), c in cell_of.items():
         t[s][t_word] = probs[c]
@@ -225,19 +241,18 @@ def extract_phrases(pair: tuple[Sequence[str], Sequence[str]],
 
 
 def build_phrase_table(corpus: ParallelCorpus, table: LexicalTable) -> PhraseTable:
+    """Relative frequencies of the extracted phrase pairs in both directions,
+    in order of first extraction."""
     pair_counts: Counter = Counter()
+    for pair in corpus.pairs:
+        pair_counts.update(extract_phrases(pair, align(pair, table)))
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
-    for pair in corpus.pairs:
-        a = align(pair, table)
-        for s, t in extract_phrases(pair, a):
-            pair_counts[(s, t)] += 1
-            src_counts[s] += 1
-            tgt_counts[t] += 1
-    entries = {}
     for (s, t), c in pair_counts.items():
-        entries[(s, t)] = (math.log(c / src_counts[s]), math.log(c / tgt_counts[t]))
-    return PhraseTable(entries)
+        src_counts[s] += c
+        tgt_counts[t] += c
+    return PhraseTable({(s, t): (math.log(c / src_counts[s]), math.log(c / tgt_counts[t]))
+                        for (s, t), c in pair_counts.items()})
 
 
 def train_lm(targets: Sequence[Sequence[str]], order: int = 3) -> LanguageModel:
@@ -303,15 +318,18 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
     if not src:
         raise DegenerateInputError("cannot decode an empty source")
     n = len(src)
-    limit, w_lm, beam = w.distortion_limit, w.w_lm, w.beam_size
-    keep = -(lm.order - 1)
-    memo = lm.memo
-    # (start, end, coverage mask, [(tgt, w_tm term, w_len term)]) per span
+    limit, w_lm, w_dist, beam = w.distortion_limit, w.w_lm, w.w_dist, w.beam_size
+    # a context is the last order - 1 words: seq[keep:]; from -0 it would keep all
+    keep = 1 - lm.order if lm.order > 1 else sys.maxsize
+    memo, lookup, word_logprob = lm.memo, lm.memo.get, lm.word_logprob
+    # (start, end, coverage mask, [(tgt, w_tm term, w_len term, tail)]) per span;
+    # tail is the context after tgt when tgt alone fills it, else None
     spans = [(i, j, ((1 << (j - i)) - 1) << i,
-              [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
+              [(tgt, w.w_tm * log_ts, w.w_len * len(tgt),
+                tgt[keep:] if len(tgt) >= lm.order - 1 else None) for tgt, log_ts in opts])
              for (i, j), opts in _phrase_options(src, pt).items()]
     skip = lm.nonpositive and w_lm >= 0 and \
-        all(math.isfinite(tm + length) for *_, opts in spans for _, tm, length in opts)
+        all(math.isfinite(tm + length) for *_, opts in spans for _, tm, length, _ in opts)
     bos = (BOS,) * (lm.order - 1)
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, bos)] = (0.0, (), 0, 0, bos)
@@ -332,20 +350,21 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
                 # the first uncovered word is the lowest zero bit, (x + 1) & ~x
                 if j - (((new_cov + 1) & ~new_cov).bit_length() - 1) > limit:
                     continue
-                dist = w.w_dist * jump
+                dist = w_dist * jump
                 target = covered + (j - i)
                 stack = stacks[target]
-                for tgt, tm, length in opts:
+                for tgt, tm, length, tail in opts:
                     if skip and score + tm + dist + length < floors[target]:
                         if target < n:
-                            stack.setdefault((new_cov, j, (context + tgt)[keep:]), _RESERVED)
+                            stack.setdefault((new_cov, j, (context + tgt)[keep:]
+                                              if tail is None else tail), _RESERVED)
                         continue
                     lm_inc = 0.0
                     ctx = context
                     for word in tgt:
-                        logprob = memo.get((word, ctx))
+                        logprob = lookup((word, ctx))
                         if logprob is None:
-                            logprob = memo[(word, ctx)] = lm.word_logprob(word, ctx)
+                            logprob = memo[(word, ctx)] = word_logprob(word, ctx)
                         lm_inc += logprob
                         ctx = (ctx + (word,))[keep:]
                     new_score = score + tm + w_lm * lm_inc + dist + length

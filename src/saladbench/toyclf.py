@@ -28,6 +28,7 @@ UNK = "<unk>"
 # padded to their longest row L, have B x L <= CHUNK_TOKENS unless one row is longer.
 CHUNK_TOKENS = 512
 TAKE_ROWS = 256   # training rows gathered by one Encoding.take, for the steps to slice
+GRID_CELLS = 4096  # logit cells fit_temperature rescales at a time
 
 
 @checked
@@ -198,8 +199,8 @@ def _logits(params: ToyModelParams, enc: Encoding) -> tuple[np.ndarray, np.ndarr
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def probabilities(params: ToyModelParams, examples: Sequence[Example]) -> np.ndarray:
@@ -280,14 +281,18 @@ def saliency_scores(params: ToyModelParams, examples: Sequence[Example],
     """Token scores t_i . dL/dt_i for the cross-entropy loss on one side,
     taken at the gold label, or at the model's prediction for an unlabeled
     example: every example's scores in one flat array, example by example,
-    and the number of scores of each example."""
+    and the number of scores of each example. A side the model does not read
+    is an ArgumentError."""
+    sides = ("a", "b") if params.task_kind == "pair" else ("a",)
+    if side not in sides:
+        raise ArgumentError(f"a {params.task_kind} model has no side {side!r}")
+    s = sides.index(side)
     enc = encode(params, examples)
     probs = _softmax(_logits(params, enc)[1] / params.temperature)
     labels = [ex.gold_label if ex.gold_label is not None else int(np.argmax(p))
               for ex, p in zip(examples, probs)]
     dz = _supervised_dz(probs, np.array(labels, dtype=int), LossConfig("cross_entropy"),
                         params.temperature)
-    s = 0 if side == "a" or params.task_kind == "single" else 1
     g, ids, owner = _example_grads(params, enc, dz)[s], enc.ids[s], enc.owner[s]
     scores = np.empty(len(ids))
     for i in range(0, len(ids), CHUNK_TOKENS):
@@ -362,10 +367,16 @@ def accuracy(params: ToyModelParams, ds: Dataset) -> float:
     return int(np.count_nonzero(predicted == _gold(ds.examples))) / len(ds)
 
 
-def _nll(logits: np.ndarray, gold: np.ndarray, temperature: float) -> float:
-    # summed in order: np.sum adds pairwise, which rounds differently
-    p = _softmax(logits / temperature)[np.arange(len(gold)), gold]
-    return -float(np.cumsum(np.log(np.maximum(p, 1e-300)))[-1]) / len(gold)
+def _nlls(logits: np.ndarray, gold: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """Mean NLL of the gold labels at each temperature, GRID_CELLS logit cells
+    at a time. Each is summed left to right with cumsum: np.sum adds
+    pairwise, which rounds differently."""
+    rows, nlls = np.arange(len(gold)), np.empty(len(temperatures))
+    step = max(GRID_CELLS // logits.size, 1)
+    for first in range(0, len(temperatures), step):
+        p = _softmax(logits / temperatures[first:first + step, None, None])[:, rows, gold]
+        nlls[first:first + step] = -np.cumsum(np.log(np.maximum(p, 1e-300)), axis=1)[:, -1]
+    return nlls / len(gold)
 
 
 def fit_temperature(params: ToyModelParams, calibration: Dataset,
@@ -376,13 +387,11 @@ def fit_temperature(params: ToyModelParams, calibration: Dataset,
     if len(calibration) == 0:
         raise ArgumentError("empty calibration set")
     logits = _logits(params, encode(params, calibration.examples))[1]
-    gold = _gold(calibration.examples)
     grid = np.arange(round(lo / step), round(hi / step) + 1) * step
     best_t, best_nll = None, np.inf
-    for t in grid:
-        val = _nll(logits, gold, float(t))
+    for t, val in zip(grid.tolist(), _nlls(logits, _gold(calibration.examples), grid).tolist()):
         if val < best_nll - 1e-12:
-            best_t, best_nll = float(t), val
+            best_t, best_nll = t, val
     if best_t in (grid[0], grid[-1]):
         log.warning("fitted temperature T = %.2f sits on the %s bound of the "
                     "grid [%.2f, %.2f]; the NLL minimum may lie outside it",

@@ -198,6 +198,21 @@ def test_augment_fraction_is_refused_before_any_training(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["invalid-class", "threshold", "entropic-threshold"])
+def test_a_negative_lambda_ent_is_refused_before_any_training(tmp_path, capsys, monkeypatch,
+                                                             strategy):
+    trained = []
+    train = toyclf.train
+    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
+    out = tmp_path / "fo"
+    assert run(["mitigate", *SENT_ARGS, "--strategy", strategy, "--transforms", "sort",
+                "--lambda-ent", "-1", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --lambda-ent "), lines
+    assert trained == []
+    assert not out.exists()
+
+
 # (case, argv with the dataset flags left out, a word the error line names)
 BAD_FLOATS = [
     ("tolerance-nan", ["mitigate", "--strategy", "threshold", "--transforms", "sort",

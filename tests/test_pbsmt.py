@@ -255,6 +255,24 @@ def test_lm_sequence_logprob_is_sum_of_word_logprobs():
     assert abs(sequence_logprob(lm, seq) - total) < 1e-12
 
 
+def test_an_order_1_lm_scores_a_word_alike_in_every_context():
+    # the context of an order-1 model is empty, however many words precede
+    lm = train_lm([("x", "y"), ("y",)], order=1)
+    for context in ((), ("x",), ("x", "y")):
+        assert lm.word_logprob("y", context) == math.log(2 / 3), context
+
+
+def test_decoder_keeps_no_context_for_an_order_1_lm():
+    pt = PhraseTable({(("a",), ("x", "y")): (0.0, 0.0),
+                      (("b",), ("y",)): (math.log(0.5), 0.0),
+                      (("a", "b"), ("y", "y", "x")): (math.log(0.25), 0.0)})
+    lm = train_lm([("x", "y"), ("y",)], order=1)
+    w = DecoderWeights()
+    out = decode(("a", "b", "a", "b"), pt, lm, w)
+    assert lm.memo and all(context == () for _, context in lm.memo)
+    assert out == reference_decode(("a", "b", "a", "b"), pt, lm, w)
+
+
 def test_lm_rejects_empty_targets():
     with pytest.raises(ArgumentError):
         train_lm([])
@@ -632,6 +650,20 @@ def reference_train_model1(corpus, iterations=10):
     return LexicalTable({s: dict(d) for s, d in t.items()})
 
 
+def reference_build_phrase_table(corpus, table):
+    """Pair, source and target counts kept side by side, one increment each
+    per extracted phrase pair."""
+    from collections import Counter
+    pair_counts, src_counts, tgt_counts = Counter(), Counter(), Counter()
+    for pair in corpus.pairs:
+        for s, t in extract_phrases(pair, align(pair, table)):
+            pair_counts[(s, t)] += 1
+            src_counts[s] += 1
+            tgt_counts[t] += 1
+    return PhraseTable({(s, t): (math.log(c / src_counts[s]), math.log(c / tgt_counts[t]))
+                        for (s, t), c in pair_counts.items()})
+
+
 def reference_extract_phrases(pair, alignment):
     """Every source span against every target span, each checked against
     every link."""
@@ -660,7 +692,7 @@ def reference_decode(source, pt, lm, w):
     """The stack decoder scoring every candidate with the language model."""
     src = tuple(source)
     n = len(src)
-    keep = -(lm.order - 1)
+    keep = -(lm.order - 1) if lm.order > 1 else 1  # one word, then an empty context
     spans = [(i, j, ((1 << (j - i)) - 1) << i,
               [(tgt, w.w_tm * log_ts, w.w_len * len(tgt)) for tgt, log_ts in opts])
              for (i, j), opts in pbsmt._phrase_options(src, pt).items()]
@@ -811,7 +843,8 @@ def test_decoder_matches_the_reference_on_the_bundled_generators(
                for ex in sent_ds.examples[::4]]
     sources += [(pair_gens[ex.gold_label], tokenize(ex.input.text_a))
                 for ex in pair_split[1].examples[::4]]
-    for setting in DECODER_SETTINGS.values():
+    wide = [{"beam_size": 3, "distortion_limit": 1}, {"beam_size": 20, "distortion_limit": 5}]
+    for setting in [*DECODER_SETTINGS.values(), *wide]:
         w = DecoderWeights(**setting)
         for model, src in sources:
             assert decode(src, model.phrases, model.lm, w) == \
@@ -830,6 +863,30 @@ def test_model1_matches_the_reference_bit_for_bit(corpus_name, sent_ds, pair_ds)
         for iterations in (1, 2, 10):
             assert _bits(train_model1(corpus, iterations)) == \
                 _bits(reference_train_model1(corpus, iterations))
+
+
+def random_corpus(rng, n_pairs):
+    """Pairs over a few words, so words repeat within and across pairs, and
+    some pairs repeat whole."""
+    pairs = []
+    for _ in range(n_pairs):
+        if pairs and rng.random() < 0.2:
+            pairs.append(rng.choice(pairs))
+            continue
+        src = tuple(rng.choice(SRC_WORDS) for _ in range(rng.randint(1, 6)))
+        tgt = tuple(rng.choice(TGT_WORDS + ("v",)) for _ in range(rng.randint(1, 6)))
+        pairs.append((src, tgt))
+    return ParallelCorpus(tuple(pairs), 0)
+
+
+def test_model1_matches_the_reference_on_random_corpora():
+    import random
+    rng = random.Random(21)
+    for case in range(60):
+        corpus = random_corpus(rng, rng.randint(1, 30))
+        for iterations in (1, 2, 10):
+            assert _bits(train_model1(corpus, iterations)) == \
+                _bits(reference_train_model1(corpus, iterations)), (case, iterations)
 
 
 def test_model1_matches_the_reference_on_repeated_and_unaligned_words():
@@ -862,3 +919,28 @@ def test_extract_phrases_matches_the_reference_on_bundled_alignments(
         for pair in corpus.pairs:
             links = align(pair, table)
             assert extract_phrases(pair, links) == reference_extract_phrases(pair, links)
+
+
+def _phrase_bits(pt):
+    return [(pair, lts.hex(), lst.hex()) for pair, (lts, lst) in pt.entries.items()], \
+        list(pt.by_source.items())
+
+
+@pytest.mark.parametrize("corpus_name", ["sent", "pair"])
+def test_build_phrase_table_matches_the_reference_in_order(corpus_name, sent_ds, pair_ds):
+    ds = sent_ds if corpus_name == "sent" else pair_ds
+    for label in range(ds.labels.n_classes):
+        corpus = build_parallel_corpus(ds, label)
+        table = train_model1(corpus)
+        assert _phrase_bits(build_phrase_table(corpus, table)) == \
+            _phrase_bits(reference_build_phrase_table(corpus, table))
+
+
+def test_build_phrase_table_matches_the_reference_on_random_corpora():
+    import random
+    rng = random.Random(22)
+    for case in range(60):
+        corpus = random_corpus(rng, rng.randint(1, 30))
+        table = train_model1(corpus, rng.choice((1, 3)))
+        assert _phrase_bits(build_phrase_table(corpus, table)) == \
+            _phrase_bits(reference_build_phrase_table(corpus, table)), case

@@ -16,7 +16,7 @@ from saladbench.toyclf import (LossConfig, ToyModelParams, TrainConfig,
                                init_params, load_params, probabilities,
                                saliency_batch, save_params, train, with_temperature)
 
-from test_toyclf_batched import grad, nll, ref_saliency
+from test_toyclf_batched import grad, nll, ref_saliency, reference_nll
 
 LABELS = LabelSet(("negative", "positive"))
 
@@ -287,6 +287,16 @@ def test_saliency_side_selects_pair_side():
     assert len(saliency_batch(params, [ex], side="b")[0]) == 2
 
 
+def test_saliency_refuses_a_side_the_model_lacks():
+    rng = np.random.default_rng(5)
+    single = random_model(rng)
+    with pytest.raises(ArgumentError, match="'b'"):
+        saliency_batch(single, [Example("e", TextInput("w1 w2"), 0)], side="b")
+    pair = random_model(rng, task_kind="pair")
+    with pytest.raises(ArgumentError, match="'x'"):
+        saliency_batch(pair, [Example("e", TextInput("w1 w2", "w3"), 0)], side="x")
+
+
 def test_saliency_matches_finite_difference_dot_product():
     """score_i == t_i . dL/dt_i, checked by bumping one token's embedding."""
     rng = np.random.default_rng(6)
@@ -438,6 +448,76 @@ def test_fit_temperature_warns_when_t_sits_on_a_grid_bound(sent_base, sent_split
     assert "T = 0.25" in messages[0] and "lower bound" in messages[0]
     assert "T = 1.00" in messages[1] and "upper bound" in messages[1]
     assert 1.0 < interior < 5.0
+
+
+def reference_grid(params, ds, lo=0.25, hi=5.0, step=0.01):
+    """(grid, NLL at each grid point) with one NLL computed at a time."""
+    logits = toyclf._logits(params, toyclf.encode(params, ds.examples))[1]
+    gold = toyclf._gold(ds.examples)
+    grid = np.arange(round(lo / step), round(hi / step) + 1) * step
+    return grid, [reference_nll(logits, gold, float(t)) for t in grid]
+
+
+def reference_fit_temperature(params, ds, **grid_args):
+    best_t, best_nll = None, np.inf
+    for t, val in zip(*reference_grid(params, ds, **grid_args)):
+        if val < best_nll - 1e-12:
+            best_t, best_nll = float(t), val
+    return round(best_t, 10)
+
+
+def calibration_sets(sent_base, sent_split, pair_base, pair_split):
+    """(model, calibration set): the bundled splits, one with a tenth of its
+    labels flipped, and random models over sets of up to thousands of logits,
+    labelled at random (an optimum at the upper grid edge) or by the model's
+    own argmax (one at the lower edge)."""
+    noisy = Dataset(tuple(Example(ex.id, ex.input, 1 - ex.gold_label if i % 10 == 0
+                                  else ex.gold_label)
+                          for i, ex in enumerate(sent_split[1].examples)),
+                    sent_split[1].labels, "single")
+    sets = [(sent_base, sent_split[1]), (pair_base, pair_split[1]),
+            (sent_base, sent_split[0]), (sent_base, noisy)]
+    rng = np.random.default_rng(23)
+    for task_kind, n_classes, size in (("single", 3, 1500), ("pair", 2, 700),
+                                       ("single", 5, 40)):
+        params = random_model(rng, task_kind, n_classes)
+        rows = [random_example(rng, params, f"e{i}") for i in range(size)]
+        sets.append((params, Dataset(tuple(rows), LabelSet(tuple(map(str, range(n_classes)))),
+                                     task_kind)))
+        own = probabilities(params, rows).argmax(axis=1)
+        sets.append((params, Dataset(tuple(Example(ex.id, ex.input, int(y))
+                                           for ex, y in zip(rows, own)),
+                                     sets[-1][1].labels, task_kind)))
+    return sets
+
+
+def test_fit_temperature_matches_a_scan_of_per_point_nlls(sent_base, sent_split, pair_base,
+                                                          pair_split, caplog):
+    fits = []
+    for params, ds in calibration_sets(sent_base, sent_split, pair_base, pair_split):
+        expected = reference_fit_temperature(params, ds)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="saladbench.toyclf"):
+            assert fit_temperature(params, ds) == expected, ds.examples[0].id
+        on_edge = expected in (0.25, 5.0)
+        assert len(caplog.records) == on_edge, expected
+        fits.append(expected)
+    assert 0.25 in fits and 5.0 in fits and any(0.25 < t < 5.0 for t in fits), fits
+    params, ds = calibration_sets(sent_base, sent_split, pair_base, pair_split)[4]
+    assert fit_temperature(params, ds, lo=0.5, hi=2.0, step=0.05) == \
+        reference_fit_temperature(params, ds, lo=0.5, hi=2.0, step=0.05)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 4096, 10**9])
+def test_grid_nlls_equal_per_point_nlls_bit_for_bit(sent_base, sent_split, pair_base,
+                                                    pair_split, cells, monkeypatch):
+    # blocks of GRID_CELLS logit cells: one grid point, a part of a set, the default, all
+    monkeypatch.setattr(toyclf, "GRID_CELLS", cells)
+    for params, ds in calibration_sets(sent_base, sent_split, pair_base, pair_split):
+        grid, expected = reference_grid(params, ds)
+        logits = toyclf._logits(params, toyclf.encode(params, ds.examples))[1]
+        got = toyclf._nlls(logits, toyclf._gold(ds.examples), grid).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_fit_temperature_empty_calibration_set(sent_base):

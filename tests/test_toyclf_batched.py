@@ -28,10 +28,16 @@ def grad(params, batch, cfg, invalid_batch=()):
     return grads, [list(sides) for sides in zip(*per_side)]
 
 
+def reference_nll(logits, gold, temperature):
+    """Mean calibration NLL at one temperature, summed left to right."""
+    p = toyclf._softmax(logits / temperature)[np.arange(len(gold)), gold]
+    return -float(np.cumsum(np.log(np.maximum(p, 1e-300)))[-1]) / len(gold)
+
+
 def nll(params, ds, temperature=None):
     t = temperature if temperature is not None else params.temperature
     logits = toyclf._logits(params, toyclf.encode(params, ds.examples))[1]
-    return toyclf._nll(logits, toyclf._gold(ds.examples), t)
+    return reference_nll(logits, toyclf._gold(ds.examples), t)
 
 
 # --- per-example reference -------------------------------------------------
@@ -135,6 +141,11 @@ def ref_grad(params, batch, cfg, invalid_batch=()):
     return grads, token_grads
 
 
+def model_sides(params):
+    """The sides a model reads: text_a, and text_b on a pair model."""
+    return ("a", "b") if params.task_kind == "pair" else ("a",)
+
+
 def ref_saliency(params, ex, side="a", loss_label=None):
     probs = ref_forward(params, ex)
     if loss_label is None:
@@ -144,7 +155,7 @@ def ref_saliency(params, ex, side="a", loss_label=None):
     grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
                        np.zeros_like(params.b))
     token_grads = ref_accumulate(params, ex, dz, grads, 1.0)
-    side_idx = 0 if side == "a" or params.task_kind == "single" else 1
+    side_idx = model_sides(params).index(side)
     text = ex.input.text_a if side_idx == 0 else ex.input.text_b
     ids = _ref_side_ids(params, text)
     scores = tuple(float(params.emb[tid] @ g)
@@ -240,11 +251,11 @@ def test_saliency_equals_reference_on_both_sides(model_and_split):
     examples = list(val_ds.examples) + _unlabeled(train_ds.examples[:30])
     if params.task_kind == "pair":
         examples += _shared_word_pairs()
-    for side in ("a", "b"):
+    for side in model_sides(params):
         batched = toyclf.saliency_batch(params, examples, side)
         assert batched == [ref_saliency(params, ex, side) for ex in examples]
-    assert (toyclf.saliency_batch(params, examples[:1], "b")[0]
-            == ref_saliency(params, examples[0], "b"))
+    assert (toyclf.saliency_batch(params, examples[:1], side)[0]
+            == ref_saliency(params, examples[0], side))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
@@ -255,7 +266,7 @@ def test_any_token_chunking_equals_reference(model_and_split, chunk, monkeypatch
     examples = list(val_ds.examples)
     assert np.array_equal(toyclf.probabilities(params, examples),
                           np.stack([ref_forward(params, ex) for ex in examples]))
-    for side in ("a", "b"):
+    for side in model_sides(params):
         assert (toyclf.saliency_batch(params, examples, side)
                 == [ref_saliency(params, ex, side) for ex in examples])
 
@@ -280,7 +291,7 @@ def test_uneven_rows_pool_equal_reference(model_and_split, chunk, long_len, at,
         text(long_len), text(long_len // 2) if params.task_kind == "pair" else None), 0))
     assert np.array_equal(toyclf.probabilities(params, examples),
                           np.stack([ref_forward(params, ex) for ex in examples]))
-    for side in ("a", "b"):
+    for side in model_sides(params):
         assert (toyclf.saliency_batch(params, examples, side)
                 == [ref_saliency(params, ex, side) for ex in examples])
 
