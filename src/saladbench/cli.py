@@ -70,6 +70,15 @@ def _add_transform_args(p):
     p.add_argument("--r", action=_Finite, default=0.5)
 
 
+def _add_train_args(p):
+    """The training flags of train and mitigate, and the one place their
+    defaults are written."""
+    p.add_argument("--epochs", type=int, default=3)
+    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--lr", action=_Finite, default=5.0)
+    p.add_argument("--dim", type=int, default=32)
+
+
 def _label_set(args) -> corpus.LabelSet:
     names = tuple(s.strip() for s in args.labels.split(","))
     if args.default_label and args.default_label not in names:
@@ -207,11 +216,8 @@ def cmd_evaluate(args):
 
 def cmd_train(args):
     ds = _load(args)
-    loss_cfg = toyclf.LossConfig(args.loss, lambda_ls=args.lambda_ls,
-                                 gamma=args.gamma)
-    train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
-                                   args.seed, args.dim)
-    params = toyclf.train(ds, loss_cfg, train_cfg)
+    params = toyclf.train(ds, args.epochs, args.batch_size, args.lr, args.seed, args.dim,
+                          args.loss, args.lambda_ls, args.gamma)
     _clear_config(args.out)
     path = os.path.join(args.out, "params.bin")
     toyclf.save_params(params, path, meta={"loss": args.loss, "seed": args.seed,
@@ -246,10 +252,9 @@ def cmd_mitigate(args):
     if not kinds:
         raise ConfigError("no applicable transforms for this task")
     strategy = args.strategy.replace("-", "_")
-    train_cfg = toyclf.TrainConfig(args.epochs, args.batch_size, args.lr,
-                                   args.seed, args.dim)
-    finetune_cfg = toyclf.TrainConfig(args.finetune_epochs, args.batch_size,
-                                      args.finetune_lr, args.seed, args.dim)
+    finetune = (args.finetune_epochs, args.batch_size, args.finetune_lr, args.seed)
+    toyclf.check_train_args(args.epochs, args.batch_size, args.lr, args.seed, args.dim)
+    toyclf.check_train_args(*finetune)  # both trainings' values, before any work
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
     if "pbsmt" in kinds:
         try:  # before any training; the generators train after the baseline
@@ -262,7 +267,8 @@ def cmd_mitigate(args):
         print(f"skipped {kind}: {why}", file=sys.stderr)
     if not kinds:
         raise ConfigError("no applicable transforms for this configuration")
-    baseline = toyclf.train(train_ds, toyclf.LossConfig(), train_cfg)
+    baseline = toyclf.train(train_ds, args.epochs, args.batch_size, args.lr, args.seed,
+                            args.dim)
     baseline_acc = toyclf.accuracy(baseline, val_ds)
     provider = providers.EmbeddedProvider(baseline)
     vocab = list(baseline.vocab[1:])
@@ -280,13 +286,12 @@ def cmd_mitigate(args):
     theta = None
     if strategy == "invalid_class":
         params = mitigate.train_invalid_class(
-            mitigate.balance_clean(train_ds, invalid_train()), finetune_cfg,
-            warm=baseline)
+            mitigate.balance_clean(train_ds, invalid_train()), baseline, *finetune)
     else:
         params = baseline if strategy == "threshold" else mitigate.train_entropic(
             baseline, train_ds,
             corpus.Dataset(tuple(invalid_train()), ds.labels, ds.task_kind),
-            args.lambda_ent, finetune_cfg)
+            args.lambda_ent, *finetune)
         params = toyclf.with_temperature(params, toyclf.fit_temperature(params, val_ds))
         eprov = providers.EmbeddedProvider(params)
         preds_clean = eprov.predict_batch(val_ds.examples)
@@ -314,6 +319,8 @@ def cmd_mitigate(args):
 def cmd_pbsmt(args):
     if args.pbsmt_command == "train" and args.iterations < 1:
         raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
+    if args.pbsmt_command == "generate" and not args.models:
+        raise ConfigError("pbsmt generate needs --models, a directory pbsmt train wrote")
     ds = _load(args)
     if args.pbsmt_command == "train":
         try:
@@ -369,14 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the embedded toy classifier")
     _add_dataset_args(p)
-    p.add_argument("--loss", default="cross_entropy",
-                   choices=["cross_entropy", "label_smoothing", "focal"])
+    p.add_argument("--loss", default=toyclf.LOSSES[0], choices=toyclf.LOSSES)
     p.add_argument("--lambda-ls", action=_Finite, default=0.1)
     p.add_argument("--gamma", action=_Finite, default=2.0)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", action=_Finite, default=5.0)
-    p.add_argument("--dim", type=int, default=32)
+    _add_train_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="fit temperature, report ECE change")
@@ -397,14 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "fine-tune; checked under every strategy, unused by threshold")
     p.add_argument("--tolerance", action=_Finite, default=0.03)
     p.add_argument("--holdout", action=_Finite, default=0.2)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", action=_Finite, default=5.0)
+    _add_train_args(p)
     p.add_argument("--finetune-epochs", type=int, default=15,
                    help="epochs for the mitigation fine-tuning phase")
     p.add_argument("--finetune-lr", action=_Finite, default=1.0,
                    help="learning rate for the mitigation fine-tuning phase")
-    p.add_argument("--dim", type=int, default=32)
     p.set_defaults(func=cmd_mitigate)
 
     p = sub.add_parser("pbsmt", help="train or run the statistical generators")

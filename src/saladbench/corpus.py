@@ -309,12 +309,15 @@ def save_dataset(ds: Dataset, path, transform_meta: Optional[dict] = None) -> No
 
 
 def split_holdout(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic disjoint split; holdout gets round(fraction * n) examples."""
+    """Deterministic disjoint split; holdout gets round(fraction * n) examples,
+    and neither side may be empty."""
     if not 0.0 < fraction < 1.0:
         raise ArgumentError(f"fraction must be in (0,1), got {fraction}")
-    if len(ds) == 0:
-        raise ArgumentError("cannot split an empty dataset")
     n_holdout = round(fraction * len(ds))
+    if not 0 < n_holdout < len(ds):
+        raise ArgumentError(f"holdout fraction {fraction} of {len(ds)} rows leaves "
+                            f"{len(ds) - n_holdout} training and {n_holdout} validation "
+                            f"rows; each side needs at least one")
     rng = random.Random(seed)
     indices = list(range(len(ds)))
     rng.shuffle(indices)

@@ -180,11 +180,11 @@ def balance_clean(clean: Dataset, invalid: Sequence[Example]) -> Dataset:
 
 
 def train_entropic(warm: toyclf.ToyModelParams, clean: Dataset, invalid: Dataset,
-                   lambda_ent: float, train_cfg: toyclf.TrainConfig
-                   ) -> toyclf.ToyModelParams:
+                   lambda_ent: float, epochs: int, batch_size: int, lr: float,
+                   seed: int) -> toyclf.ToyModelParams:
     """Continue training from baseline weights, maximizing prediction entropy
     on invalid examples alongside the clean cross-entropy loss."""
-    return toyclf.train(clean, toyclf.LossConfig(lambda_ent=lambda_ent), train_cfg,
+    return toyclf.train(clean, epochs, batch_size, lr, seed, lambda_ent=lambda_ent,
                         warm=warm, invalid_ds=invalid)
 
 
@@ -229,16 +229,14 @@ def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
     return best_theta
 
 
-def train_invalid_class(augmented: Dataset, train_cfg: toyclf.TrainConfig,
-                        warm: Optional[toyclf.ToyModelParams] = None
-                        ) -> toyclf.ToyModelParams:
-    """Standard cross-entropy training over N+1 classes (last = invalid)."""
-    if warm is not None:
-        # widen the head by one output column, keeping learned weights
-        w = np.concatenate([warm.w, np.zeros((warm.w.shape[0], 1))], axis=1)
-        b = np.concatenate([warm.b, [0.0]])
-        warm = warm._replace(w=w, b=b)
-    return toyclf.train(augmented, toyclf.LossConfig(), train_cfg, warm=warm)
+def train_invalid_class(augmented: Dataset, warm: toyclf.ToyModelParams, epochs: int,
+                        batch_size: int, lr: float, seed: int) -> toyclf.ToyModelParams:
+    """Cross-entropy training over N+1 classes (last = invalid), from `warm`
+    with its head widened by one zero column."""
+    w = np.concatenate([warm.w, np.zeros((warm.w.shape[0], 1))], axis=1)
+    b = np.concatenate([warm.b, [0.0]])
+    return toyclf.train(augmented, epochs, batch_size, lr, seed,
+                        warm=warm._replace(w=w, b=b))
 
 
 def _balanced_union(per_transform: dict[str, list[Example]]) -> dict[str, list[Example]]:

@@ -31,19 +31,8 @@ MAX_PHRASE_LEN = 3  # tokens per side of a phrase pair
 BACKOFF = 0.4  # stupid-backoff factor per order backed off; at most 1, so it lowers scores
 # a stack entry that holds a key's place for a candidate `decode` skipped
 _RESERVED = (-math.inf, ())
-
-
-class ParallelCorpus(NamedTuple):
-    pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    label: int
-
-
-class LexicalTable(NamedTuple):
-    # t[src][tgt] = p(tgt | src); includes the NULL source token
-    t: dict[str, dict[str, float]]
-
-    def prob(self, tgt: str, src: str) -> float:
-        return self.t.get(src, {}).get(tgt, 0.0)
+# (source tokens, target tokens) pairs
+Bitext = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
 class PhraseTable:
@@ -124,7 +113,7 @@ class DecoderWeights(NamedTuple):
             raise ArgumentError("beam_size >= 1 and distortion_limit >= 0 required")
 
 
-def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> ParallelCorpus:
+def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Bitext:
     """Label-restricted bitext: (a, b) sides for pair tasks, first/second
     half of the sentence for single tasks."""
     pairs = []
@@ -142,29 +131,30 @@ def build_parallel_corpus(ds: Dataset, label: int, min_pairs: int = 50) -> Paral
     if len(pairs) < min_pairs:
         raise InsufficientDataError(
             f"label {label}: {len(pairs)} usable pairs < min_pairs={min_pairs}")
-    return ParallelCorpus(tuple(pairs), label)
+    return tuple(pairs)
 
 
-def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
+def train_model1(pairs: Bitext, iterations: int = 10) -> dict[str, dict[str, float]]:
     """IBM Model 1 EM with a NULL source token and uniform initialization, over
-    one integer cell per co-occurring (source, target) word pair.
+    one integer cell per co-occurring (source, target) word pair. Returns
+    t[src][tgt] = p(tgt | src) for every source word and NULL.
 
     Each target word of each pair is one row of the cells of NULL + source,
     padded with a spare cell that holds 0.0. A row's denominator is its
     `cumsum`, which adds left to right as `sum` does, and `bincount` adds the
     counts and totals in row order, so every float is what a loop over the
     rows would give."""
-    if not corpus.pairs:
+    if not pairs:
         raise ArgumentError("empty parallel corpus")
     if iterations < 1:
         raise ArgumentError(f"iterations must be at least 1, got {iterations}")
-    uniform = 1.0 / len({w for _, tgt in corpus.pairs for w in tgt})
-    src_vocab = {NULL} | {w for src, _ in corpus.pairs for w in src}
+    uniform = 1.0 / len({w for _, tgt in pairs for w in tgt})
+    src_vocab = {NULL} | {w for src, _ in pairs for w in src}
     cell_of: dict[tuple[str, str], int] = {}  # in order of first co-occurrence
     src_index: dict[str, int] = {}
-    width = 1 + max(len(src) for src, _ in corpus.pairs)
+    width = 1 + max(len(src) for src, _ in pairs)
     rows = []  # per target word of each pair: the cells of NULL + source, then -1s
-    for src, tgt in corpus.pairs:
+    for src, tgt in pairs:
         srcs = (NULL,) + src
         for s in srcs:
             src_index.setdefault(s, len(src_index))
@@ -190,24 +180,26 @@ def train_model1(corpus: ParallelCorpus, iterations: int = 10) -> LexicalTable:
     t: dict[str, dict[str, float]] = {s: {} for s in src_vocab}
     for (s, t_word), c in cell_of.items():
         t[s][t_word] = probs[c]
-    return LexicalTable(t)
+    return t
 
 
-def align(pair: tuple[Sequence[str], Sequence[str]], table: LexicalTable) -> set[tuple[int, int]]:
+def align(pair: tuple[Sequence[str], Sequence[str]],
+          table: dict[str, dict[str, float]]) -> set[tuple[int, int]]:
     """Intersection of the two directional argmax alignments derived from
-    t(tgt|src): target-to-best-source and source-to-best-target. NULL links
-    are dropped."""
+    t(tgt|src) = table[src][tgt] (0 where absent): target-to-best-source and
+    source-to-best-target. NULL links are dropped."""
     src, tgt = pair
     tgt_to_src = set()
     for j, t_word in enumerate(tgt):
-        candidates = [(table.prob(t_word, s), -i) for i, s in enumerate(src)]
-        null_p = table.prob(t_word, NULL)
+        candidates = [(table.get(s, {}).get(t_word, 0.0), -i) for i, s in enumerate(src)]
+        null_p = table.get(NULL, {}).get(t_word, 0.0)
         best_p, neg_i = max(candidates)
         if best_p > 0 and best_p >= null_p:
             tgt_to_src.add((-neg_i, j))
     src_to_tgt = set()
     for i, s_word in enumerate(src):
-        candidates = [(table.prob(t, s_word), -j) for j, t in enumerate(tgt)]
+        row = table.get(s_word, {})
+        candidates = [(row.get(t, 0.0), -j) for j, t in enumerate(tgt)]
         best_p, neg_j = max(candidates)
         if best_p > 0:
             src_to_tgt.add((i, -neg_j))
@@ -240,11 +232,11 @@ def extract_phrases(pair: tuple[Sequence[str], Sequence[str]],
     return out
 
 
-def build_phrase_table(corpus: ParallelCorpus, table: LexicalTable) -> PhraseTable:
+def build_phrase_table(pairs: Bitext, table: dict[str, dict[str, float]]) -> PhraseTable:
     """Relative frequencies of the extracted phrase pairs in both directions,
     in order of first extraction."""
     pair_counts: Counter = Counter()
-    for pair in corpus.pairs:
+    for pair in pairs:
         pair_counts.update(extract_phrases(pair, align(pair, table)))
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
@@ -338,7 +330,8 @@ def decode(source: tuple[str, ...], pt: PhraseTable, lm: LanguageModel,
 
     for covered in range(n):
         # histogram pruning per stack
-        hyps = sorted(stacks[covered].values(), key=lambda h: (-h[0], h[1]))
+        hyps = sorted((h for h in stacks[covered].values() if h is not _RESERVED),
+                      key=lambda h: (-h[0], h[1]))
         for score, output, coverage, last_end, context in hyps[:beam]:
             for i, j, mask, opts in spans:
                 if coverage & mask:
@@ -401,9 +394,9 @@ class GeneratorModel(NamedTuple):
 def train_generator(ds: Dataset, label: int, iterations: int = 10,
                     weights: Optional[DecoderWeights] = None,
                     min_pairs: int = 50) -> GeneratorModel:
-    corpus = build_parallel_corpus(ds, label, min_pairs=min_pairs)
-    phrases = build_phrase_table(corpus, train_model1(corpus, iterations))
-    lm = train_lm([t for _, t in corpus.pairs])
+    pairs = build_parallel_corpus(ds, label, min_pairs=min_pairs)
+    phrases = build_phrase_table(pairs, train_model1(pairs, iterations))
+    lm = train_lm([t for _, t in pairs])
     return GeneratorModel(label, phrases, lm, weights or DecoderWeights())
 
 

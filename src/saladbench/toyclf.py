@@ -29,6 +29,8 @@ UNK = "<unk>"
 CHUNK_TOKENS = 512
 TAKE_ROWS = 256   # training rows gathered by one Encoding.take, for the steps to slice
 GRID_CELLS = 4096  # logit cells fit_temperature rescales at a time
+T_MIN, T_MAX, T_STEP = 0.25, 5.0, 0.01   # fit_temperature's grid
+LOSSES = ("cross_entropy", "label_smoothing", "focal")   # the first is train's default
 
 
 @checked
@@ -54,37 +56,6 @@ class ToyModelParams(NamedTuple):
     @property
     def dim(self) -> int:
         return self.emb.shape[1]
-
-
-@checked
-class LossConfig(NamedTuple):
-    kind: str = "cross_entropy"       # cross_entropy | label_smoothing | focal
-    lambda_ls: float = 0.1
-    gamma: float = 2.0
-    lambda_ent: float = 0.1           # weight of train's entropy term on invalid rows
-
-    def _check(self):
-        if self.kind not in ("cross_entropy", "label_smoothing", "focal"):
-            raise ArgumentError(f"unknown loss kind {self.kind!r}")
-        if not 0.0 <= self.lambda_ls < 1.0:
-            raise ArgumentError("lambda_ls must be in [0,1)")
-        if self.gamma < 0:
-            raise ArgumentError("gamma must be >= 0")
-        if self.lambda_ent < 0:
-            raise ArgumentError("lambda_ent must be >= 0")
-
-
-@checked
-class TrainConfig(NamedTuple):
-    epochs: int = 3
-    batch_size: int = 16
-    learning_rate: float = 5.0
-    seed: int = 0
-    dim: int = 32
-
-    def _check(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0 or self.dim < 1:
-            raise ArgumentError("TrainConfig values must be positive")
 
 
 def build_vocab(ds: Dataset) -> tuple[str, ...]:
@@ -213,16 +184,17 @@ def forward(params: ToyModelParams, ex: Example) -> np.ndarray:
     return probabilities(params, [ex])[0]
 
 
-def _supervised_dz(probs: np.ndarray, y: np.ndarray, cfg: LossConfig,
-                   temperature: float) -> np.ndarray:
+def _supervised_dz(probs: np.ndarray, y: np.ndarray, temperature: float,
+                   loss: str = "cross_entropy", lambda_ls: float = 0.0,
+                   gamma: float = 0.0) -> np.ndarray:
     """Gradients of each example's loss w.r.t. the raw logits."""
     probs = np.maximum(probs, 1e-300)   # clipped to [1e-300, 1]: no softmax entry exceeds 1
     onehot = np.arange(probs.shape[1]) == y[:, None]
-    if cfg.kind == "cross_entropy":
+    if loss == "cross_entropy":
         return (probs - onehot) / temperature
-    if cfg.kind == "label_smoothing":
-        return (probs - ((1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / len(onehot[0]))) / temperature
-    g, p_y = cfg.gamma, probs[np.arange(len(y)), y][:, None]
+    if loss == "label_smoothing":
+        return (probs - ((1.0 - lambda_ls) * onehot + lambda_ls / len(onehot[0]))) / temperature
+    g, p_y = gamma, probs[np.arange(len(y)), y][:, None]
     dl_dpy = g * (1.0 - p_y) ** (g - 1.0) * np.log(p_y) - (1.0 - p_y) ** g / p_y \
         if g > 0 else -1.0 / p_y
     return dl_dpy * (p_y * (onehot - probs) / temperature)
@@ -247,18 +219,19 @@ def _example_grads(params: ToyModelParams, enc: Encoding, dz: np.ndarray) -> lis
     return [d_pooled[:, s * d:(s + 1) * d] / n[:, None] for s, n in enumerate(enc.lengths)]
 
 
-def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray,
-          cfg: LossConfig) -> tuple[ParamGrads, list[np.ndarray]]:
+def _grad(params: ToyModelParams, enc: Encoding, gold: np.ndarray, loss: str,
+          lambda_ls: float, gamma: float, lambda_ent: float
+          ) -> tuple[ParamGrads, list[np.ndarray]]:
     """Gradients of the mean loss over the first len(gold) examples of `enc`
     plus the entropy term over the rest, and the scaled per-side token grads."""
     n = len(gold)
     pooled, logits = _logits(params, enc)
     probs = _softmax(logits / params.temperature)
-    dz = _supervised_dz(probs[:n], gold, cfg, params.temperature)
+    dz = _supervised_dz(probs[:n], gold, params.temperature, loss, lambda_ls, gamma)
     scale = 1.0 / n if n else 0.0   # each example's weight: one number, or a column
     if len(enc) > n:
         scale = np.full((len(enc), 1), scale)
-        scale[n:] = -cfg.lambda_ent / (len(enc) - n)
+        scale[n:] = -lambda_ent / (len(enc) - n)
         dz = np.concatenate([dz, _entropy_dz(probs[n:], params.temperature)])
     token_grads = [(scale * g).repeat(lengths, axis=0)
                    for g, lengths in zip(_example_grads(params, enc, dz), enc.lengths)]
@@ -291,8 +264,7 @@ def saliency_scores(params: ToyModelParams, examples: Sequence[Example],
     probs = _softmax(_logits(params, enc)[1] / params.temperature)
     labels = [ex.gold_label if ex.gold_label is not None else int(np.argmax(p))
               for ex, p in zip(examples, probs)]
-    dz = _supervised_dz(probs, np.array(labels, dtype=int), LossConfig("cross_entropy"),
-                        params.temperature)
+    dz = _supervised_dz(probs, np.array(labels, dtype=int), params.temperature)
     g, ids, owner = _example_grads(params, enc, dz)[s], enc.ids[s], enc.owner[s]
     scores = np.empty(len(ids))
     for i in range(0, len(ids), CHUNK_TOKENS):
@@ -310,36 +282,60 @@ def split_scores(scores: np.ndarray, lengths: np.ndarray) -> list[tuple[float, .
     return rows
 
 
-def saliency_batch(params: ToyModelParams, examples: Sequence[Example],
-                   side: str = "a") -> list[tuple[float, ...]]:
-    """saliency_scores as one tuple of scores per example."""
-    return split_scores(*saliency_scores(params, examples, side))
+def check_train_args(epochs: int, batch_size: int, lr: float, seed: int,
+                     dim: Optional[int] = None) -> None:
+    """Refuses values `train` cannot run with (`dim` only when given). `train`
+    checks them before its first step; a caller with other work to do first
+    can check them earlier."""
+    if epochs < 0 or batch_size < 1 or lr <= 0:
+        raise ArgumentError(f"epochs must be >= 0, batch_size >= 1 and lr > 0; "
+                            f"got {epochs}, {batch_size} and {lr}")
+    if dim is not None and dim < 1:
+        raise ArgumentError(f"dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
 
 
-def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
+def train(ds: Dataset, epochs: int, batch_size: int, lr: float, seed: int,
+          dim: Optional[int] = None, loss: str = "cross_entropy",
+          lambda_ls: float = 0.0, gamma: float = 0.0, lambda_ent: float = 0.0,
           warm: Optional[ToyModelParams] = None,
           invalid_ds: Optional[Dataset] = None) -> ToyModelParams:
     """Seeded mini-batch gradient descent; deterministic per seed.
 
-    Given invalid_ds, each step pairs a clean mini-batch with one cycled from
-    it, whose entropy (times lambda_ent) it maximizes. Both are encoded once.
+    Trains from `warm` if given, else from a fresh model of embedding width
+    `dim` (read only then). `lambda_ls` is the label-smoothing weight and
+    `gamma` the focal exponent; at 0 either loss is cross-entropy. Given
+    invalid_ds, each step pairs a clean mini-batch with one cycled from it,
+    whose entropy (times lambda_ent) it maximizes. Both are encoded once.
     """
+    check_train_args(epochs, batch_size, lr, seed, dim)
+    if loss not in LOSSES:
+        raise ArgumentError(f"unknown loss kind {loss!r}")
+    if not 0.0 <= lambda_ls < 1.0:
+        raise ArgumentError("lambda_ls must be in [0,1)")
+    if gamma < 0:
+        raise ArgumentError("gamma must be >= 0")
+    if lambda_ent < 0:
+        raise ArgumentError("lambda_ent must be >= 0")
+    if warm is None and dim is None:
+        raise ArgumentError("a fresh model needs dim")
     if len(ds) == 0:
         raise ArgumentError("cannot train on an empty dataset")
     params = warm if warm is not None else init_params(
-        build_vocab(ds), train_cfg.dim, ds.labels.n_classes, ds.task_kind, train_cfg.seed)
+        build_vocab(ds), dim, ds.labels.n_classes, ds.task_kind, seed)
     v, k = params.emb.size, params.w.size
     theta = np.concatenate([params.emb.ravel(), params.w.ravel(), params.b])   # steps update it
     params = params._replace(emb=theta[:v].reshape(params.emb.shape),          # views of theta
                              w=theta[v:v + k].reshape(params.w.shape), b=theta[v + k:])
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(seed)
     invalid = invalid_ds.examples if invalid_ds else ()
     gold = _gold(ds.examples)
     enc = encode(params, ds.examples + invalid)
-    inv_cursor, step, bs = 0, 0, train_cfg.batch_size
+    inv_cursor, step, bs = 0, 0, batch_size
     run = max(TAKE_ROWS // bs, 1) * bs   # the rows of whole steps, taken at once
     with np.errstate(over="ignore", invalid="ignore"):   # divergence is one TrainingError
-        for _ in range(train_cfg.epochs):
+        for _ in range(epochs):
             order = rng.permutation(len(ds))
             for first in range(0, len(ds), run):
                 picks = []   # per step: its clean rows, then its share of the cycled invalid rows
@@ -353,11 +349,11 @@ def train(ds: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig,
                 taken, at = enc.take(np.concatenate([pick for _, pick in picks])), 0
                 for rows, pick in picks:
                     batch, at = taken[at:at + len(pick)], at + len(pick)
-                    grads, _ = _grad(params, batch, gold[rows], loss_cfg)
+                    grads, _ = _grad(params, batch, gold[rows], loss, lambda_ls, gamma, lambda_ent)
                     g = np.concatenate([grads.emb.ravel(), grads.w.ravel(), grads.b])
                     if not np.isfinite(g).all():
                         raise TrainingError(f"non-finite gradient at step {step}")
-                    theta -= train_cfg.learning_rate * g
+                    theta -= lr * g
                     step += 1
     return params
 
@@ -379,15 +375,14 @@ def _nlls(logits: np.ndarray, gold: np.ndarray, temperatures: np.ndarray) -> np.
     return nlls / len(gold)
 
 
-def fit_temperature(params: ToyModelParams, calibration: Dataset,
-                    lo: float = 0.25, hi: float = 5.0, step: float = 0.01) -> float:
-    """Grid-search T minimizing calibration NLL. Argmax is T-invariant, so
-    accuracy never changes; only confidence does. The logits are computed
-    once; each grid point rescales them."""
+def fit_temperature(params: ToyModelParams, calibration: Dataset) -> float:
+    """Grid-search T in [T_MIN, T_MAX], steps of T_STEP, minimizing calibration
+    NLL. Argmax is T-invariant, so accuracy never changes; only confidence
+    does. The logits are computed once; each grid point rescales them."""
     if len(calibration) == 0:
         raise ArgumentError("empty calibration set")
     logits = _logits(params, encode(params, calibration.examples))[1]
-    grid = np.arange(round(lo / step), round(hi / step) + 1) * step
+    grid = np.arange(round(T_MIN / T_STEP), round(T_MAX / T_STEP) + 1) * T_STEP
     best_t, best_nll = None, np.inf
     for t, val in zip(grid.tolist(), _nlls(logits, _gold(calibration.examples), grid).tolist()):
         if val < best_nll - 1e-12:
@@ -395,7 +390,7 @@ def fit_temperature(params: ToyModelParams, calibration: Dataset,
     if best_t in (grid[0], grid[-1]):
         log.warning("fitted temperature T = %.2f sits on the %s bound of the "
                     "grid [%.2f, %.2f]; the NLL minimum may lie outside it",
-                    best_t, "lower" if best_t == grid[0] else "upper", lo, hi)
+                    best_t, "lower" if best_t == grid[0] else "upper", T_MIN, T_MAX)
     return round(best_t, 10)
 
 

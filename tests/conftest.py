@@ -7,6 +7,11 @@ import pytest
 from saladbench import corpus, pbsmt, toyclf
 from saladbench.data import load_toy_pairs, load_toy_sentiment
 
+# the baseline the fixtures train: `saladbench train`'s defaults
+TRAIN_ARGS = dict(epochs=3, batch_size=16, lr=5.0, seed=0, dim=32)
+# the fine-tune of the mitigation checks: `saladbench mitigate`'s defaults
+FINETUNE_ARGS = dict(epochs=15, batch_size=16, lr=1.0, seed=0)
+
 
 @pytest.fixture(scope="session")
 def sent_ds() -> corpus.Dataset:
@@ -31,13 +36,13 @@ def pair_split(pair_ds):
 @pytest.fixture(scope="session")
 def sent_base(sent_split) -> toyclf.ToyModelParams:
     train_ds, _ = sent_split
-    return toyclf.train(train_ds, toyclf.LossConfig(), toyclf.TrainConfig())
+    return toyclf.train(train_ds, **TRAIN_ARGS)
 
 
 @pytest.fixture(scope="session")
 def pair_base(pair_split) -> toyclf.ToyModelParams:
     train_ds, _ = pair_split
-    return toyclf.train(train_ds, toyclf.LossConfig(), toyclf.TrainConfig())
+    return toyclf.train(train_ds, **TRAIN_ARGS)
 
 
 @pytest.fixture(scope="session")

@@ -34,11 +34,12 @@ from saladbench.lexical import (apply_lexical, reverse_tokens, shuffle_with_repo
                                 sort_tokens)
 from saladbench.providers import EmbeddedProvider, checked_probs
 
+from conftest import FINETUNE_ARGS, TRAIN_ARGS
 from test_lexical import bigram_free_permutation_exists
 from test_pbsmt import (DECODE_SOURCES, corpus_loglikelihood, fixture_lm,
                         fixture_phrase_table, oracle_decode)
 from test_toyclf import _numeric_grad, _rel_err, random_example, random_model
-from test_toyclf_batched import grad, nll
+from test_toyclf_batched import grad, nll, saliency
 
 
 # transforms that alter token content (vs. pure reorderings)
@@ -114,10 +115,10 @@ def test_3_gradient_correctness():
             # entropic: cross-entropy plus the entropy term over invalid rows
             invalid = ([Example("i0", random_example(rng, params).input, None)]
                        if kind == "entropic" else ())
-            cfg = toyclf.LossConfig("cross_entropy" if kind == "entropic" else kind,
-                                    lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
-            analytic, _ = grad(params, batch, cfg, invalid)
-            numeric = _numeric_grad(params, batch, cfg, invalid)
+            values = dict(loss="cross_entropy" if kind == "entropic" else kind,
+                          lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
+            analytic, _ = grad(params, batch, invalid, **values)
+            numeric = _numeric_grad(params, batch, invalid, **values)
             assert _rel_err(analytic.emb, numeric["emb"]) < 1e-4, (trial, kind)
             assert _rel_err(analytic.w, numeric["w"]) < 1e-4, (trial, kind)
             assert _rel_err(analytic.b, numeric["b"]) < 1e-4, (trial, kind)
@@ -126,7 +127,7 @@ def test_3_gradient_correctness():
         zero = toyclf.ToyModelParams(("<unk>", "a"), np.ones((2, 3)),
                                      np.zeros((3, 2)), np.zeros(2), 1.0,
                                      "single")
-        scores = toyclf.saliency_batch(zero, [Example("e", TextInput("a a a"), 0)])[0]
+        scores = saliency(zero, [Example("e", TextInput("a a a"), 0)])[0]
         assert scores == (0.0, 0.0, 0.0)
 
         elapsed = time.perf_counter() - start
@@ -150,7 +151,7 @@ def test_4_permutation_invariance(sent_base, sent_split):
         shuffled = Dataset(tuple(mitigate.transform_examples(
                                train_ds.examples, "shuffle", train_ds.task_kind).values()),
                            train_ds.labels, train_ds.task_kind)
-        shuffled_params = toyclf.train(shuffled, toyclf.LossConfig(), toyclf.TrainConfig())
+        shuffled_params = toyclf.train(shuffled, **TRAIN_ARGS)
         clean_acc = toyclf.accuracy(sent_base, val_ds)
         assert toyclf.accuracy(shuffled_params, val_ds) == clean_acc
 
@@ -259,8 +260,7 @@ def _mitigation_for(base, split, gens):
     invalid = mitigate.augment(train_ds, content_kinds, 1.0, 0, provider, gens,
                                vocab)
     balanced = mitigate.balance_clean(train_ds, invalid)
-    detector = mitigate.train_invalid_class(
-        balanced, toyclf.TrainConfig(epochs=15, learning_rate=1.0), warm=base)
+    detector = mitigate.train_invalid_class(balanced, base, **FINETUNE_ARGS)
     report = mitigate.evaluate_mitigation(
         "invalid_class", detector, val_ds, invalid_val)
     assert report.invalid_detected >= 90.0, (task_kind, report)
@@ -274,7 +274,7 @@ def _mitigation_for(base, split, gens):
         train_ds.labels, task_kind)
     entropic = mitigate.train_entropic(
         base, train_ds, invalid_train, lambda_ent=2.0,
-        train_cfg=toyclf.TrainConfig(epochs=50, learning_rate=0.5))
+        **{**FINETUNE_ARGS, "epochs": 50, "lr": 0.5})
     invalid_all = [
         ex for kind in all_kinds
         for ex in mitigate.make_invalid_examples(val_ds.examples, [kind],
@@ -327,8 +327,8 @@ def test_7_mitigation(sent_base, sent_split, sent_gens,
         assert elapsed < 180.0, f"took {elapsed:.1f} s"
 
 
-def transfer_matrix(ds_train, invalid_train_by_kind, invalid_val_by_kind, train_cfg,
-                    warm):
+def transfer_matrix(ds_train, invalid_train_by_kind, invalid_val_by_kind, warm,
+                    finetune):
     """The paper's transferability experiment: detection rates of invalid-class
     detectors trained on one kind and evaluated on every kind. Rows =
     training kind, columns = eval kind."""
@@ -342,7 +342,7 @@ def transfer_matrix(ds_train, invalid_train_by_kind, invalid_val_by_kind, train_
                         for ex in invalid_train_by_kind[train_kind])
         params = mitigate.train_invalid_class(
             Dataset(ds_train.examples + invalid, labels, ds_train.task_kind),
-            train_cfg, warm=warm)
+            warm, **finetune)
         for j, eval_kind in enumerate(kinds):
             probs = toyclf.probabilities(params, invalid_val_by_kind[eval_kind])
             matrix[i, j] = 100.0 * np.count_nonzero(probs.argmax(axis=1) == n_task) \
@@ -365,8 +365,7 @@ def test_8_transferability(pair_base, pair_split, pair_gens):
                                               provider, pair_gens, vocab)
             for k in kinds}
         order, matrix = transfer_matrix(
-            train_ds, invalid_train, invalid_val,
-            toyclf.TrainConfig(epochs=15, learning_rate=1.0), warm=pair_base)
+            train_ds, invalid_train, invalid_val, pair_base, FINETUNE_ARGS)
 
         # family of copy-based transforms that replace text_b wholesale
         family = {"copysort", "copyone"}

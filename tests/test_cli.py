@@ -11,6 +11,8 @@ import pytest
 
 from saladbench import cli, pbsmt, toyclf
 
+from conftest import FINETUNE_ARGS, TRAIN_ARGS
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "saladbench" / "data"
 SENT = str(DATA_DIR / "toy_sentiment.tsv")
 PAIRS = str(DATA_DIR / "toy_pairs.tsv")
@@ -213,6 +215,64 @@ def test_a_negative_lambda_ent_is_refused_before_any_training(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("holdout, sizes", [("0.001", "200 training and 0 validation"),
+                                            ("0.999", "0 training and 200 validation")])
+def test_a_holdout_that_leaves_a_split_empty_is_refused_before_any_training(
+        tmp_path, capsys, monkeypatch, holdout, sizes):
+    trained = []
+    train = toyclf.train
+    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
+    out = tmp_path / "fo"
+    assert run(["mitigate", *SENT_ARGS, "--transforms", "sort", "--holdout", holdout,
+                "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: holdout fraction {float(holdout)} of 200 rows leaves {sizes} "
+                     f"rows; each side needs at least one"]
+    assert trained == []
+    assert not out.exists()
+
+
+SCHEDULE = "error: epochs must be >= 0, batch_size >= 1 and lr > 0"
+# (case, argv with the dataset flags left out, the start of the error line)
+BAD_TRAINING = [
+    ("train-seed", ["train", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ("mitigate-seed", ["mitigate", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ("batch-size", ["train", "--batch-size", "0"], SCHEDULE),
+    ("lr", ["train", "--lr", "0"], SCHEDULE),
+    ("epochs", ["train", "--epochs", "-1"], SCHEDULE),
+    ("dim", ["train", "--dim", "0"], "error: dim must be >= 1, got 0"),
+    *[(f"lambda-ls-{loss}", ["train", "--loss", loss, "--lambda-ls", "1.0"],
+       "error: lambda_ls must be in [0,1)") for loss in toyclf.LOSSES],
+    ("gamma", ["train", "--gamma", "-1"], "error: gamma must be >= 0"),
+    ("mitigate-finetune-epochs", ["mitigate", "--finetune-epochs", "-1"], SCHEDULE),
+    ("mitigate-dim", ["mitigate", "--dim", "0"], "error: dim must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(argv, error, id=case) for case, argv, error in BAD_TRAINING])
+def test_a_training_value_is_refused_in_one_line_before_any_step(tmp_path, capsys,
+                                                                monkeypatch, argv, error):
+    steps = []
+    grad = toyclf._grad
+    monkeypatch.setattr(toyclf, "_grad", lambda *a: steps.append(1) or grad(*a))
+    out = tmp_path / "fo"
+    assert run([argv[0], *SENT_ARGS, *argv[1:], "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(error), lines
+    assert steps == []
+    assert not out.exists()
+
+
+def test_the_test_fixtures_train_with_the_cli_defaults():
+    train = vars(cli.build_parser().parse_args(["train", *SENT_ARGS, "--out", "fo"]))
+    assert {name: train[name] for name in TRAIN_ARGS} == TRAIN_ARGS
+    mitigate = vars(cli.build_parser().parse_args(["mitigate", *SENT_ARGS, "--out", "fo"]))
+    assert {name: mitigate[name] for name in TRAIN_ARGS} == TRAIN_ARGS
+    assert dict(epochs=mitigate["finetune_epochs"], batch_size=mitigate["batch_size"],
+                lr=mitigate["finetune_lr"], seed=mitigate["seed"]) == FINETUNE_ARGS
+
+
 # (case, argv with the dataset flags left out, a word the error line names)
 BAD_FLOATS = [
     ("tolerance-nan", ["mitigate", "--strategy", "threshold", "--transforms", "sort",
@@ -341,6 +401,24 @@ def test_pbsmt_train_then_generate_and_transform(tmp_path):
     assert rc == 0
     assert (tx_out / "pbsmt.tsv").read_bytes() == \
         (gen_out / "pbsmt.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("subdirectory", [True, False], ids=["cwd-with-a-subdirectory",
+                                                            "cwd-without"])
+def test_pbsmt_generate_without_models_is_refused_before_loading_data(
+        tmp_path, capsys, monkeypatch, subdirectory):
+    monkeypatch.chdir(tmp_path)   # the directory a missing --models used to list
+    if subdirectory:
+        (tmp_path / "src").mkdir()
+    loaded = []
+    load = cli.corpus.load_dataset
+    monkeypatch.setattr(cli.corpus, "load_dataset",
+                        lambda *a, **kw: loaded.append(1) or load(*a, **kw))
+    assert run(["pbsmt", "generate", *SENT_ARGS, "--out", "fo"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pbsmt generate needs --models, a directory pbsmt train wrote"]
+    assert loaded == []
+    assert not (tmp_path / "fo").exists()
 
 
 def test_generator_weights_the_decoder_refuses_are_a_data_error(tmp_path, capsys,

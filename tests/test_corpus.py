@@ -262,6 +262,17 @@ def test_split_holdout_validation(sent_ds):
         split_holdout(empty, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("fraction, sizes, edge, edge_sizes", [
+    (0.001, "200 training and 0 validation", 0.003, [199, 1]),
+    (0.999, "0 training and 200 validation", 0.997, [1, 199])])
+def test_split_holdout_refuses_an_empty_side_naming_both_sizes(sent_ds, fraction, sizes,
+                                                               edge, edge_sizes):
+    with pytest.raises(ArgumentError, match=f"leaves {sizes} rows"):
+        split_holdout(sent_ds, fraction, seed=0)
+    # one row on the smaller side is enough
+    assert [len(side) for side in split_holdout(sent_ds, edge, seed=0)] == edge_sizes
+
+
 def test_bundled_corpora_shapes(sent_ds, pair_ds):
     assert len(sent_ds) == 200 and sent_ds.task_kind == "single"
     assert len(pair_ds) == 300 and pair_ds.task_kind == "pair"

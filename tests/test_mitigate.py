@@ -14,6 +14,7 @@ from saladbench.mitigate import (MitigationReport, augment, balance_clean,
                                  threshold_search, train_invalid_class)
 from saladbench.providers import EmbeddedProvider, checked_probs
 
+from conftest import FINETUNE_ARGS
 from test_acceptance import CONTENT_CHANGING_KINDS
 
 
@@ -293,8 +294,7 @@ def test_train_invalid_class_widens_warm_head(sent_base, sent_split):
     labels = LabelSet(train_ds.labels.names + ("invalid",))
     augmented = Dataset(train_ds.examples, labels, "single")
     # zero epochs isolates the widening itself
-    params = train_invalid_class(augmented, toyclf.TrainConfig(epochs=0),
-                                 warm=sent_base)
+    params = train_invalid_class(augmented, sent_base, **{**FINETUNE_ARGS, "epochs": 0})
     assert params.n_classes == sent_base.n_classes + 1
     assert np.array_equal(params.w[:, :-1], sent_base.w)
     assert np.all(params.w[:, -1] == 0.0)
@@ -308,9 +308,7 @@ def test_train_invalid_class_learns_detector(pair_split, pair_base, pair_gens):
     invalid = augment(train_ds, CONTENT_CHANGING_KINDS, 1.0, 0, provider,
                       pair_gens, vocab=list(pair_base.vocab[1:]))
     balanced = balance_clean(train_ds, invalid)
-    params = train_invalid_class(
-        balanced, toyclf.TrainConfig(epochs=15, learning_rate=1.0),
-        warm=pair_base)
+    params = train_invalid_class(balanced, pair_base, **FINETUNE_ARGS)
     invalid_val = {
         kind: make_invalid_examples(val_ds.examples, [kind], "pair",
                                     provider, pair_gens,

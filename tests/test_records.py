@@ -1,7 +1,8 @@
 """The records that carry rows and settings: rows cannot be changed after
 construction, every validated record refuses a bad value through its
-constructor and through its replace path, and the files written from records
-keep their bytes."""
+constructor and through its replace path, toyclf.train, which takes its
+values without a record, refuses a bad one before its first step, and the
+files written from records keep their bytes."""
 
 import hashlib
 import math
@@ -16,7 +17,9 @@ from saladbench.errors import ArgumentError
 from saladbench.metrics import MetricsRow
 from saladbench.mitigate import MitigationReport
 from saladbench.pbsmt import DecoderWeights
-from saladbench.toyclf import LossConfig, ToyModelParams, TrainConfig
+from saladbench.toyclf import ToyModelParams
+
+from conftest import TRAIN_ARGS
 
 LABELS = LabelSet(("negative", "positive"))
 
@@ -38,8 +41,6 @@ VALID = {
                   task_kind="single"),
     ToyModelParams: dict(vocab=("<unk>", "a"), emb=np.zeros((2, 2)), w=np.zeros((2, 2)),
                          b=np.zeros(2)),
-    LossConfig: {},
-    TrainConfig: {},
     DecoderWeights: {},
     MetricsRow: dict(transform="sort", agreement=50.0, mean_confidence=60.0, n=10),
     MitigationReport: dict(strategy="threshold", clean_accuracy=90.0, invalid_detected=50.0,
@@ -53,14 +54,6 @@ BAD = [
     (Dataset, "task_kind", "tri"),
     (ToyModelParams, "temperature", 0.0),
     (ToyModelParams, "w", np.zeros((3, 2))),
-    (LossConfig, "kind", "entropic"),
-    (LossConfig, "lambda_ls", 1.0),
-    (LossConfig, "gamma", -1.0),
-    (LossConfig, "lambda_ent", -0.1),
-    (TrainConfig, "epochs", -1),
-    (TrainConfig, "batch_size", 0),
-    (TrainConfig, "learning_rate", 0.0),
-    (TrainConfig, "dim", 0),
     (DecoderWeights, "w_lm", math.nan),
     (DecoderWeights, "w_dist", math.inf),
     (DecoderWeights, "beam_size", 0),
@@ -82,6 +75,33 @@ def test_validated_records_refuse_a_bad_value_when_built_and_when_replaced(cls, 
         cls(**{**VALID[cls], field: bad})
     with pytest.raises(ArgumentError):
         good._replace(**{field: bad})
+
+
+# (toyclf.train argument, a value it refuses, the start of the refusal)
+BAD_TRAINING = [
+    ("loss", "entropic", "unknown loss kind 'entropic'"),
+    ("lambda_ls", 1.0, "lambda_ls must be in [0,1)"),
+    ("gamma", -1.0, "gamma must be >= 0"),
+    ("lambda_ent", -0.1, "lambda_ent must be >= 0"),
+    ("epochs", -1, "epochs must be >= 0, batch_size >= 1 and lr > 0"),
+    ("batch_size", 0, "epochs must be >= 0, batch_size >= 1 and lr > 0"),
+    ("lr", 0.0, "epochs must be >= 0, batch_size >= 1 and lr > 0"),
+    ("dim", 0, "dim must be >= 1"),
+    ("dim", None, "a fresh model needs dim"),
+    ("seed", -1, "seed must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("name, bad, message", BAD_TRAINING,
+                         ids=[f"{name}={bad}" for name, bad, _ in BAD_TRAINING])
+def test_train_refuses_a_bad_value_before_its_first_step(name, bad, message, monkeypatch):
+    def step(*args):
+        raise AssertionError("a gradient step was taken")
+
+    monkeypatch.setattr(toyclf, "_grad", step)
+    with pytest.raises(ArgumentError) as refused:
+        toyclf.train(Dataset(**VALID[Dataset]), **{**TRAIN_ARGS, name: bad})
+    assert str(refused.value).startswith(message)
 
 
 RAW_EXPECTED = "589c62af4fdb3473c6bc5b9a7e914487384e346a747bf8b43e1ba77e520990e8"

@@ -11,34 +11,35 @@ import pytest
 from saladbench import toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput
 from saladbench.errors import ArgumentError, DegenerateInputError
-from saladbench.toyclf import (LossConfig, ToyModelParams, TrainConfig,
-                               build_vocab, fit_temperature, forward,
-                               init_params, load_params, probabilities,
-                               saliency_batch, save_params, train, with_temperature)
+from saladbench.toyclf import (ToyModelParams, build_vocab, fit_temperature, forward,
+                               init_params, load_params, probabilities, save_params, train,
+                               with_temperature)
 
-from test_toyclf_batched import grad, nll, ref_saliency, reference_nll
+from conftest import TRAIN_ARGS
+from test_toyclf_batched import grad, nll, ref_saliency, reference_nll, saliency
 
 LABELS = LabelSet(("negative", "positive"))
 
 
-def loss(params, batch, cfg, invalid_batch=()):
+def mean_loss(params, batch, invalid_batch=(), loss="cross_entropy", lambda_ls=0.0,
+              gamma=0.0, lambda_ent=0.0):
     """Mean batch loss, the objective toyclf's analytic gradients differentiate.
     Given invalid rows it is L_D - lambda * H(invalid), so the entropy on
     invalid inputs is maximized."""
     probs = np.clip(probabilities(params, batch), 1e-300, 1.0)
     gold = np.array([ex.gold_label for ex in batch], dtype=int)
     p_y = probs[np.arange(len(batch)), gold]
-    if cfg.kind == "label_smoothing":
-        q = (1.0 - cfg.lambda_ls) * np.eye(probs.shape[1])[gold] + cfg.lambda_ls / probs.shape[1]
+    if loss == "label_smoothing":
+        q = (1.0 - lambda_ls) * np.eye(probs.shape[1])[gold] + lambda_ls / probs.shape[1]
         values = -(q * np.log(probs)).sum(axis=1)
-    elif cfg.kind == "focal":
-        values = -((1.0 - p_y) ** cfg.gamma) * np.log(p_y)
+    elif loss == "focal":
+        values = -((1.0 - p_y) ** gamma) * np.log(p_y)
     else:
         values = -np.log(p_y)
     result = float(np.cumsum(values)[-1]) / len(batch) if batch else 0.0
     if invalid_batch:
         p = probabilities(params, invalid_batch)
-        result += cfg.lambda_ent * float(np.mean((p * np.log(np.clip(p, 1e-300, 1.0))).sum(axis=1)))
+        result += lambda_ent * float(np.mean((p * np.log(np.clip(p, 1e-300, 1.0))).sum(axis=1)))
     return result
 
 
@@ -136,23 +137,23 @@ def test_pair_model_requires_text_b():
 def test_label_smoothing_hand_value():
     params = tiny_params()
     ex = Example("e", TextInput("a"), 0)
-    cfg = LossConfig("label_smoothing", lambda_ls=0.1)
     expected = -0.95 * math.log(0.8) - 0.05 * math.log(0.2)
-    assert abs(loss(params, [ex], cfg) - expected) < 1e-12
+    assert abs(mean_loss(params, [ex], loss="label_smoothing", lambda_ls=0.1)
+               - expected) < 1e-12
 
 
 def test_cross_entropy_hand_value():
     params = tiny_params()
     ex = Example("e", TextInput("a"), 1)
-    assert abs(loss(params, [ex], LossConfig()) - (-math.log(0.2))) < 1e-12
+    assert abs(mean_loss(params, [ex]) - (-math.log(0.2))) < 1e-12
 
 
 def test_focal_gamma_zero_equals_cross_entropy():
     rng = np.random.default_rng(2)
     params = random_model(rng)
     batch = [random_example(rng, params, f"e{i}") for i in range(8)]
-    ce = loss(params, batch, LossConfig("cross_entropy"))
-    focal0 = loss(params, batch, LossConfig("focal", gamma=0.0))
+    ce = mean_loss(params, batch)
+    focal0 = mean_loss(params, batch, loss="focal", gamma=0.0)
     assert abs(ce - focal0) < 1e-12
 
 
@@ -161,29 +162,13 @@ def test_entropic_loss_adds_signed_entropy_term():
     clean = [Example("c", TextInput("a"), 0)]
     invalid = [Example("i", TextInput("a a"), None)]
     base = math.log(2.0)  # CE under uniform probs
-    lmax = loss(params, clean, LossConfig(lambda_ent=0.5), invalid)
+    lmax = mean_loss(params, clean, invalid, lambda_ent=0.5)
     assert abs(lmax - (base - 0.5 * math.log(2.0))) < 1e-12
-
-
-def test_loss_config_validation():
-    with pytest.raises(ArgumentError):
-        LossConfig("hinge")
-    with pytest.raises(ArgumentError):
-        LossConfig(lambda_ls=1.0)
-    with pytest.raises(ArgumentError):
-        LossConfig(gamma=-1.0)
-
-
-def test_train_config_validation():
-    with pytest.raises(ArgumentError):
-        TrainConfig(epochs=-1)
-    with pytest.raises(ArgumentError):
-        TrainConfig(learning_rate=0.0)
 
 
 # --- gradient vs central finite differences ---
 
-def _numeric_grad(params, batch, cfg, invalid, eps=1e-6):
+def _numeric_grad(params, batch, invalid=(), eps=1e-6, **loss_values):
     """Central finite differences over every parameter entry."""
     arrays = {"emb": params.emb, "w": params.w, "b": params.b}
     out = {}
@@ -198,7 +183,7 @@ def _numeric_grad(params, batch, cfg, invalid, eps=1e-6):
                 p = ToyModelParams(params.vocab, bumped["emb"], bumped["w"],
                                    bumped["b"], params.temperature,
                                    params.task_kind)
-                val = loss(p, batch, cfg, invalid)
+                val = mean_loss(p, batch, invalid, **loss_values)
                 g[idx] += sign * val / (2 * eps)
             it.iternext()
         out[name] = g
@@ -224,10 +209,10 @@ def test_analytic_gradients_match_finite_differences(kind, task_kind):
         # the entropic case: cross-entropy plus the entropy term over invalid rows
         invalid = ([Example(f"i{i}", random_example(rng, params).input, None)
                     for i in range(2)] if kind == "entropic" else ())
-        cfg = LossConfig("cross_entropy" if kind == "entropic" else kind,
-                         lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
-        analytic, _ = grad(params, batch, cfg, invalid)
-        numeric = _numeric_grad(params, batch, cfg, invalid)
+        values = dict(loss="cross_entropy" if kind == "entropic" else kind,
+                      lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
+        analytic, _ = grad(params, batch, invalid, **values)
+        numeric = _numeric_grad(params, batch, invalid, **values)
         for name, ga in (("emb", analytic.emb), ("w", analytic.w),
                          ("b", analytic.b)):
             assert _rel_err(ga, numeric[name]) < 1e-4, (kind, task_kind, name)
@@ -237,30 +222,29 @@ def test_gradient_matches_under_temperature_scaling():
     rng = np.random.default_rng(12)
     params = with_temperature(random_model(rng), 2.5)
     batch = [random_example(rng, params, f"e{i}") for i in range(3)]
-    cfg = LossConfig()
-    analytic, _ = grad(params, batch, cfg)
-    numeric = _numeric_grad(params, batch, cfg, ())
+    analytic, _ = grad(params, batch)
+    numeric = _numeric_grad(params, batch)
     assert _rel_err(analytic.emb, numeric["emb"]) < 1e-4
 
 
 def test_grad_requires_gold_labels():
     params = tiny_params()
     with pytest.raises(ArgumentError):
-        grad(params, [Example("e", TextInput("a"), None)], LossConfig())
+        grad(params, [Example("e", TextInput("a"), None)])
 
 
 # --- saliency ---
 
 def test_saliency_zero_head_is_exactly_zero():
     params = tiny_params(w=((0.0, 0.0),))
-    scores = saliency_batch(params, [Example("e", TextInput("a a a"), 0)])[0]
+    scores = saliency(params, [Example("e", TextInput("a a a"), 0)])[0]
     assert scores == (0.0, 0.0, 0.0)
 
 
 def test_saliency_duplicate_tokens_score_equally():
     rng = np.random.default_rng(3)
     params = random_model(rng)
-    scores = saliency_batch(params, [Example("e", TextInput("w1 w2 w1"), 0)])[0]
+    scores = saliency(params, [Example("e", TextInput("w1 w2 w1"), 0)])[0]
     assert scores[0] == scores[2]
 
 
@@ -268,14 +252,14 @@ def test_saliency_loss_label_defaults_to_gold_then_argmax():
     rng = np.random.default_rng(4)
     params = random_model(rng)
     labeled = Example("e", TextInput("w1 w2"), 2)
-    assert saliency_batch(params, [labeled])[0] == ref_saliency(params, labeled, loss_label=2)
-    assert saliency_batch(params, [labeled])[0] != ref_saliency(params, labeled, loss_label=0)
+    assert saliency(params, [labeled])[0] == ref_saliency(params, labeled, loss_label=2)
+    assert saliency(params, [labeled])[0] != ref_saliency(params, labeled, loss_label=0)
     unlabeled = Example("e", TextInput("w1 w2"), None)
     predicted = int(np.argmax(forward(params, unlabeled)))
-    assert (saliency_batch(params, [unlabeled])[0]
+    assert (saliency(params, [unlabeled])[0]
             == ref_saliency(params, unlabeled, loss_label=predicted))
     other = (predicted + 1) % params.n_classes
-    assert (saliency_batch(params, [unlabeled])[0]
+    assert (saliency(params, [unlabeled])[0]
             != ref_saliency(params, unlabeled, loss_label=other))
 
 
@@ -283,18 +267,18 @@ def test_saliency_side_selects_pair_side():
     rng = np.random.default_rng(5)
     params = random_model(rng, task_kind="pair")
     ex = Example("e", TextInput("w1 w2 w3", "w4 w5"), 0)
-    assert len(saliency_batch(params, [ex], side="a")[0]) == 3
-    assert len(saliency_batch(params, [ex], side="b")[0]) == 2
+    assert len(saliency(params, [ex], side="a")[0]) == 3
+    assert len(saliency(params, [ex], side="b")[0]) == 2
 
 
 def test_saliency_refuses_a_side_the_model_lacks():
     rng = np.random.default_rng(5)
     single = random_model(rng)
     with pytest.raises(ArgumentError, match="'b'"):
-        saliency_batch(single, [Example("e", TextInput("w1 w2"), 0)], side="b")
+        saliency(single, [Example("e", TextInput("w1 w2"), 0)], side="b")
     pair = random_model(rng, task_kind="pair")
     with pytest.raises(ArgumentError, match="'x'"):
-        saliency_batch(pair, [Example("e", TextInput("w1 w2", "w3"), 0)], side="x")
+        saliency(pair, [Example("e", TextInput("w1 w2", "w3"), 0)], side="x")
 
 
 def test_saliency_matches_finite_difference_dot_product():
@@ -302,9 +286,8 @@ def test_saliency_matches_finite_difference_dot_product():
     rng = np.random.default_rng(6)
     params = random_model(rng)
     ex = Example("e", TextInput("w1 w2 w3"), 1)
-    scores = saliency_batch(params, [ex])[0]
+    scores = saliency(params, [ex])[0]
     eps = 1e-6
-    cfg = LossConfig()
     # token 0 is w1 -> vocab row 1; scale the row to probe the dot product:
     # d/da L(a * t_i) at a=1 equals t_i . dL/dt_i
     for pos, word in enumerate(("w1", "w2", "w3")):
@@ -315,7 +298,7 @@ def test_saliency_matches_finite_difference_dot_product():
             emb[row] *= (1.0 + sign * eps)
             p = ToyModelParams(params.vocab, emb, params.w, params.b,
                                params.temperature, params.task_kind)
-            vals.append(loss(p, [ex], cfg))
+            vals.append(mean_loss(p, [ex]))
         numeric = (vals[0] - vals[1]) / (2 * eps)
         assert abs(scores[pos] - numeric) < 1e-6, pos
 
@@ -349,9 +332,9 @@ def test_params_head_shape_validation():
 
 def test_train_is_deterministic(sent_split):
     train_ds, _ = sent_split
-    cfg = TrainConfig(epochs=2)
-    a = train(train_ds, LossConfig(), cfg)
-    b = train(train_ds, LossConfig(), cfg)
+    args = {**TRAIN_ARGS, "epochs": 2}
+    a = train(train_ds, **args)
+    b = train(train_ds, **args)
     assert np.array_equal(a.emb, b.emb)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.b, b.b)
@@ -363,16 +346,17 @@ def test_train_adds_the_entropy_term_whenever_invalid_rows_are_given(sent_base, 
     train_ds, val_ds = sent_split
     invalid = Dataset(tuple(Example(f"{ex.id}__inv", ex.input, None)
                             for ex in val_ds.examples[:10]), LABELS, "single")
-    cfg = TrainConfig(epochs=1)
-    plain = train(train_ds, LossConfig(kind), cfg, warm=sent_base)
-    entropic = train(train_ds, LossConfig(kind), cfg, warm=sent_base, invalid_ds=invalid)
+    args = dict(epochs=1, batch_size=16, lr=5.0, seed=0, loss=kind, lambda_ls=0.1, gamma=2.0,
+                lambda_ent=0.1, warm=sent_base)
+    plain = train(train_ds, **args)
+    entropic = train(train_ds, **args, invalid_ds=invalid)
     assert not np.array_equal(plain.emb, entropic.emb)
     assert not np.array_equal(plain.w, entropic.w)
 
 
 def test_train_zero_epochs_returns_warm_start_unchanged(sent_base, sent_split):
     train_ds, _ = sent_split
-    out = train(train_ds, LossConfig(), TrainConfig(epochs=0), warm=sent_base)
+    out = train(train_ds, epochs=0, batch_size=16, lr=5.0, seed=0, warm=sent_base)
     assert np.array_equal(out.emb, sent_base.emb)
     assert np.array_equal(out.w, sent_base.w)
     assert np.array_equal(out.b, sent_base.b)
@@ -392,7 +376,7 @@ def test_train_pair_task(pair_base, pair_split):
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(ArgumentError):
-        train(Dataset((), LABELS, "single"), LossConfig(), TrainConfig())
+        train(Dataset((), LABELS, "single"), **TRAIN_ARGS)
 
 
 # --- temperature ---
@@ -430,7 +414,7 @@ def test_fit_temperature_grid_granularity(sent_base, sent_split):
 
 
 def test_fit_temperature_warns_when_t_sits_on_a_grid_bound(sent_base, sent_split,
-                                                          caplog):
+                                                          caplog, monkeypatch):
     # a tenth of the labels flipped puts the NLL optimum inside the grid
     _, val_ds = sent_split
     noisy = Dataset(
@@ -442,7 +426,8 @@ def test_fit_temperature_warns_when_t_sits_on_a_grid_bound(sent_base, sent_split
         interior = fit_temperature(sent_base, noisy)
         assert caplog.records == []
         assert fit_temperature(sent_base, val_ds) == 0.25
-        assert fit_temperature(sent_base, noisy, hi=1.0) == 1.0
+        monkeypatch.setattr(toyclf, "T_MAX", 1.0)
+        assert fit_temperature(sent_base, noisy) == 1.0
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 2
     assert "T = 0.25" in messages[0] and "lower bound" in messages[0]
@@ -492,7 +477,7 @@ def calibration_sets(sent_base, sent_split, pair_base, pair_split):
 
 
 def test_fit_temperature_matches_a_scan_of_per_point_nlls(sent_base, sent_split, pair_base,
-                                                          pair_split, caplog):
+                                                          pair_split, caplog, monkeypatch):
     fits = []
     for params, ds in calibration_sets(sent_base, sent_split, pair_base, pair_split):
         expected = reference_fit_temperature(params, ds)
@@ -504,7 +489,10 @@ def test_fit_temperature_matches_a_scan_of_per_point_nlls(sent_base, sent_split,
         fits.append(expected)
     assert 0.25 in fits and 5.0 in fits and any(0.25 < t < 5.0 for t in fits), fits
     params, ds = calibration_sets(sent_base, sent_split, pair_base, pair_split)[4]
-    assert fit_temperature(params, ds, lo=0.5, hi=2.0, step=0.05) == \
+    monkeypatch.setattr(toyclf, "T_MIN", 0.5)
+    monkeypatch.setattr(toyclf, "T_MAX", 2.0)
+    monkeypatch.setattr(toyclf, "T_STEP", 0.05)
+    assert fit_temperature(params, ds) == \
         reference_fit_temperature(params, ds, lo=0.5, hi=2.0, step=0.05)
 
 

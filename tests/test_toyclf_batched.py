@@ -13,19 +13,28 @@ import pytest
 from saladbench import corpus, toyclf
 from saladbench.corpus import Dataset, Example, TextInput, tokenize
 from saladbench.errors import ArgumentError, DegenerateInputError
-from saladbench.toyclf import LossConfig, ParamGrads, TrainConfig
+from saladbench.toyclf import ParamGrads
+
+from conftest import TRAIN_ARGS
 
 
 # --- batch gradients and NLL, over toyclf's private functions ---------------
 
-def grad(params, batch, cfg, invalid_batch=()):
+def grad(params, batch, invalid_batch=(), loss="cross_entropy", lambda_ls=0.0, gamma=0.0,
+         lambda_ent=0.0):
     """Analytic gradients of the mean batch loss, plus per clean example its
     per-side input-embedding gradients (one row per token)."""
     enc = toyclf.encode(params, list(batch) + list(invalid_batch))
-    grads, token_grads = toyclf._grad(params, enc, toyclf._gold(batch), cfg)
+    grads, token_grads = toyclf._grad(params, enc, toyclf._gold(batch), loss, lambda_ls,
+                                      gamma, lambda_ent)
     per_side = [np.split(g, np.cumsum(lengths)[:len(batch)])[:len(batch)]
                 for g, lengths in zip(token_grads, enc.lengths)]
     return grads, [list(sides) for sides in zip(*per_side)]
+
+
+def saliency(params, examples, side="a"):
+    """toyclf.saliency_scores as one tuple of scores per example."""
+    return toyclf.split_scores(*toyclf.saliency_scores(params, examples, side))
 
 
 def reference_nll(logits, gold, temperature):
@@ -75,18 +84,19 @@ def ref_forward(params, ex):
     return _ref_softmax(logits / params.temperature)
 
 
-def _ref_supervised_dz(probs, y, cfg, temperature):
+def _ref_supervised_dz(probs, y, temperature, loss="cross_entropy", lambda_ls=0.0,
+                       gamma=0.0):
     n = probs.shape[0]
     onehot = np.zeros(n)
     onehot[y] = 1.0
     probs = np.clip(probs, 1e-300, 1.0)
     p_y = probs[y]
-    if cfg.kind == "cross_entropy":
+    if loss == "cross_entropy":
         return (probs - onehot) / temperature
-    if cfg.kind == "label_smoothing":
-        q = (1.0 - cfg.lambda_ls) * onehot + cfg.lambda_ls / n
+    if loss == "label_smoothing":
+        q = (1.0 - lambda_ls) * onehot + lambda_ls / n
         return (probs - q) / temperature
-    g = cfg.gamma
+    g = gamma
     dl_dpy = g * (1.0 - p_y) ** (g - 1.0) * np.log(p_y) - (1.0 - p_y) ** g / p_y \
         if g > 0 else -1.0 / p_y
     return dl_dpy * (p_y * (onehot - probs) / temperature)
@@ -124,17 +134,18 @@ def ref_accumulate(params, ex, dz, grads, scale):
     return token_grads
 
 
-def ref_grad(params, batch, cfg, invalid_batch=()):
+def ref_grad(params, batch, invalid_batch=(), loss="cross_entropy", lambda_ls=0.0,
+             gamma=0.0, lambda_ent=0.0):
     grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
                        np.zeros_like(params.b))
     token_grads = []
     scale = 1.0 / len(batch) if batch else 0.0
     for ex in batch:
-        dz = _ref_supervised_dz(ref_forward(params, ex), ex.gold_label, cfg,
-                                params.temperature)
+        dz = _ref_supervised_dz(ref_forward(params, ex), ex.gold_label, params.temperature,
+                                loss, lambda_ls, gamma)
         token_grads.append(ref_accumulate(params, ex, dz, grads, scale))
     if invalid_batch:
-        iscale = -1.0 * cfg.lambda_ent / len(invalid_batch)  # entropy maximized
+        iscale = -1.0 * lambda_ent / len(invalid_batch)  # entropy maximized
         for ex in invalid_batch:
             dh_dz = _ref_entropy_dz(ref_forward(params, ex), params.temperature)
             ref_accumulate(params, ex, dh_dz, grads, iscale)
@@ -150,8 +161,7 @@ def ref_saliency(params, ex, side="a", loss_label=None):
     probs = ref_forward(params, ex)
     if loss_label is None:
         loss_label = ex.gold_label if ex.gold_label is not None else int(np.argmax(probs))
-    dz = _ref_supervised_dz(probs, loss_label, LossConfig("cross_entropy"),
-                            params.temperature)
+    dz = _ref_supervised_dz(probs, loss_label, params.temperature)
     grads = ParamGrads(np.zeros_like(params.emb), np.zeros_like(params.w),
                        np.zeros_like(params.b))
     token_grads = ref_accumulate(params, ex, dz, grads, 1.0)
@@ -163,16 +173,16 @@ def ref_saliency(params, ex, side="a", loss_label=None):
     return scores
 
 
-def ref_train(ds, loss_cfg, train_cfg, warm, invalid_ds=None):
+def ref_train(ds, warm, epochs, batch_size, lr, seed, invalid_ds=None, **loss_values):
     """The per-step training loop over ref_grad, from a warm start."""
     emb, w, b = warm.emb.copy(), warm.w.copy(), warm.b.copy()
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(seed)
     invalid = list(invalid_ds.examples) if invalid_ds is not None else []
     inv_cursor = 0
-    for _ in range(train_cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(len(ds))
-        for start in range(0, len(ds), train_cfg.batch_size):
-            batch = [ds.examples[i] for i in order[start:start + train_cfg.batch_size]]
+        for start in range(0, len(ds), batch_size):
+            batch = [ds.examples[i] for i in order[start:start + batch_size]]
             inv_batch = []
             if invalid:
                 for _ in range(min(len(batch), len(invalid))):
@@ -180,8 +190,7 @@ def ref_train(ds, loss_cfg, train_cfg, warm, invalid_ds=None):
                     inv_cursor += 1
             cur = toyclf.ToyModelParams(warm.vocab, emb, w, b, warm.temperature,
                                         warm.task_kind)
-            grads, _ = ref_grad(cur, batch, loss_cfg, inv_batch)
-            lr = train_cfg.learning_rate
+            grads, _ = ref_grad(cur, batch, inv_batch, **loss_values)
             emb, w, b = emb - lr * grads.emb, w - lr * grads.w, b - lr * grads.b
     return emb, w, b
 
@@ -234,10 +243,10 @@ def test_grad_equals_reference(model_and_split, kind):
         batch += _shared_word_pairs()
     # the entropic case: cross-entropy plus the entropy term over invalid rows
     invalid = _unlabeled(val_ds.examples[:20]) if kind == "entropic" else ()
-    cfg = LossConfig("cross_entropy" if kind == "entropic" else kind,
-                     lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
-    grads, token_grads = grad(params, batch, cfg, invalid)
-    ref, ref_tokens = ref_grad(params, batch, cfg, invalid)
+    values = dict(loss="cross_entropy" if kind == "entropic" else kind,
+                  lambda_ls=0.1, gamma=2.0, lambda_ent=0.3)
+    grads, token_grads = grad(params, batch, invalid, **values)
+    ref, ref_tokens = ref_grad(params, batch, invalid, **values)
     for name in ("emb", "w", "b"):
         assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
     assert len(token_grads) == len(ref_tokens)
@@ -252,9 +261,9 @@ def test_saliency_equals_reference_on_both_sides(model_and_split):
     if params.task_kind == "pair":
         examples += _shared_word_pairs()
     for side in model_sides(params):
-        batched = toyclf.saliency_batch(params, examples, side)
+        batched = saliency(params, examples, side)
         assert batched == [ref_saliency(params, ex, side) for ex in examples]
-    assert (toyclf.saliency_batch(params, examples[:1], side)[0]
+    assert (saliency(params, examples[:1], side)[0]
             == ref_saliency(params, examples[0], side))
 
 
@@ -267,7 +276,7 @@ def test_any_token_chunking_equals_reference(model_and_split, chunk, monkeypatch
     assert np.array_equal(toyclf.probabilities(params, examples),
                           np.stack([ref_forward(params, ex) for ex in examples]))
     for side in model_sides(params):
-        assert (toyclf.saliency_batch(params, examples, side)
+        assert (saliency(params, examples, side)
                 == [ref_saliency(params, ex, side) for ex in examples])
 
 
@@ -292,7 +301,7 @@ def test_uneven_rows_pool_equal_reference(model_and_split, chunk, long_len, at,
     assert np.array_equal(toyclf.probabilities(params, examples),
                           np.stack([ref_forward(params, ex) for ex in examples]))
     for side in model_sides(params):
-        assert (toyclf.saliency_batch(params, examples, side)
+        assert (saliency(params, examples, side)
                 == [ref_saliency(params, ex, side) for ex in examples])
 
 
@@ -328,7 +337,7 @@ def test_chunks_equal_the_per_row_loop(chunk, monkeypatch):
 def test_empty_batch_gives_empty_outputs(model_and_split):
     params, _, _ = model_and_split
     assert toyclf.probabilities(params, []).shape == (0, params.n_classes)
-    assert toyclf.saliency_batch(params, []) == []
+    assert saliency(params, []) == []
 
 
 def test_train_equals_reference_loop(model_and_split):
@@ -336,10 +345,9 @@ def test_train_equals_reference_loop(model_and_split):
     ds = Dataset(train_ds.examples[:40], train_ds.labels, train_ds.task_kind)
     invalid = Dataset(tuple(_unlabeled(val_ds.examples[:7])), train_ds.labels,
                       train_ds.task_kind)
-    cfg = TrainConfig(epochs=2, batch_size=6, learning_rate=1.0, seed=3)
-    loss_cfg = LossConfig(lambda_ent=0.2)
-    out = toyclf.train(ds, loss_cfg, cfg, warm=params, invalid_ds=invalid)
-    emb, w, b = ref_train(ds, loss_cfg, cfg, params, invalid)
+    schedule = dict(epochs=2, batch_size=6, lr=1.0, seed=3)
+    out = toyclf.train(ds, **schedule, lambda_ent=0.2, warm=params, invalid_ds=invalid)
+    emb, w, b = ref_train(ds, params, **schedule, invalid_ds=invalid, lambda_ent=0.2)
     assert np.array_equal(out.emb, emb)
     assert np.array_equal(out.w, w)
     assert np.array_equal(out.b, b)
@@ -378,7 +386,7 @@ def test_train_requires_gold_labels(sent_split):
     unlabeled = Dataset(tuple(_unlabeled(train_ds.examples[:4])), train_ds.labels,
                         "single")
     with pytest.raises(ArgumentError):
-        toyclf.train(unlabeled, LossConfig(), TrainConfig(epochs=1))
+        toyclf.train(unlabeled, **{**TRAIN_ARGS, "epochs": 1})
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -409,8 +417,7 @@ def test_train_encodes_each_example_once(task, request, monkeypatch):
     made = []
     for epochs in (1, 4):
         calls.clear()
-        toyclf.train(ds, LossConfig(), TrainConfig(epochs=epochs),
-                     invalid_ds=invalid)
+        toyclf.train(ds, **{**TRAIN_ARGS, "epochs": epochs}, invalid_ds=invalid)
         made.append(len(calls))
     # each side once, by the first run; the second reads the rows' tokens
     assert made == [sides, 0]
@@ -441,7 +448,7 @@ def test_emb_gradient_scatter_equals_add_at_on_mixed_magnitudes(batch_size):
              for i in range(batch_size)]
     enc = toyclf.encode(params, batch)
     gold = np.array([ex.gold_label for ex in batch])
-    grads, token_grads = toyclf._grad(params, enc, gold, LossConfig())
+    grads, token_grads = toyclf._grad(params, enc, gold, "cross_entropy", 0.0, 0.0, 0.0)
     order = np.argsort(np.concatenate(enc.owner), kind="stable")
     reference = np.zeros_like(params.emb)
     np.add.at(reference, np.concatenate(enc.ids)[order],
