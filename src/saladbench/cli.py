@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider/contract e
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -145,6 +146,9 @@ def cmd_transform(args):
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind,
         provider is not None and provider.supports_saliency, bool(generators))
+    if not kinds:
+        raise ConfigError("no applicable transforms ("
+                          + "; ".join(f"{kind}: {why}" for kind, why in skipped) + ")")
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
     saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
@@ -317,17 +321,22 @@ def cmd_mitigate(args):
 
 
 def cmd_pbsmt(args):
-    if args.pbsmt_command == "train" and args.iterations < 1:
-        raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
     if args.pbsmt_command == "generate" and not args.models:
         raise ConfigError("pbsmt generate needs --models, a directory pbsmt train wrote")
-    ds = _load(args)
     if args.pbsmt_command == "train":
+        if args.iterations < 1:
+            raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
+        names = _label_set(args).names
         try:
-            labels = ([int(args.label)] if args.label is not None
-                      else list(range(ds.labels.n_classes)))
+            labels = [int(args.label)] if args.label is not None else list(range(len(names)))
         except ValueError:
             raise ConfigError(f"--label must be an integer, got {args.label!r}") from None
+        if not 0 <= labels[0] < len(names):
+            raise ConfigError(
+                f"--label {args.label} names no label of --labels {args.labels!r}; use one of "
+                + ", ".join(f"{i} ({name})" for i, name in enumerate(names)))
+    ds = _load(args)
+    if args.pbsmt_command == "train":
         weights = pbsmt.DecoderWeights(
             w_tm=args.w_tm, w_lm=args.w_lm, w_dist=args.w_dist, w_len=args.w_len,
             beam_size=args.beam, distortion_limit=args.distortion_limit)
@@ -491,5 +500,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry of `python -m saladbench.cli` and of the `saladbench`
+    console script. Every module is imported by now, so gc.freeze() moves the
+    objects alive at start-up (numpy, typing, the standard library and the
+    package: about 22,000) to the permanent generation, and no later
+    collection scans them, neither during the command nor at exit. No full
+    collection runs first: here it finds no garbage, and it would cost one
+    more scan of those objects. main() freezes nothing: tests and library
+    callers call it many times in one process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

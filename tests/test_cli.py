@@ -1,8 +1,10 @@
 """Command-line behaviour: subcommand smoke tests, exit codes, determinism,
 and config-file handling. Commands run in-process through cli.main()."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from saladbench import cli, pbsmt, toyclf
 
 from conftest import FINETUNE_ARGS, TRAIN_ARGS
+from test_pinned_outputs import EXPECTED, _report_digest
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "saladbench" / "data"
 SENT = str(DATA_DIR / "toy_sentiment.tsv")
@@ -68,6 +71,20 @@ def test_transform_skips_inapplicable_kinds(tmp_path, capsys):
     assert [p.name for p in out.glob("*.tsv")] == ["sort.tsv"]
     err = capsys.readouterr().err
     assert "skipped copysort" in err and "skipped drop" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--transforms", "copysort"], "copysort: pair-only transform"),
+    (["--transforms", "pbsmt", "--pbsmt-dir", "{tmp}/empty"], "pbsmt: no trained generators"),
+], ids=["pair-only-on-single", "pbsmt-with-an-empty-generator-directory"])
+def test_transform_with_every_kind_skipped_is_refused(tmp_path, capsys, argv, reason):
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "fo"
+    assert run(["transform", *SENT_ARGS, *(a.replace("{tmp}", str(tmp_path)) for a in argv),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: no applicable transforms ({reason})"]
+    assert not out.exists()
 
 
 def test_transform_gradient_kinds_with_model(tmp_path, trained_model):
@@ -421,6 +438,22 @@ def test_pbsmt_generate_without_models_is_refused_before_loading_data(
     assert not (tmp_path / "fo").exists()
 
 
+@pytest.mark.parametrize("label", ["7", "2", "-1"])
+def test_pbsmt_train_label_outside_the_labels_is_refused_before_loading_data(
+        tmp_path, capsys, monkeypatch, label):
+    loaded = []
+    load = cli.corpus.load_dataset
+    monkeypatch.setattr(cli.corpus, "load_dataset",
+                        lambda *a, **kw: loaded.append(1) or load(*a, **kw))
+    out = tmp_path / "fo"
+    assert run(["pbsmt", "train", *SENT_ARGS, "--label", label, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --label {label} names no label of --labels 'negative,positive'; "
+        f"use one of 0 (negative), 1 (positive)"]
+    assert loaded == []
+    assert not out.exists()
+
+
 def test_generator_weights_the_decoder_refuses_are_a_data_error(tmp_path, capsys,
                                                                 sent_gens):
     pbsmt.save_generator(sent_gens[0], tmp_path / "g" / "label_0")
@@ -464,6 +497,50 @@ def test_importing_the_cli_does_not_import_dataclasses():
 def test_a_preset_blas_thread_count_is_kept():
     assert _child_prints("import os, saladbench; print(os.environ['OPENBLAS_NUM_THREADS'])",
                          blas_threads="3") == ["3"]
+
+
+def test_the_process_entry_freezes_the_start_up_objects(tmp_path):
+    # runpy.run_module with run_name "__main__" is how `python -m saladbench.cli` starts
+    out = tmp_path / "tx"
+    assert _child_prints(
+        "import gc, runpy, sys; "
+        f"sys.argv = ['saladbench', 'transform', *{SENT_ARGS!r}, '--transforms', 'sort', "
+        f"'--out', {str(out)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('saladbench.cli', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, gc.get_freeze_count() > 0)")[-2:] == ["0", "True"]
+    assert (out / "sort.tsv").exists()
+
+
+def test_importing_the_cli_and_calling_main_freezes_nothing(tmp_path):
+    assert _child_prints(
+        "import gc; from saladbench import cli; "
+        f"print(cli.main(['transform', *{SENT_ARGS!r}, '--transforms', 'sort', "
+        f"'--out', {str(tmp_path / 'tx')!r}]), gc.get_freeze_count())")[-2:] == ["0", "0"]
+
+
+def test_the_console_script_and_the_main_block_call_the_same_entry():
+    pyproject = (DATA_DIR.parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^saladbench = "saladbench\.cli:(\w+)"$', pyproject, re.M)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    block = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(block) == 1
+    assert ast.unparse(block[0].body[0]) == f"sys.exit({script.group(1)}())"
+    assert script.group(1) != "main"   # main is the in-process call, which freezes nothing
+
+
+def test_a_python_m_evaluate_matches_the_pinned_report(tmp_path, pair_base):
+    model = tmp_path / "params.bin"
+    toyclf.save_params(pair_base, model)
+    env = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent.parent)}
+    subprocess.run([sys.executable, "-m", "saladbench.cli", "evaluate", *PAIR_ARGS,
+                    "--transforms", "all", "--model", str(model),
+                    "--out", str(tmp_path / "eval")],
+                   capture_output=True, env=env, timeout=300, check=True)
+    assert (_report_digest(tmp_path / "eval" / "report.json")
+            == EXPECTED["pair"]["evaluate_full"])
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
