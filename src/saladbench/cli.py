@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: transform, evaluate, train, calibrate, mitigate, pbsmt, report.
+Commands: transform, evaluate, train, calibrate, mitigate, pbsmt train|generate, report.
 Each output file is replaced whole (corpus.write_file). A run writes its
 resolved configuration, config.json, last, so it marks a complete run.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider/contract error.
@@ -26,7 +26,17 @@ SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error (bad value, missing or unknown argument) is a ConfigError."""
+    """A usage error (bad value, missing or unknown argument) is a ConfigError.
+    Flags match by whole name only; `actions` maps dest to action for --config."""
+
+    def __init__(self, **kwargs):
+        self.actions = {}
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions[action.dest] = action
+        return action
 
     def error(self, message):
         raise ConfigError(message)
@@ -129,67 +139,70 @@ def _predict(provider, examples, labels: corpus.LabelSet):
     return probs
 
 
-def _save_transformed(transformed, tag, ds, path):
-    """Writes one set of `transform_examples` rows; `tag` is `kind:seed:r`."""
-    out_ds = corpus.Dataset(tuple(transformed.values()), ds.labels, ds.task_kind)
-    meta = {ex.id: (src, tag) for src, ex in transformed.items()}
-    corpus.save_dataset(out_ds, path, transform_meta=meta)
-    print(f"wrote {path} ({len(transformed)} rows)")
+def _refuse_if_none(kinds, skipped):
+    """A ConfigError naming each skipped kind and why, when no kind is left."""
+    if not kinds:
+        raise ConfigError("no applicable transforms ("
+                          + "; ".join(f"{kind}: {why}" for kind, why in skipped) + ")")
 
 
-def cmd_transform(args):
+def _salad_sets(args, provider_required: bool):
+    """The dataset, the provider, the skipped (kind, why) pairs and, per usable
+    kind, a lazy sequence of (seed, rows), checked before any work. Saliency
+    and the replace vocabulary are made when the first set that reads them is."""
     if not 0.0 < args.r <= 1.0:  # before any work, whatever the kinds
         raise ConfigError(f"--r must be in (0, 1], got {args.r}")
     ds = _load(args)
-    provider = _provider(args, required=False)
+    provider = _provider(args, provider_required)
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
     kinds, skipped = mitigate.resolve_kinds(
         args.transforms, ds.task_kind,
         provider is not None and provider.supports_saliency, bool(generators))
-    if not kinds:
-        raise ConfigError("no applicable transforms ("
-                          + "; ".join(f"{kind}: {why}" for kind, why in skipped) + ")")
+    _refuse_if_none(kinds, skipped)
+
+    saliency = {}  # every side the gradient kinds score, filled when the first of them runs
+
+    def seeded(kind):  # a generator: its body runs when the caller asks for a set
+        if kind in lexical.GRADIENT_KINDS and not saliency:
+            saliency.update(mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind))
+        vocab = toyclf.build_vocab(ds)[1:] if kind == "replace" else None
+        for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
+            yield seed, mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,
+                                                    args.r, saliency, generators, vocab)
+
+    return ds, provider, skipped, {kind: seeded(kind) for kind in kinds}
+
+
+def cmd_transform(args):
+    """Also `pbsmt generate`: --transforms pbsmt from --models, at --r 0.5."""
+    ds, _, skipped, sets = _salad_sets(args, provider_required=False)
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
-    saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
-    vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
-    outputs = [(f"{kind}_{seed}" if kind == "shuffle" else kind, f"{kind}:{seed}:{args.r}",
-                mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,
-                                            args.r, saliency, generators, vocab))
-               for kind in kinds
-               for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,))]
+    outputs = [(kind, seed, rows) for kind, seeded in sets.items() for seed, rows in seeded]
     _clear_config(args.out)
-    for name, tag, transformed in outputs:
-        _save_transformed(transformed, tag, ds, os.path.join(args.out, f"{name}.tsv"))
+    for kind, seed, rows in outputs:
+        name = f"{kind}_{seed}" if kind == "shuffle" else kind
+        path, tag = os.path.join(args.out, f"{name}.tsv"), f"{kind}:{seed}:{args.r}"
+        corpus.save_dataset(corpus.Dataset(tuple(rows.values()), ds.labels, ds.task_kind), path,
+                            transform_meta={ex.id: (src, tag) for src, ex in rows.items()})
+        print(f"wrote {path} ({len(rows)} rows)")
 
 
 def cmd_evaluate(args):
-    if not 0.0 < args.r <= 1.0:
-        raise ConfigError(f"--r must be in (0, 1], got {args.r}")
-    ds = _load(args)
-    provider = _provider(args)
-    labels = ds.labels
-    generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
-    kinds, skipped = mitigate.resolve_kinds(
-        args.transforms, ds.task_kind, provider.supports_saliency, bool(generators))
-    preds_orig = _predict(provider, ds.examples, labels)
+    ds, provider, skipped, sets = _salad_sets(args, provider_required=True)
+    preds_orig = _predict(provider, ds.examples, ds.labels)
     row_of = {ex.id: i for i, ex in enumerate(ds.examples)}
     for kind, why in skipped:
         print(f"{kind}: -- ({why})")
-    saliency = mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind)
-    vocab = toyclf.build_vocab(ds)[1:] if "replace" in kinds else None
     rows = []
-    for kind in kinds:
+    for kind, seeded in sets.items():
         per_seed, confs = [], []
-        for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
-            transformed = mitigate.transform_examples(
-                ds.examples, kind, ds.task_kind, seed, args.r, saliency,
-                generators, vocab)
+        for _, transformed in seeded:
             if not transformed:
                 break
-            preds = _predict(provider, list(transformed.values()), labels)
+            preds = _predict(provider, list(transformed.values()), ds.labels)
             if kind in lexical.PAIR_ONLY_KINDS:
-                agr = metrics.default_agreement(preds, labels.default_label)
+                agr = metrics.default_agreement(preds, ds.labels.default_label)
             else:
                 # each row is compared with the prediction for its own source
                 agr = metrics.agreement(
@@ -206,7 +219,7 @@ def cmd_evaluate(args):
             per_seed=tuple(per_seed) if kind == "shuffle" else ()))
     gold = [ex.gold_label for ex in ds.examples]
     ece_value = metrics.ece(preds_orig, gold) if None not in gold else None
-    report = metrics.build_report(rows, labels.n_classes, ece_value,
+    report = metrics.build_report(rows, ds.labels.n_classes, ece_value,
                                   provenance={"provider": provider.describe(),
                                               "seed": args.seed,
                                               "data": args.data})
@@ -253,31 +266,28 @@ def cmd_mitigate(args):
         raise ConfigError(f"--lambda-ent must be at least 0, got {args.lambda_ent}")
     ds = _load(args)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
-    if not kinds:
-        raise ConfigError("no applicable transforms for this task")
     strategy = args.strategy.replace("-", "_")
     finetune = (args.finetune_epochs, args.batch_size, args.finetune_lr, args.seed)
     toyclf.check_train_args(args.epochs, args.batch_size, args.lr, args.seed, args.dim)
     toyclf.check_train_args(*finetune)  # both trainings' values, before any work
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
-    if "pbsmt" in kinds:
-        try:  # before any training; the generators train after the baseline
-            for label in range(ds.labels.n_classes):
-                pbsmt.build_parallel_corpus(train_ds, label)
-        except InsufficientDataError as e:
-            skipped.append(("pbsmt", f"generators unavailable: {e}"))
-            kinds = tuple(k for k in kinds if k != "pbsmt")
+    try:  # before any training; the generators train from them after the baseline
+        bitexts = {label: pbsmt.build_parallel_corpus(train_ds, label)
+                   for label in range(ds.labels.n_classes) if "pbsmt" in kinds}
+    except InsufficientDataError as e:
+        skipped.append(("pbsmt", f"generators unavailable: {e}"))
+        kinds, bitexts = tuple(k for k in kinds if k != "pbsmt"), {}
+    _refuse_if_none(kinds, skipped)
     for kind, why in skipped:
         print(f"skipped {kind}: {why}", file=sys.stderr)
-    if not kinds:
-        raise ConfigError("no applicable transforms for this configuration")
     baseline = toyclf.train(train_ds, args.epochs, args.batch_size, args.lr, args.seed,
                             args.dim)
     baseline_acc = toyclf.accuracy(baseline, val_ds)
     provider = providers.EmbeddedProvider(baseline)
     vocab = list(baseline.vocab[1:])
-    generators = {label: pbsmt.train_generator(train_ds, label)
-                  for label in range(ds.labels.n_classes)} if "pbsmt" in kinds else {}
+    generators = {label: pbsmt.train_generator(pairs, label)
+                  for label, pairs in bitexts.items()}
+    del bitexts  # the generators keep their tables; the token pairs are not needed again
 
     invalid_val = {kind: list(rows.values()) for kind, rows in mitigate.invalid_by_kind(
         val_ds.examples, kinds, ds.task_kind, provider, generators, vocab,
@@ -320,41 +330,27 @@ def cmd_mitigate(args):
     print(text)
 
 
-def cmd_pbsmt(args):
-    if args.pbsmt_command == "generate" and not args.models:
-        raise ConfigError("pbsmt generate needs --models, a directory pbsmt train wrote")
-    if args.pbsmt_command == "train":
-        if args.iterations < 1:
-            raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
-        names = _label_set(args).names
-        try:
-            labels = [int(args.label)] if args.label is not None else list(range(len(names)))
-        except ValueError:
-            raise ConfigError(f"--label must be an integer, got {args.label!r}") from None
-        if not 0 <= labels[0] < len(names):
-            raise ConfigError(
-                f"--label {args.label} names no label of --labels {args.labels!r}; use one of "
-                + ", ".join(f"{i} ({name})" for i, name in enumerate(names)))
+def cmd_pbsmt_train(args):
+    if args.iterations < 1:
+        raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
+    names = _label_set(args).names
+    if args.label is not None and not 0 <= args.label < len(names):
+        raise ConfigError(
+            f"--label {args.label} names no label of --labels {args.labels!r}; use one of "
+            + ", ".join(f"{i} ({name})" for i, name in enumerate(names)))
     ds = _load(args)
-    if args.pbsmt_command == "train":
-        weights = pbsmt.DecoderWeights(
-            w_tm=args.w_tm, w_lm=args.w_lm, w_dist=args.w_dist, w_len=args.w_len,
-            beam_size=args.beam, distortion_limit=args.distortion_limit)
-        generators = {label: pbsmt.train_generator(
-                          ds, label, iterations=args.iterations, weights=weights,
-                          min_pairs=args.min_pairs) for label in labels}
-        _clear_config(args.out)
-        for label, gen in generators.items():
-            out = os.path.join(args.out, f"label_{label}")
-            pbsmt.save_generator(gen, out)
-            print(f"trained generator for label {label} -> {out}")
-    else:
-        generators = pbsmt.load_generators(args.models)
-        transformed = mitigate.transform_examples(
-            ds.examples, "pbsmt", ds.task_kind, args.seed, generators=generators)
-        _clear_config(args.out)
-        _save_transformed(transformed, f"pbsmt:{args.seed}:0.5", ds,
-                          os.path.join(args.out, "pbsmt.tsv"))
+    weights = pbsmt.DecoderWeights(
+        w_tm=args.w_tm, w_lm=args.w_lm, w_dist=args.w_dist, w_len=args.w_len,
+        beam_size=args.beam, distortion_limit=args.distortion_limit)
+    bitexts = {label: pbsmt.build_parallel_corpus(ds, label, args.min_pairs)
+               for label in ([args.label] if args.label is not None else range(len(names)))}
+    generators = {label: pbsmt.train_generator(pairs, label, args.iterations, weights)
+                  for label, pairs in bitexts.items()}
+    _clear_config(args.out)
+    for label, gen in generators.items():
+        out = os.path.join(args.out, f"label_{label}")
+        pbsmt.save_generator(gen, out)
+        print(f"trained generator for label {label} -> {out}")
 
 
 def cmd_report(args):
@@ -416,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="learning rate for the mitigation fine-tuning phase")
     p.set_defaults(func=cmd_mitigate)
 
-    p = sub.add_parser("pbsmt", help="train or run the statistical generators")
-    p.add_argument("pbsmt_command", choices=["train", "generate"])
+    pbsmt_sub = sub.add_parser("pbsmt", help="train or run the statistical generators"
+                               ).add_subparsers(dest="pbsmt_command", required=True)
+    p = pbsmt_sub.add_parser("train", help="train a generator per label (or for --label)")
     _add_dataset_args(p)
-    p.add_argument("--label", default=None)
-    p.add_argument("--models", help="generator directory (generate)")
+    p.add_argument("--label", type=int, default=None, help="index of one of --labels")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--min-pairs", type=int, default=50)
     p.add_argument("--w-tm", action=_Finite, default=1.0)
@@ -429,19 +425,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-len", action=_Finite, default=-0.1)
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--distortion-limit", type=int, default=3)
-    p.set_defaults(func=cmd_pbsmt)
+    p.set_defaults(func=cmd_pbsmt_train)
+
+    p = pbsmt_sub.add_parser("generate", help="transform --transforms pbsmt from --models")
+    _add_dataset_args(p)
+    p.add_argument("--models", required=True, dest="pbsmt_dir", help="pbsmt train's --out")
+    p.set_defaults(func=cmd_transform, transforms="pbsmt", r=0.5,
+                   model=None, replay=None, url=None)
 
     p = sub.add_parser("report", help="re-render a report.json")
     p.add_argument("--input", required=True)
     p.add_argument("--render", default="md", choices=["md", "csv"])
     p.set_defaults(func=cmd_report)
-    parser.subcommands = sub
+    parser.leaves = {**{(name, None): p for name, p in sub.choices.items()},  # for --config
+                     **{("pbsmt", name): p for name, p in pbsmt_sub.choices.items()}}
     return parser
 
 
 def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
-    """Installs the --config JSON entries as defaults of the selected
-    subcommand and parses argv again, so explicit flags win."""
+    """Installs the --config JSON entries as defaults of the selected leaf
+    parser (pbsmt's train or generate) and parses argv again, so explicit flags win."""
     with open(args.config, encoding="utf-8") as f:
         try:
             cfg = json.load(f)
@@ -452,11 +455,10 @@ def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
     if not isinstance(cfg, dict):
         raise ConfigError(f"--config {args.config}: expected a JSON object, "
                           f"got {type(cfg).__name__}")
-    sub = parser.subcommands.choices[args.command]
-    actions = {action.dest: action for action in sub._actions}
+    leaf = parser.leaves[args.command, getattr(args, "pbsmt_command", None)]
     entries = {key.replace("-", "_"): (key, value) for key, value in cfg.items()}
-    sub.set_defaults(**{attr: _config_value(actions[attr], key, value, args.config)
-                        for attr, (key, value) in entries.items() if attr in actions})
+    leaf.set_defaults(**{attr: _config_value(leaf.actions[attr], key, value, args.config)
+                         for attr, (key, value) in entries.items() if attr in leaf.actions})
     return parser.parse_args(argv)
 
 

@@ -391,13 +391,10 @@ class GeneratorModel(NamedTuple):
     weights: DecoderWeights
 
 
-def train_generator(ds: Dataset, label: int, iterations: int = 10,
-                    weights: Optional[DecoderWeights] = None,
-                    min_pairs: int = 50) -> GeneratorModel:
-    pairs = build_parallel_corpus(ds, label, min_pairs=min_pairs)
-    phrases = build_phrase_table(pairs, train_model1(pairs, iterations))
-    lm = train_lm([t for _, t in pairs])
-    return GeneratorModel(label, phrases, lm, weights or DecoderWeights())
+def train_generator(pairs: Bitext, label: int, iterations: int = 10,
+                    weights: Optional[DecoderWeights] = None) -> GeneratorModel:
+    return GeneratorModel(label, build_phrase_table(pairs, train_model1(pairs, iterations)),
+                          train_lm([t for _, t in pairs]), weights or DecoderWeights())
 
 
 def generate_invalid(ex: Example, models: dict[int, GeneratorModel]) -> TextInput:

@@ -48,12 +48,12 @@ def pair_base(pair_split) -> toyclf.ToyModelParams:
 @pytest.fixture(scope="session")
 def sent_gens(sent_split):
     train_ds, _ = sent_split
-    return {label: pbsmt.train_generator(train_ds, label)
+    return {label: pbsmt.train_generator(pbsmt.build_parallel_corpus(train_ds, label), label)
             for label in range(train_ds.labels.n_classes)}
 
 
 @pytest.fixture(scope="session")
 def pair_gens(pair_split):
     train_ds, _ = pair_split
-    return {label: pbsmt.train_generator(train_ds, label)
+    return {label: pbsmt.train_generator(pbsmt.build_parallel_corpus(train_ds, label), label)
             for label in range(train_ds.labels.n_classes)}

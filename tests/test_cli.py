@@ -74,16 +74,27 @@ def test_transform_skips_inapplicable_kinds(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["--transforms", "copysort"], "copysort: pair-only transform"),
-    (["--transforms", "pbsmt", "--pbsmt-dir", "{tmp}/empty"], "pbsmt: no trained generators"),
-], ids=["pair-only-on-single", "pbsmt-with-an-empty-generator-directory"])
-def test_transform_with_every_kind_skipped_is_refused(tmp_path, capsys, argv, reason):
+    (["transform", "--transforms", "copysort"], "copysort: pair-only transform"),
+    (["transform", "--transforms", "pbsmt", "--pbsmt-dir", "{tmp}/empty"],
+     "pbsmt: no trained generators"),
+    (["evaluate", "--model", "{model}", "--transforms", "copysort"],
+     "copysort: pair-only transform"),
+    (["pbsmt", "generate", "--models", "{tmp}/empty"], "pbsmt: no trained generators"),
+], ids=["pair-only-on-single", "pbsmt-with-an-empty-generator-directory",
+        "evaluate-pair-only-on-single", "pbsmt-generate-with-an-empty-models-directory"])
+def test_transform_with_every_kind_skipped_is_refused(tmp_path, capsys, monkeypatch,
+                                                      trained_model, argv, reason):
     (tmp_path / "empty").mkdir()
+    predicted = []
+    predict = cli.providers.EmbeddedProvider.predict_batch
+    monkeypatch.setattr(cli.providers.EmbeddedProvider, "predict_batch",
+                        lambda self, rows: predicted.append(1) or predict(self, rows))
     out = tmp_path / "fo"
-    assert run(["transform", *SENT_ARGS, *(a.replace("{tmp}", str(tmp_path)) for a in argv),
-                "--out", str(out)]) == 1
+    argv = [a.format(tmp=tmp_path, model=trained_model) for a in argv]
+    assert run([*argv, *SENT_ARGS, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: no applicable transforms ({reason})"]
+    assert predicted == []   # evaluate refuses before it predicts a row
     assert not out.exists()
 
 
@@ -342,6 +353,21 @@ def test_usage_errors_are_one_error_line_and_exit_1(tmp_path, capsys, monkeypatc
     assert captured.out == "" and not (tmp_path / "fo").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", *SENT_ARGS, "--label", "negative,positive,neutral"],   # not --labels
+    ["pbsmt", "generate", *SENT_ARGS, "--models", "{gens}", "--label", "0"],
+], ids=["train-label", "pbsmt-generate-label"])
+def test_a_flag_is_matched_by_its_whole_name_only(tmp_path, capsys, sent_gens, argv):
+    for label, gen in sent_gens.items():
+        pbsmt.save_generator(gen, tmp_path / "gens" / f"label_{label}")
+    out = tmp_path / "fo"
+    assert run([*(a.format(gens=tmp_path / "gens") for a in argv), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments: --label"), \
+        lines
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["transform", "evaluate"])
 @pytest.mark.parametrize("r", ["0", "1.5"])
 def test_r_outside_the_unit_interval_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
@@ -374,10 +400,9 @@ def test_mitigate_with_no_transform_left_after_the_pbsmt_fallback_is_refused(tmp
     assert run(["mitigate", "--data", str(data), "--task", "single",
                 "--labels", "negative,positive", "--transforms", "pbsmt",
                 "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2, lines
-    assert lines[0].startswith("skipped pbsmt: generators unavailable")
-    assert lines[1].startswith("error: no applicable transforms")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no applicable transforms (pbsmt: generators unavailable: "
+        "label 0: 16 usable pairs < min_pairs=50)"]
     assert not out.exists()
 
 
@@ -391,7 +416,9 @@ def test_mitigate_refuses_pbsmt_without_generator_data_before_training(tmp_path,
     assert run(["mitigate", "--data", str(data), "--task", "single",
                 "--labels", "negative,positive", "--transforms", "pbsmt",
                 "--out", str(tmp_path / "fo")]) == 1
-    assert "error: no applicable transforms for this configuration" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no applicable transforms (pbsmt: generators unavailable: "
+        "label 0: 16 usable pairs < min_pairs=50)"]
     assert trained == []
 
 
@@ -433,9 +460,51 @@ def test_pbsmt_generate_without_models_is_refused_before_loading_data(
                         lambda *a, **kw: loaded.append(1) or load(*a, **kw))
     assert run(["pbsmt", "generate", *SENT_ARGS, "--out", "fo"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: pbsmt generate needs --models, a directory pbsmt train wrote"]
+        "error: the following arguments are required: --models"]
     assert loaded == []
     assert not (tmp_path / "fo").exists()
+
+
+# the flags of pbsmt train that pbsmt generate does not take
+PBSMT_TRAIN_ONLY = [("--label", "0"), ("--iterations", "3"), ("--min-pairs", "5"),
+                    ("--w-tm", "1"), ("--w-lm", "1"), ("--w-dist", "1"), ("--w-len", "1"),
+                    ("--beam", "3"), ("--distortion-limit", "2")]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["generate", "--models", "{tmp}", flag, value] for flag, value in PBSMT_TRAIN_ONLY),
+    ["train", "--models", "{tmp}"],
+], ids=[*(f"generate{flag}" for flag, _ in PBSMT_TRAIN_ONLY), "train--models"])
+def test_a_pbsmt_subcommand_refuses_the_flags_of_the_other_before_loading_data(
+        tmp_path, capsys, monkeypatch, argv):
+    loaded = []
+    load = cli.corpus.load_dataset
+    monkeypatch.setattr(cli.corpus, "load_dataset",
+                        lambda *a, **kw: loaded.append(1) or load(*a, **kw))
+    out = tmp_path / "fo"
+    assert run(["pbsmt", *(a.format(tmp=tmp_path) for a in argv), *SENT_ARGS,
+                "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: unrecognized arguments: {argv[-2]}"), lines
+    assert loaded == []
+    assert not out.exists()
+
+
+def test_a_pbsmt_train_runs_own_config_replays_to_the_same_generators(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["pbsmt", "train", *SENT_ARGS, "--label", "1", "--iterations", "3",
+                "--min-pairs", "20", "--w-lm", "0.7", "--beam", "4",
+                "--distortion-limit", "2", "--out", str(first)]) == 0
+    assert run(["--config", str(first / "config.json"), "pbsmt", "train", *SENT_ARGS,
+                "--out", str(second)]) == 0
+    files = sorted(p.relative_to(first) for p in first.rglob("*")
+                   if p.is_file() and p.name != "config.json")
+    assert [str(f) for f in files] == [
+        "label_1/lm.tsv", "label_1/phrases.tsv", "label_1/weights.json"]
+    for f in files:
+        assert (second / f).read_bytes() == (first / f).read_bytes(), f
+    assert json.loads((first / "config.json").read_text(encoding="utf-8"))["label"] == 1
 
 
 @pytest.mark.parametrize("label", ["7", "2", "-1"])

@@ -16,7 +16,7 @@ from saladbench.errors import (ArgumentError, DataError, DegenerateInputError,
 from saladbench.pbsmt import (BOS, NULL, DecoderWeights, LanguageModel, PhraseTable, align,
                               build_parallel_corpus, build_phrase_table, decode,
                               extract_phrases, generate_invalid, load_generator,
-                              save_generator, train_generator, train_lm,
+                              save_generator, train_lm,
                               train_model1)
 
 
@@ -573,12 +573,6 @@ def test_save_generator_writes_no_lexical_table(tmp_path, pair_gens):
     save_generator(pair_gens[0], tmp_path / "gen")
     assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == \
         ["lm.tsv", "phrases.tsv", "weights.json"]
-
-
-def test_train_generator_insufficient_data(pair_split):
-    train_ds, _ = pair_split
-    with pytest.raises(InsufficientDataError):
-        train_generator(train_ds, 0, min_pairs=10**6)
 
 
 # --- pinned decoder outputs ---
