@@ -164,7 +164,8 @@ def _salad_sets(args, provider_required: bool):
 
     def seeded(kind):  # a generator: its body runs when the caller asks for a set
         if kind in lexical.GRADIENT_KINDS and not saliency:
-            saliency.update(mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind))
+            saliency.update(mitigate.score_saliency(provider, ds.examples, kinds, ds.task_kind,
+                                                    args.r))
         vocab = toyclf.build_vocab(ds)[1:] if kind == "replace" else None
         for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
             yield seed, mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,

@@ -242,7 +242,7 @@ def load_dataset(path, fmt: str, labels: LabelSet, task_kind: str) -> Dataset:
 
     Rows missing a required text field are skipped (count kept on the
     Dataset and logged); duplicate ids, unknown labels, JSONL lines that
-    are not JSON objects and JSONL text fields that are not strings are fatal.
+    are not JSON objects, non-string JSONL texts and no usable row are fatal.
     """
     if fmt == "tsv":
         rows = _tsv_rows(path)
@@ -268,6 +268,8 @@ def load_dataset(path, fmt: str, labels: LabelSet, task_kind: str) -> Dataset:
         seen.add(ex.id)
         examples.append(ex)
 
+    if not examples:  # before the warning, so the refusal is the run's one line
+        raise DataError(f"{path}: no usable rows ({skipped} skipped)")
     if skipped:
         log.warning("skipped %d malformed rows while loading %s", skipped, path)
     return Dataset(tuple(examples), labels, task_kind, skipped_rows=skipped)

@@ -2,7 +2,7 @@
 
 Tokens are scored by the dot product of their embedding with the loss
 gradient at that embedding; the bottom-r fraction (least important) are the
-ones dropped or replaced.
+ones dropped or replaced. Every kind reads one ranking per row (rank).
 """
 
 from __future__ import annotations
@@ -10,16 +10,20 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .corpus import Example, TextInput
 from .errors import ArgumentError, DegenerateInputError, UnsupportedTransformError
 from .lexical import GRADIENT_KINDS, rewrite
 
 
-class ImportancePartition(NamedTuple):
-    bottom: tuple[int, ...]
-    top: tuple[int, ...]
+class ImportancePartition:
+    """A row's saliency ranking (rank): the scored side's token count `n`, and
+    the `bottom` and `top` positions drop, repeat and replace edit or copyone's `best`."""
+    __slots__ = ("bottom", "top", "n", "best")
+
+    def __init__(self, bottom=(), top=(), n=None, best=None):
+        self.bottom, self.top, self.n, self.best = bottom, top, n, best
 
 
 def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePartition:
@@ -31,13 +35,19 @@ def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePart
     if not 0.0 < r <= 1.0:
         raise ArgumentError(f"r must be in (0,1], got {r}")
     m = max(1, math.floor(r * n))
-    by_ascending = sorted(range(n), key=lambda i: (scores[i], i))
-    bottom = sorted(by_ascending[:m])
-    below = set(bottom)
-    remaining = [i for i in range(n) if i not in below]
-    by_descending = sorted(remaining, key=lambda i: (-scores[i], i))
-    top = sorted(by_descending[:m])
-    return ImportancePartition(tuple(bottom), tuple(top))
+    by_ascending = sorted(range(n), key=scores.__getitem__)  # stable: ties keep position order
+    rest = sorted(by_ascending[m:])
+    if len(rest) > m:
+        rest = sorted(sorted(rest, key=scores.__getitem__, reverse=True)[:m])
+    return ImportancePartition(tuple(sorted(by_ascending[:m])), tuple(rest), n)
+
+
+def rank(scores: Sequence[float], kind: str, r: float) -> ImportancePartition:
+    """The ranking `kind` reads from one row's scores: copyone's most salient
+    position (ties toward the lowest), else partition_by_importance at r."""
+    if kind != "copyone" or not scores:  # an empty row fails in partition_by_importance
+        return partition_by_importance(scores, r)
+    return ImportancePartition(n=len(scores), best=max(range(len(scores)), key=scores.__getitem__))
 
 
 def drop_tokens(tokens: tuple[str, ...], part: ImportancePartition) -> tuple[str, ...]:
@@ -80,33 +90,28 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
     return tuple(out)
 
 
-def apply_gradient(ex: Example, kind: str, scores: Sequence[float], r: float = 0.5,
-                   seed: int = 0, vocab: Optional[Sequence[str]] = None) -> TextInput:
-    """Apply drop/repeat/replace or copyone to an Example: the bottom-r
-    positions (partition_by_importance) are edited, with draws by `seed`.
+def apply_gradient(ex: Example, kind: str, ranking: ImportancePartition, seed: int = 0,
+                   vocab: Optional[Sequence[str]] = None) -> TextInput:
+    """Apply drop/repeat/replace or copyone to an Example: the positions
+    `ranking` holds (rank) are edited, with draws by `seed`.
 
-    `scores` must be aligned with the tokens of the side the kind reads
+    `ranking` must be built from the scores of the side the kind reads
     (lexical.side_rule: text_a for copyone, whose text_b becomes the single
     most salient token of text_a). A replace vocabulary must hold only
     tokens, as replace_tokens says.
     """
     if kind not in GRADIENT_KINDS:
         raise UnsupportedTransformError(f"{kind} is not a gradient transform")
-    if kind == "replace" and vocab is None:
-        raise ArgumentError("replace requires a vocabulary")
 
     def edit(tokens):
-        if len(tokens) != len(scores):
-            raise ArgumentError(
-                f"saliency length {len(scores)} != token count {len(tokens)}")
+        if len(tokens) != ranking.n:
+            raise ArgumentError(f"saliency length {ranking.n} != token count {len(tokens)}")
         if kind == "copyone":
-            return (tokens[max(range(len(scores)),
-                               key=lambda i: (scores[i], -i))],)
-        part = partition_by_importance(scores, r)
+            return (tokens[ranking.best],)
         if kind == "drop":
-            return drop_tokens(tokens, part)
+            return drop_tokens(tokens, ranking)
         if kind == "repeat":
-            return repeat_tokens(tokens, part, seed)
-        return replace_tokens(tokens, part, vocab, seed)
+            return repeat_tokens(tokens, ranking, seed)
+        return replace_tokens(tokens, ranking, vocab, seed)
 
     return rewrite(ex.input, kind, edit)

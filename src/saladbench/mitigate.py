@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import Dataset, Example, LabelSet, checked, tokenize
 from .errors import (ArgumentError, ConfigError, DegenerateInputError,
                      UnsupportedTransformError)
-from .gradient import apply_gradient
+from .gradient import apply_gradient, rank
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
                       apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
@@ -69,19 +69,16 @@ def resolve_kinds(kinds: str | Sequence[str], task_kind: str,
     return tuple(usable), skipped
 
 
-def scored_side(kind: str, task_kind: str) -> str:
-    """The side a gradient kind scores: the side it reads (lexical.side_rule)."""
-    return side_rule(kind, task_kind == "pair")[0]
-
-
 def score_saliency(provider, examples: Sequence[Example], kinds: Sequence[str],
-                   task_kind: str) -> dict[str, list]:
-    """Saliency of every example, once per side that the gradient kinds among
-    `kinds` need; maps side -> scores aligned with `examples`."""
-    sides = sorted({scored_side(k, task_kind) for k in kinds if k in GRADIENT_KINDS})
-    if sides and provider is None:
+                   task_kind: str, r: float = 0.5) -> dict[str, list]:
+    """Each example's saliency ranking at r (gradient.rank), once per side the
+    gradient kinds among `kinds` read (copyone alone reads its side); maps side
+    -> rankings aligned with `examples`. No side's raw scores are kept."""
+    readers = {side_rule(k, task_kind == "pair")[0]: k for k in kinds if k in GRADIENT_KINDS}
+    if readers and provider is None:
         raise ConfigError("gradient transforms need a saliency provider")
-    return {side: provider.saliency_batch(examples, side) for side in sides}
+    return {side: [rank(scores, kind, r) for scores in provider.saliency_batch(examples, side)]
+            for side, kind in sorted(readers.items())}
 
 
 def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
@@ -91,17 +88,18 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
                        vocab: Optional[Sequence[str]] = None
                        ) -> dict[str, Example]:
     """{source id: row} of one kind over `examples`, in source order; gradient
-    kinds read `saliency` (score_saliency over the same examples). Rows are
-    named `{id}__{kind}` (`{id}__shuffle:{seed}`); rows too small for the kind
-    are skipped and logged with a count per reason. A replace vocabulary entry
-    that is not a token (one that tokenize() returns unchanged) is an ArgumentError."""
+    kinds read the rankings in `saliency` (score_saliency over the same
+    examples, at its r: `r` is not read here). Rows are named `{id}__{kind}`
+    (`{id}__shuffle:{seed}`); rows too small for the kind are skipped and
+    logged with a count per reason. A replace vocabulary entry that is not a
+    token (one that tokenize() returns unchanged) is an ArgumentError."""
     if kind == "replace":  # once per set, so no seed decides whether it fails
         bad = next((v for v in vocab or () if tokenize(v) != (v,)), None)
         if bad is not None:
             raise ArgumentError(f"vocabulary entry {bad!r} is not a token")
     if kind not in ALL_KINDS:
         raise UnsupportedTransformError(f"unknown transform kind {kind!r}")
-    scores = saliency[scored_side(kind, task_kind)] if kind in GRADIENT_KINDS else None
+    ranked = saliency[side_rule(kind, task_kind == "pair")[0]] if kind in GRADIENT_KINDS else None
     suffix = f"{kind}:{seed}" if kind == "shuffle" else kind
     out, skipped = {}, Counter()
     for i, ex in enumerate(examples):
@@ -109,7 +107,7 @@ def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
             if kind in LEXICAL_KINDS:
                 new_input = apply_lexical(ex, kind, seed)
             elif kind in GRADIENT_KINDS:
-                new_input = apply_gradient(ex, kind, scores[i], r, seed, vocab)
+                new_input = apply_gradient(ex, kind, ranked[i], seed, vocab)
             else:
                 new_input = generate_invalid(ex, generators or {})
         except DegenerateInputError as e:

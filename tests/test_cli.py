@@ -107,6 +107,20 @@ def test_transform_gradient_kinds_with_model(tmp_path, trained_model):
         ["drop.tsv", "replace.tsv"]
 
 
+def test_evaluate_edits_each_row_once_per_gradient_kind(tmp_path, monkeypatch, pair_base):
+    # the kinds share one ranking per row, but each row is still one
+    # apply_gradient call per kind (the benchmark tracer counts them)
+    model = tmp_path / "params.bin"
+    toyclf.save_params(pair_base, model)
+    calls, apply = [], cli.mitigate.apply_gradient
+    monkeypatch.setattr(cli.mitigate, "apply_gradient",
+                        lambda ex, kind, *rest: calls.append(kind) or apply(ex, kind, *rest))
+    assert run(["evaluate", *PAIR_ARGS, "--transforms", "all", "--model", str(model),
+                "--out", str(tmp_path / "eval")]) == 0
+    rows = len(Path(PAIRS).read_text(encoding="utf-8").splitlines()) - 1
+    assert sorted(calls) == sorted(["drop", "repeat", "replace", "copyone"] * rows)
+
+
 def test_transform_reruns_are_byte_identical(tmp_path, trained_model):
     outs = []
     for name in ("one", "two"):
@@ -642,6 +656,28 @@ def test_exit_code_2_on_malformed_data(tmp_path):
               "--labels", "negative,positive", "--transforms", "sort",
               "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("rows, skipped", [("", 0), ("a\t\t\tpositive\nb\t \t\tnegative\n", 2)],
+                         ids=["header-only", "every-row-malformed"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--transforms", "sort"], ["evaluate", "--model", "{model}"], ["train"],
+    ["calibrate", "--model", "{model}"], ["mitigate"], ["pbsmt", "train"],
+    ["pbsmt", "generate", "--models", "{tmp}/gens"]],
+    ids=["transform", "evaluate", "train", "calibrate", "mitigate", "pbsmt-train",
+         "pbsmt-generate"])
+def test_a_dataset_without_usable_rows_is_one_data_error(tmp_path, capsys, caplog,
+                                                          trained_model, argv, rows, skipped):
+    data = tmp_path / "empty.tsv"
+    data.write_text("id\ttext_a\ttext_b\tlabel\n" + rows, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path, model=trained_model) for a in argv]
+    assert run([*argv, "--data", str(data), "--task", "single",
+                "--labels", "negative,positive", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {data}: no usable rows ({skipped} skipped)"]
+    assert caplog.records == []   # no skip warning ahead of the line in a real process
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, error", [

@@ -133,3 +133,31 @@ def test_mitigate_reports_match_pinned_digests(task, strategy, tmp_path):
     for report in ("report.json", "report.csv"):
         h.update((out / report).read_bytes())
     assert h.hexdigest() == MITIGATE_EXPECTED[task, strategy]
+
+
+# `transform` of the gradient kinds at two more fractions. The single corpus
+# has no copyone (pair-only); at r = 1 no row has a top set, and repeat
+# refuses the whole run, so that fraction pins the other kinds.
+GRADIENT_KINDS = {"0.25": "drop,repeat,replace,copyone", "1.0": "drop,replace,copyone"}
+GRADIENT_EXPECTED = {
+    ("single", "0.25"):
+        "807e673ea5af2ca97d07c71555fb042bf012b9f6f5796fef94a393892207d54a",
+    ("single", "1.0"):
+        "4e5fddf1f0facd49927b06bea91d00283284f75f1e777364038d11f08bb91066",
+    ("pair", "0.25"):
+        "5a3d5ef1a65e39424ad2d5bdb99a30409144fbdd4f6f12b448d0afb4fbf7c802",
+    ("pair", "1.0"):
+        "cbd93addc7a54bc2ef76169d9c4c6519ef7d0ab3cf9486b12537042bf9d514f1",
+}
+
+
+@pytest.mark.parametrize("task, r", sorted(GRADIENT_EXPECTED))
+def test_gradient_transforms_match_pinned_digests(task, r, request, tmp_path):
+    name, task_args, fixture = CORPORA[task]
+    model = tmp_path / "params.bin"
+    toyclf.save_params(request.getfixturevalue(f"{fixture}_base"), model)
+    out = tmp_path / "tx"
+    assert cli.main(["transform", "--data", str(DATA_DIR / name), *task_args,
+                     "--transforms", GRADIENT_KINDS[r], "--r", r,
+                     "--model", str(model), "--out", str(out)]) == 0
+    assert _tsv_digest(out) == GRADIENT_EXPECTED[task, r]
