@@ -169,7 +169,7 @@ def _salad_sets(args, provider_required: bool):
         vocab = toyclf.build_vocab(ds)[1:] if kind == "replace" else None
         for seed in (SHUFFLE_SEEDS if kind == "shuffle" else (args.seed,)):
             yield seed, mitigate.transform_examples(ds.examples, kind, ds.task_kind, seed,
-                                                    args.r, saliency, generators, vocab)
+                                                    saliency, generators, vocab)
 
     return ds, provider, skipped, {kind: seeded(kind) for kind in kinds}
 

@@ -2,7 +2,8 @@
 
 Tokens are scored by the dot product of their embedding with the loss
 gradient at that embedding; the bottom-r fraction (least important) are the
-ones dropped or replaced. Every kind reads one ranking per row (rank).
+ones dropped or replaced. Every kind reads one ranking per row
+(partition_by_importance).
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ from .lexical import GRADIENT_KINDS, rewrite
 
 
 class ImportancePartition:
-    """A row's saliency ranking (rank): the scored side's token count `n`, and
-    the `bottom` and `top` positions drop, repeat and replace edit or copyone's `best`."""
+    """One row's saliency ranking (partition_by_importance), which every gradient kind reads."""
     __slots__ = ("bottom", "top", "n", "best")
 
-    def __init__(self, bottom=(), top=(), n=None, best=None):
+    def __init__(self, bottom, top, n=None, best=None):
         self.bottom, self.top, self.n, self.best = bottom, top, n, best
 
 
 def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePartition:
     """Split positions into the bottom max(1, floor(r*n)) least-important and
-    an equally sized (clipped) top set. Ties break toward lower positions."""
+    an equally sized (clipped) top set, and find the most salient position
+    (copyone's). Ties break toward lower positions."""
     n = len(scores)
     if n == 0:
         raise ArgumentError("empty saliency scores")
@@ -39,15 +40,8 @@ def partition_by_importance(scores: Sequence[float], r: float) -> ImportancePart
     rest = sorted(by_ascending[m:])
     if len(rest) > m:
         rest = sorted(sorted(rest, key=scores.__getitem__, reverse=True)[:m])
-    return ImportancePartition(tuple(sorted(by_ascending[:m])), tuple(rest), n)
-
-
-def rank(scores: Sequence[float], kind: str, r: float) -> ImportancePartition:
-    """The ranking `kind` reads from one row's scores: copyone's most salient
-    position (ties toward the lowest), else partition_by_importance at r."""
-    if kind != "copyone" or not scores:  # an empty row fails in partition_by_importance
-        return partition_by_importance(scores, r)
-    return ImportancePartition(n=len(scores), best=max(range(len(scores)), key=scores.__getitem__))
+    return ImportancePartition(tuple(sorted(by_ascending[:m])), tuple(rest), n,
+                               max(range(n), key=scores.__getitem__))
 
 
 def drop_tokens(tokens: tuple[str, ...], part: ImportancePartition) -> tuple[str, ...]:
@@ -93,7 +87,7 @@ def replace_tokens(tokens: tuple[str, ...], part: ImportancePartition,
 def apply_gradient(ex: Example, kind: str, ranking: ImportancePartition, seed: int = 0,
                    vocab: Optional[Sequence[str]] = None) -> TextInput:
     """Apply drop/repeat/replace or copyone to an Example: the positions
-    `ranking` holds (rank) are edited, with draws by `seed`.
+    `ranking` holds (partition_by_importance) are edited, with draws by `seed`.
 
     `ranking` must be built from the scores of the side the kind reads
     (lexical.side_rule: text_a for copyone, whose text_b becomes the single

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import Dataset, Example, LabelSet, checked, tokenize
 from .errors import (ArgumentError, ConfigError, DegenerateInputError,
                      UnsupportedTransformError)
-from .gradient import apply_gradient, rank
+from .gradient import apply_gradient, partition_by_importance
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
                       apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
@@ -71,28 +71,27 @@ def resolve_kinds(kinds: str | Sequence[str], task_kind: str,
 
 def score_saliency(provider, examples: Sequence[Example], kinds: Sequence[str],
                    task_kind: str, r: float = 0.5) -> dict[str, list]:
-    """Each example's saliency ranking at r (gradient.rank), once per side the
-    gradient kinds among `kinds` read (copyone alone reads its side); maps side
-    -> rankings aligned with `examples`. No side's raw scores are kept."""
-    readers = {side_rule(k, task_kind == "pair")[0]: k for k in kinds if k in GRADIENT_KINDS}
-    if readers and provider is None:
+    """Each example's saliency ranking at r (gradient.partition_by_importance),
+    once per side the gradient kinds among `kinds` read; maps side -> rankings
+    aligned with `examples`. No side's raw scores are kept."""
+    sides = sorted({side_rule(k, task_kind == "pair")[0] for k in kinds if k in GRADIENT_KINDS})
+    if sides and provider is None:
         raise ConfigError("gradient transforms need a saliency provider")
-    return {side: [rank(scores, kind, r) for scores in provider.saliency_batch(examples, side)]
-            for side, kind in sorted(readers.items())}
+    return {side: [partition_by_importance(scores, r)
+                   for scores in provider.saliency_batch(examples, side)] for side in sides}
 
 
 def transform_examples(examples: Sequence[Example], kind: str, task_kind: str,
-                       seed: int = 0, r: float = 0.5,
-                       saliency: Optional[dict[str, list]] = None,
+                       seed: int = 0, saliency: Optional[dict[str, list]] = None,
                        generators: Optional[dict[int, GeneratorModel]] = None,
                        vocab: Optional[Sequence[str]] = None
                        ) -> dict[str, Example]:
     """{source id: row} of one kind over `examples`, in source order; gradient
     kinds read the rankings in `saliency` (score_saliency over the same
-    examples, at its r: `r` is not read here). Rows are named `{id}__{kind}`
-    (`{id}__shuffle:{seed}`); rows too small for the kind are skipped and
-    logged with a count per reason. A replace vocabulary entry that is not a
-    token (one that tokenize() returns unchanged) is an ArgumentError."""
+    examples). Rows are named `{id}__{kind}` (`{id}__shuffle:{seed}`); rows
+    too small for the kind are skipped and logged with a count per reason. A
+    replace vocabulary entry that is not a token (one that tokenize() returns
+    unchanged) is an ArgumentError."""
     if kind == "replace":  # once per set, so no seed decides whether it fails
         bad = next((v for v in vocab or () if tokenize(v) != (v,)), None)
         if bad is not None:

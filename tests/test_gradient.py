@@ -11,7 +11,7 @@ from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                UnsupportedTransformError)
 from saladbench.gradient import (ImportancePartition, apply_gradient,
-                                 drop_tokens, partition_by_importance, rank,
+                                 drop_tokens, partition_by_importance,
                                  repeat_tokens, replace_tokens)
 from saladbench.mitigate import transform_examples
 
@@ -127,7 +127,7 @@ def test_replace_refuses_a_vocabulary_entry_that_is_not_a_token(entry):
     saliency = {"a": [(1.0, 2.0, 3.0, 4.0)]}
     for seed in range(4):
         with pytest.raises(ArgumentError, match="is not a token"):
-            transform_examples(examples, "replace", "single", seed, r=0.25,
+            transform_examples(examples, "replace", "single", seed,
                                saliency=saliency, vocab=["z"] * 50 + [entry])
 
 
@@ -171,24 +171,24 @@ COPYONE = "copyone"
 
 def test_copy_one_takes_most_salient_token_of_a():
     ex = Example("p", TextInput("the verdict stands", "hypothesis"), 1)
-    new = apply_gradient(ex, COPYONE, rank((0.1, 0.9, 0.3), COPYONE, 0.5))
+    new = apply_gradient(ex, COPYONE, partition_by_importance((0.1, 0.9, 0.3), 0.5))
     assert new.text_b == "verdict"
     assert new.text_a == "the verdict stands"
 
 
 def test_copy_one_tie_breaks_toward_first_token():
     ex = Example("p", TextInput("tie tie tie", "h"), 1)
-    new = apply_gradient(ex, COPYONE, rank((0.5, 0.5, 0.5), COPYONE, 0.5))
+    new = apply_gradient(ex, COPYONE, partition_by_importance((0.5, 0.5, 0.5), 0.5))
     assert new.text_b == "tie"
 
 
 def test_copy_one_requires_pair_and_aligned_scores():
     with pytest.raises(UnsupportedTransformError):
         apply_gradient(Example("s", TextInput("single"), 0), COPYONE,
-                       rank((1.0,), COPYONE, 0.5))
+                       partition_by_importance((1.0,), 0.5))
     ex = Example("p", TextInput("two words", "h"), 1)
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, COPYONE, rank((1.0,), COPYONE, 0.5))
+        apply_gradient(ex, COPYONE, partition_by_importance((1.0,), 0.5))
 
 
 # --- apply_gradient ---
@@ -196,7 +196,7 @@ def test_copy_one_requires_pair_and_aligned_scores():
 def test_apply_gradient_targets_b_on_pairs():
     ex = Example("p", TextInput("keep a side", "b1 b2 b3 b4"), 0)
     scores = (4.0, 3.0, 1.0, 2.0)
-    new = apply_gradient(ex, "drop", rank(scores, "drop", 0.5))
+    new = apply_gradient(ex, "drop", partition_by_importance(scores, 0.5))
     assert new.text_a == "keep a side"
     assert new.text_b == "b1 b2"
 
@@ -204,7 +204,7 @@ def test_apply_gradient_targets_b_on_pairs():
 def test_apply_gradient_single_task_targets_a():
     ex = Example("s", TextInput("w1 w2 w3 w4"), 0)
     scores = (1.0, 2.0, 3.0, 4.0)
-    new = apply_gradient(ex, "drop", rank(scores, "drop", 0.5))
+    new = apply_gradient(ex, "drop", partition_by_importance(scores, 0.5))
     assert new.text_a == "w3 w4"
 
 
@@ -212,21 +212,21 @@ def test_apply_gradient_replace_needs_vocab():
     ex = Example("s", TextInput("w1 w2"), 0)
     scores = (1.0, 2.0)
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, "replace", rank(scores, "replace", 0.5), vocab=None)
-    new = apply_gradient(ex, "replace", rank(scores, "replace", 0.5), vocab=["q"])
+        apply_gradient(ex, "replace", partition_by_importance(scores, 0.5), vocab=None)
+    new = apply_gradient(ex, "replace", partition_by_importance(scores, 0.5), vocab=["q"])
     assert new.text_a == "q w2"
 
 
 def test_apply_gradient_score_length_mismatch():
     ex = Example("s", TextInput("one two three"), 0)
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, "drop", rank((1.0,), "drop", 0.5))
+        apply_gradient(ex, "drop", partition_by_importance((1.0,), 0.5))
 
 
 def test_apply_gradient_rejects_non_gradient_kind():
     ex = Example("s", TextInput("a b"), 0)
     with pytest.raises(UnsupportedTransformError):
-        apply_gradient(ex, "sort", rank((1.0, 2.0), "drop", 0.5))
+        apply_gradient(ex, "sort", partition_by_importance((1.0, 2.0), 0.5))
 
 
 @given(st.lists(finite, min_size=2, max_size=12), st.integers(0, 3))
@@ -264,7 +264,6 @@ def test_rankings_match_the_per_row_reference_sorts():
         pool = [0.0, -0.0, 1.5, -1.5, 2.0, cases.random(), -cases.random()]
         scores = tuple(cases.choice(pool) for _ in range(n))
         r = cases.choice([0.05, 0.25, 0.5, 0.999, 1.0])
-        part = rank(scores, "drop", r)
+        part = partition_by_importance(scores, r)
         assert (part.bottom, part.top, part.n) == (*_reference_partition(scores, r), n)
-        copy = rank(scores, COPYONE, r)
-        assert (copy.best, copy.n) == (max(range(n), key=lambda i: (scores[i], -i)), n)
+        assert part.best == max(range(n), key=lambda i: (scores[i], -i))

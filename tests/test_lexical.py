@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saladbench import lexical, mitigate
-from saladbench.gradient import apply_gradient, rank
+from saladbench.gradient import apply_gradient, partition_by_importance
 from saladbench.corpus import Example, TextInput, tokenize
 from saladbench.errors import (ArgumentError, DegenerateInputError,
                                UnsupportedTransformError)
@@ -294,7 +294,7 @@ def test_transform_kind_and_r_validation():
     with pytest.raises(UnsupportedTransformError):
         mitigate.transform_examples([ex], "scramble", "single")
     with pytest.raises(ArgumentError):
-        apply_gradient(ex, "drop", rank((1.0, 2.0), "drop", 0.0))
+        apply_gradient(ex, "drop", partition_by_importance((1.0, 2.0), 0.0))
 
 
 def test_terminal_punct_values():

@@ -377,7 +377,7 @@ def test_transform_examples_keep_the_untouched_side_and_name_rows(
         for kind in kinds:
             for seed in ((0, 3) if kind == "shuffle" else (0,)):
                 out = mitigate.transform_examples(examples, kind, task_kind, seed,
-                                                  0.5, saliency, gens, vocab)
+                                                  saliency, gens, vocab)
                 assert out, (task_kind, kind)
                 sources = {ex.id: ex for ex in examples}
                 suffix = f"shuffle:{seed}" if kind == "shuffle" else kind
