@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import corpus, lexical, metrics, mitigate, pbsmt, providers, toyclf
 from .errors import (ConfigError, ContractError, DataError, InsufficientDataError,
                      ProviderError, SaladBenchError)
@@ -249,13 +247,12 @@ def cmd_calibrate(args):
     params = toyclf.load_params(args.model)
     gold = [ex.gold_label for ex in ds.examples]
     pre = metrics.ece(providers.EmbeddedProvider(params).predict_batch(ds.examples), gold)
-    t = toyclf.fit_temperature(params, ds)
-    scaled = toyclf.with_temperature(params, t)
+    scaled = toyclf.calibrated(params, ds)
     post = metrics.ece(providers.EmbeddedProvider(scaled).predict_batch(ds.examples), gold)
     _clear_config(args.out)
     path = os.path.join(args.out, "params_scaled.bin")
-    toyclf.save_params(scaled, path, meta={"temperature": t, "data": args.data})
-    print(f"fitted T = {t:.2f}; ECE {pre:.4f} -> {post:.4f}; wrote {path}")
+    toyclf.save_params(scaled, path, meta={"temperature": scaled.temperature, "data": args.data})
+    print(f"fitted T = {scaled.temperature:.2f}; ECE {pre:.4f} -> {post:.4f}; wrote {path}")
 
 
 def cmd_mitigate(args):
@@ -267,10 +264,8 @@ def cmd_mitigate(args):
         raise ConfigError(f"--lambda-ent must be at least 0, got {args.lambda_ent}")
     ds = _load(args)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
-    strategy = args.strategy.replace("-", "_")
-    finetune = (args.finetune_epochs, args.batch_size, args.finetune_lr, args.seed)
     toyclf.check_train_args(args.epochs, args.batch_size, args.lr, args.seed, args.dim)
-    toyclf.check_train_args(*finetune)  # both trainings' values, before any work
+    toyclf.check_train_args(args.finetune_epochs, args.batch_size, args.finetune_lr, args.seed)
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
     try:  # before any training; the generators train from them after the baseline
         bitexts = {label: pbsmt.build_parallel_corpus(train_ds, label)
@@ -283,42 +278,13 @@ def cmd_mitigate(args):
         print(f"skipped {kind}: {why}", file=sys.stderr)
     baseline = toyclf.train(train_ds, args.epochs, args.batch_size, args.lr, args.seed,
                             args.dim)
-    baseline_acc = toyclf.accuracy(baseline, val_ds)
-    provider = providers.EmbeddedProvider(baseline)
-    vocab = list(baseline.vocab[1:])
     generators = {label: pbsmt.train_generator(pairs, label)
                   for label, pairs in bitexts.items()}
     del bitexts  # the generators keep their tables; the token pairs are not needed again
-
-    invalid_val = {kind: list(rows.values()) for kind, rows in mitigate.invalid_by_kind(
-        val_ds.examples, kinds, ds.task_kind, provider, generators, vocab,
-        args.seed).items()}
-
-    def invalid_train():  # called inline, so no unlabeled copy outlives its use
-        return mitigate.augment(train_ds, kinds, args.augment_fraction, args.seed,
-                                provider, generators, vocab)
-
-    theta = None
-    if strategy == "invalid_class":
-        params = mitigate.train_invalid_class(
-            mitigate.balance_clean(train_ds, invalid_train()), baseline, *finetune)
-    else:
-        params = baseline if strategy == "threshold" else mitigate.train_entropic(
-            baseline, train_ds,
-            corpus.Dataset(tuple(invalid_train()), ds.labels, ds.task_kind),
-            args.lambda_ent, *finetune)
-        params = toyclf.with_temperature(params, toyclf.fit_temperature(params, val_ds))
-        eprov = providers.EmbeddedProvider(params)
-        preds_clean = eprov.predict_batch(val_ds.examples)
-        gold = [ex.gold_label for ex in val_ds.examples]
-        preds_invalid = eprov.predict_batch([e for v in invalid_val.values() for e in v])
-        scaled_acc = np.count_nonzero(preds_clean.argmax(axis=1) == gold) / len(gold)
-        theta = mitigate.threshold_search(preds_clean, gold, preds_invalid,
-                                          scaled_acc, args.tolerance)
-    report = mitigate.evaluate_mitigation(
-        strategy, params, val_ds, invalid_val, theta=theta,
-        lambda_ent=args.lambda_ent if strategy == "entropic_threshold" else None,
-        baseline_accuracy=100 * baseline_acc)
+    params, report = mitigate.run_strategy(args.strategy, baseline, generators, train_ds,
+                                           val_ds, kinds, args.seed, args.finetune_epochs,
+                                           args.batch_size, args.finetune_lr,
+                                           args.augment_fraction, args.lambda_ent, args.tolerance)
     _clear_config(args.out)
     toyclf.save_params(params, os.path.join(args.out, "params_mitigated.bin"))
     text = json.dumps(report._asdict(), indent=2, sort_keys=True)
@@ -395,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mitigate", help="train and evaluate a mitigation strategy")
     _add_dataset_args(p)
-    p.add_argument("--strategy", default="invalid-class",
-                   choices=["threshold", "entropic-threshold", "invalid-class"])
+    p.add_argument("--strategy", default=mitigate.STRATEGIES[-1], choices=mitigate.STRATEGIES)
     p.add_argument("--transforms", default="all")
     p.add_argument("--lambda-ent", action=_Finite, default=0.1,
                    help="weight (at least 0) of the entropy term on invalid rows; "

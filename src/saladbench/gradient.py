@@ -64,7 +64,7 @@ def repeat_tokens(tokens: tuple[str, ...], part: ImportancePartition,
                   seed: int) -> tuple[str, ...]:
     """Replace each bottom token with a uniformly drawn top token."""
     if not part.top:
-        raise UnsupportedTransformError("repeat needs a non-empty top set")
+        raise DegenerateInputError("repeat needs a non-empty top set")
     out = list(tokens)
     for i, k in zip(part.bottom, _picks(seed, len(part.top), len(part.bottom))):
         out[i] = tokens[part.top[k]]

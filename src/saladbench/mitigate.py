@@ -13,18 +13,20 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSet, checked, tokenize
-from .errors import (ArgumentError, ConfigError, DegenerateInputError,
+from .errors import (ArgumentError, ConfigError, DataError, DegenerateInputError,
                      UnsupportedTransformError)
 from .gradient import apply_gradient, partition_by_importance
 from .lexical import (ALL_KINDS, GRADIENT_KINDS, LEXICAL_KINDS, PAIR_ONLY_KINDS,
                       apply_lexical, side_rule)
 from .pbsmt import GeneratorModel, generate_invalid
+from .providers import EmbeddedProvider
 from . import toyclf
 
 log = logging.getLogger(__name__)
 
 INVALID_LABEL = "invalid"
 THRESHOLD_STEP = 0.001
+STRATEGIES = ("threshold", "entropic-threshold", "invalid-class")  # run_strategy's names
 
 
 @checked
@@ -201,21 +203,21 @@ def threshold_grid(n_classes: int, step: float = THRESHOLD_STEP) -> list[float]:
 
 
 def threshold_search(probs_clean: np.ndarray, gold: Sequence[int],
-                     probs_invalid: np.ndarray,
-                     baseline_accuracy: float, tolerance: float) -> float:
+                     probs_invalid: np.ndarray, tolerance: float) -> float:
     """Grid search over [1/N, 1]: keep thresholds whose clean accuracy stays
-    within `tolerance` of baseline, then pick the one maximizing invalid
-    detection (smallest theta on ties)."""
+    within `tolerance` of the unthresholded accuracy on `probs_clean`, then
+    pick the one maximizing invalid detection (smallest theta on ties)."""
     if len(probs_clean) == 0 or len(probs_invalid) == 0:
         raise ArgumentError("both prediction sets must be non-empty")
     if not tolerance >= 0:
         raise ArgumentError(f"tolerance must be at least 0, got {tolerance}")
     conf_clean, conf_invalid = probs_clean.max(axis=1), probs_invalid.max(axis=1)
     correct = probs_clean.argmax(axis=1) == np.asarray(gold)
+    floor = np.count_nonzero(correct) / len(conf_clean) - tolerance
     best_theta, best_detect = None, -1.0
     for theta in threshold_grid(probs_clean.shape[1]):
         acc = np.count_nonzero(correct & (conf_clean >= theta)) / len(conf_clean)
-        if acc < baseline_accuracy - tolerance:
+        if acc < floor:
             continue
         detect = np.count_nonzero(conf_invalid < theta) / len(conf_invalid)
         if detect > best_detect:
@@ -289,3 +291,47 @@ def evaluate_mitigation(strategy: str, params: toyclf.ToyModelParams,
     return MitigationReport(strategy, clean_acc, overall, per_transform,
                             theta=theta, lambda_ent=lambda_ent,
                             baseline_accuracy=baseline_accuracy)
+
+
+def run_strategy(strategy: str, baseline: toyclf.ToyModelParams,
+                 generators: dict[int, GeneratorModel], train_ds: Dataset, val_ds: Dataset,
+                 kinds: Sequence[str], seed: int, epochs: int, batch_size: int, lr: float,
+                 fraction: float, lambda_ent: float, tolerance: float
+                 ) -> tuple[toyclf.ToyModelParams, MitigationReport]:
+    """One of STRATEGIES from a trained baseline: the mitigated parameters and their
+    report on `val_ds` and its invalid rows per kind. A kind with no such row is left
+    out with a warning; none left is a DataError, before any fine-tune."""
+    if strategy not in STRATEGIES:
+        raise ArgumentError(f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}")
+    provider = EmbeddedProvider(baseline)
+    vocab = list(baseline.vocab[1:])
+    invalid_val = {kind: list(rows.values()) for kind, rows in invalid_by_kind(
+        val_ds.examples, kinds, val_ds.task_kind, provider, generators, vocab, seed).items()
+        if rows}
+    for kind in (k for k in kinds if k not in invalid_val):
+        log.warning("%s: no validation row; left out of the report", kind)
+    if not invalid_val:
+        raise DataError(f"no validation row survives any transform ({', '.join(kinds)})")
+
+    def invalid_train():  # called inline, so no unlabeled copy outlives its use
+        return augment(train_ds, kinds, fraction, seed, provider, generators, vocab)
+
+    theta = None
+    if strategy == "invalid-class":
+        params = train_invalid_class(balance_clean(train_ds, invalid_train()), baseline,
+                                     epochs, batch_size, lr, seed)
+    else:
+        params = baseline if strategy == "threshold" else train_entropic(
+            baseline, train_ds, Dataset(tuple(invalid_train()), train_ds.labels,
+                                        train_ds.task_kind),
+            lambda_ent, epochs, batch_size, lr, seed)
+        params = toyclf.calibrated(params, val_ds)
+        scaled = EmbeddedProvider(params)
+        gold = [ex.gold_label for ex in val_ds.examples]
+        theta = threshold_search(
+            scaled.predict_batch(val_ds.examples), gold,
+            scaled.predict_batch([ex for v in invalid_val.values() for ex in v]), tolerance)
+    return params, evaluate_mitigation(
+        strategy.replace("-", "_"), params, val_ds, invalid_val, theta=theta,
+        lambda_ent=lambda_ent if strategy == "entropic-threshold" else None,
+        baseline_accuracy=100 * toyclf.accuracy(baseline, val_ds))

@@ -394,8 +394,9 @@ def fit_temperature(params: ToyModelParams, calibration: Dataset) -> float:
     return round(best_t, 10)
 
 
-def with_temperature(params: ToyModelParams, t: float) -> ToyModelParams:
-    return params._replace(temperature=t)
+def calibrated(params: ToyModelParams, calibration: Dataset) -> ToyModelParams:
+    """`params` at the temperature fit_temperature fits on `calibration`."""
+    return params._replace(temperature=fit_temperature(params, calibration))
 
 
 def save_params(params: ToyModelParams, path, meta: Optional[dict] = None) -> None:

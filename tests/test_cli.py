@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from saladbench import cli, pbsmt, toyclf
+from saladbench import cli, mitigate, pbsmt, toyclf
 
 from conftest import FINETUNE_ARGS, TRAIN_ARGS
 from test_pinned_outputs import EXPECTED, _report_digest
@@ -224,6 +224,41 @@ def test_mitigate_threshold_smoke(tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["strategy"] == "threshold"
     assert report["theta"] is not None
+
+
+def _one_token_rows(path):
+    """60 sentiment rows of one token each: drop skips every one of them."""
+    words = ("awful", "great", "poor", "nice", "bad", "fine")
+    path.write_text("id\ttext_a\ttext_b\tlabel\n" + "".join(
+        f"s{i}\t{words[i % 6]}\t\t{('negative', 'positive')[i % 2]}\n" for i in range(60)),
+        encoding="utf-8")
+    return ["--data", str(path), "--task", "single", "--labels", "negative,positive"]
+
+
+@pytest.mark.parametrize("strategy", ["invalid-class", "threshold"])
+def test_mitigate_leaves_out_a_kind_with_no_validation_row(tmp_path, caplog, strategy):
+    out = tmp_path / "mit"
+    assert run(["mitigate", *_one_token_rows(tmp_path / "one.tsv"), "--strategy", strategy,
+                "--transforms", "drop,sort", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert list(report["per_transform_detection"]) == ["sort"]
+    assert "drop: no validation row; left out of the report" in caplog.text
+
+
+@pytest.mark.parametrize("strategy", ["invalid-class", "threshold", "entropic-threshold"])
+def test_mitigate_with_no_validation_row_of_any_kind_is_a_data_error(
+        tmp_path, capsys, monkeypatch, strategy):
+    steps = []
+    for module, name in ((mitigate, "train_invalid_class"), (mitigate, "train_entropic"),
+                         (toyclf, "fit_temperature")):
+        monkeypatch.setattr(module, name, lambda *a, **k: steps.append(a))
+    out = tmp_path / "mit"
+    assert run(["mitigate", *_one_token_rows(tmp_path / "one.tsv"), "--strategy", strategy,
+                "--transforms", "drop", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "data error: no validation row survives any transform (drop)"
+    assert steps == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction", ["0", "1.5"])
@@ -1151,6 +1186,25 @@ def test_one_degenerate_row_is_skipped_not_fatal(tmp_path, trained_model,
     report = json.loads((ev / "report.json").read_text(encoding="utf-8"))
     n = {r["transform"]: r["n"] for r in report["rows"]}
     assert n == {"sort": 201, "shuffle": 200}
+
+
+def test_repeat_skips_a_row_with_no_top_set(tmp_path, pair_base, caplog):
+    data = tmp_path / "pairs.tsv"   # the last row's scored side has one token
+    data.write_text(Path(PAIRS).read_text(encoding="utf-8")
+                    + "extra\tshort premise here\tone\tyes\n", encoding="utf-8")
+    model = tmp_path / "params.bin"
+    toyclf.save_params(pair_base, model)
+    args = ["transform", "--data", str(data), *PAIR_ARGS[2:], "--model", str(model),
+            "--transforms", "drop,repeat"]
+    out = tmp_path / "tx"
+    assert run([*args, "--out", str(out)]) == 0
+    for kind in ("drop", "repeat"):
+        assert len((out / f"{kind}.tsv").read_text(encoding="utf-8").splitlines()) == 301
+    assert "repeat: skipped 1 of 301 rows: repeat needs a non-empty top set" in caplog.text
+
+    r1 = tmp_path / "r1"   # at r = 1 no row has a top set
+    assert run([*args, "--r", "1.0", "--out", str(r1)]) == 0
+    assert len((r1 / "repeat.tsv").read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_evaluate_leaves_out_a_kind_whose_rows_are_all_skipped(

@@ -98,7 +98,7 @@ def test_repeat_deterministic_per_seed():
 def test_repeat_needs_top_set():
     seq = ("only",)
     part = ImportancePartition(bottom=(0,), top=())
-    with pytest.raises(UnsupportedTransformError):
+    with pytest.raises(DegenerateInputError):   # the row is skipped, as drop's are
         repeat_tokens(seq, part, seed=0)
 
 

@@ -228,7 +228,7 @@ def test_threshold_search_separable_case():
     # clean at 0.99 confidence (all correct), invalid at 0.6
     clean = preds([0.99] * 20)
     invalid = preds([0.6] * 20)
-    theta = threshold_search(clean, [0] * 20, invalid, 1.0, 0.03)
+    theta = threshold_search(clean, [0] * 20, invalid, 0.03)
     # smallest grid threshold strictly above 0.6 flags every invalid example
     assert 0.6 < theta <= 0.602
     assert (invalid.max(axis=1) < theta).all()
@@ -240,7 +240,7 @@ def test_threshold_search_respects_accuracy_tolerance():
     # so flagging all invalid examples would cost 50 points of clean accuracy
     clean = preds([0.95] * 10 + [0.55] * 10)
     invalid = preds([0.7] * 10)
-    theta = threshold_search(clean, [0] * 20, invalid, 1.0, 0.03)
+    theta = threshold_search(clean, [0] * 20, invalid, 0.03)
     acc = sum(1 for p in clean if p.max() >= theta) / len(clean)
     assert acc >= 1.0 - 0.03
     assert theta <= 0.55
@@ -251,7 +251,7 @@ def test_threshold_search_matches_exhaustive_grid_oracle():
     clean = preds(rng.uniform(0.5, 1.0, size=60))
     gold = [0 if rng.random() < 0.9 else 1 for _ in range(60)]
     invalid = preds(rng.uniform(0.5, 0.95, size=40))
-    baseline = sum(1 for p, y in zip(clean, gold) if p.argmax() == y) / 60
+    baseline = sum(1 for p, y in zip(clean, gold) if p.argmax() == y) / 60   # unthresholded
     tolerance = 0.03
 
     best_theta, best_detect = None, -1.0
@@ -263,28 +263,28 @@ def test_threshold_search_matches_exhaustive_grid_oracle():
         detect = sum(1 for p in invalid if p.max() < theta) / len(invalid)
         if detect > best_detect:  # first strict improvement = smallest theta
             best_theta, best_detect = theta, detect
-    assert threshold_search(clean, gold, invalid, baseline, tolerance) == best_theta
+    assert threshold_search(clean, gold, invalid, tolerance) == best_theta
 
 
 def test_threshold_search_falls_back_to_uniform_when_infeasible():
-    # every clean prediction is wrong, so no threshold can stay within
-    # tolerance of a perfect baseline
-    clean = preds([0.9] * 5, predicted=1)
+    # every clean prediction is right but less confident than 1/N (unnormalized
+    # rows), so every threshold costs all of a perfect unthresholded accuracy
+    clean = np.array([[0.45, 0.40]] * 5)
     invalid = preds([0.6])
-    theta = threshold_search(clean, [0] * 5, invalid, 1.0, 0.03)
+    theta = threshold_search(clean, [0] * 5, invalid, 0.03)
     assert theta == 0.5  # 1/N for two classes
 
 
 def test_threshold_search_validation():
     with pytest.raises(ArgumentError):
-        threshold_search(preds([]), [], preds([0.9]), 1.0, 0.03)
+        threshold_search(preds([]), [], preds([0.9]), 0.03)
 
 
 @pytest.mark.parametrize("tolerance", [-0.01, float("nan")])
 def test_threshold_search_refuses_a_negative_or_nan_tolerance(tolerance):
     # every comparison with NaN is false, so NaN would make every threshold feasible
     with pytest.raises(ArgumentError, match="tolerance"):
-        threshold_search(preds([0.9]), [0], preds([0.6]), 1.0, tolerance)
+        threshold_search(preds([0.9]), [0], preds([0.6]), tolerance)
 
 
 # --- invalid-class training ---
@@ -360,6 +360,28 @@ def test_evaluate_mitigation_balances_transform_counts():
     # each kind contributes min-count (1) examples to the union
     assert report.per_transform_detection == {"drop": 100.0, "sort": 0.0}
     assert report.invalid_detected == 50.0
+
+
+# --- one strategy from a trained baseline ---
+
+@pytest.mark.parametrize("strategy", mitigate.STRATEGIES)
+def test_run_strategy_reports_what_its_strategy_sets(sent_split, sent_base, strategy):
+    train_ds, val_ds = sent_split
+    params, report = mitigate.run_strategy(
+        strategy, sent_base, {}, train_ds, val_ds, ("sort", "drop"), fraction=0.5,
+        lambda_ent=0.1, tolerance=0.03, **{**FINETUNE_ARGS, "epochs": 1})
+    assert report.strategy == strategy.replace("-", "_")
+    assert (report.theta is None) == (strategy == "invalid-class")
+    assert report.lambda_ent == (0.1 if strategy == "entropic-threshold" else None)
+    assert report.baseline_accuracy == 100 * toyclf.accuracy(sent_base, val_ds)
+    assert sorted(report.per_transform_detection) == ["drop", "sort"]
+    assert params.n_classes == sent_base.n_classes + (strategy == "invalid-class")
+
+
+def test_run_strategy_refuses_an_unknown_strategy(sent_split, sent_base):
+    with pytest.raises(ArgumentError, match="hope"):
+        mitigate.run_strategy("hope", sent_base, {}, *sent_split, ("sort",), fraction=0.5,
+                              lambda_ent=0.1, tolerance=0.03, **FINETUNE_ARGS)
 
 
 def test_transform_examples_keep_the_untouched_side_and_name_rows(

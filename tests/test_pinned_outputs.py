@@ -137,7 +137,7 @@ def test_mitigate_reports_match_pinned_digests(task, strategy, tmp_path):
 
 # `transform` of the gradient kinds at two more fractions. The single corpus
 # has no copyone (pair-only); at r = 1 no row has a top set, and repeat
-# refuses the whole run, so that fraction pins the other kinds.
+# skips every row, so that fraction pins the other kinds.
 GRADIENT_KINDS = {"0.25": "drop,repeat,replace,copyone", "1.0": "drop,replace,copyone"}
 GRADIENT_EXPECTED = {
     ("single", "0.25"):

@@ -99,7 +99,7 @@ TEMPERATURES = (1.0, 0.25, 3.0)
 
 def _embedded_rows(params, ds):
     """Raw model probabilities of every row of `ds` at each temperature."""
-    return {t: toyclf.probabilities(toyclf.with_temperature(params, t), ds.examples)
+    return {t: toyclf.probabilities(params._replace(temperature=t), ds.examples)
             for t in TEMPERATURES}
 
 
@@ -181,8 +181,7 @@ def test_threshold_search_equals_the_per_row_loop(cases, tolerance):
         ref_clean = [ref_from_probs(r) for r in rows]
         baseline = sum(1 for p, y in zip(ref_clean, gold) if p.predicted == y) / len(gold)
         theta = mitigate.threshold_search(checked_probs(ids, rows), gold,
-                                          checked_probs(other_ids, other_rows),
-                                          baseline, tolerance)
+                                          checked_probs(other_ids, other_rows), tolerance)
         assert theta == ref_threshold_search(
             ref_clean, gold, [ref_from_probs(r) for r in other_rows], baseline,
             tolerance), name

@@ -12,8 +12,7 @@ from saladbench import toyclf
 from saladbench.corpus import Dataset, Example, LabelSet, TextInput
 from saladbench.errors import ArgumentError, DegenerateInputError
 from saladbench.toyclf import (ToyModelParams, build_vocab, fit_temperature, forward,
-                               init_params, load_params, probabilities, save_params, train,
-                               with_temperature)
+                               init_params, load_params, probabilities, save_params, train)
 
 from conftest import TRAIN_ARGS
 from test_toyclf_batched import grad, nll, ref_saliency, reference_nll, saliency
@@ -113,7 +112,7 @@ def test_forward_is_order_blind():
 def test_forward_temperature_flattens_but_keeps_argmax():
     params = tiny_params()
     ex = Example("e", TextInput("a"), 0)
-    hot = forward(with_temperature(params, 4.0), ex)
+    hot = forward(params._replace(temperature=4.0), ex)
     cold = forward(params, ex)
     assert int(np.argmax(hot)) == int(np.argmax(cold))
     assert hot.max() < cold.max()
@@ -220,7 +219,7 @@ def test_analytic_gradients_match_finite_differences(kind, task_kind):
 
 def test_gradient_matches_under_temperature_scaling():
     rng = np.random.default_rng(12)
-    params = with_temperature(random_model(rng), 2.5)
+    params = random_model(rng)._replace(temperature=2.5)
     batch = [random_example(rng, params, f"e{i}") for i in range(3)]
     analytic, _ = grad(params, batch)
     numeric = _numeric_grad(params, batch)
@@ -387,7 +386,7 @@ def test_fit_temperature_improves_nll_and_keeps_argmax(sent_base, sent_split):
     assert 0.25 <= t <= 5.0
     assert nll(sent_base, val_ds, temperature=t) <= nll(sent_base, val_ds,
                                                         temperature=1.0)
-    scaled = with_temperature(sent_base, t)
+    scaled = sent_base._replace(temperature=t)
     for ex in val_ds.examples:
         assert int(np.argmax(forward(sent_base, ex))) == \
             int(np.argmax(forward(scaled, ex)))

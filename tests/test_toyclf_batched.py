@@ -225,7 +225,7 @@ def _shared_word_pairs():
 
 def test_probabilities_equal_reference(model_and_split):
     params, train_ds, val_ds = model_and_split
-    for p in (params, toyclf.with_temperature(params, 0.37)):
+    for p in (params, params._replace(temperature=0.37)):
         examples = train_ds.examples + val_ds.examples
         batched = toyclf.probabilities(p, examples)
         reference = np.stack([ref_forward(p, ex) for ex in examples])
