@@ -12,7 +12,6 @@ import argparse
 import gc
 import json
 import logging
-import math
 import os
 import sys
 
@@ -40,21 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-class _Finite(argparse.Action):
-    """A float flag whose type refuses NaN and infinity, naming the flag's
-    config.json key; --config values pass through it in _config_value."""
+def _number(kind, interval: str = "(-inf, inf)"):
+    """An argparse type: the text parsed by `kind` (int or float) and refused
+    unless it lies in `interval`, written as in mathematics ("(0, 1]"). NaN
+    lies in no interval and infinite ends are open, so every value is finite.
+    --config values pass through it in _config_value."""
+    low, high = map(float, interval[1:-1].split(","))
 
-    def __init__(self, option_strings, dest, **kwargs):
-        def finite(text: str) -> float:
-            value = float(text)
-            if not math.isfinite(value):
-                raise ConfigError(f"{dest} must be finite, got {text}")
-            return value
-        finite.__name__ = "float"  # argparse's "invalid float value" message names it
-        super().__init__(option_strings, dest, type=finite, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
+    def parse(text: str):
+        value = kind(text)
+        if not ((low < value if interval[0] == "(" else low <= value)
+                and (value < high if interval[-1] == ")" else value <= high)):
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" message names it
+    return parse
 
 
 def _add_dataset_args(p):
@@ -65,7 +64,7 @@ def _add_dataset_args(p):
                    help="comma-separated label names, dataset order")
     p.add_argument("--default-label", default=None,
                    help="default label name for copy-based agreement")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, "[0, inf)"), default=0)
     p.add_argument("--out", required=True)
 
 
@@ -76,16 +75,16 @@ def _add_transform_args(p):
     p.add_argument("--url", help="HTTP provider base URL")
     p.add_argument("--transforms", default="all")
     p.add_argument("--pbsmt-dir", help="directory of trained pbsmt generators")
-    p.add_argument("--r", action=_Finite, default=0.5)
+    p.add_argument("--r", type=_number(float, "(0, 1]"), default=0.5)
 
 
 def _add_train_args(p):
     """The training flags of train and mitigate, and the one place their
     defaults are written."""
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", action=_Finite, default=5.0)
-    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--epochs", type=_number(int, "[0, inf)"), default=3)
+    p.add_argument("--batch-size", type=_number(int, "[1, inf)"), default=16)
+    p.add_argument("--lr", type=_number(float, "(0, inf)"), default=5.0)
+    p.add_argument("--dim", type=_number(int, "[1, inf)"), default=32)
 
 
 def _label_set(args) -> corpus.LabelSet:
@@ -148,8 +147,6 @@ def _salad_sets(args, provider_required: bool):
     """The dataset, the provider, the skipped (kind, why) pairs and, per usable
     kind, a lazy sequence of (seed, rows), checked before any work. Saliency
     and the replace vocabulary are made when the first set that reads them is."""
-    if not 0.0 < args.r <= 1.0:  # before any work, whatever the kinds
-        raise ConfigError(f"--r must be in (0, 1], got {args.r}")
     ds = _load(args)
     provider = _provider(args, provider_required)
     generators = pbsmt.load_generators(args.pbsmt_dir) if args.pbsmt_dir else {}
@@ -256,16 +253,8 @@ def cmd_calibrate(args):
 
 
 def cmd_mitigate(args):
-    if not 0.0 < args.augment_fraction <= 1.0:  # before any work, whatever the strategy
-        raise ConfigError(f"--augment-fraction must be in (0, 1], got {args.augment_fraction}")
-    if not args.tolerance >= 0.0:
-        raise ConfigError(f"--tolerance must be at least 0, got {args.tolerance}")
-    if not args.lambda_ent >= 0.0:
-        raise ConfigError(f"--lambda-ent must be at least 0, got {args.lambda_ent}")
     ds = _load(args)
     kinds, skipped = mitigate.resolve_kinds(args.transforms, ds.task_kind)
-    toyclf.check_train_args(args.epochs, args.batch_size, args.lr, args.seed, args.dim)
-    toyclf.check_train_args(args.finetune_epochs, args.batch_size, args.finetune_lr, args.seed)
     train_ds, val_ds = corpus.split_holdout(ds, args.holdout, args.seed)
     try:  # before any training; the generators train from them after the baseline
         bitexts = {label: pbsmt.build_parallel_corpus(train_ds, label)
@@ -298,8 +287,6 @@ def cmd_mitigate(args):
 
 
 def cmd_pbsmt_train(args):
-    if args.iterations < 1:
-        raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
     names = _label_set(args).names
     if args.label is not None and not 0 <= args.label < len(names):
         raise ConfigError(
@@ -349,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the embedded toy classifier")
     _add_dataset_args(p)
     p.add_argument("--loss", default=toyclf.LOSSES[0], choices=toyclf.LOSSES)
-    p.add_argument("--lambda-ls", action=_Finite, default=0.1)
-    p.add_argument("--gamma", action=_Finite, default=2.0)
+    p.add_argument("--lambda-ls", type=_number(float, "[0, 1)"), default=0.1)
+    p.add_argument("--gamma", type=_number(float, "[0, inf)"), default=2.0)
     _add_train_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -363,18 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--strategy", default=mitigate.STRATEGIES[-1], choices=mitigate.STRATEGIES)
     p.add_argument("--transforms", default="all")
-    p.add_argument("--lambda-ent", action=_Finite, default=0.1,
-                   help="weight (at least 0) of the entropy term on invalid rows; "
+    p.add_argument("--lambda-ent", type=_number(float, "[0, inf)"), default=0.1,
+                   help="weight of the entropy term on invalid rows; "
                         "checked under every strategy, used by entropic-threshold")
-    p.add_argument("--augment-fraction", action=_Finite, default=0.5,
-                   help="share of training rows in (0, 1] made invalid for the "
+    p.add_argument("--augment-fraction", type=_number(float, "(0, 1]"), default=0.5,
+                   help="share of training rows made invalid for the "
                         "fine-tune; checked under every strategy, unused by threshold")
-    p.add_argument("--tolerance", action=_Finite, default=0.03)
-    p.add_argument("--holdout", action=_Finite, default=0.2)
+    p.add_argument("--tolerance", type=_number(float, "[0, inf)"), default=0.03)
+    p.add_argument("--holdout", type=_number(float, "(0, 1)"), default=0.2)
     _add_train_args(p)
-    p.add_argument("--finetune-epochs", type=int, default=15,
+    p.add_argument("--finetune-epochs", type=_number(int, "[0, inf)"), default=15,
                    help="epochs for the mitigation fine-tuning phase")
-    p.add_argument("--finetune-lr", action=_Finite, default=1.0,
+    p.add_argument("--finetune-lr", type=_number(float, "(0, inf)"), default=1.0,
                    help="learning rate for the mitigation fine-tuning phase")
     p.set_defaults(func=cmd_mitigate)
 
@@ -383,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = pbsmt_sub.add_parser("train", help="train a generator per label (or for --label)")
     _add_dataset_args(p)
     p.add_argument("--label", type=int, default=None, help="index of one of --labels")
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--min-pairs", type=int, default=50)
-    p.add_argument("--w-tm", action=_Finite, default=1.0)
-    p.add_argument("--w-lm", action=_Finite, default=0.5)
-    p.add_argument("--w-dist", action=_Finite, default=-0.3)
-    p.add_argument("--w-len", action=_Finite, default=-0.1)
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--distortion-limit", type=int, default=3)
+    p.add_argument("--iterations", type=_number(int, "[1, inf)"), default=10)
+    p.add_argument("--min-pairs", type=_number(int, "[1, inf)"), default=50)
+    p.add_argument("--w-tm", type=_number(float), default=1.0)
+    p.add_argument("--w-lm", type=_number(float), default=0.5)
+    p.add_argument("--w-dist", type=_number(float), default=-0.3)
+    p.add_argument("--w-len", type=_number(float), default=-0.1)
+    p.add_argument("--beam", type=_number(int, "[1, inf)"), default=10)
+    p.add_argument("--distortion-limit", type=_number(int, "[0, inf)"), default=3)
     p.set_defaults(func=cmd_pbsmt_train)
 
     p = pbsmt_sub.add_parser("generate", help="transform --transforms pbsmt from --models")
@@ -422,21 +409,22 @@ def _apply_config_file(parser, args, argv: list[str]) -> argparse.Namespace:
         raise ConfigError(f"--config {args.config}: expected a JSON object, "
                           f"got {type(cfg).__name__}")
     leaf = parser.leaves[args.command, getattr(args, "pbsmt_command", None)]
-    entries = {key.replace("-", "_"): (key, value) for key, value in cfg.items()}
+    entries = {key.replace("-", "_"): (key, value) for key, value in cfg.items()
+               if value is not None}   # a null entry leaves the flag at its default
     leaf.set_defaults(**{attr: _config_value(leaf.actions[attr], key, value, args.config)
                          for attr, (key, value) in entries.items() if attr in leaf.actions})
     return parser.parse_args(argv)
 
 
 def _config_value(action, key: str, value, path: str):
-    """A non-null --config value parsed as the flag's command-line text would
-    be: through its type, then checked against its choices."""
-    if value is None:
-        return None
+    """A --config value parsed as the flag's command-line text would be:
+    through its type, with its range, then checked against its choices."""
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         parsed = action.type(text) if action.type else text
-    except (TypeError, ValueError, ConfigError):
+    except argparse.ArgumentTypeError as e:
+        raise ConfigError(f"--config {path}: {key}: {e}") from None
+    except (TypeError, ValueError):
         raise ConfigError(f"--config {path}: {key}: invalid {action.type.__name__} "
                           f"value: {text!r}") from None
     if action.choices is not None and parsed not in action.choices:

@@ -61,10 +61,6 @@ class TextInput:
     text_a = property(attrgetter("_text_a"))
     text_b = property(attrgetter("_text_b"))
 
-    def _replace(self, **texts) -> "TextInput":
-        """This row with a new `text_a` and/or `text_b`, tokenized afresh."""
-        return TextInput(**{"text_a": self._text_a, "text_b": self._text_b, **texts})
-
     def __eq__(self, other):
         if not isinstance(other, TextInput):
             return NotImplemented

@@ -187,12 +187,12 @@ def train_entropic(warm: toyclf.ToyModelParams, clean: Dataset, invalid: Dataset
                         warm=warm, invalid_ds=invalid)
 
 
-def threshold_grid(n_classes: int, step: float = THRESHOLD_STEP) -> list[float]:
+def threshold_grid(n_classes: int) -> list[float]:
     lo = 1.0 / n_classes
     grid = []
     k = 0
     while True:
-        theta = lo + k * step
+        theta = lo + k * THRESHOLD_STEP
         if theta > 1.0 + 1e-12:
             break
         grid.append(min(theta, 1.0))

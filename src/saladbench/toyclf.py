@@ -282,20 +282,6 @@ def split_scores(scores: np.ndarray, lengths: np.ndarray) -> list[tuple[float, .
     return rows
 
 
-def check_train_args(epochs: int, batch_size: int, lr: float, seed: int,
-                     dim: Optional[int] = None) -> None:
-    """Refuses values `train` cannot run with (`dim` only when given). `train`
-    checks them before its first step; a caller with other work to do first
-    can check them earlier."""
-    if epochs < 0 or batch_size < 1 or lr <= 0:
-        raise ArgumentError(f"epochs must be >= 0, batch_size >= 1 and lr > 0; "
-                            f"got {epochs}, {batch_size} and {lr}")
-    if dim is not None and dim < 1:
-        raise ArgumentError(f"dim must be >= 1, got {dim}")
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
-
-
 def train(ds: Dataset, epochs: int, batch_size: int, lr: float, seed: int,
           dim: Optional[int] = None, loss: str = "cross_entropy",
           lambda_ls: float = 0.0, gamma: float = 0.0, lambda_ent: float = 0.0,
@@ -309,7 +295,13 @@ def train(ds: Dataset, epochs: int, batch_size: int, lr: float, seed: int,
     invalid_ds, each step pairs a clean mini-batch with one cycled from it,
     whose entropy (times lambda_ent) it maximizes. Both are encoded once.
     """
-    check_train_args(epochs, batch_size, lr, seed, dim)
+    if epochs < 0 or batch_size < 1 or lr <= 0:
+        raise ArgumentError(f"epochs must be >= 0, batch_size >= 1 and lr > 0; "
+                            f"got {epochs}, {batch_size} and {lr}")
+    if dim is not None and dim < 1:
+        raise ArgumentError(f"dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss kind {loss!r}")
     if not 0.0 <= lambda_ls < 1.0:

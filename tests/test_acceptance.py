@@ -292,7 +292,7 @@ def _mitigation_for(base, split, gens):
     tolerance = 0.03
     theta = mitigate.threshold_search(preds_clean, gold, preds_invalid, tolerance)
     unthresholded = sum(1 for p, y in zip(preds_clean, gold) if p.argmax() == y) / len(gold)
-    grid = mitigate.threshold_grid(len(preds_clean[0]), mitigate.THRESHOLD_STEP)
+    grid = mitigate.threshold_grid(len(preds_clean[0]))
     best_theta, best_detect = None, -1.0
     for cand in grid:
         acc = sum(1 for p, y in zip(preds_clean, gold)

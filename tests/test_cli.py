@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from saladbench import cli, mitigate, pbsmt, toyclf
+from saladbench.errors import ConfigError
 
 from conftest import FINETUNE_ARGS, TRAIN_ARGS
 from test_pinned_outputs import EXPECTED, _report_digest
@@ -261,35 +262,98 @@ def test_mitigate_with_no_validation_row_of_any_kind_is_a_data_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fraction", ["0", "1.5"])
-@pytest.mark.parametrize("strategy", ["invalid-class", "threshold", "entropic-threshold"])
-def test_augment_fraction_is_refused_before_any_training(tmp_path, capsys, monkeypatch,
-                                                         strategy, fraction):
-    trained = []
-    train = toyclf.train
-    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
-    out = tmp_path / "fo"
-    assert run(["mitigate", *SENT_ARGS, "--strategy", strategy, "--transforms", "sort",
-                "--augment-fraction", fraction, "--out", str(out)]) == 1
+# (command words, flag, a value the flag's type or range refuses); the dataset
+# flags follow the words. Every numeric flag of every command has a row.
+OUT_OF_RANGE = [
+    *[(words, "--seed", "-1") for words in (
+        "transform", "evaluate", "train", "calibrate --model m.bin", "mitigate",
+        "pbsmt train", "pbsmt generate --models gens")],
+    *[(command, "--r", r) for command in ("transform", "evaluate") for r in ("0", "1.5")],
+    ("train", "--epochs", "-1"),
+    ("train", "--batch-size", "0"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "abc"),
+    ("train", "--dim", "0"),
+    *[(f"train --loss {loss}", "--lambda-ls", "1.0") for loss in toyclf.LOSSES],
+    ("train --loss focal", "--gamma", "-1"),
+    ("train --loss focal", "--gamma", "nan"),
+    ("mitigate", "--epochs", "-1"),
+    ("mitigate", "--dim", "0"),
+    ("mitigate", "--batch-size", "0"),
+    ("mitigate", "--lr", "inf"),
+    ("mitigate", "--finetune-epochs", "-1"),
+    ("mitigate", "--finetune-lr", "0"),
+    # checked under every strategy, though threshold reads neither value
+    *[(f"mitigate --strategy {strategy}", "--augment-fraction", fraction)
+      for strategy in mitigate.STRATEGIES for fraction in ("0", "1.5")],
+    *[(f"mitigate --strategy {strategy}", "--lambda-ent", "-1")
+      for strategy in mitigate.STRATEGIES],
+    ("mitigate --strategy entropic-threshold", "--lambda-ent", "nan"),
+    ("mitigate --strategy threshold", "--tolerance", "-1"),
+    ("mitigate --strategy threshold", "--tolerance", "nan"),
+    ("mitigate", "--holdout", "1.5"),
+    ("pbsmt train", "--iterations", "0"),
+    ("pbsmt train", "--min-pairs", "0"),
+    ("pbsmt train", "--beam", "0"),
+    ("pbsmt train", "--distortion-limit", "-1"),
+    *[("pbsmt train", weight, "inf") for weight in ("--w-tm", "--w-lm", "--w-dist", "--w-len")],
+]
+
+
+def _json_value(text):
+    """The value a --config file holds for a flag's command-line text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("words, flag, value", [
+    pytest.param(words.split(), flag, value, id=f"{words.replace(' ', '-')}{flag}={value}")
+    for words, flag, value in OUT_OF_RANGE])
+def test_a_value_outside_its_flags_range_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, words, flag, value, via):
+    loaded = []
+    load = cli.corpus.load_dataset
+    monkeypatch.setattr(cli.corpus, "load_dataset",
+                        lambda *a, **kw: loaded.append(1) or load(*a, **kw))
+    out, key = tmp_path / "fo", flag[2:]
+    if via == "flag":
+        argv, prefix = [*words, *SENT_ARGS, flag, value], f"error: argument {flag}: "
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: _json_value(value)}), encoding="utf-8")
+        argv = ["--config", str(cfg), *words, *SENT_ARGS]
+        prefix = f"error: --config {cfg}: {key}: "
+    assert run([*argv, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: --augment-fraction "), lines
-    assert trained == []
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    assert loaded == []
     assert not out.exists()
 
 
-@pytest.mark.parametrize("strategy", ["invalid-class", "threshold", "entropic-threshold"])
-def test_a_negative_lambda_ent_is_refused_before_any_training(tmp_path, capsys, monkeypatch,
-                                                             strategy):
-    trained = []
-    train = toyclf.train
-    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
-    out = tmp_path / "fo"
-    assert run(["mitigate", *SENT_ARGS, "--strategy", strategy, "--transforms", "sort",
-                "--lambda-ent", "-1", "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: --lambda-ent "), lines
-    assert trained == []
-    assert not out.exists()
+def test_every_numeric_flag_states_its_range():
+    parser, flags = cli.build_parser(), set()
+    for (command, sub), leaf in parser.leaves.items():
+        for action in leaf.actions.values():
+            if type(action.default) not in (int, float):
+                continue
+            flag = action.option_strings[0]
+            flags.add(flag)
+            assert action.type.__code__ is cli._number(float).__code__, (command, sub, flag)
+            words = [command, *filter(None, [sub])]
+            with pytest.raises(ConfigError) as exc:
+                parser.parse_args([*words, flag, "nan"])
+            assert str(exc.value).startswith(f"argument {flag}: "), (words, exc.value)
+            kind = type(action.default).__name__   # argparse's own message for text
+            with pytest.raises(ConfigError, match=f"^argument {flag}: invalid {kind} "
+                                                  f"value: 'abc'$"):
+                parser.parse_args([*words, flag, "abc"])
+    assert flags == {flag for _, flag, _ in OUT_OF_RANGE}
 
 
 @pytest.mark.parametrize("holdout, sizes", [("0.001", "200 training and 0 validation"),
@@ -309,38 +373,6 @@ def test_a_holdout_that_leaves_a_split_empty_is_refused_before_any_training(
     assert not out.exists()
 
 
-SCHEDULE = "error: epochs must be >= 0, batch_size >= 1 and lr > 0"
-# (case, argv with the dataset flags left out, the start of the error line)
-BAD_TRAINING = [
-    ("train-seed", ["train", "--seed", "-1"], "error: seed must be >= 0, got -1"),
-    ("mitigate-seed", ["mitigate", "--seed", "-1"], "error: seed must be >= 0, got -1"),
-    ("batch-size", ["train", "--batch-size", "0"], SCHEDULE),
-    ("lr", ["train", "--lr", "0"], SCHEDULE),
-    ("epochs", ["train", "--epochs", "-1"], SCHEDULE),
-    ("dim", ["train", "--dim", "0"], "error: dim must be >= 1, got 0"),
-    *[(f"lambda-ls-{loss}", ["train", "--loss", loss, "--lambda-ls", "1.0"],
-       "error: lambda_ls must be in [0,1)") for loss in toyclf.LOSSES],
-    ("gamma", ["train", "--gamma", "-1"], "error: gamma must be >= 0"),
-    ("mitigate-finetune-epochs", ["mitigate", "--finetune-epochs", "-1"], SCHEDULE),
-    ("mitigate-dim", ["mitigate", "--dim", "0"], "error: dim must be >= 1, got 0"),
-]
-
-
-@pytest.mark.parametrize("argv, error", [
-    pytest.param(argv, error, id=case) for case, argv, error in BAD_TRAINING])
-def test_a_training_value_is_refused_in_one_line_before_any_step(tmp_path, capsys,
-                                                                monkeypatch, argv, error):
-    steps = []
-    grad = toyclf._grad
-    monkeypatch.setattr(toyclf, "_grad", lambda *a: steps.append(1) or grad(*a))
-    out = tmp_path / "fo"
-    assert run([argv[0], *SENT_ARGS, *argv[1:], "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(error), lines
-    assert steps == []
-    assert not out.exists()
-
-
 def test_the_test_fixtures_train_with_the_cli_defaults():
     train = vars(cli.build_parser().parse_args(["train", *SENT_ARGS, "--out", "fo"]))
     assert {name: train[name] for name in TRAIN_ARGS} == TRAIN_ARGS
@@ -348,42 +380,6 @@ def test_the_test_fixtures_train_with_the_cli_defaults():
     assert {name: mitigate[name] for name in TRAIN_ARGS} == TRAIN_ARGS
     assert dict(epochs=mitigate["finetune_epochs"], batch_size=mitigate["batch_size"],
                 lr=mitigate["finetune_lr"], seed=mitigate["seed"]) == FINETUNE_ARGS
-
-
-# (case, argv with the dataset flags left out, a word the error line names)
-BAD_FLOATS = [
-    ("tolerance-nan", ["mitigate", "--strategy", "threshold", "--transforms", "sort",
-                       "--tolerance", "nan"], "tolerance"),
-    ("tolerance-negative", ["mitigate", "--strategy", "threshold", "--transforms", "sort",
-                            "--tolerance", "-1"], "tolerance"),
-    ("gamma-nan", ["train", "--loss", "focal", "--gamma", "nan"], "gamma"),
-    ("lr-nan", ["train", "--lr", "nan"], "lr"),
-    ("lambda-ent-nan", ["mitigate", "--strategy", "entropic-threshold",
-                        "--transforms", "sort", "--lambda-ent", "nan"], "lambda"),
-]
-
-
-@pytest.mark.parametrize("argv, named", [
-    pytest.param(argv, named, id=case) for case, argv, named in BAD_FLOATS])
-def test_a_non_finite_or_negative_float_flag_is_refused_before_any_training(
-        tmp_path, capsys, monkeypatch, argv, named):
-    trained = []
-    train = toyclf.train
-    monkeypatch.setattr(toyclf, "train", lambda *a, **kw: trained.append(1) or train(*a, **kw))
-    out = tmp_path / "fo"
-    assert run([argv[0], *SENT_ARGS, *argv[1:], "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert named in lines[0], lines
-    assert trained == []
-    assert not out.exists()
-
-
-def test_a_float_flag_that_is_not_a_number_is_a_usage_error(tmp_path, capsys):
-    out = tmp_path / "fo"
-    assert run(["train", *SENT_ARGS, "--lr", "abc", "--out", str(out)]) == 1
-    assert "argument --lr: invalid float value: 'abc'" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["train", *SENT_ARGS, "--out", "fo", "--epochs", "x"],
@@ -414,23 +410,6 @@ def test_a_flag_is_matched_by_its_whole_name_only(tmp_path, capsys, sent_gens, a
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments: --label"), \
         lines
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["transform", "evaluate"])
-@pytest.mark.parametrize("r", ["0", "1.5"])
-def test_r_outside_the_unit_interval_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
-                                                                trained_model, command, r):
-    loaded = []
-    load = cli.corpus.load_dataset
-    monkeypatch.setattr(cli.corpus, "load_dataset",
-                        lambda *a, **kw: loaded.append(1) or load(*a, **kw))
-    out = tmp_path / "fo"
-    assert run([command, *SENT_ARGS, "--model", trained_model, "--transforms", "sort",
-                "--r", r, "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: --r "), lines
-    assert loaded == []
     assert not out.exists()
 
 
@@ -908,7 +887,7 @@ OUTSIDE_INPUT = [
     ("pbsmt-label", {}, ["pbsmt", "train", *SENT_ARGS, "--label", "one"], "--label"),
     ("pbsmt-iterations", {}, ["pbsmt", "train", *SENT_ARGS, "--iterations", "0"],
      "--iterations"),
-    ("pbsmt-weight-nan", {}, ["pbsmt", "train", *SENT_ARGS, "--w-lm", "nan"], "w_lm"),
+    ("pbsmt-weight-nan", {}, ["pbsmt", "train", *SENT_ARGS, "--w-lm", "nan"], "--w-lm"),
     ("model-header", {"m.bin": "not a header\n"},
      ["evaluate", *SENT_ARGS, "--model", "{tmp}/m.bin", *SORT], "{tmp}/m.bin"),
     ("config-json", {"c.json": "{seed: 7"},
@@ -1109,6 +1088,28 @@ def test_config_file_does_not_override_equals_form_flags(tmp_path):
     assert rc == 0
     resolved = json.loads((out / "config.json").read_text(encoding="utf-8"))
     assert resolved["seed"] == 3
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", *SENT_ARGS], "epochs"),
+    (["transform", *SENT_ARGS, *SORT], "r"),
+    (["mitigate", *SENT_ARGS, "--strategy", "threshold", *SORT], "tolerance"),
+], ids=["train-epochs", "transform-r", "mitigate-tolerance"])
+def test_a_null_config_value_leaves_the_flag_at_its_default(tmp_path, argv, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: None}), encoding="utf-8")
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert run([*argv, "--out", str(plain)]) == 0
+    assert run(["--config", str(cfg), *argv, "--out", str(configured)]) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in configured.iterdir()) == names
+    for name in names:
+        if name != "config.json":
+            assert (configured / name).read_bytes() == (plain / name).read_bytes(), name
+    first, second = (json.loads((out / "config.json").read_text(encoding="utf-8"))
+                     for out in (plain, configured))
+    assert (first.pop("config"), second.pop("config")) == (None, str(cfg))
+    assert second == {**first, "out": str(configured)}
 
 
 # --- transformed-row ids and skipped rows ---

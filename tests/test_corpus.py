@@ -94,14 +94,6 @@ def test_text_input_tokens_are_each_sides_tokenize():
     assert not hasattr(inp, "__dict__")                # slots keep rows small
 
 
-def test_text_input_replace_never_keeps_stale_tokens():
-    inp = TextInput("good film", "bad plot")
-    inp.tokens("a"), inp.tokens("b")
-    again = inp._replace(text_a="Awful acting!")
-    assert again.tokens("a") == ("awful", "acting", "!")
-    assert again.tokens("b") == ("bad", "plot")
-
-
 def test_text_input_with_side_keeps_the_given_tokens_and_shares_the_other():
     inp = TextInput("good film", "bad plot")
     new = inp.with_side("b", ("plot", "bad"))

@@ -216,12 +216,13 @@ def test_balance_clean_default_multiplier_matches_ratio():
 # --- threshold search ---
 
 def test_threshold_grid_covers_unit_interval():
-    grid = threshold_grid(n_classes=2, step=0.25)
-    assert grid[0] == 0.5 and grid[-1] == 1.0
-    assert grid == [0.5, 0.75, 1.0]
-    fine = threshold_grid(n_classes=4, step=0.001)
-    assert abs(fine[0] - 0.25) < 1e-12 and fine[-1] == 1.0
-    assert all(b > a for a, b in zip(fine, fine[1:]))
+    for n_classes in (2, 3, 4):
+        grid = threshold_grid(n_classes)
+        assert grid[0] == 1.0 / n_classes and grid[-1] == 1.0
+        steps = np.diff(grid)
+        assert np.allclose(steps[:-1], mitigate.THRESHOLD_STEP, rtol=0, atol=1e-12)
+        # 1/3 + k * step never lands on 1, so the last step to 1.0 is shorter
+        assert 0 < steps[-1] <= mitigate.THRESHOLD_STEP + 1e-12
 
 
 def test_threshold_search_separable_case():
@@ -255,7 +256,7 @@ def test_threshold_search_matches_exhaustive_grid_oracle():
     tolerance = 0.03
 
     best_theta, best_detect = None, -1.0
-    for theta in threshold_grid(2, mitigate.THRESHOLD_STEP):
+    for theta in threshold_grid(2):
         acc = sum(1 for p, y in zip(clean, gold)
                   if p.max() >= theta and p.argmax() == y) / len(clean)
         if acc < baseline - tolerance:

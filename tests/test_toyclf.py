@@ -378,6 +378,26 @@ def test_train_rejects_empty_dataset():
         train(Dataset((), LABELS, "single"), **TRAIN_ARGS)
 
 
+@pytest.mark.parametrize("name, value, error", [
+    ("epochs", -1, "epochs must be >= 0"),
+    ("batch_size", 0, "batch_size >= 1"),
+    ("lr", 0.0, "lr > 0"),
+    ("dim", 0, "dim must be >= 1"),
+    ("seed", -1, "seed must be >= 0"),
+    ("lambda_ls", 1.0, "lambda_ls must be in"),
+    ("gamma", -1.0, "gamma must be >= 0"),
+    ("lambda_ent", -1.0, "lambda_ent must be >= 0"),
+])
+def test_train_refuses_a_value_it_cannot_run_with_before_any_step(sent_split, monkeypatch,
+                                                                   name, value, error):
+    # the CLI refuses these at parse time; library callers reach this check
+    steps = []
+    monkeypatch.setattr(toyclf, "_grad", lambda *a: steps.append(1))
+    with pytest.raises(ArgumentError, match=error):
+        train(sent_split[0], **{**TRAIN_ARGS, name: value})
+    assert steps == []
+
+
 # --- temperature ---
 
 def test_fit_temperature_improves_nll_and_keeps_argmax(sent_base, sent_split):
